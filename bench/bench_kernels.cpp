@@ -11,6 +11,7 @@
 #include "exec/kernels.hpp"
 #include "exec/simd.hpp"
 #include "pruning/model_pruner.hpp"
+#include "pruning/pattern_prune.hpp"
 #include "sparse/block_format.hpp"
 #include "sparse/formats.hpp"
 #include "tensor/tensor.hpp"
@@ -138,6 +139,32 @@ void BM_BlockGemmSimd(benchmark::State& state) {
   run_block_gemm_with_isa(state, detect_simd_isa());
 }
 BENCHMARK(BM_BlockGemmSimd);
+
+// Pattern pairs at the serving widths: batch 1 (4 activation columns,
+// narrower than an AVX2 vector) and batch 8 (32 columns).  psize 4 with
+// 2 patterns per set matches the measured backend's pattern sets.
+void run_pattern_gemm_with_isa(benchmark::State& state, SimdIsa isa) {
+  Rng rng(4);
+  const PatternSet set = random_pattern_set(4, 0.5, 2, rng);
+  const PatternPlan plan = PatternPlan::build(make_block_sparse_weight(), set);
+  const Tensor x = Tensor::randn({kCols, state.range(0)}, rng);
+  const KernelOptions opts;
+  set_simd_isa(isa);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pattern_gemm(plan, x, nullptr, opts));
+  }
+  set_simd_isa(detect_simd_isa());
+}
+
+void BM_PatternGemmScalar(benchmark::State& state) {
+  run_pattern_gemm_with_isa(state, SimdIsa::kScalar);
+}
+BENCHMARK(BM_PatternGemmScalar)->Arg(4)->Arg(32);
+
+void BM_PatternGemmSimd(benchmark::State& state) {
+  run_pattern_gemm_with_isa(state, detect_simd_isa());
+}
+BENCHMARK(BM_PatternGemmSimd)->Arg(4)->Arg(32);
 
 void BM_MaskComposition(benchmark::State& state) {
   // The wall-clock cost of an RT3 pattern-set switch at host scale: mask

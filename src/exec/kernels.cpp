@@ -57,12 +57,6 @@ void check_matmul_shapes(std::int64_t w_cols, const Tensor& x) {
         "exec kernel: activation shape mismatch");
 }
 
-void check_options(const KernelOptions& options) {
-  check(options.k_tile >= 0 && options.row_grain >= 1 &&
-            options.unroll >= 1 && options.threads >= 0,
-        "exec kernel: bad kernel options");
-}
-
 }  // namespace
 
 const KernelTable& kernel_table_for(SimdIsa isa) {
@@ -125,7 +119,7 @@ Tensor dense_gemm(const Tensor& w, const Tensor& x, ThreadPool* pool,
                   const KernelOptions& options) {
   check(w.dim() == 2, "dense_gemm: need a 2-D weight");
   check_matmul_shapes(w.size(1), x);
-  check_options(options);
+  check_kernel_options(options, "exec kernel");
   const std::int64_t rows = w.size(0);
   const std::int64_t cols = w.size(1);
   const std::int64_t n = x.size(1);
@@ -149,7 +143,7 @@ Tensor dense_gemm(const Tensor& w, const Tensor& x, ThreadPool* pool,
 Tensor block_gemm(const BlockPrunedMatrix& w, const Tensor& x,
                   ThreadPool* pool, const KernelOptions& options) {
   check_matmul_shapes(w.cols(), x);
-  check_options(options);
+  check_kernel_options(options, "exec kernel");
   const std::int64_t rows = w.rows();
   const std::int64_t n = x.size(1);
   Tensor out({rows, n});
@@ -170,7 +164,7 @@ Tensor block_gemm(const BlockPrunedMatrix& w, const Tensor& x,
 Tensor pattern_gemm(const PatternPlan& plan, const Tensor& x,
                     ThreadPool* pool, const KernelOptions& options) {
   check_matmul_shapes(plan.cols, x);
-  check_options(options);
+  check_kernel_options(options, "exec kernel");
   const std::int64_t n = x.size(1);
   Tensor out({plan.rows, n});
   const KernelTable& table = kernel_table_for(active_simd_isa());
@@ -191,7 +185,7 @@ Tensor pattern_gemm(const PatternPlan& plan, const Tensor& x,
 Tensor coo_gemm(const IrregularPlan& plan, const Tensor& x, ThreadPool* pool,
                 const KernelOptions& options) {
   check_matmul_shapes(plan.cols, x);
-  check_options(options);
+  check_kernel_options(options, "exec kernel");
   check(plan.row_start.size() ==
             static_cast<std::size_t>(plan.rows) + 1,
         "coo_gemm: plan missing row_start partition");

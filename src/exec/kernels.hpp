@@ -12,6 +12,12 @@
 // only skip terms whose stored weight is zero, which under fma
 // contributes exactly nothing for finite activations.
 //
+// The inner loops (exec/kernels_inner.hpp) cover a row's n activation
+// columns with a width ladder of W*U, W, half-width and single-lane
+// chunks, so narrow batches still vectorize, and the pattern kernel
+// sweeps each tile row once per chunk, applying every tile's kept cells
+// to all of the tile's rows, so its cost follows the kept weights.
+//
 // Parallelism partitions output rows across at most num_threads() chunks
 // (each element is written by exactly one thread), so results are also
 // independent of the thread count.  Cache tiling blocks the k-dimension

@@ -20,6 +20,20 @@ Tensor masked_weight_of(const Linear& layer, const Tensor* mask) {
 
 }  // namespace
 
+void check_kernel_options(const KernelOptions& options,
+                          const std::string& who) {
+  const auto field = [&](bool ok, const char* name, std::int64_t value,
+                         const char* want) {
+    check(ok, who + ": kernel option " + name + "=" + std::to_string(value) +
+                  " is invalid (need " + want + ")");
+  };
+  field(options.k_tile >= 0, "k_tile", options.k_tile, ">= 0");
+  field(options.row_grain >= 1, "row_grain", options.row_grain, ">= 1");
+  field(options.unroll == 1 || options.unroll == 2 || options.unroll == 4,
+        "unroll", options.unroll, "1, 2 or 4");
+  field(options.threads >= 0, "threads", options.threads, ">= 0");
+}
+
 CompiledPattern CompiledPattern::compile(const Pattern& pattern) {
   CompiledPattern out;
   out.psize = pattern.psize();
@@ -31,7 +45,26 @@ CompiledPattern CompiledPattern::compile(const Pattern& pattern) {
   for (std::int64_t r = 0; r < out.psize; ++r) {
     while (i < kept.size() && kept[i] < (r + 1) * out.psize) {
       out.cols.push_back(static_cast<std::int32_t>(kept[i] % out.psize));
+      out.rows.push_back(static_cast<std::int32_t>(r));
       ++i;
+    }
+    out.row_ptr.push_back(static_cast<std::int32_t>(out.cols.size()));
+  }
+  return out;
+}
+
+CompiledPattern CompiledPattern::clipped(std::int64_t rmax,
+                                         std::int64_t cmax) const {
+  CompiledPattern out;
+  out.psize = psize;
+  out.row_ptr.push_back(0);
+  for (std::int64_t r = 0; r < rmax; ++r) {
+    for (std::int32_t i = row_ptr[static_cast<std::size_t>(r)];
+         i < row_ptr[static_cast<std::size_t>(r) + 1]; ++i) {
+      if (cols[static_cast<std::size_t>(i)] < cmax) {
+        out.cols.push_back(cols[static_cast<std::size_t>(i)]);
+        out.rows.push_back(static_cast<std::int32_t>(r));
+      }
     }
     out.row_ptr.push_back(static_cast<std::int32_t>(out.cols.size()));
   }
@@ -81,32 +114,17 @@ PatternPlan PatternPlan::build(const Tensor& masked_weight,
 
       PatternTile t;
       t.value_offset = static_cast<std::int64_t>(plan.values.size());
-      const CompiledPattern& cp = plan.compiled[best];
-      if (rmax == p && cmax == p) {
-        t.pattern_id = static_cast<std::int32_t>(best);
-        for (std::int64_t r = 0; r < p; ++r) {
-          for (std::int32_t i = cp.row_ptr[static_cast<std::size_t>(r)];
-               i < cp.row_ptr[static_cast<std::size_t>(r) + 1]; ++i) {
-            plan.values.push_back(
-                tile[r * p + cp.cols[static_cast<std::size_t>(i)]]);
-          }
-        }
-      } else {
-        // Clipped edge tile: private CSR over the in-bounds kept cells.
-        t.row_ptr.push_back(0);
-        for (std::int64_t r = 0; r < rmax; ++r) {
-          for (std::int32_t i = cp.row_ptr[static_cast<std::size_t>(r)];
-               i < cp.row_ptr[static_cast<std::size_t>(r) + 1]; ++i) {
-            const std::int32_t c = cp.cols[static_cast<std::size_t>(i)];
-            if (c < cmax) {
-              t.cols.push_back(c);
-              plan.values.push_back(tile[r * p + c]);
-            }
-          }
-          t.row_ptr.push_back(static_cast<std::int32_t>(t.cols.size()));
-        }
+      t.pattern_id = static_cast<std::int32_t>(best);
+      if (rmax < p || cmax < p) {
+        // Clipped edge tile: its own CSR over the in-bounds kept cells.
+        t.pattern_id = static_cast<std::int32_t>(plan.compiled.size());
+        plan.compiled.push_back(plan.compiled[best].clipped(rmax, cmax));
       }
-      plan.tiles.push_back(std::move(t));
+      const CompiledPattern& cp = plan.tile_pattern(t);
+      for (std::size_t i = 0; i < cp.cols.size(); ++i) {
+        plan.values.push_back(tile[cp.rows[i] * p + cp.cols[i]]);
+      }
+      plan.tiles.push_back(t);
     }
   }
   return plan;
@@ -148,34 +166,16 @@ double IrregularPlan::sparsity() const {
                    static_cast<double>(rows * cols);
 }
 
-const std::int32_t* PatternPlan::tile_row_ptr(const PatternTile& tile) const {
-  return tile.pattern_id >= 0
-             ? compiled[static_cast<std::size_t>(tile.pattern_id)]
-                   .row_ptr.data()
-             : tile.row_ptr.data();
-}
-
-const std::int32_t* PatternPlan::tile_cols(const PatternTile& tile) const {
-  return tile.pattern_id >= 0
-             ? compiled[static_cast<std::size_t>(tile.pattern_id)].cols.data()
-             : tile.cols.data();
-}
-
 Tensor PatternPlan::to_dense() const {
   Tensor out({rows, cols});
   for (std::int64_t tr = 0; tr < tiles_r; ++tr) {
     for (std::int64_t tc = 0; tc < tiles_c; ++tc) {
       const PatternTile& tile =
           tiles[static_cast<std::size_t>(tr * tiles_c + tc)];
-      const std::int32_t* row_ptr = tile_row_ptr(tile);
-      const std::int32_t* tcols = tile_cols(tile);
-      const std::int64_t rmax = std::min(psize, rows - tr * psize);
-      std::int64_t vi = tile.value_offset;
-      for (std::int64_t r = 0; r < rmax; ++r) {
-        for (std::int32_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-          out[(tr * psize + r) * cols + tc * psize + tcols[i]] =
-              values[static_cast<std::size_t>(vi++)];
-        }
+      const CompiledPattern& cp = tile_pattern(tile);
+      for (std::size_t i = 0; i < cp.cols.size(); ++i) {
+        out[(tr * psize + cp.rows[i]) * cols + tc * psize + cp.cols[i]] =
+            values[static_cast<std::size_t>(tile.value_offset) + i];
       }
     }
   }
@@ -316,9 +316,7 @@ void PlanCache::set_tuned(std::int64_t layer, std::int64_t level,
                           const KernelOptions& options) {
   check(layer >= 0 && layer < num_layers(), "PlanCache: layer out of range");
   check(level >= 0 && level < num_levels(), "PlanCache: level out of range");
-  check(options.k_tile >= 0 && options.row_grain >= 1 &&
-            options.unroll >= 1 && options.threads >= 0,
-        "PlanCache: bad tuned kernel options");
+  check_kernel_options(options, "PlanCache::set_tuned");
   plans_[static_cast<std::size_t>(level)][static_cast<std::size_t>(layer)]
       .tuned = options;
 }

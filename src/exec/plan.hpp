@@ -11,12 +11,13 @@
 // compilation paid before serving starts.
 //
 // Edge tiles of matrices whose dimensions are not multiples of psize get a
-// private clipped CSR (kept cells outside the matrix are dropped), so
+// clipped CSR of their own (kept cells outside the matrix are dropped), so
 // plans handle arbitrary layer shapes.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "nn/linear.hpp"
@@ -49,27 +50,34 @@ struct KernelOptions {
   std::int64_t threads = 0;
 };
 
+/// Throws CheckError, prefixed by `who`, naming the first out-of-range
+/// field and its value: k_tile >= 0, row_grain >= 1, unroll in {1, 2, 4}
+/// (the compiled ladder; nothing is clamped), threads >= 0.
+void check_kernel_options(const KernelOptions& options,
+                          const std::string& who);
+
 /// One Pattern's kept cells as a CSR over tile rows: row r's kept columns
-/// are cols[row_ptr[r] .. row_ptr[r+1]), ascending.  Values stored against
-/// this structure are laid out in the same traversal order.
+/// are cols[row_ptr[r] .. row_ptr[r+1]), ascending, and rows[i] is the
+/// tile row of kept cell i.  Values stored against this structure are laid
+/// out in the same traversal order.
 struct CompiledPattern {
   std::int64_t psize = 0;
-  std::vector<std::int32_t> row_ptr;  // psize + 1 entries
+  std::vector<std::int32_t> row_ptr;  // tile rows + 1 entries
   std::vector<std::int32_t> cols;
+  std::vector<std::int32_t> rows;
 
   static CompiledPattern compile(const Pattern& pattern);
+  /// The kept cells inside the top-left rmax x cmax corner: the CSR of a
+  /// clipped edge tile.
+  CompiledPattern clipped(std::int64_t rmax, std::int64_t cmax) const;
 };
 
-/// One psize x psize tile of a pattern plan.  Interior tiles reference the
-/// shared CompiledPattern by id; clipped edge tiles carry their own CSR.
+/// One psize x psize tile of a pattern plan.
 struct PatternTile {
-  /// Index into PatternPlan::compiled, or -1 for a clipped edge tile.
-  std::int32_t pattern_id = -1;
+  /// Index into PatternPlan::compiled.
+  std::int32_t pattern_id = 0;
   /// Offset of this tile's first value in PatternPlan::values.
   std::int64_t value_offset = 0;
-  /// Private CSR for clipped tiles (empty for interior tiles).
-  std::vector<std::int32_t> row_ptr;
-  std::vector<std::int32_t> cols;
 };
 
 /// Pattern-tiled execution structure for one weight matrix: per-tile
@@ -81,17 +89,20 @@ struct PatternPlan {
   std::int64_t psize = 0;
   std::int64_t tiles_r = 0;
   std::int64_t tiles_c = 0;
-  std::vector<CompiledPattern> compiled;  // one per set pattern
-  std::vector<PatternTile> tiles;         // row-major over the tile grid
+  /// One per set pattern, then one per clipped edge tile.
+  std::vector<CompiledPattern> compiled;
+  std::vector<PatternTile> tiles;  // row-major over the tile grid
   std::vector<float> values;
 
   /// Builds the plan from an (already backbone-masked) weight matrix.
   /// Dimensions need NOT be multiples of psize.
   static PatternPlan build(const Tensor& masked_weight, const PatternSet& set);
 
-  /// CSR of one tile (shared pattern or private clipped structure).
-  const std::int32_t* tile_row_ptr(const PatternTile& tile) const;
-  const std::int32_t* tile_cols(const PatternTile& tile) const;
+  /// CSR of one tile; inline because the pattern kernel fetches it once
+  /// per visited tile.
+  const CompiledPattern& tile_pattern(const PatternTile& tile) const {
+    return compiled[static_cast<std::size_t>(tile.pattern_id)];
+  }
 
   /// The dense matrix this plan computes with (masked weight under the
   /// per-tile pattern assignment) — the kernel's ground truth in tests.

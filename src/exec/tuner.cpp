@@ -180,6 +180,7 @@ TuningRecord TuningRecord::parse(const std::string& text) {
     e.options.threads = parse_i64(take_kv(in, "threads"));
     e.predicted_ms = parse_f64(take_kv(in, "predicted_ms"));
     e.measured_ms = parse_f64(take_kv(in, "measured_ms"));
+    check_kernel_options(e.options, "TuningRecord: entry " + std::to_string(i));
     record.entries.push_back(e);
   }
   return record;

@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -253,6 +255,64 @@ TEST(SimdKernels, BlockAndPatternFamiliesMatchScalarOnRaggedShapes) {
   }
 }
 
+TEST(SimdKernels, EveryActivationWidthBitwiseMatchesNaive) {
+  // Every activation width from 1 to 2W + W/2 + 1 walks each rung of the
+  // width ladder (W*U, W, the half-width vector, single lanes) alone and
+  // in every combination, at every unroll, serially and on a pool.  Pattern
+  // shapes are not psize multiples, so clipped edge tiles run, and psize
+  // 16 sweeps its tile rows in two resident row groups.
+  Rng rng(57);
+  const std::int64_t width = kernel_table_for(detect_simd_isa()).width;
+  const Tensor dw = Tensor::randn({13, 11}, rng);
+  Tensor bw = Tensor::randn({12, 10}, rng);
+  for (std::int64_t i = 0; i < bw.numel(); ++i) {
+    if (rng.bernoulli(0.4)) {
+      bw[i] = 0.0F;
+    }
+  }
+  const BlockPrunedMatrix bp = BlockPrunedMatrix::from_dense(bw, 3);
+  std::vector<PatternPlan> plans;
+  for (const std::int64_t psize : {2, 3, 4, 8, 16}) {
+    const PatternSet set = random_pattern_set(psize, 0.5, 3, rng);
+    plans.push_back(PatternPlan::build(
+        Tensor::randn({2 * psize + 3, psize + 5}, rng), set));
+  }
+  ThreadPool pool(3);
+  for (std::int64_t n = 1; n <= 2 * width + width / 2 + 1; ++n) {
+    const Tensor dx = Tensor::randn({11, n}, rng);
+    const Tensor dref = naive_dense_matmul(dw, dx);
+    const Tensor bx = Tensor::randn({10, n}, rng);
+    const Tensor bref = naive_dense_matmul(bp.to_dense(), bx);
+    std::vector<Tensor> px;
+    std::vector<Tensor> pref;
+    for (const PatternPlan& plan : plans) {
+      px.push_back(Tensor::randn({plan.cols, n}, rng));
+      pref.push_back(naive_dense_matmul(plan.to_dense(), px.back()));
+    }
+    for (const std::int64_t unroll : {1, 2, 4}) {
+      KernelOptions o = tiny_tiles();
+      o.unroll = unroll;
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE("n=" + std::to_string(n) +
+                     " unroll=" + std::to_string(unroll) +
+                     (p == nullptr ? " serial" : " pool"));
+        for (const bool scalar : {false, true}) {
+          std::optional<ScopedScalarIsa> guard;
+          if (scalar) {
+            guard.emplace();
+          }
+          expect_bitwise_equal(dense_gemm(dw, dx, p, o), dref);
+          expect_bitwise_equal(block_gemm(bp, bx, p, o), bref);
+          for (std::size_t i = 0; i < plans.size(); ++i) {
+            expect_bitwise_equal(pattern_gemm(plans[i], px[i], p, o),
+                                 pref[i]);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Kernels, CooGemmBitwiseMatchesNaive) {
   Rng rng(61);
   Tensor dense = Tensor::randn({14, 11}, rng);
@@ -281,6 +341,12 @@ TEST(Kernels, OptionValidationAndKTileAutoSizing) {
   bad = tiny_tiles();
   bad.threads = -1;
   EXPECT_THROW(dense_gemm(w, x, nullptr, bad), CheckError);
+  // Only the compiled unroll ladder {1, 2, 4} is accepted; nothing clamps.
+  for (const std::int64_t unroll : {3, 5, 8}) {
+    bad = tiny_tiles();
+    bad.unroll = unroll;
+    EXPECT_THROW(dense_gemm(w, x, nullptr, bad), CheckError);
+  }
   // k_tile 0 resolves to a cache-sized tile in [16, cols]; explicit
   // values pass through untouched.
   KernelOptions auto_kt;
@@ -697,6 +763,34 @@ TEST(Autotuner, BitDeterministicForFixedSeedWithInjectedCost) {
   EXPECT_THROW(TuningRecord::parse("not a tuning file"), CheckError);
 }
 
+TEST(TuningRecord, HandEditedUnrollOutsideLadderIsRejected) {
+  TuningRecord record;
+  record.mode = ExecMode::kPattern;
+  record.isa = "avx2";
+  record.batch = 1;
+  TuningEntry e;
+  e.options.unroll = 4;
+  record.entries.push_back(e);
+  const std::string text = record.serialize();
+  ASSERT_EQ(TuningRecord::parse(text).entries[0].options.unroll, 4);
+  // A hand edit to an unroll the kernels do not compile must fail by
+  // name, not be clamped to a neighbouring factor.
+  for (const std::string bad : {"3", "8", "0"}) {
+    std::string edited = text;
+    const std::size_t at = edited.find("unroll=4");
+    ASSERT_NE(at, std::string::npos);
+    edited.replace(at, 8, "unroll=" + bad);
+    try {
+      TuningRecord::parse(edited);
+      ADD_FAILURE() << "unroll=" << bad << " was accepted";
+    } catch (const CheckError& err) {
+      EXPECT_NE(std::string(err.what()).find("unroll=" + bad),
+                std::string::npos)
+          << err.what();
+    }
+  }
+}
+
 TEST(PlanCache, ApplyTuningInstallsPerPlanOptions) {
   Rng rng(73);
   std::vector<std::unique_ptr<Linear>> owned;
@@ -734,6 +828,8 @@ TEST(PlanCache, ApplyTuningInstallsPerPlanOptions) {
   // Invalid options are rejected by set_tuned's validation.
   KernelOptions bad;
   bad.unroll = 0;
+  EXPECT_THROW(cache.set_tuned(0, 0, bad), CheckError);
+  bad.unroll = 3;
   EXPECT_THROW(cache.set_tuned(0, 0, bad), CheckError);
 }
 
