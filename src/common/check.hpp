@@ -29,6 +29,16 @@ inline void check(bool cond, const std::string& msg,
   }
 }
 
+/// String-literal overload: builds no std::string (and so does no heap
+/// allocation) unless the check fails, which keeps checks on hot paths
+/// such as Var::value() free.
+inline void check(bool cond, const char* msg,
+                  std::source_location loc = std::source_location::current()) {
+  if (!cond) {
+    check(false, std::string(msg), loc);
+  }
+}
+
 /// Checked narrowing conversion (Core Guidelines ES.46 / GSL narrow).
 /// Throws CheckError if the value does not survive a round trip or the sign
 /// changes.

@@ -27,17 +27,42 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-std::int64_t parse_i64(const std::string& text) {
-  std::size_t pos = 0;
-  const long long v = std::stoll(text, &pos);
-  check(pos == text.size(), "rt3-governor: bad integer: " + text);
+// std::stoll/std::stod throw std::invalid_argument / std::out_of_range
+// (both std::logic_error) on junk or overflow; malformed input must surface
+// as a CheckError naming the field and the token instead.
+std::int64_t parse_i64(const std::string& field, const std::string& text) {
+  long long v = 0;
+  bool ok = false;
+  try {
+    std::size_t pos = 0;
+    v = std::stoll(text, &pos);
+    ok = pos == text.size();
+  } catch (const std::logic_error&) {
+  }
+  check(ok, "rt3-governor: " + field + ": bad integer '" + text + "'");
   return static_cast<std::int64_t>(v);
 }
 
-double parse_f64(const std::string& text) {
-  std::size_t pos = 0;
-  const double v = std::stod(text, &pos);
-  check(pos == text.size(), "rt3-governor: bad number: " + text);
+double parse_f64(const std::string& field, const std::string& text) {
+  double v = 0.0;
+  bool ok = false;
+  try {
+    std::size_t pos = 0;
+    v = std::stod(text, &pos);
+    ok = pos == text.size();
+  } catch (const std::logic_error&) {
+  }
+  check(ok, "rt3-governor: " + field + ": bad number '" + text + "'");
+  check(std::isfinite(v),
+        "rt3-governor: " + field + ": non-finite value '" + text + "'");
+  return v;
+}
+
+/// A weight: a finite double that also stays finite as a float.
+float parse_f32(const std::string& field, const std::string& text) {
+  const float v = static_cast<float>(parse_f64(field, text));
+  check(std::isfinite(v),
+        "rt3-governor: " + field + ": value '" + text + "' overflows float");
   return v;
 }
 
@@ -84,11 +109,14 @@ RlGovernorPolicy::RlGovernorPolicy(Governor ladder, RlGovernorConfig config)
   gru_ = std::make_unique<GruCell>(kObsDim, config_.hidden_dim, rng);
   head_ = std::make_unique<Linear>(config_.hidden_dim, num_levels(), rng);
   optimizer_ = std::make_unique<Adam>(parameters(), config_.learning_rate);
+  hidden_.resize(static_cast<std::size_t>(config_.hidden_dim));
+  step_scratch_.resize(static_cast<std::size_t>(gru_->step_scratch_size()));
+  logp_.resize(static_cast<std::size_t>(num_levels()));
   reset();
 }
 
 void RlGovernorPolicy::reset() {
-  hidden_ = gru_->initial_state(1);
+  std::fill(hidden_.begin(), hidden_.end(), 0.0F);
   log_prob_sum_ = Var(Tensor::scalar(0.0F));
   has_cached_ = false;
   cached_pos_ = 0;
@@ -102,40 +130,55 @@ std::int64_t RlGovernorPolicy::decide(const GovernorObservation& obs) {
   }
   const double queue = std::min(
       1.0, static_cast<double>(obs.queue_depth) / config_.queue_depth_scale);
-  Tensor x({1, kObsDim},
-           {static_cast<float>(obs.battery_fraction),
-            static_cast<float>(queue),
-            static_cast<float>(obs.deadline_pressure),
-            static_cast<float>(miss_ewma_)});
-  const Var h = gru_->forward(Var(std::move(x)), hidden_);
-  const Var logits = head_->forward(h);
-  const Var logp = log_softmax_lastdim(logits);
-  const std::int64_t k = logits.shape()[1];
-
-  std::int64_t choice = 0;
-  if (sample_rng_ != nullptr) {
-    std::vector<double> probs(static_cast<std::size_t>(k));
-    for (std::int64_t i = 0; i < k; ++i) {
-      probs[static_cast<std::size_t>(i)] =
-          std::exp(static_cast<double>(logp.value()[i]));
-    }
-    choice = sample_rng_->categorical(probs);
-    Tensor onehot({1, k});
-    onehot[choice] = 1.0F;
-    log_prob_sum_ = add(log_prob_sum_, sum_all(mul_const(logp, onehot)));
-  } else {
-    for (std::int64_t i = 1; i < k; ++i) {
-      if (logp.value()[i] > logp.value()[choice]) {
-        choice = i;
-      }
-    }
-  }
-  // Truncated BPTT-1: carry the value, drop the graph, so each decision's
-  // tape stays one step deep inside the serving loop.
-  hidden_ = Var(h.value());
-  cached_pos_ = choice;
+  const float x[kObsDim] = {static_cast<float>(obs.battery_fraction),
+                            static_cast<float>(queue),
+                            static_cast<float>(obs.deadline_pressure),
+                            static_cast<float>(miss_ewma_)};
+  cached_pos_ = sample_rng_ != nullptr ? decide_sampled(x) : decide_greedy(x);
   has_cached_ = true;
   ++decisions_;
+  return cached_pos_;
+}
+
+std::int64_t RlGovernorPolicy::decide_greedy(const float* x) {
+  gru_->step(x, hidden_.data(), step_scratch_.data());
+  float* logp = logp_.data();
+  const std::int64_t k = ssize_of(logp_);
+  head_->forward_row(hidden_.data(), logp);
+  softmax_row_inplace(logp, k);
+  for (std::int64_t i = 0; i < k; ++i) {
+    logp[i] = std::log(logp[i] + 1e-12F);  // log_softmax_lastdim's epsilon
+  }
+  // Argmax over the log-probabilities, not the logits: the log can
+  // collapse near-ties, and then the lower index wins, as on the tape.
+  std::int64_t choice = 0;
+  for (std::int64_t i = 1; i < k; ++i) {
+    if (logp[i] > logp[choice]) {
+      choice = i;
+    }
+  }
+  return choice;
+}
+
+std::int64_t RlGovernorPolicy::decide_sampled(const float* x) {
+  const std::int64_t dim = config_.hidden_dim;
+  const Var h = gru_->forward(
+      Var(Tensor({1, kObsDim}, std::vector<float>(x, x + kObsDim))),
+      Var(Tensor({1, dim}, hidden_)));
+  const Var logp = log_softmax_lastdim(head_->forward(h));
+  const std::int64_t k = logp.shape()[1];
+  std::vector<double> probs(static_cast<std::size_t>(k));
+  for (std::int64_t i = 0; i < k; ++i) {
+    probs[static_cast<std::size_t>(i)] =
+        std::exp(static_cast<double>(logp.value()[i]));
+  }
+  const std::int64_t choice = sample_rng_->categorical(probs);
+  Tensor onehot({1, k});
+  onehot[choice] = 1.0F;
+  log_prob_sum_ = add(log_prob_sum_, sum_all(mul_const(logp, onehot)));
+  // Truncated BPTT-1: carry the value, drop the graph, so each decision's
+  // tape stays one step deep.
+  std::copy(h.value().data(), h.value().data() + dim, hidden_.begin());
   return choice;
 }
 
@@ -213,22 +256,25 @@ std::shared_ptr<RlGovernorPolicy> RlGovernorPolicy::parse(
   check(static_cast<bool>(in >> magic >> version) && magic == "rt3-governor" &&
             version == "v1",
         "rt3-governor: not an rt3-governor v1 file");
-  const std::int64_t obs_dim = parse_i64(take_field(in, "obs_dim"));
+  const std::int64_t obs_dim =
+      parse_i64("obs_dim", take_field(in, "obs_dim"));
   check(obs_dim == kObsDim, "rt3-governor: artifact obs_dim " +
                                 std::to_string(obs_dim) + " != " +
                                 std::to_string(kObsDim));
   RlGovernorConfig config;
-  config.hidden_dim = parse_i64(take_field(in, "hidden_dim"));
-  const std::int64_t levels = parse_i64(take_field(in, "num_levels"));
+  config.hidden_dim = parse_i64("hidden_dim", take_field(in, "hidden_dim"));
+  const std::int64_t levels =
+      parse_i64("num_levels", take_field(in, "num_levels"));
   check(levels == static_cast<std::int64_t>(ladder.levels().size()),
         "rt3-governor: artifact has " + std::to_string(levels) +
             " levels but the ladder has " +
             std::to_string(ladder.levels().size()));
-  config.queue_depth_scale = parse_f64(take_field(in, "queue_depth_scale"));
-  config.miss_alpha = parse_f64(take_field(in, "miss_alpha"));
+  config.queue_depth_scale =
+      parse_f64("queue_depth_scale", take_field(in, "queue_depth_scale"));
+  config.miss_alpha = parse_f64("miss_alpha", take_field(in, "miss_alpha"));
   auto policy = std::make_shared<RlGovernorPolicy>(std::move(ladder), config);
 
-  const std::int64_t count = parse_i64(take_field(in, "params"));
+  const std::int64_t count = parse_i64("params", take_field(in, "params"));
   const std::vector<NamedParam> named = policy->named_parameters();
   check(count == static_cast<std::int64_t>(named.size()),
         "rt3-governor: artifact has " + std::to_string(count) +
@@ -240,7 +286,8 @@ std::shared_ptr<RlGovernorPolicy> RlGovernorPolicy::parse(
     const std::string name = take_kv(in, "name");
     check(name == np.name, "rt3-governor: expected param " + np.name +
                                ", found " + name);
-    const std::int64_t numel = parse_i64(take_kv(in, "numel"));
+    const std::string field = "param " + name;
+    const std::int64_t numel = parse_i64(field, take_kv(in, "numel"));
     check(numel == np.param.numel(),
           "rt3-governor: param " + name + " has numel " +
               std::to_string(numel) + ", expected " +
@@ -251,7 +298,7 @@ std::shared_ptr<RlGovernorPolicy> RlGovernorPolicy::parse(
       std::string token;
       check(static_cast<bool>(in >> token),
             "rt3-governor: truncated values for param " + name);
-      value[i] = static_cast<float>(parse_f64(token));
+      value[i] = parse_f32(field, token);
     }
   }
   return policy;

@@ -11,12 +11,16 @@
 // ("rt3-governor v1") that byte-round-trips, so CI can train, save,
 // reload and cmp.
 //
-// Serving uses the greedy argmax head (no rng draws, bit-deterministic);
-// training mode samples actions from a caller-owned Rng and accumulates
-// the episode's log-probability sum for the policy-gradient step.  The
-// recurrent state is detached between decisions (truncated BPTT of one
-// step), matching the repo's controller idiom and keeping each decision's
-// graph small enough to build inside the serving loop.
+// Serving uses the greedy argmax head (no rng draws, bit-deterministic)
+// and builds no autodiff graph: GruCell::step and Linear::forward_row run
+// the GRU and head on preallocated buffers, reading the live weights, with
+// every float op in the training forward's order, so greedy decisions are
+// bitwise those of the taped network and cost no heap allocation.
+// Training mode samples actions from a caller-owned Rng on the tape and
+// accumulates the episode's log-probability sum for the policy-gradient
+// step.  The recurrent state is detached between decisions (truncated BPTT
+// of one step), matching the repo's controller idiom, so it is kept as
+// plain floats either way.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +127,11 @@ class RlGovernorPolicy final : public GovernorPolicy, public Module {
   std::unique_ptr<Adam> optimizer_;
   Rng* sample_rng_ = nullptr;
 
+  std::int64_t decide_greedy(const float* x);
+  std::int64_t decide_sampled(const float* x);
+
   // Episode state (cleared by reset()).
-  Var hidden_;
+  std::vector<float> hidden_;
   Var log_prob_sum_;
   bool has_cached_ = false;
   std::int64_t cached_pos_ = 0;
@@ -133,6 +140,11 @@ class RlGovernorPolicy final : public GovernorPolicy, public Module {
 
   double baseline_ = 0.0;
   bool baseline_initialized_ = false;
+
+  // Greedy-step buffers, sized at construction: GRU scratch, then the
+  // head's logits (overwritten by their log-probabilities).
+  std::vector<float> step_scratch_;
+  std::vector<float> logp_;
 };
 
 /// Offline training setup: REINFORCE episodes over full serving sessions

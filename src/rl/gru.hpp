@@ -22,6 +22,15 @@ class GruCell : public Module {
   /// x: [B, input_dim], h: [B, hidden_dim] -> new hidden [B, hidden_dim].
   Var forward(const Var& x, const Var& h) const;
 
+  /// Tape-free inference step on one row, for serving: advances `h`
+  /// [hidden_dim] in place from input `x` [input_dim], allocating nothing.
+  /// `scratch` holds step_scratch_size() floats and must not overlap `x`
+  /// or `h`.  Every float op matches forward() in value and order, so the
+  /// new `h` is bitwise equal to forward() on [1, *] inputs.
+  void step(const float* x, float* h, float* scratch) const;
+
+  std::int64_t step_scratch_size() const { return 4 * hidden_dim_; }
+
   /// Zero initial state.
   Var initial_state(std::int64_t batch) const;
 

@@ -254,6 +254,22 @@ Tensor matmul2d(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+void softmax_row_inplace(float* row, std::int64_t n) {
+  float mx = row[0];
+  for (std::int64_t j = 1; j < n; ++j) {
+    mx = std::max(mx, row[j]);
+  }
+  float denom = 0.0F;
+  for (std::int64_t j = 0; j < n; ++j) {
+    row[j] = std::exp(row[j] - mx);
+    denom += row[j];
+  }
+  const float inv = 1.0F / denom;
+  for (std::int64_t j = 0; j < n; ++j) {
+    row[j] *= inv;
+  }
+}
+
 Tensor transpose2d(const Tensor& a) {
   check(a.dim() == 2, "transpose2d: need 2-D operand");
   const std::int64_t m = a.size(0);

@@ -110,4 +110,9 @@ Tensor matmul2d(const Tensor& a, const Tensor& b);
 /// Transpose of a 2-D tensor.
 Tensor transpose2d(const Tensor& a);
 
+/// In-place max-subtracted softmax of one row of n >= 1 floats: the row
+/// kernel of softmax_lastdim / log_softmax_lastdim, shared with tape-free
+/// inference so both produce the same bits.
+void softmax_row_inplace(float* row, std::int64_t n);
+
 }  // namespace rt3

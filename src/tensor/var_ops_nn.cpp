@@ -17,20 +17,7 @@ Tensor softmax_raw(const Tensor& a) {
   const std::int64_t rows = a.numel() / last;
   Tensor out = a;
   for (std::int64_t r = 0; r < rows; ++r) {
-    float* row = out.data() + r * last;
-    float mx = row[0];
-    for (std::int64_t j = 1; j < last; ++j) {
-      mx = std::max(mx, row[j]);
-    }
-    float denom = 0.0F;
-    for (std::int64_t j = 0; j < last; ++j) {
-      row[j] = std::exp(row[j] - mx);
-      denom += row[j];
-    }
-    const float inv = 1.0F / denom;
-    for (std::int64_t j = 0; j < last; ++j) {
-      row[j] *= inv;
-    }
+    softmax_row_inplace(out.data() + r * last, last);
   }
   return out;
 }

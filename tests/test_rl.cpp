@@ -1,8 +1,12 @@
-// Tests for the RL layer: GRU, Eq. (1) reward, controller sampling and
-// REINFORCE learning on a bandit-style synthetic objective.
+// Tests for the RL layer: GRU (the taped forward, and the tape-free
+// inference step with Linear::forward_row bitwise against it), Eq. (1)
+// reward, controller sampling and REINFORCE learning on a bandit-style
+// synthetic objective.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/check.hpp"
 #include "rl/controller.hpp"
@@ -52,6 +56,96 @@ TEST(Gru, GradientsFlowThroughTime) {
     total += std::abs(x.grad()[i]);
   }
   EXPECT_GT(total, 0.0F);
+}
+
+// Inputs that exercise every branch of the tape-free row ops: exact zeros
+// (matmul2d's skip), negatives, and magnitudes large enough to saturate
+// sigmoid and tanh.
+float edge_value(Rng& rng) {
+  const double u = rng.uniform();
+  if (u < 0.2) {
+    return 0.0F;
+  }
+  if (u < 0.3) {
+    return static_cast<float>(rng.uniform(-1e5, 1e5));
+  }
+  return static_cast<float>(rng.normal(0.0, 2.0));
+}
+
+TEST(Linear, ForwardRowBitwiseMatchesForward) {
+  struct Case {
+    std::int64_t in;
+    std::int64_t out;
+    bool bias;
+  };
+  for (const Case c : {Case{1, 1, true}, Case{4, 16, true}, Case{16, 3, true},
+                       Case{33, 33, false}, Case{7, 5, false}}) {
+    Rng rng(static_cast<std::uint64_t>(100 * c.in + c.out));
+    Linear layer(c.in, c.out, rng, c.bias);
+    if (c.bias) {  // non-zero biases, so the + bias pass is exercised
+      Tensor& b = layer.bias().mutable_value();
+      for (std::int64_t j = 0; j < c.out; ++j) {
+        b[j] = edge_value(rng);
+      }
+    }
+    std::vector<float> x(static_cast<std::size_t>(c.in));
+    std::vector<float> y(static_cast<std::size_t>(c.out));
+    for (int row = 0; row < 1000; ++row) {
+      for (float& v : x) {
+        v = edge_value(rng);
+      }
+      layer.forward_row(x.data(), y.data());
+      const Var ref = layer.forward(Var(Tensor({1, c.in}, x)));
+      ASSERT_EQ(std::memcmp(y.data(), ref.value().data(),
+                            y.size() * sizeof(float)),
+                0)
+          << c.in << "x" << c.out << " row " << row;
+    }
+  }
+}
+
+TEST(Linear, ForwardRowRejectsMaskedLayer) {
+  Rng rng(8);
+  Linear layer(3, 2, rng);
+  const std::vector<float> x = {1.0F, 0.0F, -2.0F};
+  std::vector<float> y(2);
+  layer.set_mask(Tensor({3, 2}, {1, 0, 1, 1, 0, 1}));
+  EXPECT_THROW(layer.forward_row(x.data(), y.data()), CheckError);
+  layer.clear_mask();
+  EXPECT_NO_THROW(layer.forward_row(x.data(), y.data()));
+}
+
+TEST(Gru, InferenceStepBitwiseMatchesTapeForward) {
+  constexpr std::int64_t kInput = 4;
+  for (const std::int64_t hidden : {1, 16, 33}) {
+    Rng rng(static_cast<std::uint64_t>(40 + hidden));
+    GruCell cell(kInput, hidden, rng);
+    for (const NamedParam& np : cell.named_parameters()) {
+      if (np.name.ends_with("bias")) {  // zero at init; make them count
+        Var bias = np.param;
+        Tensor& b = bias.mutable_value();
+        for (std::int64_t j = 0; j < b.numel(); ++j) {
+          b[j] = static_cast<float>(rng.normal(0.0, 1.0));
+        }
+      }
+    }
+    std::vector<float> x(kInput);
+    std::vector<float> h(static_cast<std::size_t>(hidden), 0.0F);
+    std::vector<float> scratch(
+        static_cast<std::size_t>(cell.step_scratch_size()));
+    Var h_ref = cell.initial_state(1);
+    for (int step = 0; step < 1200; ++step) {
+      for (float& v : x) {
+        v = edge_value(rng);
+      }
+      cell.step(x.data(), h.data(), scratch.data());
+      h_ref = Var(cell.forward(Var(Tensor({1, kInput}, x)), h_ref).value());
+      ASSERT_EQ(std::memcmp(h.data(), h_ref.value().data(),
+                            h.size() * sizeof(float)),
+                0)
+          << "hidden " << hidden << " step " << step;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

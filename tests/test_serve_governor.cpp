@@ -1,13 +1,18 @@
 // The GovernorPolicy seam: LadderPolicy bitwise equivalence across the
 // serve grid, Governor ladder validation, the adaptive-margin controller's
 // EWMA window, and the learned RL governor — decision determinism under a
-// fixed seed, reward monotonicity, and the train/serialize/reload
-// round-trip behind `rt3 train-governor`.
+// fixed seed, reward monotonicity, the train/serialize/reload round-trip
+// behind `rt3 train-governor`, and the tape-free greedy decide (bitwise
+// the taped network's choice, no heap allocation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -17,6 +22,48 @@
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/traffic.hpp"
+
+// Counts every global operator new in this binary, so a test can assert
+// that a code path allocates nothing.  Every non-aligned new/delete form
+// is replaced, so sanitizers see one consistent malloc/free pairing.
+namespace {
+
+std::atomic<std::int64_t> g_heap_allocs{0};
+
+void* counted_alloc(std::size_t size) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+// Out of line, so the compiler never pairs an inlined `new` with a bare
+// free() and warns about a mismatch that the replacement makes benign.
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace rt3 {
 namespace {
@@ -257,6 +304,150 @@ TEST(RlGovernorPolicy, ParseRejectsCorruptArtifacts) {
   EXPECT_THROW(
       RlGovernorPolicy::parse(text, Governor::equal_tranches({5, 3, 2, 1})),
       CheckError);
+
+  // Malformed tokens surface as a CheckError naming the field and the
+  // token, never as std::stoll/std::stod's own exceptions, and non-finite
+  // weights are refused.
+  const auto expect_rejected = [&](const std::string& from,
+                                   const std::string& to,
+                                   const std::string& expected) {
+    std::string corrupt = text;
+    const std::size_t at = corrupt.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    corrupt.replace(at, from.size(), to);
+    try {
+      RlGovernorPolicy::parse(corrupt, paper_governor());
+      FAIL() << "expected CheckError for " << to;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected("hidden_dim 16", "hidden_dim abc",
+                  "hidden_dim: bad integer 'abc'");
+  expect_rejected("params 11", "params 99999999999999999999",
+                  "params: bad integer '99999999999999999999'");
+  expect_rejected("queue_depth_scale 16", "queue_depth_scale 1e999",
+                  "queue_depth_scale: bad number '1e999'");
+  const std::string first_weight = "numel=64\n";
+  expect_rejected(first_weight, first_weight + "nan ",
+                  "param gru.wz.weight: non-finite value 'nan'");
+  expect_rejected(first_weight, first_weight + "1e39 ",
+                  "param gru.wz.weight: value '1e39' overflows float");
+}
+
+// A seeded observation stream with the edges a serving loop produces:
+// empty queues, a flat battery, and saturated deadline pressure.
+GovernorObservation random_observation(Rng& rng, int step) {
+  GovernorObservation obs;
+  obs.now_ms = 10.0 * step;
+  obs.battery_fraction = step % 11 == 0 ? 0.0 : rng.uniform();
+  obs.queue_depth = step % 5 == 0 ? 0 : rng.uniform_int(40);
+  obs.deadline_pressure = step % 7 == 0 ? 1.0 : rng.uniform();
+  return obs;
+}
+
+BatchFeedback random_feedback(Rng& rng, std::int64_t pos) {
+  BatchFeedback fb;
+  fb.level_pos = pos;
+  fb.batch_size = 1 + rng.uniform_int(4);
+  fb.misses = rng.uniform_int(fb.batch_size + 1);
+  return fb;
+}
+
+// Drives `policy`'s greedy decide over 2500 seeded observations and checks
+// every choice against a reference network on the tape that shares the
+// policy's live weights: GruCell::forward -> Linear::forward ->
+// log_softmax_lastdim -> strict-> argmax.  Returns the choice histogram.
+std::vector<std::int64_t> expect_greedy_matches_tape(RlGovernorPolicy& policy,
+                                                     std::uint64_t seed) {
+  const std::int64_t hidden = policy.config().hidden_dim;
+  Rng init(0);
+  GruCell gru(RlGovernorPolicy::kObsDim, hidden, init);
+  Linear head(hidden, policy.num_levels(), init);
+  std::vector<NamedParam> ref = gru.named_parameters("gru.");
+  head.collect_params("head.", ref);
+  const std::vector<NamedParam> live = policy.named_parameters();
+  EXPECT_EQ(ref.size(), live.size());
+  for (std::size_t i = 0; i < std::min(ref.size(), live.size()); ++i) {
+    EXPECT_EQ(ref[i].name, live[i].name);
+    ref[i].param.mutable_value() = live[i].param.value();
+  }
+
+  std::vector<std::int64_t> histogram(
+      static_cast<std::size_t>(policy.num_levels()), 0);
+  Rng rng(seed);
+  Var h = gru.initial_state(1);
+  for (int step = 0; step < 2500; ++step) {
+    const GovernorObservation obs = random_observation(rng, step);
+    const double queue =
+        std::min(1.0, static_cast<double>(obs.queue_depth) /
+                          policy.config().queue_depth_scale);
+    const Tensor x({1, RlGovernorPolicy::kObsDim},
+                   {static_cast<float>(obs.battery_fraction),
+                    static_cast<float>(queue),
+                    static_cast<float>(obs.deadline_pressure),
+                    static_cast<float>(policy.miss_ewma())});
+    h = Var(gru.forward(Var(x), h).value());
+    const Var logp = log_softmax_lastdim(head.forward(h));
+    std::int64_t expected = 0;
+    for (std::int64_t i = 1; i < logp.numel(); ++i) {
+      if (logp.value()[i] > logp.value()[expected]) {
+        expected = i;
+      }
+    }
+    const std::int64_t pos = policy.decide(obs);
+    EXPECT_EQ(pos, expected) << "step " << step;
+    ++histogram[static_cast<std::size_t>(pos)];
+    policy.observe_batch(random_feedback(rng, pos));
+  }
+  return histogram;
+}
+
+TEST(RlGovernorPolicy, GreedyDecideMatchesTapedReference) {
+  RlGovernorPolicy untrained(paper_governor());
+  expect_greedy_matches_tape(untrained, 3);
+
+  // After training, update() has rewritten the weights; the greedy step
+  // must read them live (no stale snapshot).
+  GovernorTrainConfig tcfg;
+  tcfg.episodes = 3;
+  tcfg.traffic.rate_rps = 3.0;
+  tcfg.traffic.duration_ms = 10'000.0;
+  tcfg.reward.reference_lifetime_ms = tcfg.traffic.duration_ms;
+  const GovernorTrainResult trained = train_governor(tcfg);
+  EXPECT_NE(trained.policy->serialize(), untrained.serialize());
+  const std::vector<std::int64_t> histogram =
+      expect_greedy_matches_tape(*trained.policy, 4);
+  // The stream reaches more than one level, so the comparison is not
+  // trivially a constant.
+  EXPECT_GT(std::count_if(histogram.begin(), histogram.end(),
+                          [](std::int64_t n) { return n > 0; }),
+            1);
+}
+
+TEST(RlGovernorPolicy, GreedyDecideDoesNotAllocate) {
+  RlGovernorPolicy policy(paper_governor());
+  Rng rng(5);
+  std::vector<GovernorObservation> observations;
+  std::vector<BatchFeedback> feedback;
+  for (int step = 0; step < 1000; ++step) {
+    observations.push_back(random_observation(rng, step));
+    feedback.push_back(random_feedback(rng, step % policy.num_levels()));
+  }
+  const std::int64_t before = g_heap_allocs.load();
+  for (std::size_t i = 0; i < observations.size(); ++i) {
+    policy.decide(observations[i]);
+    policy.observe_batch(feedback[i]);
+  }
+  EXPECT_EQ(g_heap_allocs.load() - before, 0);
+
+  // The counter does see allocations: a sampled (training) decision
+  // builds its graph on the heap.
+  policy.set_sample_rng(&rng);
+  const std::int64_t sampled_before = g_heap_allocs.load();
+  policy.decide(observations[0]);
+  EXPECT_GT(g_heap_allocs.load() - sampled_before, 0);
 }
 
 TEST(ServeSession, GovernorKindPlumbing) {
