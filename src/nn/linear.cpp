@@ -1,8 +1,10 @@
 #include "nn/linear.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
+#include "tensor/tensor.hpp"
 
 namespace rt3 {
 
@@ -56,40 +58,9 @@ void Linear::forward_row(const float* x, float* y) const {
   if (mask_.has_value()) {
     throw CheckError("Linear::forward_row: masked layer, use forward()");
   }
-  const float* w = weight_.value().data();
   const std::int64_t n = out_features_;
-  // Each output is 0 plus x[k] * w[k][j] over the non-zero x[k] in k order,
-  // exactly matmul2d's sequence.  Only the loop nest differs: a block of
-  // outputs (a GRU's 16 hidden units) keeps its accumulators in registers
-  // across the k sweep instead of reloading y per k.
-  constexpr std::int64_t kBlock = 16;
-  std::int64_t j0 = 0;
-  for (; j0 + kBlock <= n; j0 += kBlock) {
-    float acc[kBlock] = {};
-    for (std::int64_t k = 0; k < in_features_; ++k) {
-      const float xk = x[k];
-      if (xk == 0.0F) {
-        continue;
-      }
-      const float* wrow = w + k * n + j0;
-      for (std::int64_t j = 0; j < kBlock; ++j) {
-        acc[j] += xk * wrow[j];
-      }
-    }
-    for (std::int64_t j = 0; j < kBlock; ++j) {
-      y[j0 + j] = acc[j];
-    }
-  }
-  for (; j0 < n; ++j0) {
-    float acc = 0.0F;
-    for (std::int64_t k = 0; k < in_features_; ++k) {
-      const float xk = x[k];
-      if (xk != 0.0F) {
-        acc += xk * w[k * n + j0];
-      }
-    }
-    y[j0] = acc;
-  }
+  std::fill(y, y + n, 0.0F);
+  matmul_row_acc(x, weight_.value().data(), y, in_features_, n);
   if (has_bias_) {
     const float* b = bias_.value().data();
     for (std::int64_t j = 0; j < n; ++j) {

@@ -27,10 +27,9 @@ class Linear : public Module {
   Var forward(const Var& x) const;
 
   /// Tape-free inference on one input row: y[out_features] = x @ W + b,
-  /// reading the live weights in place with no allocation.  Each output
-  /// sums the same products in the same order as forward() (matmul2d's k
-  /// sweep with its skip of zero inputs, then + bias), so y is bitwise
-  /// equal to forward() on a [1, in_features] input.  `y` must not
+  /// reading the live weights in place with no allocation.  It runs
+  /// matmul2d's own row kernel (matmul_row_acc) then + bias, so y is
+  /// bitwise equal to forward() on a [1, in_features] input.  `y` must not
   /// overlap `x`.  Throws CheckError when a mask is installed.
   void forward_row(const float* x, float* y) const;
 

@@ -237,21 +237,25 @@ Tensor matmul2d(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  // i-k-j loop order: streams through b row-wise, cache-friendly.
   for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      if (aik == 0.0F) {
-        continue;  // pruned weights cost nothing, mirroring sparse execution
-      }
-      const float* brow = pb + kk * n;
-      float* orow = po + i * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        orow[j] += aik * brow[j];
-      }
-    }
+    matmul_row_acc(pa + i * k, pb, po + i * n, k, n);
   }
   return out;
+}
+
+void matmul_row_acc(const float* a_row, const float* b, float* out_row,
+                    std::int64_t k, std::int64_t n) {
+  // i-k-j loop order: streams through b row-wise, cache-friendly.
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float aik = a_row[kk];
+    if (aik == 0.0F) {
+      continue;  // pruned weights cost nothing, mirroring sparse execution
+    }
+    const float* brow = b + kk * n;
+    for (std::int64_t j = 0; j < n; ++j) {
+      out_row[j] += aik * brow[j];
+    }
+  }
 }
 
 void softmax_row_inplace(float* row, std::int64_t n) {

@@ -107,6 +107,12 @@ Tensor mul(const Tensor& a, const Tensor& b);
 /// 2-D matrix product: [M,K] x [K,N] -> [M,N].
 Tensor matmul2d(const Tensor& a, const Tensor& b);
 
+/// One output row of matmul2d: out_row[n] += a_row[k] @ b[k,n], skipping
+/// zero a_row entries.  matmul2d runs it per row on a zeroed output;
+/// tape-free inference calls it directly so both produce the same bits.
+void matmul_row_acc(const float* a_row, const float* b, float* out_row,
+                    std::int64_t k, std::int64_t n);
+
 /// Transpose of a 2-D tensor.
 Tensor transpose2d(const Tensor& a);
 
