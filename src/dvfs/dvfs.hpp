@@ -98,7 +98,7 @@ class Governor {
   std::int64_t level_for(double battery_fraction) const;
 
   /// POSITION of the chosen level within this governor's level list
-  /// (0 = fastest rung), the index serving loops use for per-level
+  /// (0 = fastest rung), the index the serving loop uses for per-level
   /// sparsities, plans, and stats.
   std::int64_t level_position(double battery_fraction) const;
 

@@ -14,7 +14,7 @@
 //                  delay proper, including idle gaps)
 //   exec         — its own batch's execution latency
 //
-// The serving loops record every switch and every batch execution as a
+// The serving loop records every switch and every batch execution as a
 // virtual-time interval in an IntervalAccount; at completion the overlap
 // of [arrival, start) with each account yields the decomposition in two
 // O(log n) queries.  Deadline misses are then classified into exactly one

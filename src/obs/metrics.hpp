@@ -2,7 +2,7 @@
 // log-scale histograms with per-model / per-level labels.
 //
 // The registry is the queryable store behind a serve session's counting:
-// the serving loops accumulate into the ServerStats working view on the
+// the serving loop accumulates into the ServerStats working view on the
 // hot path (zero added lookups), and ServerStats::publish mirrors every
 // countable into the registry at session end under stable labeled names
 // (serve.completed{model="1",...}) — so the existing stats JSON stays

@@ -70,18 +70,20 @@ void SloMonitor::transition(std::size_t rule_idx, bool breach,
   }
 }
 
-void SloMonitor::observe(const SloObservation& obs) {
+void SloMonitor::observe(const BatchOutcome& batch) {
+  const double mean_latency_ms =
+      batch.latency_sum_ms / static_cast<double>(batch.batch_size);
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     const SloRule& rule = rules_[i];
     RuleState& state = states_[i];
     switch (rule.kind) {
       case SloRuleKind::kMissBurn: {
-        state.window.push_back(obs);
-        state.long_completed += obs.completed;
-        state.long_missed += obs.missed;
+        state.window.push_back({batch.end_ms, batch.batch_size, batch.misses});
+        state.long_completed += batch.batch_size;
+        state.long_missed += batch.misses;
         while (!state.window.empty() &&
                state.window.front().end_ms <
-                   obs.end_ms - rule.long_window_ms) {
+                   batch.end_ms - rule.long_window_ms) {
           state.long_completed -= state.window.front().completed;
           state.long_missed -= state.window.front().missed;
           state.window.pop_front();
@@ -90,7 +92,7 @@ void SloMonitor::observe(const SloObservation& obs) {
         std::int64_t short_missed = 0;
         for (auto it = state.window.rbegin(); it != state.window.rend();
              ++it) {
-          if (it->end_ms < obs.end_ms - rule.short_window_ms) break;
+          if (it->end_ms < batch.end_ms - rule.short_window_ms) break;
           short_completed += it->completed;
           short_missed += it->missed;
         }
@@ -105,25 +107,25 @@ void SloMonitor::observe(const SloObservation& obs) {
         const bool breach = short_missed >= rule.min_misses &&
                             short_rate >= rule.short_threshold &&
                             long_rate >= rule.long_threshold;
-        transition(i, breach, obs.end_ms, short_rate, short_missed);
+        transition(i, breach, batch.end_ms, short_rate, short_missed);
         break;
       }
       case SloRuleKind::kLatencyEwma: {
         if (!state.ewma_init) {
-          state.ewma = obs.mean_latency_ms;
+          state.ewma = mean_latency_ms;
           state.ewma_init = true;
         } else {
-          state.ewma += rule.ewma_alpha * (obs.mean_latency_ms - state.ewma);
+          state.ewma += rule.ewma_alpha * (mean_latency_ms - state.ewma);
         }
-        transition(i, state.ewma > rule.latency_threshold_ms, obs.end_ms,
+        transition(i, state.ewma > rule.latency_threshold_ms, batch.end_ms,
                    state.ewma, 0);
         break;
       }
       case SloRuleKind::kBatterySlope: {
-        state.slope.emplace_back(obs.end_ms, obs.battery_fraction);
+        state.slope.emplace_back(batch.end_ms, batch.battery_fraction);
         while (!state.slope.empty() &&
                state.slope.front().first <
-                   obs.end_ms - rule.slope_window_ms) {
+                   batch.end_ms - rule.slope_window_ms) {
           state.slope.pop_front();
         }
         const double span =
@@ -135,12 +137,12 @@ void SloMonitor::observe(const SloObservation& obs) {
         const double drained =
             state.slope.front().second - state.slope.back().second;
         if (drained <= 0.0) {
-          transition(i, false, obs.end_ms, 0.0, 0);
+          transition(i, false, batch.end_ms, 0.0, 0);
           break;
         }
         const double projected_ms =
             state.slope.back().second * span / drained;
-        transition(i, projected_ms < rule.min_projected_ms, obs.end_ms,
+        transition(i, projected_ms < rule.min_projected_ms, batch.end_ms,
                    projected_ms, 0);
         break;
       }

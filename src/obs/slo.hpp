@@ -27,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/batch_outcome.hpp"
+
 namespace rt3 {
 
 class MetricsRegistry;
@@ -77,15 +79,6 @@ struct SloEpisode {
   std::int64_t trigger_misses = 0;
 };
 
-/// One batch boundary, as reported by the serving loops.
-struct SloObservation {
-  double end_ms = 0.0;
-  std::int64_t completed = 0;
-  std::int64_t missed = 0;
-  double battery_fraction = 0.0;
-  double mean_latency_ms = 0.0;
-};
-
 class SloMonitor {
  public:
   explicit SloMonitor(std::vector<SloRule> rules);
@@ -95,12 +88,12 @@ class SloMonitor {
   static std::vector<SloRule> default_rules();
 
   /// Breach/recover transition events are recorded here on lane 0 when
-  /// attached (same sticky-pointer convention as the serving loops).
+  /// attached (same sticky-pointer convention as the serving loop).
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  /// Evaluates every rule at one batch boundary; `obs.end_ms` must be
+  /// Evaluates every rule at one batch boundary; `batch.end_ms` must be
   /// non-decreasing across calls.
-  void observe(const SloObservation& obs);
+  void observe(const BatchOutcome& batch);
 
   const std::vector<SloRule>& rules() const { return rules_; }
   /// Episodes in breach-start order; an open episode has end_ms == -1.
@@ -120,12 +113,19 @@ class SloMonitor {
   std::string to_json() const;
 
  private:
+  /// One batch inside a kMissBurn window.
+  struct WindowEntry {
+    double end_ms = 0.0;
+    std::int64_t completed = 0;
+    std::int64_t missed = 0;
+  };
+
   struct RuleState {
     bool in_breach = false;
     /// Index into episodes_ of the open episode (-1 when not in breach).
     std::int64_t open_episode = -1;
     /// kMissBurn: observations inside the long window, front = oldest.
-    std::deque<SloObservation> window;
+    std::deque<WindowEntry> window;
     std::int64_t long_completed = 0;
     std::int64_t long_missed = 0;
     /// kLatencyEwma.

@@ -54,7 +54,7 @@ TimeSeries& TelemetrySampler::series_for(const std::string& name,
   return it->second.ts;
 }
 
-void TelemetrySampler::on_batch(const BatchSample& sample) {
+void TelemetrySampler::on_batch(const BatchOutcome& sample) {
   const double alpha = config_.ewma_alpha;
   const double n = sample.batch_size > 0
                        ? static_cast<double>(sample.batch_size)

@@ -3,7 +3,7 @@
 // in-flight batch size, battery fraction, governor level, per-batch
 // energy draw, miss-rate / latency EWMAs, shed / reject counters) at a
 // configurable deterministic cadence — sampled at BATCH BOUNDARIES by the
-// serving loops, never from a wall-clock thread — so the system can see
+// serving loop, never from a wall-clock thread — so the system can see
 // trends while serving instead of one end-of-session snapshot.  This is
 // the observation vector a learned GovernorPolicy (ROADMAP item 2) and a
 // cloud-offload decision will consume.
@@ -27,6 +27,8 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include "obs/batch_outcome.hpp"
 
 namespace rt3 {
 
@@ -75,26 +77,7 @@ struct TelemetryConfig {
   double ewma_alpha = 0.2;
 };
 
-/// One executed batch, as reported by the serving loops at its boundary.
-struct BatchSample {
-  std::int64_t model_id = 0;
-  double start_ms = 0.0;
-  double end_ms = 0.0;
-  std::int64_t batch_size = 0;
-  std::int64_t level_pos = 0;
-  double energy_mj = 0.0;
-  double battery_fraction = 0.0;
-  /// Target shard's pending queue depth after the batch was popped.
-  std::int64_t queue_depth = 0;
-  /// Pending across ALL shards (== queue_depth on a single-model Server).
-  std::int64_t node_queue_depth = 0;
-  /// Deadline misses among this batch's requests.
-  std::int64_t misses = 0;
-  /// Sum of queue-to-completion latency over this batch's requests.
-  double latency_sum_ms = 0.0;
-};
-
-/// Collects deterministic time series from the serving loops and exports
+/// Collects deterministic time series from the serving loop and exports
 /// them as Chrome trace counter events and as a compact JSON dump.
 class TelemetrySampler {
  public:
@@ -107,7 +90,7 @@ class TelemetrySampler {
 
   /// Batch-boundary sample: updates the per-model EWMAs (every call) and
   /// records all series points (every `sample_every_batches`-th call).
-  void on_batch(const BatchSample& sample);
+  void on_batch(const BatchOutcome& sample);
 
   /// Cumulative counters, sampled into series at the next batch boundary.
   void count_shed(std::int64_t model_id, std::int64_t n);

@@ -182,7 +182,7 @@ std::int64_t RlGovernorPolicy::decide_sampled(const float* x) {
   return choice;
 }
 
-void RlGovernorPolicy::observe_batch(const BatchFeedback& feedback) {
+void RlGovernorPolicy::observe_batch(const BatchOutcome& feedback) {
   const double miss_frac =
       feedback.batch_size > 0
           ? static_cast<double>(feedback.misses) /

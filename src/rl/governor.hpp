@@ -83,7 +83,7 @@ class RlGovernorPolicy final : public GovernorPolicy, public Module {
   /// cached choice so a decision epoch is atomic.
   std::int64_t decide(const GovernorObservation& obs) override;
 
-  void observe_batch(const BatchFeedback& feedback) override;
+  void observe_batch(const BatchOutcome& feedback) override;
 
   /// RL switches fire exactly at the batch boundary they were decided at,
   /// so no threshold-crossing lag is attributed inside the drain.

@@ -70,7 +70,6 @@ class Batcher {
   void set_trace(TraceRecorder* trace, std::int64_t lane);
 
   const BatchPolicy& policy() const { return policy_; }
-  const SchedulerConfig& scheduler() const { return pending_.config(); }
 
  private:
   BatchPolicy policy_;

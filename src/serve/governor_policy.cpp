@@ -49,7 +49,7 @@ double AdaptiveMarginPolicy::shrink_margin(double configured_margin) const {
   return std::max(adaptive, configured_margin);
 }
 
-void AdaptiveMarginPolicy::observe_batch(const BatchFeedback& feedback) {
+void AdaptiveMarginPolicy::observe_batch(const BatchOutcome& feedback) {
   if (drain_ewma_ <= 0.0) {
     drain_ewma_ = feedback.drain_fraction;
     return;

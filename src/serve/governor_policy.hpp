@@ -15,9 +15,9 @@
 //       depth, deadline pressure, miss-rate EWMA), trained offline in the
 //       virtual-clock simulator.
 //
-// The seam is deliberately narrow and pull-based: the serving loops build
-// a GovernorObservation at each decision point and ask the policy, then
-// feed back one BatchFeedback per executed batch.  Policies keep their own
+// The seam is deliberately narrow and pull-based: the serving loop builds
+// a GovernorObservation at each decision point and asks the policy, then
+// feeds back one BatchOutcome per executed batch.  Policies keep their own
 // EWMAs from that feedback — they must NOT read the observability layer,
 // which is contractually pure observation (attaching telemetry must leave
 // serving byte-identical, so no control path may depend on it).
@@ -33,6 +33,7 @@
 #include <string>
 
 #include "dvfs/dvfs.hpp"
+#include "obs/batch_outcome.hpp"
 
 namespace rt3 {
 
@@ -50,23 +51,9 @@ struct GovernorObservation {
   double deadline_pressure = 0.0;
 };
 
-/// Per-executed-batch feedback: the only channel through which a policy
-/// sees outcomes (energy draw, misses), so stateful policies stay
-/// independent of the pure-observation telemetry layer.
-struct BatchFeedback {
-  double start_ms = 0.0;
-  double end_ms = 0.0;
-  std::int64_t batch_size = 0;
-  /// Level position the batch ran at.
-  std::int64_t level_pos = 0;
-  double energy_mj = 0.0;
-  /// Battery fraction AFTER the batch's drain.
-  double battery_fraction = 0.0;
-  /// Battery fraction this one batch consumed (>= 0).
-  double drain_fraction = 0.0;
-  /// Deadline misses inside this batch.
-  std::int64_t misses = 0;
-};
+/// Former name of the per-batch record, still spelled by perfbench's
+/// policy decorator; new code says BatchOutcome.
+using BatchFeedback = BatchOutcome;
 
 /// Deadline-pressure signal from batcher state: the consumed share of the
 /// oldest pending request's max-wait budget, in [0, 1].  `release_at_ms`
@@ -100,9 +87,11 @@ class GovernorPolicy {
     return configured_margin;
   }
 
-  /// Feedback after every executed batch (the policy's only outcome
-  /// channel).  Stateless policies ignore it.
-  virtual void observe_batch(const BatchFeedback& feedback) {
+  /// The loop's per-batch record after every executed batch (the
+  /// policy's only outcome channel, so stateful policies stay independent
+  /// of the pure-observation telemetry layer).  Stateless policies
+  /// ignore it.
+  virtual void observe_batch(const BatchOutcome& feedback) {
     (void)feedback;
   }
 
@@ -175,7 +164,7 @@ class AdaptiveMarginPolicy final : public GovernorPolicy {
     return ladder_.level_position(obs.battery_fraction);
   }
   double shrink_margin(double configured_margin) const override;
-  void observe_batch(const BatchFeedback& feedback) override;
+  void observe_batch(const BatchOutcome& feedback) override;
   void reset() override { drain_ewma_ = 0.0; }
 
   double drain_ewma() const { return drain_ewma_; }

@@ -1,8 +1,7 @@
 // Scheduling-policy vocabulary for the serving subsystem.
 //
-// The Batcher and the RequestQueue hold pending requests in a RequestHeap
-// (request.hpp) whose pop order is policy-driven rather than
-// arrival-driven:
+// The Batcher holds pending requests in a RequestHeap (request.hpp)
+// whose pop order is policy-driven rather than arrival-driven:
 //   kFifo        — strict push order (bitwise-identical to the historical
 //                  deque path; the heap key is the push sequence number);
 //   kEdf         — earliest absolute deadline first;

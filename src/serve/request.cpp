@@ -56,8 +56,6 @@ Request RequestHeap::pop() {
   return out;
 }
 
-void RequestHeap::clear() { entries_.clear(); }
-
 double RequestHeap::min_arrival_ms() const {
   double earliest = std::numeric_limits<double>::infinity();
   for (const Entry& e : entries_) {
@@ -86,8 +84,7 @@ std::vector<Request> RequestHeap::extract_expired(double now_ms) {
   return out;
 }
 
-RequestQueue::RequestQueue(std::int64_t capacity, SchedulerConfig scheduler)
-    : scheduler_(scheduler), items_(scheduler), capacity_(capacity) {
+RequestQueue::RequestQueue(std::int64_t capacity) : capacity_(capacity) {
   check(capacity >= 0, "RequestQueue: negative capacity");
 }
 
@@ -96,13 +93,13 @@ bool RequestQueue::push(Request r) {
   // Explicit wait loops (not wait(lock, pred)): the thread-safety
   // analysis cannot look inside a predicate lambda, but it proves these
   // guarded reads are under mu_ in the loop form.
-  while (!(closed_ || capacity_ == 0 || items_.size() < capacity_)) {
+  while (!(closed_ || capacity_ == 0 || ssize_of(items_) < capacity_)) {
     not_full_.wait(lock);
   }
   if (closed_) {
     return false;
   }
-  items_.push(r);
+  items_.push_back(r);
   lock.unlock();
   not_empty_.notify_one();
   return true;
@@ -116,7 +113,8 @@ bool RequestQueue::pop(Request& out) {
   if (items_.empty()) {
     return false;  // closed and drained
   }
-  out = items_.pop();
+  out = items_.front();
+  items_.pop_front();
   lock.unlock();
   not_full_.notify_one();
   return true;
@@ -127,7 +125,8 @@ bool RequestQueue::try_pop(Request& out) {
   if (items_.empty()) {
     return false;
   }
-  out = items_.pop();
+  out = items_.front();
+  items_.pop_front();
   lock.unlock();
   not_full_.notify_one();
   return true;
@@ -149,7 +148,21 @@ bool RequestQueue::closed() const {
 
 std::int64_t RequestQueue::size() const {
   MutexLock lock(mu_);
-  return items_.size();
+  return ssize_of(items_);
+}
+
+std::vector<Request> drain_by_arrival(RequestQueue& queue) {
+  std::vector<Request> collected;
+  Request r;
+  while (queue.pop(r)) {
+    collected.push_back(r);
+  }
+  std::sort(collected.begin(), collected.end(),
+            [](const Request& a, const Request& b) {
+              return a.arrival_ms != b.arrival_ms ? a.arrival_ms < b.arrival_ms
+                                                  : a.id < b.id;
+            });
+  return collected;
 }
 
 }  // namespace rt3

@@ -1,5 +1,5 @@
 // Deadline-tagged inference requests, the policy-ordered heap that ranks
-// them, and the MPMC queue that carries them from producers (traffic
+// them, and the FIFO MPMC queue that carries them from producers (traffic
 // sources, RPC front-ends) to the serving loop.
 //
 // Time in the serving subsystem is VIRTUAL and measured in milliseconds
@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/lockdep.hpp"
@@ -29,7 +30,8 @@ struct Request {
   /// Priority class, 0 = most urgent; only kEdfPriority looks at it.
   std::int64_t priority = 0;
   /// Target model on a multi-model ServeNode (see serve/node.hpp); the
-  /// Router dispatches on this id.  Single-model Servers ignore it.
+  /// serving loop routes on this id.  A single-model Server serves only
+  /// model 0 and rejects any other id with a CheckError.
   std::int64_t model_id = 0;
 };
 
@@ -56,7 +58,6 @@ class RequestHeap {
   std::int64_t size() const {
     return static_cast<std::int64_t>(entries_.size());
   }
-  void clear();
 
   /// Earliest arrival among pending requests (+infinity when empty).
   /// O(n) scan: under non-FIFO policies the oldest request is not the
@@ -66,8 +67,6 @@ class RequestHeap {
   /// Removes every pending request whose deadline is <= now_ms; returned
   /// in push order (matching the historical deque scan).
   std::vector<Request> extract_expired(double now_ms);
-
-  const SchedulerConfig& config() const { return config_; }
 
  private:
   struct Entry {
@@ -85,23 +84,18 @@ class RequestHeap {
   std::int64_t next_seq_ = 0;
 };
 
-/// Blocking multi-producer/multi-consumer queue of requests.
+/// Blocking multi-producer/multi-consumer FIFO queue of requests: the
+/// ingestion path from producer threads into a serving session.
 ///
-/// Producers push concurrently; consumers pop concurrently.  Pop order is
-/// policy-driven (a RequestHeap under the lock): FIFO by default, EDF or
-/// EDF-with-priority-classes when constructed with that SchedulerConfig.
-/// Note the Server's deterministic session path (serve_queue) re-sorts
-/// its drained pops by arrival timestamp and applies the policy inside
-/// the Batcher instead, so queue-level ordering matters to DIRECT
-/// consumers — front-ends popping requests themselves, dispatchers
-/// feeding multiple servers — not to serve_queue().
+/// Pops come out in push order.  Scheduling policy is not applied here:
+/// serve_queue() drains the queue, orders it by (arrival, id) with
+/// drain_by_arrival(), and the Batcher applies the policy inside the loop.
 /// close() wakes everyone: pushes are rejected afterwards, pops drain what
 /// is left and then return false.  capacity 0 means unbounded; a bounded
 /// queue blocks producers when full (back-pressure).
 class RequestQueue {
  public:
-  explicit RequestQueue(std::int64_t capacity = 0,
-                        SchedulerConfig scheduler = {});
+  explicit RequestQueue(std::int64_t capacity = 0);
 
   /// Blocks while a bounded queue is full; returns false iff closed.
   bool push(Request r) RT3_EXCLUDES(mu_);
@@ -116,18 +110,19 @@ class RequestQueue {
   void close() RT3_EXCLUDES(mu_);
   bool closed() const RT3_EXCLUDES(mu_);
   std::int64_t size() const RT3_EXCLUDES(mu_);
-  const SchedulerConfig& scheduler() const { return scheduler_; }
 
  private:
   mutable Mutex mu_{"RequestQueue::mu_"};
   CondVar not_empty_;
   CondVar not_full_;
-  /// Immutable after construction; the unguarded copy scheduler() reads
-  /// (items_ itself may only be touched under mu_).
-  const SchedulerConfig scheduler_;
-  RequestHeap items_ RT3_GUARDED_BY(mu_);
+  std::deque<Request> items_ RT3_GUARDED_BY(mu_);
   std::int64_t capacity_;
   bool closed_ RT3_GUARDED_BY(mu_) = false;
 };
+
+/// Pops `queue` until it is closed and drained, and returns the requests
+/// ordered by (arrival timestamp, id): the deterministic schedule behind
+/// every serve_queue(), whatever order concurrent producers pushed in.
+std::vector<Request> drain_by_arrival(RequestQueue& queue);
 
 }  // namespace rt3

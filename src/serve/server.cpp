@@ -1,16 +1,11 @@
 #include "serve/server.hpp"
 
-#include <algorithm>
-#include <limits>
+#include <string>
 
 #include "common/check.hpp"
-#include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "serve/concurrent.hpp"
-#include "serve/policy.hpp"
+#include "serve/serve_loop.hpp"
 
 namespace rt3 {
 
@@ -49,41 +44,18 @@ Server::Server(ServerConfig config, VfTable table, GovernorHandle governor,
   backend_ = analytic_.get();
 }
 
-void Server::set_engine(ReconfigEngine* engine) {
+void Server::adopt_engine(std::unique_ptr<ReconfigEngine> engine) {
   if (engine != nullptr) {
     check(engine->num_levels() == governor_.policy().num_levels(),
           "Server: engine must have one pattern set per governor level");
   }
-  engine_ = engine;
-}
-
-void Server::set_backend(ExecutionBackend* backend) {
-  backend_ = backend != nullptr ? backend : analytic_.get();
-}
-
-void Server::adopt_engine(std::unique_ptr<ReconfigEngine> engine) {
-  set_engine(engine.get());
-  owned_engine_ = std::move(engine);
+  engine_ = std::move(engine);
 }
 
 void Server::adopt_backend(std::unique_ptr<ExecutionBackend> backend) {
-  set_backend(backend.get());
+  backend_ = backend != nullptr ? backend.get() : analytic_.get();
   owned_backend_ = std::move(backend);
 }
-
-void Server::set_batch_observer(BatchObserver observer) {
-  observer_ = std::move(observer);
-}
-
-void Server::set_trace(TraceRecorder* trace) { trace_ = trace; }
-
-void Server::set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
-
-void Server::set_telemetry(TelemetrySampler* telemetry) {
-  telemetry_ = telemetry;
-}
-
-void Server::set_slo(SloMonitor* slo) { slo_ = slo; }
 
 double Server::sparsity_for(std::int64_t level_pos) const {
   return config_.software_reconfig
@@ -97,397 +69,26 @@ double Server::batch_latency_ms(std::int64_t batch_size,
 }
 
 ServerStats Server::serve(const std::vector<Request>& schedule) {
-  GovernorPolicy& gov = governor_.policy();
-  const Governor& ladder = governor_.ladder();
-  gov.reset();  // fresh episode: EWMAs / recurrent state, never weights
-  ServerStats stats;
-  stats.submitted = static_cast<std::int64_t>(schedule.size());
-  stats.backend = backend_->name();
-  stats.policy = scheduling_policy_name(config_.scheduler.policy);
-  stats.runs_per_level.assign(ladder.levels().size(), 0.0);
-  battery_.recharge();
-  Batcher batcher(config_.batch, config_.scheduler);
-  // Virtual-time records of when switches / batch executions ran; the
-  // miss-attribution decomposition (obs/attribution.hpp) queries the
-  // overlap of each request's wait against them.
-  IntervalAccount switch_ivals;
-  IntervalAccount exec_ivals;
-  // Single lane for the one model's request/batch spans; lane 0 carries
-  // governor/battery events (see TraceRecorder's track naming).
-  constexpr std::int64_t kLane = 1;
-  if (trace_ != nullptr) {
-    if (engine_ != nullptr) {
-      engine_->set_trace(trace_);
-    }
-    backend_->set_trace(trace_, kLane);
-    batcher.set_trace(trace_, kLane);
-    trace_->set_now_ms(0.0);
-  }
-  if (slo_ != nullptr) {
-    slo_->set_trace(trace_);
-  }
-  if (telemetry_ != nullptr) {
-    telemetry_->set_now_ms(0.0);
-    if (engine_ != nullptr) {
-      engine_->set_telemetry(telemetry_);
+  for (const Request& r : schedule) {
+    if (r.model_id != 0) {
+      throw CheckError("Server: request " + std::to_string(r.id) +
+                       " targets model " + std::to_string(r.model_id) +
+                       "; a single-model Server serves only model 0");
     }
   }
-
-  const std::int64_t n = stats.submitted;
-  std::int64_t next = 0;   // next schedule index to admit
-  std::int64_t active = -1;  // current governor-level position
-  // Drain-then-switch lag of the next switch: set when a batch's energy
-  // drain crosses a governor threshold (interpolated inside the batch),
-  // consumed when the switch fires at the following batch boundary.
-  double pending_switch_lag = 0.0;
-  double now = 0.0;
-
-  while (next < n || batcher.pending() > 0) {
-    if (battery_.empty()) {
-      break;
-    }
-    // Governor decision at the batch boundary only: in-flight work has
-    // drained by construction, queued requests survive the switch.
-    GovernorObservation gobs;
-    gobs.now_ms = now;
-    gobs.battery_fraction = battery_.fraction();
-    gobs.queue_depth = batcher.pending();
-    gobs.deadline_pressure =
-        deadline_pressure(now, batcher.release_at_ms(),
-                          batcher.policy().max_wait_ms);
-    const std::int64_t pos = gov.decide(gobs);
-    if (pos != active) {
-      // An engine with a plan-swap hook swaps plans inside switch_to;
-      // the hook's wall cost is folded into this switch's swap entry so
-      // the subsequent (then no-op) activate_level is not double-counted
-      // as zero.
-      double engine_swap_ms = 0.0;
-      if (config_.software_reconfig && active >= 0) {
-        if (!battery_.drain(config_.switch_energy_mj)) {
-          break;  // no charge left to pay for the switch; session ends
-        }
-        if (trace_ != nullptr) {
-          trace_->set_now_ms(now);
-          trace_->record(TraceEvent("governor.step", "governor", now, 0)
-                             .arg("from_level", active)
-                             .arg("to_level", pos)
-                             .arg("battery_fraction", battery_.fraction()));
-        }
-        stats.energy_used_mj += config_.switch_energy_mj;
-        if (telemetry_ != nullptr) {
-          telemetry_->set_now_ms(now);
-        }
-        double switch_ms = config_.switch_latency_ms;
-        if (engine_ != nullptr) {
-          const SwitchReport report = engine_->switch_to(pos);
-          switch_ms = report.modeled_ms;
-          engine_swap_ms = report.plan_swap_wall_ms;
-        }
-        ++stats.switches;
-        switch_ivals.add(now, now + switch_ms);
-        if (trace_ != nullptr) {
-          TraceEvent ev("switch", "switch", now, 0);
-          ev.ph = 'X';
-          ev.dur_ms = switch_ms;
-          ev.arg("to_level", pos).arg("drain_lag_ms", pending_switch_lag);
-          trace_->record(std::move(ev));
-        }
-        now += switch_ms;
-        stats.switch_ms_total += switch_ms;
-        stats.switch_ms.push_back(switch_ms);
-        stats.switch_lag_ms.push_back(pending_switch_lag);
-        if (telemetry_ != nullptr) {
-          telemetry_->record_switch(switch_ms);
-        }
-        pending_switch_lag = 0.0;
-      } else if (config_.software_reconfig && engine_ != nullptr) {
-        // Initial activation: free at t = 0.
-        engine_swap_ms = engine_->switch_to(pos).plan_swap_wall_ms;
-      }
-      // Swap the active execution-plan set along with the pattern set
-      // (virtual-time free: precompiled plans make this a pointer swap,
-      // but the wall cost is reported per switch).
-      const double swap_ms = engine_swap_ms + backend_->activate_level(pos);
-      stats.plan_swap_ms.push_back(swap_ms);
-      stats.plan_swap_ms_total += swap_ms;
-      active = pos;
-      continue;  // re-read the fraction in case the switch drained it dry
-    }
-
-    // Governor-aware batching: close enough to the next step-down
-    // threshold, shrink the batch cap so in-flight work — and therefore
-    // the drain-then-switch point — comes sooner.  On the last ladder
-    // level there is no switch left to hasten (next_step_down is 0), so
-    // the full cap stays and batch amortization is preserved exactly
-    // when charge is scarcest.
-    const double margin = gov.shrink_margin(config_.governor_margin);
-    if (margin > 0.0) {
-      const double fraction = battery_.fraction();
-      const double threshold = gov.next_step_down(fraction);
-      const bool near_switch =
-          threshold > 0.0 && fraction - threshold <= margin;
-      batcher.set_batch_cap(near_switch ? config_.governor_shrink_batch
-                                        : config_.batch.max_batch_size);
-    }
-
-    // Admit everything that has arrived by now.  Feasibility-based
-    // admission rejects a request whose deadline lies inside the fastest
-    // possible completion (an immediate solo launch at the current level):
-    // admitting it could only miss AND queue-delay feasible work behind it
-    // — the EDF domino under sustained overload.
-    while (next < n &&
-           schedule[static_cast<std::size_t>(next)].arrival_ms <= now) {
-      const Request& r = schedule[static_cast<std::size_t>(next)];
-      if (config_.admit_feasible &&
-          r.deadline_ms < now + batch_latency_ms(1, pos)) {
-        ++stats.rejected;
-        if (telemetry_ != nullptr) {
-          telemetry_->count_reject(0);
-        }
-        if (trace_ != nullptr) {
-          TraceEvent ev("reject", "request", r.arrival_ms, kLane);
-          ev.id = r.id;
-          ev.arg("deadline_ms", r.deadline_ms)
-              .arg("fastest_finish_ms", now + batch_latency_ms(1, pos));
-          trace_->record(std::move(ev));
-        }
-      } else {
-        if (trace_ != nullptr) {
-          TraceEvent ev("arrive", "request", r.arrival_ms, kLane);
-          ev.id = r.id;
-          ev.arg("deadline_ms", r.deadline_ms).arg("priority", r.priority);
-          trace_->record(std::move(ev));
-        }
-        batcher.push(r);
-      }
-      ++next;
-    }
-    if (config_.admit_feasible && batcher.pending() == 0 && next >= n) {
-      continue;  // everything left was rejected; the loop condition ends it
-    }
-
-    // Load shedding: a request whose deadline has already passed cannot
-    // be served in time, so drop it before it occupies a batch slot.
-    if (config_.shed_expired) {
-      const std::int64_t n_shed =
-          static_cast<std::int64_t>(batcher.shed_expired(now).size());
-      stats.shed += n_shed;
-      if (telemetry_ != nullptr && n_shed > 0) {
-        telemetry_->count_shed(0, n_shed);
-      }
-      if (batcher.pending() == 0 && next >= n) {
-        continue;  // everything left was shed; the loop condition ends it
-      }
-    }
-
-    if (!batcher.ready(now)) {
-      // Nothing to do yet: jump to the earliest actionable instant —
-      // the max-wait release of the oldest pending request or the next
-      // arrival, whichever comes first.
-      const double next_arrival =
-          next < n ? schedule[static_cast<std::size_t>(next)].arrival_ms
-                   : std::numeric_limits<double>::infinity();
-      const double wake = std::min(batcher.release_at_ms(), next_arrival);
-      check(wake < std::numeric_limits<double>::infinity(),
-            "Server: idle with nothing pending");  // loop condition bars this
-      now = std::max(now, wake);
-      continue;
-    }
-
-    const std::vector<Request> batch = batcher.pop_batch(now);
-    if (trace_ != nullptr) {
-      trace_->set_now_ms(now);
-    }
-    const BatchExecution exec =
-        backend_->run_batch(static_cast<std::int64_t>(batch.size()), pos);
-    const double lat_ms = exec.latency_ms;
-    stats.kernel_wall_ms_total += exec.kernel_wall_ms;
-    const VfLevel& level =
-        table_.level(ladder.levels()[static_cast<std::size_t>(pos)]);
-    const double energy = power_.energy_mj(level, lat_ms);
-    const double frac_before = battery_.fraction();
-    if (!battery_.drain(energy)) {
-      // Not enough charge for this batch: the session ends here and the
-      // unserved remainder is accounted as dropped.
-      stats.dropped += static_cast<std::int64_t>(batch.size()) +
-                       batcher.pending() + (n - next);
-      if (trace_ != nullptr) {
-        trace_->record(TraceEvent("battery.dead", "governor", now, 0)
-                           .arg("dropped", stats.dropped));
-      }
-      break;
-    }
-    // Did this batch's drain cross the policy's decision boundary?  If so
-    // the switch can only fire at the batch boundary: the policy
-    // interpolates the crossing inside the (linear) drain — this is the
-    // drain-then-switch delay governor-aware batching shrinks.  Negative
-    // means no boundary was crossed.
-    const double frac_after = battery_.fraction();
-    const double drain_lag =
-        gov.drain_lag_ms(pos, frac_before, frac_after, lat_ms);
-    if (drain_lag >= 0.0) {
-      pending_switch_lag = drain_lag;
-    }
-    const double end = now + lat_ms;
-    std::int64_t batch_misses = 0;
-    double batch_latency_sum = 0.0;
-    for (const Request& r : batch) {
-      stats.latency_ms.push_back(end - r.arrival_ms);
-      batch_latency_sum += end - r.arrival_ms;
-      // Decompose the wait against the recorded switch / exec intervals
-      // BEFORE this batch joins exec_ivals, so its own execution counts
-      // as exec_ms and not as queueing.
-      const WaitBreakdown w =
-          attribute_wait(switch_ivals, exec_ivals, r.arrival_ms, now, end);
-      stats.queue_wait_ms.push_back(w.queue_wait_ms);
-      stats.batch_wait_ms.push_back(w.batch_wait_ms);
-      stats.switch_stall_req_ms.push_back(w.switch_stall_ms);
-      stats.exec_req_ms.push_back(w.exec_ms);
-      stats.ensure_class(r.priority);
-      ++stats.completed_per_class[static_cast<std::size_t>(r.priority)];
-      MissClass miss = MissClass::kNone;
-      if (end > r.deadline_ms) {
-        ++stats.deadline_misses;
-        ++batch_misses;
-        ++stats.misses_per_class[static_cast<std::size_t>(r.priority)];
-        miss = classify_miss(w, r.arrival_ms, end, r.deadline_ms);
-        switch (miss) {
-          case MissClass::kQueued: ++stats.miss_queued; break;
-          case MissClass::kSwitch: ++stats.miss_switch; break;
-          case MissClass::kExec: ++stats.miss_exec; break;
-          case MissClass::kNone: break;  // unreachable: end > deadline
-        }
-      }
-      if (trace_ != nullptr) {
-        TraceEvent span("request", "request", r.arrival_ms, kLane);
-        span.ph = 'X';
-        span.dur_ms = end - r.arrival_ms;
-        span.id = r.id;
-        span.arg("queue_wait_ms", w.queue_wait_ms)
-            .arg("batch_wait_ms", w.batch_wait_ms)
-            .arg("switch_stall_ms", w.switch_stall_ms)
-            .arg("exec_ms", w.exec_ms)
-            .arg("deadline_ms", r.deadline_ms);
-        trace_->record(std::move(span));
-        if (miss != MissClass::kNone) {
-          TraceEvent ev("miss", "request", end, kLane);
-          ev.id = r.id;
-          ev.arg("cause", std::string(miss_class_name(miss)))
-              .arg("over_by_ms", end - r.deadline_ms);
-          trace_->record(std::move(ev));
-        }
-      }
-    }
-    exec_ivals.add(now, end);
-    {
-      // The policy's only outcome channel: per-batch energy draw and
-      // misses.  Stateless policies ignore it; for stateful ones this also
-      // closes the decision epoch opened at the batch boundary.
-      BatchFeedback feedback;
-      feedback.start_ms = now;
-      feedback.end_ms = end;
-      feedback.batch_size = static_cast<std::int64_t>(batch.size());
-      feedback.level_pos = pos;
-      feedback.energy_mj = energy;
-      feedback.battery_fraction = frac_after;
-      feedback.drain_fraction = frac_before - frac_after;
-      feedback.misses = batch_misses;
-      gov.observe_batch(feedback);
-    }
-    if (trace_ != nullptr) {
-      TraceEvent ev("batch", "batch", now, kLane);
-      ev.ph = 'X';
-      ev.dur_ms = lat_ms;
-      ev.arg("size", static_cast<std::int64_t>(batch.size()))
-          .arg("level", pos)
-          .arg("energy_mj", energy);
-      trace_->record(std::move(ev));
-    }
-    stats.energy_used_mj += energy;
-    stats.completed += static_cast<std::int64_t>(batch.size());
-    stats.runs_per_level[static_cast<std::size_t>(pos)] +=
-        static_cast<double>(batch.size());
-    ++stats.batches;
-    stats.batch_sizes.push_back(static_cast<std::int64_t>(batch.size()));
-    stats.busy_ms += lat_ms;
-    if (telemetry_ != nullptr) {
-      BatchSample sample;
-      sample.model_id = 0;
-      sample.start_ms = now;
-      sample.end_ms = end;
-      sample.batch_size = static_cast<std::int64_t>(batch.size());
-      sample.level_pos = pos;
-      sample.energy_mj = energy;
-      sample.battery_fraction = battery_.fraction();
-      sample.queue_depth = batcher.pending();
-      sample.node_queue_depth = batcher.pending();
-      sample.misses = batch_misses;
-      sample.latency_sum_ms = batch_latency_sum;
-      telemetry_->on_batch(sample);
-    }
-    if (slo_ != nullptr) {
-      SloObservation obs;
-      obs.end_ms = end;
-      obs.completed = static_cast<std::int64_t>(batch.size());
-      obs.missed = batch_misses;
-      obs.battery_fraction = battery_.fraction();
-      obs.mean_latency_ms =
-          batch_latency_sum / static_cast<double>(batch.size());
-      slo_->observe(obs);
-    }
-    if (observer_) {
-      observer_(batch, pos, now, end);
-    }
-    now = end;
-  }
-
-  if (battery_.empty() && stats.dropped == 0) {
-    stats.dropped = batcher.pending() + (n - next);
-    if (trace_ != nullptr && stats.dropped > 0) {
-      trace_->record(TraceEvent("battery.dead", "governor", now, 0)
-                         .arg("dropped", stats.dropped));
-    }
-  }
-  stats.sim_end_ms = now;
-  if (trace_ != nullptr) {
-    // Detach so a later un-traced serve() on the same wiring stays clean.
-    if (engine_ != nullptr) {
-      engine_->set_trace(nullptr);
-    }
-    backend_->set_trace(nullptr, 0);
-  }
-  if (slo_ != nullptr) {
-    slo_->set_trace(nullptr);
-  }
-  if (telemetry_ != nullptr && engine_ != nullptr) {
-    engine_->set_telemetry(nullptr);
-  }
-  if (metrics_ != nullptr) {
-    stats.publish(*metrics_, MetricLabels{{"policy", stats.policy},
-                                          {"backend", stats.backend}});
-    if (slo_ != nullptr) {
-      slo_->publish(*metrics_);
-    }
-    if (trace_ != nullptr) {
-      metrics_->gauge("trace.dropped_events")
-          .set(static_cast<double>(trace_->dropped_events()));
-    }
+  NodeStats node = serve_session({ShardRef{0, this}}, battery_, governor_,
+                                 table_, power_, observers_, schedule);
+  ServerStats stats = std::move(node.per_model.front().second);
+  if (observers_.metrics != nullptr) {
+    MetricLabels labels;
+    labels.add("policy", stats.policy).add("backend", stats.backend);
+    stats.publish(*observers_.metrics, labels);
   }
   return stats;
 }
 
 ServerStats Server::serve_queue(RequestQueue& queue) {
-  std::vector<Request> collected;
-  Request r;
-  while (queue.pop(r)) {
-    collected.push_back(r);
-  }
-  std::sort(collected.begin(), collected.end(),
-            [](const Request& a, const Request& b) {
-              return a.arrival_ms != b.arrival_ms ? a.arrival_ms < b.arrival_ms
-                                                  : a.id < b.id;
-            });
-  return serve(collected);
+  return serve(drain_by_arrival(queue));
 }
 
 ServerStats serve_concurrent(Server& server,

@@ -1,21 +1,15 @@
 // Battery-aware inference server with deadline-aware dynamic batching:
 // ONE model's serving machinery (batcher, scheduler, engine, backend).
 //
-// The Server turns the per-inference ReconfigEngine + battery/governor
-// machinery into a system under load: requests arrive open-loop (see
-// traffic.hpp), a Batcher forms batches under a max-size/max-wait policy,
-// and each batch executes at the V/F level the governor picks for the
-// current battery fraction.  When the governor steps the ladder down the
-// server DRAINS the in-flight batch first, then performs the pattern-set
-// switch — never mid-batch, and never dropping queued requests — and
-// accounts the switch latency and energy against the session.
-//
-// Time is virtual (ms since session start): batch latency comes from the
-// calibrated LatencyModel with the fixed per-inference runtime cost
-// amortized across the batch, energy from the PowerModel, so a session is
-// bit-reproducible and runs in milliseconds of host time.  Ingestion may
-// still be genuinely concurrent: serve_queue() accepts requests from any
-// number of producer threads through the MPMC RequestQueue.
+// serve() runs the one serving loop (serve/serve_loop.hpp) with this
+// server as its only shard, model 0, on the server's own battery:
+// requests arrive open-loop (see traffic.hpp), a Batcher forms batches
+// under a max-size/max-wait policy, each batch executes at the V/F level
+// the governor picks, and a level change drains the in-flight batch
+// before the pattern-set switch.  Time is virtual (ms since session
+// start), so a session is bit-reproducible and runs in milliseconds of
+// host time.  serve_queue() accepts requests from any number of producer
+// threads through the MPMC RequestQueue.
 //
 // OWNERSHIP.  A Server OWNS its ReconfigEngine and ExecutionBackend when
 // they are handed over via adopt_engine()/adopt_backend() — which is how
@@ -30,14 +24,14 @@
 // handle.
 //
 // Several backbone-resident models on one device share one battery and
-// one governor through the multi-model ServeNode front-end (node.hpp),
-// which drives per-model Server shards on a single clock; this class
-// remains the single-model session loop.
+// one governor through the multi-model ServeNode (node.hpp), which runs
+// the same loop over per-model Server shards.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dvfs/dvfs.hpp"
@@ -49,14 +43,10 @@
 #include "serve/batcher.hpp"
 #include "serve/governor_policy.hpp"
 #include "serve/request.hpp"
+#include "serve/serve_loop.hpp"
 #include "serve/stats.hpp"
 
 namespace rt3 {
-
-class TraceRecorder;
-class MetricsRegistry;
-class TelemetrySampler;
-class SloMonitor;
 
 struct ServerConfig {
   double battery_capacity_mj = 5e4;
@@ -121,52 +111,36 @@ class Server {
 
   const ExecutionBackend& backend() const { return *backend_; }
   /// Mutable backend access for drivers that execute batches themselves
-  /// (the ServeNode loop).
+  /// (the serving loop).
   ExecutionBackend& exec_backend() { return *backend_; }
   /// The engine switched at drain-then-switch points (nullptr when the
   /// session runs without one).
-  ReconfigEngine* reconfig_engine() { return engine_; }
+  ReconfigEngine* reconfig_engine() { return engine_.get(); }
 
-  void set_batch_observer(BatchObserver observer);
-  /// The installed observer (empty when none); drivers that execute
-  /// batches themselves (the ServeNode loop) invoke it per batch.
+  void set_batch_observer(BatchObserver observer) {
+    observer_ = std::move(observer);
+  }
+  /// The installed observer (empty when none); the serving loop invokes
+  /// it per batch.
   const BatchObserver& batch_observer() const { return observer_; }
 
-  /// Attaches a trace recorder (nullptr detaches): the serve loop then
-  /// emits request-lifecycle spans, batch/switch spans, and governor
-  /// instants, and forwards the recorder to the engine, backend, and
-  /// batcher.  Every instrumentation site is a single `if (trace_)`
-  /// branch, so trace-off sessions are bitwise-identical to untraced ones.
-  void set_trace(TraceRecorder* trace);
-  TraceRecorder* trace() const { return trace_; }
-
-  /// Directs the session's metric counters into an external registry
-  /// (nullptr restores the internal throwaway one): serve() mirrors every
-  /// ServerStats countable into it under labeled names via
-  /// ServerStats::publish.
-  void set_metrics(MetricsRegistry* metrics);
-
-  /// Attaches a continuous-telemetry sampler (nullptr detaches): serve()
-  /// then reports every batch boundary, shed/reject count, and switch to
-  /// it.  Same single-null-check overhead contract as set_trace —
-  /// telemetry-off sessions are bitwise-identical to unattached ones.
-  void set_telemetry(TelemetrySampler* telemetry);
-  TelemetrySampler* telemetry() const { return telemetry_; }
-
-  /// Attaches an SLO monitor (nullptr detaches): serve() then feeds it
-  /// every batch boundary, forwards the trace recorder to it for
-  /// breach/recover events, and publishes its breach counts into the
-  /// metrics registry (when one is attached) at session end.
-  void set_slo(SloMonitor* slo);
-  SloMonitor* slo() const { return slo_; }
+  /// Session observers (see SessionObservers); nullptr detaches.
+  /// metrics receives ServerStats::publish under {policy, backend} labels.
+  void set_trace(TraceRecorder* trace) { observers_.trace = trace; }
+  void set_metrics(MetricsRegistry* metrics) { observers_.metrics = metrics; }
+  void set_telemetry(TelemetrySampler* telemetry) {
+    observers_.telemetry = telemetry;
+  }
+  void set_slo(SloMonitor* slo) { observers_.slo = slo; }
 
   /// Runs one full session over a pre-generated arrival schedule
-  /// (sorted by arrival time).  Deterministic.
+  /// (sorted by arrival time; every request for model 0, else CheckError).
+  /// Deterministic.
   ServerStats serve(const std::vector<Request>& schedule);
 
   /// Pops requests from the queue until it is closed and drained, orders
-  /// them by arrival timestamp, and runs serve().  Producers may push
-  /// from any number of threads.
+  /// them by (arrival timestamp, id), and runs serve().  Producers may
+  /// push from any number of threads.
   ServerStats serve_queue(RequestQueue& queue);
 
   /// ANALYTIC latency of one batch at a governor-level position: the fixed
@@ -177,19 +151,10 @@ class Server {
                           std::int64_t level_pos) const;
 
   const ServerConfig& config() const { return config_; }
-  /// The level ladder behind the active policy (level list + thresholds).
-  const Governor& governor() const { return governor_.ladder(); }
-  /// The policy deciding levels for this server's sessions.
-  GovernorPolicy& governor_policy() { return governor_.policy(); }
-  const GovernorHandle& governor_handle() const { return governor_; }
   const Battery& battery() const { return battery_; }
-  const VfTable& vf_table() const { return table_; }
-  const PowerModel& power() const { return power_; }
 
  private:
   double sparsity_for(std::int64_t level_pos) const;
-  void set_engine(ReconfigEngine* engine);
-  void set_backend(ExecutionBackend* backend);
 
   ServerConfig config_;
   VfTable table_;
@@ -200,17 +165,13 @@ class Server {
   std::vector<double> sparsities_;
   Battery battery_;
   /// Engine/backend storage for the owned-deployment path.
-  std::unique_ptr<ReconfigEngine> owned_engine_;
+  std::unique_ptr<ReconfigEngine> engine_;
   std::unique_ptr<ExecutionBackend> owned_backend_;
-  ReconfigEngine* engine_ = nullptr;
-  /// Built-in analytic path; backend_ points here unless one is attached.
+  /// Built-in analytic path; backend_ points here unless one is adopted.
   std::unique_ptr<AnalyticBackend> analytic_;
   ExecutionBackend* backend_ = nullptr;
   BatchObserver observer_;
-  TraceRecorder* trace_ = nullptr;
-  MetricsRegistry* metrics_ = nullptr;
-  TelemetrySampler* telemetry_ = nullptr;
-  SloMonitor* slo_ = nullptr;
+  SessionObservers observers_;
 };
 
 /// Pushes `schedule` through a RequestQueue from `producers` pool threads

@@ -1,7 +1,7 @@
 // Aggregated statistics for one serve session, built on common/stats.
 //
 // ServerStats is the SNAPSHOT VIEW of a session's accounting: the serving
-// loops bump counters inline (mirrored 1:1 into a MetricsRegistry via
+// loop bumps counters inline (mirrored 1:1 into a MetricsRegistry via
 // publish(), where the same numbers carry stable labeled names), keep the
 // raw per-request series here so percentiles stay exact, and carry the
 // obs-layer miss attribution — every deadline miss is classified into
@@ -134,14 +134,15 @@ struct ServerStats {
 /// Aggregated statistics for one multi-model ServeNode session: the full
 /// per-model ServerStats (keyed by model id, ascending) plus node totals.
 /// Every countable total is the exact sum of its per-model counterparts —
-/// the node loop writes only into per-model stats and aggregate() derives
-/// the rest — so per-model and node-level accounting can never drift.
+/// the serving loop writes only into per-model stats and aggregate()
+/// derives the rest — so per-model and node-level accounting can never
+/// drift.
 struct NodeStats {
   /// Per-model session stats, sorted by model id.
   std::vector<std::pair<std::int64_t, ServerStats>> per_model;
 
-  /// Requests whose model_id matched no registered model (counted at the
-  /// Router, attributable to no shard).
+  /// Requests whose model_id matched no registered model (counted at
+  /// routing, attributable to no shard).
   std::int64_t unroutable = 0;
   /// Virtual time when the node's last batch (or switch) finished.
   double sim_end_ms = 0.0;

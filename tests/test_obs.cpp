@@ -639,9 +639,9 @@ TEST(TimeSeries, LongSessionStaysWithinCapacity) {
 // ---------------------------------------------------------------------
 // TelemetrySampler
 
-BatchSample batch_at(double end_ms, std::int64_t misses,
-                     double latency_sum_ms, std::int64_t size = 2) {
-  BatchSample s;
+BatchOutcome batch_at(double end_ms, std::int64_t misses,
+                      double latency_sum_ms, std::int64_t size = 2) {
+  BatchOutcome s;
   s.model_id = 0;
   s.start_ms = end_ms - 10.0;
   s.end_ms = end_ms;
@@ -722,15 +722,15 @@ TEST(Telemetry, ExportCountersEmitsValidCounterEvents) {
 // ---------------------------------------------------------------------
 // SloMonitor rule state machines
 
-SloObservation slo_obs(double end_ms, std::int64_t completed,
-                       std::int64_t missed, double battery = 0.9,
-                       double mean_latency_ms = 100.0) {
-  SloObservation o;
+BatchOutcome slo_obs(double end_ms, std::int64_t completed,
+                     std::int64_t missed, double battery = 0.9,
+                     double mean_latency_ms = 100.0) {
+  BatchOutcome o;
   o.end_ms = end_ms;
-  o.completed = completed;
-  o.missed = missed;
+  o.batch_size = completed;
+  o.misses = missed;
   o.battery_fraction = battery;
-  o.mean_latency_ms = mean_latency_ms;
+  o.latency_sum_ms = mean_latency_ms * static_cast<double>(completed);
   return o;
 }
 

@@ -149,7 +149,7 @@ TEST(AdaptiveMarginPolicy, WindowTracksDrainEwmaBetweenFloorAndCap) {
   EXPECT_DOUBLE_EQ(policy.shrink_margin(0.0), 0.0);
   EXPECT_DOUBLE_EQ(policy.shrink_margin(0.05), 0.05);
 
-  BatchFeedback fb;
+  BatchOutcome fb;
   fb.drain_fraction = 0.01;
   policy.observe_batch(fb);  // first observation seeds the EWMA
   EXPECT_DOUBLE_EQ(policy.drain_ewma(), 0.01);
@@ -203,7 +203,7 @@ TEST(RlGovernorPolicy, DecisionsAreDeterministicUnderFixedSeed) {
     moved.queue_depth += 3;
     EXPECT_EQ(a.decide(moved), pos);
 
-    BatchFeedback fb;
+    BatchOutcome fb;
     fb.level_pos = pos;
     fb.batch_size = 2;
     fb.misses = step % 3 == 0 ? 1 : 0;
@@ -347,8 +347,8 @@ GovernorObservation random_observation(Rng& rng, int step) {
   return obs;
 }
 
-BatchFeedback random_feedback(Rng& rng, std::int64_t pos) {
-  BatchFeedback fb;
+BatchOutcome random_feedback(Rng& rng, std::int64_t pos) {
+  BatchOutcome fb;
   fb.level_pos = pos;
   fb.batch_size = 1 + rng.uniform_int(4);
   fb.misses = rng.uniform_int(fb.batch_size + 1);
@@ -430,7 +430,7 @@ TEST(RlGovernorPolicy, GreedyDecideDoesNotAllocate) {
   RlGovernorPolicy policy(paper_governor());
   Rng rng(5);
   std::vector<GovernorObservation> observations;
-  std::vector<BatchFeedback> feedback;
+  std::vector<BatchOutcome> feedback;
   for (int step = 0; step < 1000; ++step) {
     observations.push_back(random_observation(rng, step));
     feedback.push_back(random_feedback(rng, step % policy.num_levels()));

@@ -4,14 +4,21 @@
 // shared-governor drain-then-switch across every resident model.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/check.hpp"
 #include "exec/analytic_backend.hpp"
 #include "nn/linear.hpp"
+#include "obs/slo.hpp"
+#include "obs/timeseries.hpp"
 #include "pruning/model_pruner.hpp"
 #include "pruning/pattern_prune.hpp"
+#include "rl/governor.hpp"
 #include "runtime/engine.hpp"
 #include "serve/node.hpp"
 #include "serve/server.hpp"
@@ -41,6 +48,11 @@ ModelDeployment paper_deployment(ServerConfig cfg) {
       .sparsities(paper_ladder_sparsities(latency, 115.0));
   return dep;
 }
+
+/// Batteries for the single-model grid: one dies mid-session, one
+/// outlasts the schedule.
+constexpr double kDyingBatteryMj = 8'000.0;
+constexpr double kFullBatteryMj = 50'000.0;
 
 ServerConfig paper_server_config(double capacity_mj, BatchPolicy batch) {
   ServerConfig cfg;
@@ -90,43 +102,74 @@ TEST(ModelRegistry, RejectsDuplicateIdsAndFindsShards) {
       CheckError);
 }
 
-// A node with ONE registered model must reproduce the single-model
-// Server loop exactly — the facade adds routing, not behavior.
-TEST(ServeNode, SingleModelNodeMatchesServerBitwise) {
+// A node with ONE registered model must reproduce a standalone Server
+// exactly — both run the one serving loop, so the facade adds routing,
+// not behaviour.  Compared over the full stats, telemetry and SLO dumps
+// across every loop feature the single-model path can exercise.
+using SingleModelGrid =
+    std::tuple<SchedulingPolicy, bool, bool, bool, GovernorKind, double>;
+
+class SingleModelNode : public ::testing::TestWithParam<SingleModelGrid> {};
+
+TEST_P(SingleModelNode, MatchesServerBitwise) {
+  const auto [policy, shed, admit, software_reconfig, governor, battery_mj] =
+      GetParam();
   ServeSessionConfig config;
-  config.battery_capacity_mj = 18'000.0;
+  config.battery_capacity_mj = battery_mj;
   config.batch = BatchPolicy{4, 30.0};
+  config.scheduler.policy = policy;
+  config.shed_expired = shed;
+  config.admit_feasible = admit;
+  config.software_reconfig = software_reconfig;
+  config.governor_margin = 0.05;
+  config.governor = governor;
+  if (governor == GovernorKind::kRl) {
+    // Untrained but seeded: decisions are deterministic, and serve()
+    // resets its episode state, so both sessions may share it.
+    config.governor_policy = std::make_shared<RlGovernorPolicy>(
+        Governor::equal_tranches(paper_serve_ladder()));
+  }
   ServeSession single(config);
   NodeSession node_session(config, 1);
 
   TrafficConfig tcfg;
-  tcfg.scenario = TrafficScenario::kSteady;
+  tcfg.scenario = TrafficScenario::kBurst;
   tcfg.duration_ms = 60'000.0;
-  tcfg.rate_rps = 5.0;
+  tcfg.rate_rps = 6.0;
+  tcfg.deadline_slack_ms = 1'000.0;
+  tcfg.tight_fraction = 0.3;
+  tcfg.tight_slack_ms = 200.0;
+  tcfg.priority_classes = 2;
   const std::vector<Request> schedule = generate_traffic(tcfg);
 
+  TelemetrySampler server_telemetry;
+  SloMonitor server_slo(SloMonitor::default_rules());
+  single.server().set_telemetry(&server_telemetry);
+  single.server().set_slo(&server_slo);
   const ServerStats server_stats = single.server().serve(schedule);
-  const NodeStats node_stats = node_session.node().serve(schedule);
-  const ServerStats& shard_stats = node_stats.model(0);
 
-  EXPECT_EQ(server_stats.submitted, shard_stats.submitted);
-  EXPECT_EQ(server_stats.completed, shard_stats.completed);
-  EXPECT_EQ(server_stats.batches, shard_stats.batches);
-  EXPECT_EQ(server_stats.switches, shard_stats.switches);
-  EXPECT_EQ(server_stats.deadline_misses, shard_stats.deadline_misses);
-  EXPECT_DOUBLE_EQ(server_stats.sim_end_ms, shard_stats.sim_end_ms);
-  EXPECT_DOUBLE_EQ(server_stats.energy_used_mj, shard_stats.energy_used_mj);
-  EXPECT_DOUBLE_EQ(server_stats.switch_ms_total,
-                   shard_stats.switch_ms_total);
-  ASSERT_EQ(server_stats.latency_ms.size(), shard_stats.latency_ms.size());
-  for (std::size_t i = 0; i < server_stats.latency_ms.size(); ++i) {
-    EXPECT_DOUBLE_EQ(server_stats.latency_ms[i], shard_stats.latency_ms[i]);
-  }
-  ASSERT_EQ(server_stats.batch_sizes.size(), shard_stats.batch_sizes.size());
-  for (std::size_t i = 0; i < server_stats.batch_sizes.size(); ++i) {
-    EXPECT_EQ(server_stats.batch_sizes[i], shard_stats.batch_sizes[i]);
-  }
+  TelemetrySampler node_telemetry;
+  SloMonitor node_slo(SloMonitor::default_rules());
+  node_session.node().set_telemetry(&node_telemetry);
+  node_session.node().set_slo(&node_slo);
+  const NodeStats node_stats = node_session.node().serve(schedule);
+
+  EXPECT_EQ(server_stats.to_json(), node_stats.model(0).to_json());
+  EXPECT_EQ(server_telemetry.to_json(), node_telemetry.to_json());
+  EXPECT_EQ(server_slo.to_json(), node_slo.to_json());
+  // The battery axis must mean what it says.
+  EXPECT_EQ(server_stats.dropped > 0, battery_mj < kFullBatteryMj);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SingleModelNode,
+    ::testing::Combine(
+        ::testing::Values(SchedulingPolicy::kFifo, SchedulingPolicy::kEdf,
+                          SchedulingPolicy::kEdfPriority),
+        ::testing::Bool(), ::testing::Bool(), ::testing::Bool(),
+        ::testing::Values(GovernorKind::kLadder, GovernorKind::kAdaptive,
+                          GovernorKind::kRl),
+        ::testing::Values(kDyingBatteryMj, kFullBatteryMj)));
 
 // Routing must be deterministic under genuinely concurrent multi-producer
 // ingestion: races in push order are erased by (arrival, id) ordering, so
@@ -270,6 +313,67 @@ TEST(ServeNode, UnroutableRequestsAreCounted) {
   EXPECT_FALSE(stats.has_model(99));
 }
 
+/// Runs `serve` and returns the CheckError message ("" when none).
+template <typename Serve>
+std::string check_error_of(Serve&& serve) {
+  try {
+    serve();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The loop reads the schedule in arrival order, so an out-of-order
+// request would be served from before it was visible (latency counted
+// from its stale arrival) and a non-finite timestamp would wedge the
+// clock.  Both are rejected at entry, naming the request, on the
+// standalone Server and on a node alike.
+TEST(ServeLoop, RejectsUnsortedOrNonFiniteSchedules) {
+  ServerConfig cfg = paper_server_config(1e9, BatchPolicy{1, 0.0});
+  cfg.admit_feasible = true;
+  std::unique_ptr<Server> server =
+      std::move(paper_deployment(cfg))
+          .build(VfTable::odroid_xu3_a7(),
+                 Governor::equal_tranches(paper_serve_ladder()),
+                 PowerModel());
+  ServeNode node(NodeConfig{}, VfTable::odroid_xu3_a7(),
+                 Governor::equal_tranches(paper_serve_ladder()),
+                 PowerModel());
+  node.add_model(0, paper_deployment(cfg));
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<Request>> bad = {
+      // Request 11 arrives before request 10 (which admission rejects).
+      {make_request(10, 100.0, 101.0), make_request(11, 50.0, 5'000.0)},
+      {make_request(10, 0.0, 1e12), make_request(11, std::nan(""), 1e12)},
+      {make_request(10, 0.0, 1e12), make_request(11, 1.0, inf)},
+  };
+  for (const std::vector<Request>& schedule : bad) {
+    EXPECT_NE(check_error_of([&] { server->serve(schedule); })
+                  .find("request 11"),
+              std::string::npos);
+    EXPECT_NE(check_error_of([&] { node.serve(schedule); }).find("request 11"),
+              std::string::npos);
+  }
+}
+
+// A standalone Server is model 0; a request for any other model would be
+// routed nowhere, so it is an error rather than silently served.
+TEST(ServeLoop, ServerRejectsRequestsForOtherModels) {
+  std::unique_ptr<Server> server =
+      std::move(paper_deployment(paper_server_config(1e9, {2, 10.0})))
+          .build(VfTable::odroid_xu3_a7(),
+                 Governor::equal_tranches(paper_serve_ladder()),
+                 PowerModel());
+  const std::vector<Request> schedule = {make_request(0, 0.0, 1e12, 0),
+                                         make_request(1, 1.0, 1e12, 3)};
+  EXPECT_NE(check_error_of([&] { server->serve(schedule); })
+                .find("request 1 targets model 3"),
+            std::string::npos);
+  EXPECT_EQ(server->serve({make_request(0, 0.0, 1e12, 0)}).completed, 1);
+}
+
 // One battery step-down must drain-then-switch EVERY resident model at
 // the same boundary: equal switch counts everywhere, every engine on the
 // final ladder level, and all levels actually serving per model.
@@ -279,7 +383,7 @@ TEST(ServeNode, SharedGovernorSwitchDrainsAllShards) {
   config.batch = BatchPolicy{4, 30.0};
   NodeSession session(config, 3);
   const std::vector<Request> schedule = generate_node_traffic(3, 5.0);
-  // Per-shard batch observers fire from the node loop too: every batch a
+  // Per-shard batch observers fire from the serving loop: every batch a
   // shard runs is reported with a monotone non-decreasing level position.
   std::vector<std::int64_t> observed_batches(3, 0);
   std::vector<std::int64_t> last_level(3, 0);

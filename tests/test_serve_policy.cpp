@@ -1,8 +1,8 @@
 // Scheduling-policy tests: EDF ordering and tie-break determinism in the
-// RequestHeap / RequestQueue / Batcher, the priority-class starvation
-// bound under sustained high-priority load, governor-aware batch
-// shrinking, and bitwise-FIFO equivalence of the heap path with the
-// historical arrival-order behaviour.
+// RequestHeap / Batcher, the priority-class starvation bound under
+// sustained high-priority load, governor-aware batch shrinking, and
+// bitwise-FIFO equivalence of the heap path with the historical
+// arrival-order behaviour.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -115,22 +115,6 @@ TEST(RequestHeap, PriorityClassesOutrankLaterDeadlines) {
   wide_gap.push(make_request(2, 0.0, 300.0, /*priority=*/1));
   wide_gap.push(make_request(3, 0.0, 800.0, /*priority=*/0));
   EXPECT_EQ(wide_gap.pop().id, 2);  // 800 + 0 > 300 + 400: gap too large
-}
-
-TEST(RequestQueue, EdfPopOrderIsDeadlineDriven) {
-  RequestQueue queue(0, edf());
-  queue.push(make_request(0, 0.0, 300.0));
-  queue.push(make_request(1, 1.0, 100.0));
-  queue.push(make_request(2, 2.0, 200.0));
-  Request out;
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out.id, 1);
-  queue.close();
-  ASSERT_TRUE(queue.pop(out));
-  EXPECT_EQ(out.id, 2);
-  ASSERT_TRUE(queue.pop(out));
-  EXPECT_EQ(out.id, 0);
-  EXPECT_FALSE(queue.pop(out));
 }
 
 TEST(Batcher, EdfComposesBatchFromDeadlineHead) {
