@@ -8,6 +8,8 @@
 // time.  The Server calls activate_level() at every drain-then-switch
 // point so a backend with precompiled per-level plans (PlanCache) only
 // swaps plan pointers — mirroring the paper's ms-scale pattern-set switch.
+// Backends hold no observer: the serving loop builds each batch's trace
+// span from the BatchExecution run_batch returns.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +43,11 @@ class ExecutionBackend {
   /// PlanCache's active plan set).  Returns the host wall ms the swap took.
   virtual double activate_level(std::int64_t level_pos) = 0;
 
-  /// Attaches a trace recorder (nullptr detaches); `lane` is the trace
-  /// track (tid) the backend's spans belong to — the owning model's lane.
-  /// Default is a no-op: the analytic path has no kernel-level events
-  /// worth a span; the measured backend overrides this to emit them.
+  /// Unused: backends emit no trace events.  The serving loop records
+  /// each batch's span itself (with BatchExecution::kernel_wall_ms as an
+  /// arg when the recorder records wall time).  Kept as a no-op only
+  /// because perfbench's TracedBackend still overrides it; delete both
+  /// together at the next benchmark change.
   virtual void set_trace(TraceRecorder* trace, std::int64_t lane) {
     (void)trace;
     (void)lane;

@@ -6,7 +6,6 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/wall_time.hpp"
-#include "obs/trace.hpp"
 
 namespace rt3 {
 namespace {
@@ -104,18 +103,6 @@ BatchExecution MeasuredBackend::run_batch(std::int64_t batch_size,
   double latency = accounted * config_.latency_scale;
   if (config_.scale_with_freq) {
     latency *= freqs_.front() / freqs_[static_cast<std::size_t>(level_pos)];
-  }
-  if (trace_ != nullptr) {
-    // Virtual ts/dur keep the trace deterministic; the raw host wall time
-    // rides along only when the recorder opted into wall stamps.
-    TraceEvent ev("kernel", "kernel", trace_->now_ms(), trace_lane_);
-    ev.ph = 'X';
-    ev.dur_ms = latency;
-    ev.arg("batch_size", batch_size).arg("level", level_pos);
-    if (trace_->record_wall()) {
-      ev.arg("kernel_wall_ms", wall);
-    }
-    trace_->record(std::move(ev));
   }
   return {latency, wall};
 }

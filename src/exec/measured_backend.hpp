@@ -73,12 +73,6 @@ class MeasuredBackend : public ExecutionBackend {
   BatchExecution run_batch(std::int64_t batch_size,
                            std::int64_t level_pos) override;
   double activate_level(std::int64_t level_pos) override;
-  /// Emits a kernel span per executed batch (virtual ts/dur; the raw host
-  /// wall time rides along as an arg only when the recorder records wall).
-  void set_trace(TraceRecorder* trace, std::int64_t lane) override {
-    trace_ = trace;
-    trace_lane_ = lane;
-  }
 
   /// Runs one layer's ACTIVE plan on an explicit activation — the test
   /// hook for kernel-vs-reference bitwise checks.  Honors the plan's
@@ -119,8 +113,6 @@ class MeasuredBackend : public ExecutionBackend {
   PlanCache plans_;
   ThreadPool pool_;
   std::vector<Tensor> inputs_;  // per layer, [cols x max_batch*cols_per_request]
-  TraceRecorder* trace_ = nullptr;
-  std::int64_t trace_lane_ = 0;
   double total_kernel_wall_ms_ = 0.0;
   /// Level-0 batch-of-1 wall-time baseline from auto_scale (0 = unset).
   double baseline_item_wall_ms_ = 0.0;

@@ -41,7 +41,7 @@ std::vector<SloRule> SloMonitor::default_rules() {
 
 void SloMonitor::transition(std::size_t rule_idx, bool breach,
                             double now_ms, double value,
-                            std::int64_t misses) {
+                            std::int64_t misses, TraceRecorder* trace) {
   RuleState& state = states_[rule_idx];
   const SloRule& rule = rules_[rule_idx];
   if (breach == state.in_breach) return;
@@ -58,7 +58,7 @@ void SloMonitor::transition(std::size_t rule_idx, bool breach,
     episodes_[static_cast<std::size_t>(state.open_episode)].end_ms = now_ms;
     state.open_episode = -1;
   }
-  if (trace_ != nullptr) {
+  if (trace != nullptr) {
     TraceEvent ev(breach ? "slo.breach" : "slo.recover", "slo", now_ms, 0);
     ev.arg("rule", rule.name)
         .arg("kind", std::string(slo_rule_kind_name(rule.kind)))
@@ -66,11 +66,11 @@ void SloMonitor::transition(std::size_t rule_idx, bool breach,
     if (rule.kind == SloRuleKind::kMissBurn && breach) {
       ev.arg("misses", misses);
     }
-    trace_->record(std::move(ev));
+    trace->record(std::move(ev));
   }
 }
 
-void SloMonitor::observe(const BatchOutcome& batch) {
+void SloMonitor::observe(const BatchOutcome& batch, TraceRecorder* trace) {
   const double mean_latency_ms =
       batch.latency_sum_ms / static_cast<double>(batch.batch_size);
   for (std::size_t i = 0; i < rules_.size(); ++i) {
@@ -107,7 +107,7 @@ void SloMonitor::observe(const BatchOutcome& batch) {
         const bool breach = short_missed >= rule.min_misses &&
                             short_rate >= rule.short_threshold &&
                             long_rate >= rule.long_threshold;
-        transition(i, breach, batch.end_ms, short_rate, short_missed);
+        transition(i, breach, batch.end_ms, short_rate, short_missed, trace);
         break;
       }
       case SloRuleKind::kLatencyEwma: {
@@ -118,7 +118,7 @@ void SloMonitor::observe(const BatchOutcome& batch) {
           state.ewma += rule.ewma_alpha * (mean_latency_ms - state.ewma);
         }
         transition(i, state.ewma > rule.latency_threshold_ms, batch.end_ms,
-                   state.ewma, 0);
+                   state.ewma, 0, trace);
         break;
       }
       case SloRuleKind::kBatterySlope: {
@@ -137,13 +137,13 @@ void SloMonitor::observe(const BatchOutcome& batch) {
         const double drained =
             state.slope.front().second - state.slope.back().second;
         if (drained <= 0.0) {
-          transition(i, false, batch.end_ms, 0.0, 0);
+          transition(i, false, batch.end_ms, 0.0, 0, trace);
           break;
         }
         const double projected_ms =
             state.slope.back().second * span / drained;
         transition(i, projected_ms < rule.min_projected_ms, batch.end_ms,
-                   projected_ms, 0);
+                   projected_ms, 0, trace);
         break;
       }
     }

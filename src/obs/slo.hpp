@@ -16,8 +16,10 @@
 //     floor (the "will not survive the flight" alarm).
 //
 // State transitions emit deterministic `slo.breach` / `slo.recover`
-// instant events on trace lane 0 (the node/governor lane) and accumulate
-// SloEpisode records; `publish` counts breaches into the MetricsRegistry.
+// instant events on trace lane 0 (the node/governor lane) into the
+// recorder the serving loop passes to each observe() call (the monitor
+// never stores one), and accumulate SloEpisode records; `publish` counts
+// breaches into the MetricsRegistry.
 // Everything is driven by the virtual clock — no wall time, no threads —
 // so two runs of the same seeded session produce identical episodes.
 #pragma once
@@ -87,13 +89,10 @@ class SloMonitor {
   /// rule, a latency-EWMA rule, and a battery-slope projection.
   static std::vector<SloRule> default_rules();
 
-  /// Breach/recover transition events are recorded here on lane 0 when
-  /// attached (same sticky-pointer convention as the serving loop).
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-
   /// Evaluates every rule at one batch boundary; `batch.end_ms` must be
-  /// non-decreasing across calls.
-  void observe(const BatchOutcome& batch);
+  /// non-decreasing across calls.  Breach/recover transitions are
+  /// recorded into `trace` on lane 0 when it is non-null.
+  void observe(const BatchOutcome& batch, TraceRecorder* trace = nullptr);
 
   const std::vector<SloRule>& rules() const { return rules_; }
   /// Episodes in breach-start order; an open episode has end_ms == -1.
@@ -136,14 +135,13 @@ class SloMonitor {
   };
 
   /// Applies one rule's breach decision, opening/closing episodes and
-  /// emitting transition events.
+  /// emitting transition events into `trace` (when non-null).
   void transition(std::size_t rule_idx, bool breach, double now_ms,
-                  double value, std::int64_t misses);
+                  double value, std::int64_t misses, TraceRecorder* trace);
 
   std::vector<SloRule> rules_;
   std::vector<RuleState> states_;
   std::vector<SloEpisode> episodes_;
-  TraceRecorder* trace_ = nullptr;
 };
 
 }  // namespace rt3

@@ -74,7 +74,6 @@ void TelemetrySampler::on_batch(const BatchOutcome& sample) {
   ewma_update(latency_ewma_, sample.model_id, mean_latency);
 
   const std::int64_t k = batches_++;
-  now_ms_ = sample.end_ms;
   if (k % config_.sample_every_batches != 0) return;
 
   const double t = sample.end_ms;
@@ -113,12 +112,12 @@ void TelemetrySampler::count_unroutable(std::int64_t n) {
   unroutable_ += n;
 }
 
-void TelemetrySampler::record_switch(double duration_ms) {
-  series_for("node.switch_ms", 0).record(now_ms_, duration_ms);
+void TelemetrySampler::record_switch(double t_ms, double duration_ms) {
+  series_for("node.switch_ms", 0).record(t_ms, duration_ms);
 }
 
-void TelemetrySampler::record_swap_bytes(double bytes) {
-  series_for("node.swap_bytes", 0).record(now_ms_, bytes);
+void TelemetrySampler::record_swap_bytes(double t_ms, double bytes) {
+  series_for("node.swap_bytes", 0).record(t_ms, bytes);
 }
 
 double TelemetrySampler::miss_ewma(std::int64_t model_id) const {

@@ -10,11 +10,11 @@
 //
 // Determinism contract: every sample is driven by the virtual serving
 // clock and by counts the loops already maintain, so two runs of the same
-// seeded session produce byte-identical series dumps.  Every
-// instrumentation site in the serving path is one `if (telemetry_)`
-// branch, and telemetry-off sessions are bitwise-identical to
-// uninstrumented ones (proven by the observability cell in
-// bench_serve_traffic).
+// seeded session produce byte-identical series dumps.  The serving loop
+// is the only caller: it passes every time explicitly (the sampler keeps
+// no clock), every call site is one `if (telemetry != nullptr)` branch,
+// and telemetry-off sessions are bitwise-identical to uninstrumented ones
+// (proven by the observability cell in bench_serve_traffic).
 //
 // Memory contract: each series is a fixed-capacity buffer with
 // deterministic stride-doubling downsampling — when a series fills, every
@@ -83,11 +83,6 @@ class TelemetrySampler {
  public:
   explicit TelemetrySampler(TelemetryConfig config = {});
 
-  /// Publishes the driver loop's virtual clock for instrumentation sites
-  /// without clock access (the ReconfigEngine's swap-size record).
-  void set_now_ms(double now_ms) { now_ms_ = now_ms; }
-  double now_ms() const { return now_ms_; }
-
   /// Batch-boundary sample: updates the per-model EWMAs (every call) and
   /// records all series points (every `sample_every_batches`-th call).
   void on_batch(const BatchOutcome& sample);
@@ -97,11 +92,11 @@ class TelemetrySampler {
   void count_reject(std::int64_t model_id, std::int64_t n = 1);
   void count_unroutable(std::int64_t n = 1);
 
-  /// Pattern-set switch duration at the current virtual time (recorded
-  /// unsampled — switches are rare and each one matters).
-  void record_switch(double duration_ms);
-  /// Pattern-set storage bytes swapped in (from the ReconfigEngine).
-  void record_swap_bytes(double bytes);
+  /// Pattern-set switch duration, stamped at the switch's start `t_ms`
+  /// (recorded unsampled — switches are rare and each one matters).
+  void record_switch(double t_ms, double duration_ms);
+  /// Pattern-set storage bytes swapped in by a switch starting at `t_ms`.
+  void record_swap_bytes(double t_ms, double bytes);
 
   /// EWMA snapshots (0 before the first batch of the model).
   double miss_ewma(std::int64_t model_id) const;
@@ -137,7 +132,6 @@ class TelemetrySampler {
   };
 
   TelemetryConfig config_;
-  double now_ms_ = 0.0;
   std::int64_t batches_ = 0;
   /// Name -> series; std::map so every export walks in canonical order.
   std::map<std::string, Entry> series_;

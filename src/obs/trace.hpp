@@ -5,8 +5,12 @@
 // loads directly in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Determinism contract: event timestamps come from the VIRTUAL serving
-// clock (the driver loop publishes it via set_now_ms), so two runs of the
-// same seeded session emit byte-identical traces.  Host wall-clock stamps
+// clock, so two runs of the same seeded session emit byte-identical
+// traces.  The serving loop, which owns that clock, is the only emitter
+// of serving events: it builds each one from what the batcher, engine
+// and backend calls return (the SLO monitor's transitions arrive through
+// the recorder the loop passes per observe call), so no component holds
+// a recorder pointer or reads a published clock.  Host wall-clock stamps
 // are genuinely useful for kernel work but nondeterministic, so they are
 // recorded only when `record_wall` is on (the CLI default; tests leave it
 // off when they compare traces byte-for-byte).
@@ -17,8 +21,8 @@
 // (virtual ts, track, name, id) — so even events recorded from racing
 // producer threads serialize identically run to run.
 //
-// Overhead contract: every instrumentation site in the serving path is
-// guarded by a single `if (trace_ != nullptr)` branch — perfectly
+// Overhead contract: every instrumentation site in the serving loop is
+// guarded by a single `if (trace != nullptr)` branch — perfectly
 // predicted when tracing is off — and the trace-off serving results are
 // bitwise-identical to an uninstrumented build (proven by the
 // observability cell in bench_serve_traffic).
@@ -101,11 +105,6 @@ class TraceRecorder {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Publishes the driver loop's virtual clock; components without clock
-  /// access (batcher, router, engine, backend) stamp events with this.
-  void set_now_ms(double now_ms) { now_ms_ = now_ms; }
-  double now_ms() const { return now_ms_; }
-
   /// True when events should carry host wall-clock args (nondeterministic
   /// but informative; off for byte-identical trace comparisons).
   bool record_wall() const { return config_.record_wall; }
@@ -139,7 +138,6 @@ class TraceRecorder {
   /// readers (merged/num_events) take mu_ and rely on the caller's
   /// happens-before with all recording threads (session teardown).
   std::vector<std::unique_ptr<Buffer>> buffers_ RT3_GUARDED_BY(mu_);
-  double now_ms_ = 0.0;
   WallTimePoint t0_;
   TraceConfig config_;
   /// record() attempts admitted against the cap (only counted up while a

@@ -4,8 +4,6 @@
 
 #include "common/check.hpp"
 #include "common/wall_time.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 
 namespace rt3 {
 
@@ -42,20 +40,7 @@ SwitchReport ReconfigEngine::switch_to(std::int64_t to) {
     report.plan_swap_wall_ms = plan_swap_hook_(to);
   }
   current_ = to;
-  if (telemetry_ != nullptr) {
-    telemetry_->record_swap_bytes(static_cast<double>(set.storage_bytes()));
-  }
-  if (trace_ != nullptr) {
-    TraceEvent ev("pattern.swap", "switch", trace_->now_ms(), 0);
-    ev.arg("from_level", report.from_level)
-        .arg("to_level", report.to_level)
-        .arg("modeled_ms", report.modeled_ms);
-    if (trace_->record_wall()) {
-      ev.arg("wall_ms", report.wall_ms)
-          .arg("plan_swap_wall_ms", report.plan_swap_wall_ms);
-    }
-    trace_->record(std::move(ev));
-  }
+  report.swap_bytes = set.storage_bytes();
   return report;
 }
 

@@ -14,9 +14,6 @@
 
 namespace rt3 {
 
-class TraceRecorder;
-class TelemetrySampler;
-
 /// Result of one reconfiguration switch.
 struct SwitchReport {
   std::int64_t from_level = -1;
@@ -27,6 +24,8 @@ struct SwitchReport {
   double wall_ms = 0.0;
   /// Wall-clock time the plan-swap hook took (0 when no hook is set).
   double plan_swap_wall_ms = 0.0;
+  /// Storage bytes of the pattern set swapped in (0 for a no-op switch).
+  std::int64_t swap_bytes = 0;
 };
 
 /// Hook invoked after a pattern-set switch is applied, with the new level;
@@ -56,17 +55,6 @@ class ReconfigEngine {
   /// in SwitchReport::plan_swap_wall_ms.
   void set_plan_swap_hook(PlanSwapHook hook);
 
-  /// Attaches a trace recorder (nullptr detaches): every effective
-  /// switch_to then emits a pattern-swap instant (stamped at the
-  /// recorder's published virtual clock; wall args only when it records
-  /// wall time).
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-
-  /// Attaches a telemetry sampler (nullptr detaches): every effective
-  /// switch_to then records the swapped pattern-set storage size into the
-  /// node.swap_bytes series at the sampler's published virtual clock.
-  void set_telemetry(TelemetrySampler* telemetry) { telemetry_ = telemetry; }
-
   /// Overall model sparsity at a level (measured on the composed masks).
   double sparsity_at(std::int64_t level);
 
@@ -80,8 +68,6 @@ class ReconfigEngine {
   std::int64_t psize_;
   std::int64_t current_ = -1;
   PlanSwapHook plan_swap_hook_;
-  TraceRecorder* trace_ = nullptr;
-  TelemetrySampler* telemetry_ = nullptr;
 };
 
 /// Battery-discharge simulation (the paper's Table II experiment and the

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "obs/trace.hpp"
 
 namespace rt3 {
 
@@ -19,12 +18,6 @@ void Batcher::push(const Request& r) {
         "Batcher: requests must arrive in timestamp order");
   last_arrival_ms_ = r.arrival_ms;
   pending_.push(r);
-  if (trace_ != nullptr) {
-    TraceEvent ev("enqueue", "batcher", trace_->now_ms(), trace_lane_);
-    ev.id = r.id;
-    ev.arg("pending", pending());
-    trace_->record(std::move(ev));
-  }
 }
 
 bool Batcher::ready(double now_ms) const {
@@ -45,21 +38,7 @@ double Batcher::release_at_ms() const {
 }
 
 std::vector<Request> Batcher::shed_expired(double now_ms) {
-  std::vector<Request> shed = pending_.extract_expired(now_ms);
-  if (trace_ != nullptr) {
-    for (const Request& r : shed) {
-      TraceEvent ev("shed", "batcher", now_ms, trace_lane_);
-      ev.id = r.id;
-      ev.arg("deadline_ms", r.deadline_ms);
-      trace_->record(std::move(ev));
-    }
-  }
-  return shed;
-}
-
-void Batcher::set_trace(TraceRecorder* trace, std::int64_t lane) {
-  trace_ = trace;
-  trace_lane_ = lane;
+  return pending_.extract_expired(now_ms);
 }
 
 void Batcher::set_batch_cap(std::int64_t cap) {
@@ -74,12 +53,6 @@ std::vector<Request> Batcher::pop_batch(double now_ms, bool force) {
   batch.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
     batch.push_back(pending_.pop());
-  }
-  if (trace_ != nullptr && !batch.empty()) {
-    TraceEvent ev("batch.form", "batcher", now_ms, trace_lane_);
-    ev.arg("size", static_cast<std::int64_t>(batch.size()))
-        .arg("left_pending", pending());
-    trace_->record(std::move(ev));
   }
   return batch;
 }

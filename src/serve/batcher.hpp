@@ -23,8 +23,6 @@
 
 namespace rt3 {
 
-class TraceRecorder;
-
 struct BatchPolicy {
   /// Upper bound on requests per batch (>= 1).
   std::int64_t max_batch_size = 8;
@@ -64,19 +62,12 @@ class Batcher {
 
   std::int64_t pending() const { return pending_.size(); }
 
-  /// Attaches a trace recorder (nullptr detaches); enqueue / batch-form /
-  /// shed instants go to track `lane`.  Every emit site is one branch, so
-  /// an untraced batcher is bitwise-identical to the historical one.
-  void set_trace(TraceRecorder* trace, std::int64_t lane);
-
   const BatchPolicy& policy() const { return policy_; }
 
  private:
   BatchPolicy policy_;
   std::int64_t cap_;
   RequestHeap pending_;
-  TraceRecorder* trace_ = nullptr;
-  std::int64_t trace_lane_ = 0;
   /// Arrival of the most recent push, for the in-order admission check.
   /// Never reset: push() short-circuits the check while the heap is
   /// empty, which is what makes an earlier-arrival push legal again

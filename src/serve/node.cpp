@@ -29,21 +29,6 @@ ModelDeployment& ModelDeployment::sparsities(std::vector<double> sparsities) {
   return *this;
 }
 
-ModelDeployment& ModelDeployment::scheduler(const SchedulerConfig& scheduler) {
-  config_.scheduler = scheduler;
-  return *this;
-}
-
-ModelDeployment& ModelDeployment::batch(const BatchPolicy& batch) {
-  config_.batch = batch;
-  return *this;
-}
-
-ModelDeployment& ModelDeployment::admit_feasible(bool admit) {
-  config_.admit_feasible = admit;
-  return *this;
-}
-
 ModelDeployment& ModelDeployment::engine(
     std::unique_ptr<ReconfigEngine> engine) {
   engine_ = std::move(engine);

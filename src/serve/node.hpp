@@ -10,7 +10,6 @@
 //           .spec(model_spec)
 //           .latency(latency_model)
 //           .sparsities({s0, s1, s2})      // one per governor level
-//           .scheduler(sched_cfg)
 //           .engine(std::move(engine))     // OWNED by the built shard
 //           .backend(std::move(backend))   // OWNED by the built shard
 //       Building yields a per-model Server shard that owns its engine and
@@ -52,12 +51,6 @@ class ModelDeployment {
   ModelDeployment& latency(const LatencyModel& latency);
   /// One overall-model sparsity per governor level (fast -> slow).
   ModelDeployment& sparsities(std::vector<double> sparsities);
-  /// Batch-composition order (shorthand for mutating config().scheduler).
-  ModelDeployment& scheduler(const SchedulerConfig& scheduler);
-  ModelDeployment& batch(const BatchPolicy& batch);
-  /// Reject ingress requests that cannot meet their deadline even with an
-  /// immediate solo launch (shorthand for config().admit_feasible).
-  ModelDeployment& admit_feasible(bool admit);
   /// Live ReconfigEngine for this model; ownership transfers to the shard.
   ModelDeployment& engine(std::unique_ptr<ReconfigEngine> engine);
   /// Execution backend for this model; ownership transfers to the shard.

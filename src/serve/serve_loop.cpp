@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "obs/attribution.hpp"
@@ -25,12 +26,17 @@ namespace {
 
 /// The loop reads the schedule in order and advances its clock to each
 /// arrival, so an out-of-order or non-finite timestamp would be served
-/// from a time it was not yet visible (or wedge the clock).
+/// from a time it was not yet visible (or wedge the clock).  A negative
+/// priority class has no per-class stats slot; caught here, before any
+/// batch runs.
 void check_schedule(const std::vector<Request>& schedule) {
   double last_arrival = -std::numeric_limits<double>::infinity();
   for (const Request& r : schedule) {
     if (!std::isfinite(r.arrival_ms) || !std::isfinite(r.deadline_ms)) {
       reject_request(r, "has a non-finite arrival or deadline");
+    }
+    if (r.priority < 0) {
+      reject_request(r, "has a negative priority class");
     }
     if (r.arrival_ms < last_arrival) {
       reject_request(r, "arrives before its predecessor (unsorted schedule)");
@@ -49,6 +55,34 @@ void check_invariants(const NodeStats& node, std::size_t scheduled) {
   }
   check(node.submitted == static_cast<std::int64_t>(scheduled),
         "serve: unroutable + submitted != scheduled requests");
+}
+
+/// Switches `engine` to level `to` at virtual time `at_ms`.  An effective
+/// switch is recorded as a `pattern.swap` instant on lane 0 (wall args
+/// only when the recorder records wall time) and a node.swap_bytes point,
+/// both stamped at the switch's start.
+SwitchReport switch_engine(ReconfigEngine& engine, std::int64_t to,
+                           double at_ms, TraceRecorder* trace,
+                           TelemetrySampler* telemetry) {
+  const SwitchReport report = engine.switch_to(to);
+  if (report.from_level == report.to_level) {
+    return report;
+  }
+  if (telemetry != nullptr) {
+    telemetry->record_swap_bytes(at_ms, static_cast<double>(report.swap_bytes));
+  }
+  if (trace != nullptr) {
+    TraceEvent ev("pattern.swap", "switch", at_ms, 0);
+    ev.arg("from_level", report.from_level)
+        .arg("to_level", report.to_level)
+        .arg("modeled_ms", report.modeled_ms);
+    if (trace->record_wall()) {
+      ev.arg("wall_ms", report.wall_ms)
+          .arg("plan_swap_wall_ms", report.plan_swap_wall_ms);
+    }
+    trace->record(std::move(ev));
+  }
+  return report;
 }
 
 /// One model's in-flight serving state inside the loop.
@@ -112,28 +146,6 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
   // stalled behind.
   IntervalAccount switch_ivals;
   IntervalAccount exec_ivals;
-  if (trace != nullptr) {
-    for (Shard& sh : shards) {
-      const std::int64_t lane = sh.model_id + 1;
-      if (sh.server->reconfig_engine() != nullptr) {
-        sh.server->reconfig_engine()->set_trace(trace);
-      }
-      sh.server->exec_backend().set_trace(trace, lane);
-      sh.batcher.set_trace(trace, lane);
-    }
-    trace->set_now_ms(0.0);
-  }
-  if (slo != nullptr) {
-    slo->set_trace(trace);
-  }
-  if (telemetry != nullptr) {
-    telemetry->set_now_ms(0.0);
-    for (Shard& sh : shards) {
-      if (sh.server->reconfig_engine() != nullptr) {
-        sh.server->reconfig_engine()->set_telemetry(telemetry);
-      }
-    }
-  }
 
   const auto n = static_cast<std::int64_t>(schedule.size());
   std::int64_t next = 0;     // next schedule index to route
@@ -185,7 +197,6 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
       double lag = pending_switch_lag;
       bool battery_died = false;
       if (trace != nullptr && active >= 0) {
-        trace->set_now_ms(now);
         trace->record(TraceEvent("governor.step", "governor", now, 0)
                           .arg("from_level", active)
                           .arg("to_level", pos)
@@ -205,14 +216,9 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
           }
           sh.stats.energy_used_mj += cfg.switch_energy_mj;
           double switch_ms = cfg.switch_latency_ms;
-          if (trace != nullptr) {
-            trace->set_now_ms(now);
-          }
-          if (telemetry != nullptr) {
-            telemetry->set_now_ms(now);
-          }
           if (engine != nullptr) {
-            const SwitchReport report = engine->switch_to(pos);
+            const SwitchReport report =
+                switch_engine(*engine, pos, now, trace, telemetry);
             switch_ms = report.modeled_ms;
             engine_swap_ms = report.plan_swap_wall_ms;
           }
@@ -225,17 +231,19 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
             ev.arg("to_level", pos).arg("drain_lag_ms", lag);
             trace->record(std::move(ev));
           }
+          if (telemetry != nullptr) {
+            telemetry->record_switch(now, switch_ms);
+          }
           now += switch_ms;
           sh.stats.switch_ms_total += switch_ms;
           sh.stats.switch_ms.push_back(switch_ms);
           sh.stats.switch_lag_ms.push_back(lag);
-          if (telemetry != nullptr) {
-            telemetry->record_switch(switch_ms);
-          }
           lag += switch_ms;
         } else if (cfg.software_reconfig && engine != nullptr) {
           // Initial activation: free at t = 0.
-          engine_swap_ms = engine->switch_to(pos).plan_swap_wall_ms;
+          const SwitchReport report =
+              switch_engine(*engine, pos, now, trace, telemetry);
+          engine_swap_ms = report.plan_swap_wall_ms;
         }
         // Swap the active execution-plan set along with the pattern set
         // (virtual-time free: precompiled plans make this a pointer swap,
@@ -311,6 +319,12 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
       }
       if (admitted) {
         sh->batcher.push(r);
+        if (trace != nullptr) {
+          TraceEvent ev("enqueue", "batcher", now, r.model_id + 1);
+          ev.id = r.id;
+          ev.arg("pending", sh->batcher.pending());
+          trace->record(std::move(ev));
+        }
       } else {
         ++sh->stats.rejected;
       }
@@ -321,8 +335,16 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
     // batch slot.
     for (Shard& sh : shards) {
       if (sh.server->config().shed_expired) {
-        const std::int64_t n_shed =
-            static_cast<std::int64_t>(sh.batcher.shed_expired(now).size());
+        const std::vector<Request> shed = sh.batcher.shed_expired(now);
+        const auto n_shed = static_cast<std::int64_t>(shed.size());
+        if (trace != nullptr) {
+          for (const Request& r : shed) {
+            TraceEvent ev("shed", "batcher", now, sh.model_id + 1);
+            ev.id = r.id;
+            ev.arg("deadline_ms", r.deadline_ms);
+            trace->record(std::move(ev));
+          }
+        }
         sh.stats.shed += n_shed;
         if (telemetry != nullptr && n_shed > 0) {
           telemetry->count_shed(sh.model_id, n_shed);
@@ -364,7 +386,9 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
     const std::vector<Request> batch = run->batcher.pop_batch(now);
     const auto batch_size = static_cast<std::int64_t>(batch.size());
     if (trace != nullptr) {
-      trace->set_now_ms(now);
+      TraceEvent ev("batch.form", "batcher", now, run->model_id + 1);
+      ev.arg("size", batch_size).arg("left_pending", run->batcher.pending());
+      trace->record(std::move(ev));
     }
     ExecutionBackend& backend = run->server->exec_backend();
     const BatchExecution exec = backend.run_batch(batch_size, pos);
@@ -465,6 +489,9 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
       ev.ph = 'X';
       ev.dur_ms = lat_ms;
       ev.arg("size", batch_size).arg("level", pos).arg("energy_mj", energy);
+      if (trace->record_wall()) {
+        ev.arg("kernel_wall_ms", exec.kernel_wall_ms);
+      }
       trace->record(std::move(ev));
     }
     stats.energy_used_mj += energy;
@@ -480,10 +507,7 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
     if (slo != nullptr) {
       // One monitor per session: a breach means the whole device is
       // burning its error budget, whichever model the misses came from.
-      slo->observe(outcome);
-    }
-    if (run->server->batch_observer()) {
-      run->server->batch_observer()(batch, pos, now, end);
+      slo->observe(outcome, trace);
     }
     now = end;
   }
@@ -512,22 +536,6 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
     node.per_model.emplace_back(sh.model_id, std::move(sh.stats));
   }
   node.aggregate();
-  // Detach so a later unobserved session on the same wiring stays clean.
-  for (Shard& sh : shards) {
-    ReconfigEngine* engine = sh.server->reconfig_engine();
-    if (trace != nullptr) {
-      if (engine != nullptr) {
-        engine->set_trace(nullptr);
-      }
-      sh.server->exec_backend().set_trace(nullptr, 0);
-    }
-    if (telemetry != nullptr && engine != nullptr) {
-      engine->set_telemetry(nullptr);
-    }
-  }
-  if (slo != nullptr) {
-    slo->set_trace(nullptr);
-  }
   if (metrics != nullptr) {
     if (slo != nullptr) {
       slo->publish(*metrics);

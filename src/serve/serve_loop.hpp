@@ -39,13 +39,16 @@ struct ShardRef {
   Server* server = nullptr;
 };
 
-/// What a session reports to; nullptr = detached.  Every site in the loop
-/// is one null check and observation is pure: attaching any of these
-/// leaves the session's stats byte-identical.
+/// What a session reports to; nullptr = detached.  The loop is the only
+/// emitter: it builds every event from what the batcher, engine and
+/// backend calls return, so no component holds an observer past the
+/// session.  Every site in the loop is one null check and observation is
+/// pure: attaching any of these leaves the session's stats byte-identical.
 struct SessionObservers {
-  /// Request-lifecycle, batch and switch spans on per-model lanes (model
-  /// id + 1), governor/battery/unroutable events on lane 0; forwarded to
-  /// every shard's engine, backend and batcher for the session.
+  /// Request-lifecycle (arrive/reject/enqueue/shed/request/miss),
+  /// batch.form, batch and switch events on per-model lanes (model id +
+  /// 1); governor.step, pattern.swap, battery.dead, unroutable and SLO
+  /// transitions on lane 0.
   TraceRecorder* trace = nullptr;
   /// Every batch boundary, shed/reject/unroutable count and switch.
   TelemetrySampler* telemetry = nullptr;
@@ -60,7 +63,8 @@ struct SessionObservers {
 /// battery and governor, and returns the aggregated per-model stats.
 /// `shards` must be non-empty with ascending model ids.
 /// Throws CheckError naming the request when the schedule is not sorted
-/// by arrival or carries a non-finite arrival or deadline, and naming the
+/// by arrival, carries a non-finite arrival or deadline, or carries a
+/// negative priority (all before any batch runs), and naming the
 /// invariant when a run-end conservation or attribution check fails.
 /// Deterministic.
 NodeStats serve_session(const std::vector<ShardRef>& shards, Battery& battery,

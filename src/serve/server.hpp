@@ -29,9 +29,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "dvfs/dvfs.hpp"
@@ -83,11 +81,6 @@ struct ServerConfig {
   std::int64_t governor_shrink_batch = 1;
 };
 
-/// Called after every executed batch: the batch, the governor-level
-/// position it ran at, and its virtual start/end times.
-using BatchObserver = std::function<void(
-    const std::vector<Request>&, std::int64_t, double, double)>;
-
 class Server {
  public:
   /// `sparsities[i]` is the overall model sparsity of the sub-model for
@@ -116,13 +109,6 @@ class Server {
   /// The engine switched at drain-then-switch points (nullptr when the
   /// session runs without one).
   ReconfigEngine* reconfig_engine() { return engine_.get(); }
-
-  void set_batch_observer(BatchObserver observer) {
-    observer_ = std::move(observer);
-  }
-  /// The installed observer (empty when none); the serving loop invokes
-  /// it per batch.
-  const BatchObserver& batch_observer() const { return observer_; }
 
   /// Session observers (see SessionObservers); nullptr detaches.
   /// metrics receives ServerStats::publish under {policy, backend} labels.
@@ -170,7 +156,6 @@ class Server {
   /// Built-in analytic path; backend_ points here unless one is adopted.
   std::unique_ptr<AnalyticBackend> analytic_;
   ExecutionBackend* backend_ = nullptr;
-  BatchObserver observer_;
   SessionObservers observers_;
 };
 

@@ -27,6 +27,7 @@
 #include "exec/simd.hpp"
 #include "exec/tuner.hpp"
 #include "nn/linear.hpp"
+#include "obs/trace.hpp"
 #include "perf/calibration.hpp"
 #include "pruning/model_pruner.hpp"
 #include "pruning/pattern_prune.hpp"
@@ -616,6 +617,8 @@ TEST(MeasuredBackend, ServeSessionEndToEnd) {
   tcfg.rate_rps = 3.0;
   tcfg.deadline_slack_ms = 400.0;
   const auto schedule = generate_traffic(tcfg);
+  TraceRecorder trace(/*record_wall=*/true);
+  session.server().set_trace(&trace);
   const ServerStats stats = session.server().serve(schedule);
 
   EXPECT_EQ(stats.backend, "measured");
@@ -632,6 +635,27 @@ TEST(MeasuredBackend, ServeSessionEndToEnd) {
   // The backend's own kernel-time ledger is consistent with the stats.
   EXPECT_GE(session.measured_backend().total_kernel_wall_ms(),
             stats.kernel_wall_ms_total);
+  // With wall stamps on, each batch span carries its kernel wall time;
+  // the backend itself emits nothing.  A batch lost to a dead battery
+  // ran its kernels but has no span, so the spans sum to at most the
+  // stats' total.
+  std::int64_t batch_spans = 0;
+  double kernel_wall_ms = 0.0;
+  for (const TraceEvent& e : trace.merged()) {
+    EXPECT_NE(e.cat, "kernel");
+    if (e.name != "batch") {
+      continue;
+    }
+    ++batch_spans;
+    const auto arg = std::find_if(
+        e.args.begin(), e.args.end(),
+        [](const auto& kv) { return kv.first == "kernel_wall_ms"; });
+    ASSERT_NE(arg, e.args.end());
+    kernel_wall_ms += std::stod(arg->second);
+  }
+  EXPECT_EQ(batch_spans, stats.batches);
+  EXPECT_GT(kernel_wall_ms, 0.0);
+  EXPECT_LE(kernel_wall_ms, stats.kernel_wall_ms_total);
 }
 
 TEST(ReconfigEngine, PlanSwapHookRunsInsideSwitchAndIsReported) {

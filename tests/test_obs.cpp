@@ -6,7 +6,11 @@
 
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -405,6 +409,114 @@ TEST(Trace, AttachIsStickyUntilExplicitDetach) {
   server.set_trace(nullptr);
   server.serve(schedule);
   EXPECT_EQ(trace.num_events(), events_after_second);
+}
+
+/// Ladder decisions, except that while armed the first decide after a
+/// step-down throws: a session that fails mid-run after its engine has
+/// already switched pattern sets.
+class ThrowAfterStepDownPolicy final : public GovernorPolicy {
+ public:
+  explicit ThrowAfterStepDownPolicy(const Governor& ladder)
+      : GovernorPolicy(ladder), inner_(ladder) {}
+
+  std::string name() const override { return "throw-after-step-down"; }
+  std::int64_t decide(const GovernorObservation& obs) override {
+    if (armed_ && last_ > 0) {
+      armed_ = false;
+      throw CheckError("test: decide failed after a step-down");
+    }
+    last_ = inner_.decide(obs);
+    return last_;
+  }
+  void reset() override { last_ = -1; }
+
+ private:
+  LadderPolicy inner_;
+  bool armed_ = true;
+  std::int64_t last_ = -1;
+};
+
+// A session that throws mid-run must leave nothing attached: a later
+// session with its observers detached writes into neither the old
+// recorder nor the old sampler.
+TEST(Trace, ObserversDoNotOutliveAThrowingSession) {
+  ServeSessionConfig cfg;
+  cfg.battery_capacity_mj = 9'000.0;
+  cfg.governor_policy = std::make_shared<ThrowAfterStepDownPolicy>(
+      Governor::equal_tranches(paper_serve_ladder()));
+  ServeSession session(cfg);
+  const std::vector<Request> schedule = tight_traffic(12.0, 1);
+
+  TraceRecorder trace(/*record_wall=*/false);
+  TelemetrySampler sampler;
+  session.server().set_trace(&trace);
+  session.server().set_telemetry(&sampler);
+  EXPECT_THROW(session.server().serve(schedule), CheckError);
+  // The throw came after the engine stepped down (and was recorded).
+  ASSERT_GE(session.engine().current_level(), 1);
+  session.server().set_trace(nullptr);
+  session.server().set_telemetry(nullptr);
+  const std::int64_t events = trace.num_events();
+  const std::int64_t points = sampler.num_points();
+  ASSERT_GT(events, 0);
+  ASSERT_NE(sampler.series("node.swap_bytes"), nullptr);
+
+  // The policy is disarmed now; this session switches the engine back to
+  // level 0 and steps down again, all unobserved.
+  const ServerStats stats = session.server().serve(schedule);
+  EXPECT_GE(stats.switches, 1);
+  EXPECT_EQ(trace.num_events(), events);
+  EXPECT_EQ(sampler.num_points(), points);
+}
+
+// `enqueue` is stamped at admission: never before the request's arrive,
+// and exactly the first loop instant at or after it — the arrival itself
+// when the loop was idle, else the end of the batch or switch it waited
+// out (no batch starts between arrive and enqueue).
+TEST(Trace, EnqueueIsStampedAtAdmission) {
+  Server server = make_paper_server(9'000.0, {4, 30.0});
+  TraceRecorder trace(/*record_wall=*/false);
+  server.set_trace(&trace);
+  const ServerStats stats = server.serve(tight_traffic(12.0, 1));
+  ASSERT_GT(stats.switches, 0);
+
+  const std::vector<TraceEvent> events = trace.merged();
+  std::map<std::int64_t, double> arrive_ms;
+  std::vector<double> batch_starts;
+  std::set<double> loop_instants;  // ends of batch and switch spans
+  for (const TraceEvent& e : events) {
+    if (e.name == "arrive") {
+      arrive_ms[e.id] = e.ts_ms;
+    } else if (e.name == "batch" || e.name == "switch") {
+      loop_instants.insert(e.ts_ms + e.dur_ms);
+      if (e.name == "batch") {
+        batch_starts.push_back(e.ts_ms);
+      }
+    }
+  }
+  std::int64_t enqueues = 0;
+  std::int64_t waited = 0;
+  for (const TraceEvent& e : events) {
+    if (e.name != "enqueue") {
+      continue;
+    }
+    ++enqueues;
+    const auto it = arrive_ms.find(e.id);
+    ASSERT_NE(it, arrive_ms.end()) << "enqueue without arrive: " << e.id;
+    const double arrived = it->second;
+    EXPECT_GE(e.ts_ms, arrived) << "request " << e.id;
+    for (double start : batch_starts) {
+      EXPECT_FALSE(start >= arrived && start < e.ts_ms)
+          << "request " << e.id << " passed over by the batch at " << start;
+    }
+    if (e.ts_ms != arrived) {
+      ++waited;
+      EXPECT_EQ(loop_instants.count(e.ts_ms), 1U)
+          << "request " << e.id << " enqueued off a loop instant";
+    }
+  }
+  EXPECT_EQ(enqueues, static_cast<std::int64_t>(arrive_ms.size()));
+  EXPECT_GT(waited, 0);  // the traffic is busy enough to queue at ingress
 }
 
 // ---------------------------------------------------------------------
@@ -811,9 +923,8 @@ TEST(Slo, BatterySlopeProjectsTimeToEmpty) {
 TEST(Slo, TransitionsEmitRuleTaggedTraceEvents) {
   SloMonitor monitor({miss_burn_rule()});
   TraceRecorder trace(/*record_wall=*/false);
-  monitor.set_trace(&trace);
-  monitor.observe(slo_obs(100.0, 2, 2));
-  monitor.observe(slo_obs(1'600.0, 4, 0));
+  monitor.observe(slo_obs(100.0, 2, 2), &trace);
+  monitor.observe(slo_obs(1'600.0, 4, 0), &trace);
   std::int64_t breach_events = 0;
   std::int64_t recover_events = 0;
   for (const TraceEvent& e : trace.merged()) {

@@ -9,6 +9,7 @@
 #include "common/check.hpp"
 #include "common/stats.hpp"
 #include "nn/linear.hpp"
+#include "obs/trace.hpp"
 #include "pruning/model_pruner.hpp"
 #include "pruning/pattern_prune.hpp"
 #include "runtime/engine.hpp"
@@ -31,6 +32,16 @@ Request make_request(std::int64_t id, double arrival_ms,
 
 /// Server over the paper's {l6, l4, l3} ladder with per-level sparsities
 /// tuned to just meet T = 115 ms, exactly like the simulate CLI path.
+/// An integer arg of a trace event (CheckError when absent).
+std::int64_t int_arg(const TraceEvent& e, const std::string& key) {
+  for (const auto& [k, v] : e.args) {
+    if (k == key) {
+      return std::stoll(v);
+    }
+  }
+  throw CheckError("trace event " + e.name + " has no arg " + key);
+}
+
 Server make_paper_server(double capacity_mj, BatchPolicy policy) {
   const LatencyModel latency = paper_calibrated_latency();
   ServerConfig cfg;
@@ -272,18 +283,22 @@ TEST(Server, DrainThenSwitchLosesNoRequests) {
   tcfg.deadline_slack_ms = 300.0;
   const auto schedule = generate_traffic(tcfg);
 
+  TraceRecorder trace(/*record_wall=*/false);
+  server.set_trace(&trace);
+  const ServerStats stats = server.serve(schedule);
+
+  // The trace's request spans name every executed request; its batch
+  // spans, in virtual-time order, carry each batch's level position.
   std::multiset<std::int64_t> executed;
   std::vector<std::int64_t> level_trace;
-  server.set_batch_observer([&](const std::vector<Request>& batch,
-                                std::int64_t pos, double start, double end) {
-    EXPECT_LT(start, end);
-    for (const auto& r : batch) {
-      executed.insert(r.id);
+  for (const TraceEvent& e : trace.merged()) {
+    if (e.name == "request") {
+      executed.insert(e.id);
+    } else if (e.name == "batch") {
+      EXPECT_GT(e.dur_ms, 0.0);  // start < end
+      level_trace.push_back(int_arg(e, "level"));
     }
-    level_trace.push_back(pos);
-  });
-
-  const ServerStats stats = server.serve(schedule);
+  }
   EXPECT_GE(stats.switches, 2);
   EXPECT_EQ(stats.dropped, 0);
   EXPECT_EQ(stats.completed, stats.submitted);

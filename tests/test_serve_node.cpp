@@ -16,6 +16,7 @@
 #include "nn/linear.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 #include "pruning/model_pruner.hpp"
 #include "pruning/pattern_prune.hpp"
 #include "rl/governor.hpp"
@@ -36,6 +37,16 @@ Request make_request(std::int64_t id, double arrival_ms, double deadline_ms,
   r.deadline_ms = deadline_ms;
   r.model_id = model_id;
   return r;
+}
+
+/// An integer arg of a trace event (CheckError when absent).
+std::int64_t int_arg(const TraceEvent& e, const std::string& key) {
+  for (const auto& [k, v] : e.args) {
+    if (k == key) {
+      return std::stoll(v);
+    }
+  }
+  throw CheckError("trace event " + e.name + " has no arg " + key);
 }
 
 /// A minimal analytic deployment over the paper ladder (no engine).
@@ -358,6 +369,24 @@ TEST(ServeLoop, RejectsUnsortedOrNonFiniteSchedules) {
   }
 }
 
+// A negative priority class has no per-class stats slot.  It is rejected
+// at entry, naming the request, before any batch drains the battery.
+TEST(ServeLoop, RejectsNegativePriorityAtEntry) {
+  std::unique_ptr<Server> server =
+      std::move(paper_deployment(paper_server_config(1e9, {2, 10.0})))
+          .build(VfTable::odroid_xu3_a7(),
+                 Governor::equal_tranches(paper_serve_ladder()),
+                 PowerModel());
+  std::vector<Request> schedule = {make_request(0, 0.0, 1e12),
+                                   make_request(7, 1.0, 1e12)};
+  schedule[1].priority = -1;
+  EXPECT_NE(check_error_of([&] { server->serve(schedule); })
+                .find("request 7 has a negative priority class"),
+            std::string::npos);
+  schedule[1].priority = 0;
+  EXPECT_EQ(server->serve(schedule).completed, 2);
+}
+
 // A standalone Server is model 0; a request for any other model would be
 // routed nowhere, so it is an error rather than silently served.
 TEST(ServeLoop, ServerRejectsRequestsForOtherModels) {
@@ -383,23 +412,27 @@ TEST(ServeNode, SharedGovernorSwitchDrainsAllShards) {
   config.batch = BatchPolicy{4, 30.0};
   NodeSession session(config, 3);
   const std::vector<Request> schedule = generate_node_traffic(3, 5.0);
-  // Per-shard batch observers fire from the serving loop: every batch a
-  // shard runs is reported with a monotone non-decreasing level position.
+  TraceRecorder trace(/*record_wall=*/false);
+  session.node().set_trace(&trace);
+  const NodeStats stats = session.node().serve(schedule);
+  // Every batch a shard runs shows up as a batch span on its lane (model
+  // id + 1), in virtual-time order with a monotone non-decreasing level.
   std::vector<std::int64_t> observed_batches(3, 0);
   std::vector<std::int64_t> last_level(3, 0);
-  for (std::int64_t m = 0; m < 3; ++m) {
-    session.node().model(m).set_batch_observer(
-        [&observed_batches, &last_level, m](const std::vector<Request>& batch,
-                                            std::int64_t pos, double start,
-                                            double end) {
-          EXPECT_LT(start, end);
-          EXPECT_FALSE(batch.empty());
-          EXPECT_GE(pos, last_level[static_cast<std::size_t>(m)]);
-          last_level[static_cast<std::size_t>(m)] = pos;
-          ++observed_batches[static_cast<std::size_t>(m)];
-        });
+  for (const TraceEvent& e : trace.merged()) {
+    if (e.name != "batch") {
+      continue;
+    }
+    ASSERT_GE(e.tid, 1);
+    ASSERT_LE(e.tid, 3);
+    const auto m = static_cast<std::size_t>(e.tid - 1);
+    EXPECT_GT(e.dur_ms, 0.0);  // start < end
+    EXPECT_GE(int_arg(e, "size"), 1);
+    const std::int64_t pos = int_arg(e, "level");
+    EXPECT_GE(pos, last_level[m]);
+    last_level[m] = pos;
+    ++observed_batches[m];
   }
-  const NodeStats stats = session.node().serve(schedule);
   for (std::int64_t m = 0; m < 3; ++m) {
     EXPECT_EQ(observed_batches[static_cast<std::size_t>(m)],
               stats.model(m).batches);

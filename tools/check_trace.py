@@ -17,6 +17,9 @@ on, plus the rt3-specific invariants the trace exporter promises:
     (the exporter names every lane);
   * request-lifecycle events ("request" spans, "miss"/"shed"/"reject"
     instants) carry an integer request id in args;
+  * every "enqueue" follows an "arrive" of the same request id on the
+    same lane and is not stamped before it (the loop stamps enqueue at
+    admission, which is never earlier than the arrival);
   * SLO events ("slo.breach"/"slo.recover") carry a string args.rule.
 
 With --require-counter-events the trace must contain at least one 'C'
@@ -52,6 +55,8 @@ def check_events(path, doc, errors, phases):
     named_tids = set()
     used_tids = set()
     counts = {}
+    arrivals = {}  # (tid, request id) -> arrive ts
+    enqueues = []  # (where, tid, request id, ts)
     for i, e in enumerate(events):
         where = f"traceEvents[{i}]"
         if not isinstance(e, dict):
@@ -115,6 +120,18 @@ def check_events(path, doc, errors, phases):
             if not isinstance(rid, int):
                 errors.append(f"{where} ({name}): request event without "
                               f"integer args.id")
+            elif isinstance(ts, (int, float)) and name == "arrive":
+                arrivals[(e["tid"], rid)] = ts
+            elif isinstance(ts, (int, float)) and name == "enqueue":
+                enqueues.append((where, e["tid"], rid, ts))
+    for where, tid, rid, ts in enqueues:
+        arrived = arrivals.get((tid, rid))
+        if arrived is None:
+            errors.append(f"{where} (enqueue): request {rid} has no arrive "
+                          f"on tid {tid}")
+        elif ts < arrived:
+            errors.append(f"{where} (enqueue): request {rid} enqueued at "
+                          f"{ts} before its arrive at {arrived}")
     unnamed = sorted(used_tids - named_tids)
     if unnamed:
         errors.append(f"tids {unnamed} have events but no thread_name "
