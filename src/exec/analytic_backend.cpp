@@ -6,17 +6,19 @@
 
 namespace rt3 {
 
-AnalyticBackend::AnalyticBackend(LatencyModel latency, ModelSpec spec,
-                                 ExecMode mode, std::vector<double> freqs_mhz,
-                                 std::vector<double> sparsities)
-    : latency_(latency),
-      spec_(std::move(spec)),
-      mode_(mode),
-      freqs_mhz_(std::move(freqs_mhz)),
-      sparsities_(std::move(sparsities)) {
+AnalyticBackend::AnalyticBackend(const LatencyModel& latency,
+                                 const ModelSpec& spec, ExecMode mode,
+                                 std::vector<double> freqs_mhz,
+                                 const std::vector<double>& sparsities)
+    : fixed_cycles_(latency.config().fixed_cycles),
+      freqs_mhz_(std::move(freqs_mhz)) {
   check(!freqs_mhz_.empty(), "AnalyticBackend: no levels");
-  check(freqs_mhz_.size() == sparsities_.size(),
+  check(freqs_mhz_.size() == sparsities.size(),
         "AnalyticBackend: one sparsity per level required");
+  cycles_one_.reserve(sparsities.size());
+  for (const double sparsity : sparsities) {
+    cycles_one_.push_back(latency.cycles(spec, sparsity, mode));
+  }
 }
 
 double AnalyticBackend::batch_latency_ms(std::int64_t batch_size,
@@ -25,11 +27,9 @@ double AnalyticBackend::batch_latency_ms(std::int64_t batch_size,
   check(level_pos >= 0 && level_pos < num_levels(),
         "AnalyticBackend: level position out of range");
   const auto pos = static_cast<std::size_t>(level_pos);
-  const double cycles_one =
-      latency_.cycles(spec_, sparsities_[pos], mode_);
-  const double fixed = latency_.config().fixed_cycles;
   const double batch_cycles =
-      fixed + (cycles_one - fixed) * static_cast<double>(batch_size);
+      fixed_cycles_ +
+      (cycles_one_[pos] - fixed_cycles_) * static_cast<double>(batch_size);
   return batch_cycles / (freqs_mhz_[pos] * 1000.0);
 }
 

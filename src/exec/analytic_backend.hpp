@@ -17,15 +17,17 @@ class AnalyticBackend : public ExecutionBackend {
  public:
   /// `freqs_mhz[i]` / `sparsities[i]` describe governor-level position i
   /// (fast -> slow).  `sparsities` must already reflect the serving policy
-  /// (e.g. a hardware-only baseline repeats the level-0 sparsity).
-  AnalyticBackend(LatencyModel latency, ModelSpec spec, ExecMode mode,
-                  std::vector<double> freqs_mhz,
-                  std::vector<double> sparsities);
+  /// (e.g. a hardware-only baseline repeats the level-0 sparsity).  Each
+  /// level's one-request cycle count is computed here, once, so a
+  /// sparsity outside [0, 1) throws at construction.
+  AnalyticBackend(const LatencyModel& latency, const ModelSpec& spec,
+                  ExecMode mode, std::vector<double> freqs_mhz,
+                  const std::vector<double>& sparsities);
 
   const char* name() const override { return "analytic"; }
 
   /// One runtime setup per batch, MAC work per request (the Server's
-  /// amortization rule).
+  /// amortization rule).  O(1): two range checks and a table read.
   double batch_latency_ms(std::int64_t batch_size,
                           std::int64_t level_pos) const;
 
@@ -38,11 +40,11 @@ class AnalyticBackend : public ExecutionBackend {
   }
 
  private:
-  LatencyModel latency_;
-  ModelSpec spec_;
-  ExecMode mode_;
+  double fixed_cycles_;
   std::vector<double> freqs_mhz_;
-  std::vector<double> sparsities_;
+  /// cycles_one_[i] = LatencyModel::cycles(spec, sparsities[i], mode): one
+  /// request's cycles at level position i, fixed setup included.
+  std::vector<double> cycles_one_;
 };
 
 }  // namespace rt3

@@ -5,6 +5,34 @@
 #include "common/check.hpp"
 
 namespace rt3 {
+namespace {
+
+/// First index i of ascending `v` with in_tail(v[i]) (v.size() if none),
+/// where in_tail holds on a suffix of `v`.  Gallops back from the end in
+/// doubling steps, then binary-searches the bracket it lands in: O(log k)
+/// for a boundary k entries from the end.  The serving loop queries waits
+/// that end at its clock, so k counts intervals inside one wait, not the
+/// session.
+template <typename InTail>
+std::size_t tail_boundary(const std::vector<double>& v, InTail in_tail) {
+  std::size_t lo = 0;         // v[..lo) is known to be outside the tail
+  std::size_t hi = v.size();  // v[hi..) is known to be in the tail
+  for (std::size_t step = 1; step <= hi; step *= 2) {
+    if (!in_tail(v[hi - step])) {
+      lo = hi - step + 1;
+      break;
+    }
+    hi -= step;
+  }
+  const auto first = v.begin();
+  const auto boundary = std::partition_point(
+      first + static_cast<std::ptrdiff_t>(lo),
+      first + static_cast<std::ptrdiff_t>(hi),
+      [&in_tail](double x) { return !in_tail(x); });
+  return static_cast<std::size_t>(boundary - first);
+}
+
+}  // namespace
 
 void IntervalAccount::add(double start, double end) {
   if (end <= start) {
@@ -21,12 +49,12 @@ double IntervalAccount::overlap(double a, double b) const {
   if (b <= a || starts_.empty()) {
     return 0.0;
   }
-  // First interval ending after a, first interval starting at/after b:
-  // everything in [lo, hi) intersects [a, b).
-  const auto lo = static_cast<std::size_t>(
-      std::upper_bound(ends_.begin(), ends_.end(), a) - ends_.begin());
-  const auto hi = static_cast<std::size_t>(
-      std::lower_bound(starts_.begin(), starts_.end(), b) - starts_.begin());
+  // First interval ending after a (upper_bound), first interval starting
+  // at/after b (lower_bound): everything in [lo, hi) intersects [a, b).
+  const std::size_t lo =
+      tail_boundary(ends_, [a](double end) { return end > a; });
+  const std::size_t hi =
+      tail_boundary(starts_, [b](double start) { return start >= b; });
   if (lo >= hi) {
     return 0.0;
   }

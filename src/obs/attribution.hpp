@@ -17,9 +17,11 @@
 // The serving loop records every switch and every batch execution as a
 // virtual-time interval in an IntervalAccount; at completion the overlap
 // of [arrival, start) with each account yields the decomposition in two
-// O(log n) queries.  Deadline misses are then classified into exactly one
-// of three causes, so miss_queued + miss_switch + miss_exec always equals
-// deadline_misses:
+// queries.  Each query searches back from the newest interval, so it costs
+// O(log k) for the k intervals recorded since the request arrived, not
+// O(log n) over the whole session.  Deadline misses are then classified
+// into exactly one of three causes, so miss_queued + miss_switch +
+// miss_exec always equals deadline_misses:
 //
 //   miss_exec   — arrival + exec > deadline: even a zero-wait solo launch
 //                 at this level would have missed (the level is too slow
@@ -36,15 +38,18 @@
 namespace rt3 {
 
 /// Append-only union of non-overlapping, time-ascending [start, end)
-/// intervals with O(log n) total-overlap queries — the virtual-clock
-/// record of "when switches ran" / "when batches ran".
+/// intervals with total-overlap queries — the virtual-clock record of
+/// "when switches ran" / "when batches ran".
 class IntervalAccount {
  public:
   /// Appends an interval; `start` must be >= the previous interval's end
   /// (the virtual clock is monotone).  Zero-length intervals are ignored.
   void add(double start, double end);
 
-  /// Total length of [a, b) ∩ (union of recorded intervals).
+  /// Total length of [a, b) ∩ (union of recorded intervals).  Both ends
+  /// are found by galloping back from the newest interval, then
+  /// binary-searching the bracket: O(log k) when a and b lie within the
+  /// last k intervals, O(log n) at worst.
   double overlap(double a, double b) const;
 
   std::int64_t size() const {

@@ -45,16 +45,14 @@ void Batcher::set_batch_cap(std::int64_t cap) {
   cap_ = std::clamp<std::int64_t>(cap, 1, policy_.max_batch_size);
 }
 
-std::vector<Request> Batcher::pop_batch(double now_ms, bool force) {
+const std::vector<Request>& Batcher::pop_batch(double now_ms, bool force) {
   check(force || ready(now_ms), "Batcher: pop_batch before ready");
-  std::vector<Request> batch;
-  const auto take =
-      static_cast<std::size_t>(std::min<std::int64_t>(cap_, pending()));
-  batch.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    batch.push_back(pending_.pop());
+  const std::int64_t take = std::min<std::int64_t>(cap_, pending());
+  batch_.clear();
+  for (std::int64_t i = 0; i < take; ++i) {
+    batch_.push_back(pending_.pop());
   }
-  return batch;
+  return batch_;
 }
 
 }  // namespace rt3

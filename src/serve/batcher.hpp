@@ -47,8 +47,9 @@ class Batcher {
 
   /// Removes and returns the up-to-batch_cap() policy-first requests.
   /// Requires ready(now_ms) or force; the returned batch is never empty
-  /// unless nothing was pending.
-  std::vector<Request> pop_batch(double now_ms, bool force = false);
+  /// unless nothing was pending.  The batch lives in a buffer the batcher
+  /// reuses, so it stays valid only until the next pop_batch.
+  const std::vector<Request>& pop_batch(double now_ms, bool force = false);
 
   /// Load shedding: removes every pending request whose deadline is
   /// already blown at `now_ms` (it could not possibly be served in time),
@@ -68,6 +69,8 @@ class Batcher {
   BatchPolicy policy_;
   std::int64_t cap_;
   RequestHeap pending_;
+  /// pop_batch's output, reused so forming a batch does not allocate.
+  std::vector<Request> batch_;
   /// Arrival of the most recent push, for the in-order admission check.
   /// Never reset: push() short-circuits the check while the heap is
   /// empty, which is what makes an earlier-arrival push legal again

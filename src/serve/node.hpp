@@ -115,6 +115,8 @@ class ServeNode {
   /// The shard serving `model_id` (throws CheckError when unknown).
   Server& model(std::int64_t model_id);
   std::int64_t num_models() const { return registry_.size(); }
+  /// The shared battery, as the last session left it.
+  const Battery& battery() const { return battery_; }
 
   /// Runs one full node session over a pre-generated arrival schedule
   /// (sorted by arrival time; requests carry model ids).  Deterministic.

@@ -65,6 +65,12 @@ double RequestHeap::min_arrival_ms() const {
 }
 
 std::vector<Request> RequestHeap::extract_expired(double now_ms) {
+  // Common case: nothing expired, so the heap stays as it is.
+  if (std::none_of(entries_.begin(), entries_.end(), [now_ms](const Entry& e) {
+        return e.req.deadline_ms <= now_ms;
+      })) {
+    return {};
+  }
   std::vector<Entry> expired;
   std::vector<Entry> kept;
   kept.reserve(entries_.size());

@@ -60,12 +60,17 @@ class RequestHeap {
   }
 
   /// Earliest arrival among pending requests (+infinity when empty).
-  /// O(n) scan: under non-FIFO policies the oldest request is not the
-  /// heap head, and pending depths here are tiny relative to batch work.
+  /// O(n) scan over the pending requests, since under non-FIFO policies
+  /// the oldest request is not the heap head.  The serving loop calls it
+  /// a few times per iteration; its pending depths stay near the batch
+  /// cap, so the scan is a few percent of loop time, not a hot spot.
   double min_arrival_ms() const;
 
   /// Removes every pending request whose deadline is <= now_ms; returned
-  /// in push order (matching the historical deque scan).
+  /// in push order (matching the historical deque scan).  One O(n) scan
+  /// that neither allocates nor touches the heap when nothing has
+  /// expired (the common case); otherwise the survivors are re-heaped in
+  /// O(n).  Pop order is the same either way: (key, seq) is a total order.
   std::vector<Request> extract_expired(double now_ms);
 
  private:

@@ -45,16 +45,32 @@ void check_schedule(const std::vector<Request>& schedule) {
   }
 }
 
-/// Run-end conservation and attribution, checked in every build.
-void check_invariants(const NodeStats& node, std::size_t scheduled) {
+/// Run-end conservation and attribution, checked in every build.  Every
+/// successful battery drain is booked to exactly one model, so a surviving
+/// battery's drawn energy equals the per-model sum (up to FP rounding); a
+/// battery that died also lost the failed drain's remainder, so the sum
+/// can only fall short of its capacity.
+void check_invariants(const NodeStats& node, std::size_t scheduled,
+                      const Battery& battery) {
+  double energy_mj = 0.0;
   for (const auto& [id, s] : node.per_model) {
     check(s.submitted == s.completed + s.shed + s.rejected + s.dropped,
           "serve: submitted != completed + shed + rejected + dropped");
     check(s.miss_queued + s.miss_switch + s.miss_exec == s.deadline_misses,
           "serve: miss attribution does not sum to deadline misses");
+    energy_mj += s.energy_used_mj;
   }
   check(node.submitted == static_cast<std::int64_t>(scheduled),
         "serve: unroutable + submitted != scheduled requests");
+  const double tolerance_mj = 1e-9 * battery.capacity_mj();
+  if (battery.empty()) {
+    check(energy_mj <= battery.capacity_mj() + tolerance_mj,
+          "serve: per-model energy exceeds the battery capacity");
+  } else {
+    const double drawn_mj = battery.capacity_mj() - battery.remaining_mj();
+    check(std::abs(energy_mj - drawn_mj) <= tolerance_mj,
+          "serve: per-model energy != energy drawn from the battery");
+  }
 }
 
 /// Switches `engine` to level `to` at virtual time `at_ms`.  An effective
@@ -266,13 +282,21 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
     // next step-down threshold, shrink the batch cap so in-flight work —
     // and therefore the drain-then-switch point — comes sooner.  On the
     // last ladder level there is no switch left to hasten
-    // (next_step_down is 0), so the full cap stays.
+    // (next_step_down is 0), so the full cap stays.  The battery is shared
+    // and the ladder fixed, so the fraction and its threshold are read
+    // once, for the first shard with a margin.
+    bool read_threshold = false;
+    double fraction = 0.0;
+    double threshold = 0.0;
     for (Shard& sh : shards) {
       const ServerConfig& cfg = sh.server->config();
       const double margin = gov.shrink_margin(cfg.governor_margin);
       if (margin > 0.0) {
-        const double fraction = battery.fraction();
-        const double threshold = gov.next_step_down(fraction);
+        if (!read_threshold) {
+          fraction = battery.fraction();
+          threshold = gov.next_step_down(fraction);
+          read_threshold = true;
+        }
         const bool near_switch =
             threshold > 0.0 && fraction - threshold <= margin;
         sh.batcher.set_batch_cap(near_switch ? cfg.governor_shrink_batch
@@ -383,7 +407,7 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
       continue;
     }
 
-    const std::vector<Request> batch = run->batcher.pop_batch(now);
+    const std::vector<Request>& batch = run->batcher.pop_batch(now);
     const auto batch_size = static_cast<std::int64_t>(batch.size());
     if (trace != nullptr) {
       TraceEvent ev("batch.form", "batcher", now, run->model_id + 1);
@@ -545,7 +569,7 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
           .set(static_cast<double>(trace->dropped_events()));
     }
   }
-  check_invariants(node, schedule.size());
+  check_invariants(node, schedule.size(), battery);
   return node;
 }
 

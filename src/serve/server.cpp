@@ -10,18 +10,15 @@
 namespace rt3 {
 
 Server::Server(ServerConfig config, VfTable table, GovernorHandle governor,
-               PowerModel power, LatencyModel latency, ModelSpec spec,
-               std::vector<double> sparsities)
+               PowerModel power, const LatencyModel& latency,
+               const ModelSpec& spec, const std::vector<double>& sparsities)
     : config_(config),
       table_(std::move(table)),
       governor_(std::move(governor)),
       power_(power),
-      latency_(latency),
-      spec_(std::move(spec)),
-      sparsities_(std::move(sparsities)),
       battery_(config.battery_capacity_mj) {
   const Governor& ladder = governor_.ladder();
-  check(sparsities_.size() == ladder.levels().size(),
+  check(sparsities.size() == ladder.levels().size(),
         "Server: one sparsity per governor level required");
   check(config_.governor_margin >= 0.0 && config_.governor_margin < 1.0,
         "Server: governor_margin out of [0, 1)");
@@ -35,12 +32,12 @@ Server::Server(ServerConfig config, VfTable table, GovernorHandle governor,
     const std::int64_t li = ladder.levels()[i];
     check(li >= 0 && li < table_.size(), "Server: governor level not in table");
     freqs.push_back(table_.level(li).freq_mhz);
+    // A hardware-only baseline keeps the level-0 pattern set everywhere.
     effective_sparsities.push_back(
-        sparsity_for(static_cast<std::int64_t>(i)));
+        config_.software_reconfig ? sparsities[i] : sparsities.front());
   }
   analytic_ = std::make_unique<AnalyticBackend>(
-      latency_, spec_, config_.exec_mode, std::move(freqs),
-      std::move(effective_sparsities));
+      latency, spec, config_.exec_mode, std::move(freqs), effective_sparsities);
   backend_ = analytic_.get();
 }
 
@@ -55,12 +52,6 @@ void Server::adopt_engine(std::unique_ptr<ReconfigEngine> engine) {
 void Server::adopt_backend(std::unique_ptr<ExecutionBackend> backend) {
   backend_ = backend != nullptr ? backend.get() : analytic_.get();
   owned_backend_ = std::move(backend);
-}
-
-double Server::sparsity_for(std::int64_t level_pos) const {
-  return config_.software_reconfig
-             ? sparsities_[static_cast<std::size_t>(level_pos)]
-             : sparsities_.front();
 }
 
 double Server::batch_latency_ms(std::int64_t batch_size,

@@ -88,8 +88,8 @@ class Server {
   /// `governor` accepts a plain Governor (wrapped in the default
   /// LadderPolicy) or any shared GovernorPolicy.
   Server(ServerConfig config, VfTable table, GovernorHandle governor,
-         PowerModel power, LatencyModel latency, ModelSpec spec,
-         std::vector<double> sparsities);
+         PowerModel power, const LatencyModel& latency, const ModelSpec& spec,
+         const std::vector<double>& sparsities);
 
   /// Takes ownership of a live ReconfigEngine (the deployment path):
   /// level switches then re-compose real masks and use the engine's
@@ -140,15 +140,10 @@ class Server {
   const Battery& battery() const { return battery_; }
 
  private:
-  double sparsity_for(std::int64_t level_pos) const;
-
   ServerConfig config_;
   VfTable table_;
   GovernorHandle governor_;
   PowerModel power_;
-  LatencyModel latency_;
-  ModelSpec spec_;
-  std::vector<double> sparsities_;
   Battery battery_;
   /// Engine/backend storage for the owned-deployment path.
   std::unique_ptr<ReconfigEngine> engine_;

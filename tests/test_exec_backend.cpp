@@ -515,6 +515,49 @@ TEST(AnalyticBackend, AttachedBackendReproducesDefaultServerExactly) {
   EXPECT_DOUBLE_EQ(b.plan_swap_ms_total, 0.0);
 }
 
+TEST(AnalyticBackend, LevelTableIsBitwiseEqualToTheLatencyModel) {
+  const LatencyModel latency = paper_calibrated_latency();
+  const ModelSpec spec = ModelSpec::paper_transformer();
+  const std::vector<double> sparsities =
+      paper_ladder_sparsities(latency, 115.0);
+  const VfTable table = VfTable::odroid_xu3_a7();
+  std::vector<double> freqs;
+  for (std::int64_t li : paper_serve_ladder()) {
+    freqs.push_back(table.level(li).freq_mhz);
+  }
+  for (ExecMode mode : {ExecMode::kDense, ExecMode::kBlock, ExecMode::kPattern,
+                        ExecMode::kIrregular}) {
+    AnalyticBackend backend(latency, spec, mode, freqs, sparsities);
+    ASSERT_EQ(backend.num_levels(), static_cast<std::int64_t>(freqs.size()));
+    for (std::size_t pos = 0; pos < freqs.size(); ++pos) {
+      const double cycles_one = latency.cycles(spec, sparsities[pos], mode);
+      const double fixed = latency.config().fixed_cycles;
+      for (std::int64_t b = 1; b <= 16; ++b) {
+        const double expected =
+            (fixed + (cycles_one - fixed) * static_cast<double>(b)) /
+            (freqs[pos] * 1000.0);
+        const double got =
+            backend.batch_latency_ms(b, static_cast<std::int64_t>(pos));
+        EXPECT_EQ(got, expected) << "level " << pos << " batch " << b;
+        EXPECT_EQ(
+            backend.run_batch(b, static_cast<std::int64_t>(pos)).latency_ms,
+            got);
+      }
+    }
+  }
+}
+
+TEST(AnalyticBackend, OutOfRangeSparsityThrowsAtConstruction) {
+  const LatencyModel latency = paper_calibrated_latency();
+  const ModelSpec spec = ModelSpec::paper_transformer();
+  for (double bad : {1.0, -0.1}) {
+    EXPECT_THROW(AnalyticBackend(latency, spec, ExecMode::kPattern,
+                                 {1000.0, 800.0}, {0.5, bad}),
+                 CheckError)
+        << bad;
+  }
+}
+
 TEST(Calibration, FitRecoversSyntheticParameters) {
   const ModelSpec spec = ModelSpec::paper_transformer();
   LatencyModelConfig truth;

@@ -4,6 +4,8 @@
 // registry, and stats JSON round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -265,6 +268,83 @@ TEST(IntervalAccount, IgnoresZeroLengthAndRejectsOutOfOrder) {
   EXPECT_THROW(acc.add(15.0, 30.0), CheckError);  // overlaps the past
 }
 
+/// Builds `acc` and a plain copy of what it records from random ascending
+/// intervals on a 0.5 ms grid (so queries hit boundaries exactly), with
+/// some zero-length adds that both must ignore.
+struct RecordedIntervals {
+  std::vector<double> starts;
+  std::vector<double> ends;
+  std::vector<double> cum = {0.0};
+
+  void add(IntervalAccount& acc, double start, double end) {
+    acc.add(start, end);
+    if (end > start) {
+      starts.push_back(start);
+      ends.push_back(end);
+      cum.push_back(cum.back() + (end - start));
+    }
+  }
+
+  /// The whole-range binary-search formula the tail search replaced.
+  double binary_overlap(double a, double b) const {
+    if (b <= a || starts.empty()) {
+      return 0.0;
+    }
+    const auto lo = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), a) - ends.begin());
+    const auto hi = static_cast<std::size_t>(
+        std::lower_bound(starts.begin(), starts.end(), b) - starts.begin());
+    if (lo >= hi) {
+      return 0.0;
+    }
+    double total = cum[hi] - cum[lo];
+    total -= std::max(0.0, a - starts[lo]);
+    total -= std::max(0.0, ends[hi - 1] - b);
+    return std::max(total, 0.0);
+  }
+
+  double brute_overlap(double a, double b) const {
+    double total = 0.0;
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      total += std::max(0.0, std::min(b, ends[i]) - std::max(a, starts[i]));
+    }
+    return total;
+  }
+};
+
+TEST(IntervalAccount, TailSearchMatchesBruteForceAndBinarySearch) {
+  Rng rng(23);
+  for (int trial = 0; trial < 60; ++trial) {
+    IntervalAccount acc;
+    RecordedIntervals rec;
+    const std::int64_t count = rng.uniform_int(trial < 5 ? 3 : 200);
+    double t = 0.5 * static_cast<double>(rng.uniform_int(8));
+    for (std::int64_t i = 0; i < count; ++i) {
+      t += 0.5 * static_cast<double>(rng.uniform_int(4));  // gap, maybe 0
+      const double len =
+          rng.bernoulli(0.15)
+              ? 0.0
+              : 0.5 * static_cast<double>(1 + rng.uniform_int(6));
+      rec.add(acc, t, t + len);
+      t += len;
+    }
+    ASSERT_EQ(acc.size(), static_cast<std::int64_t>(rec.starts.size()));
+    const double first = rec.starts.empty() ? 0.0 : rec.starts.front();
+    for (int q = 0; q < 200; ++q) {
+      // Before, straddling, inside and after the recorded range.
+      const double a =
+          0.5 * std::floor(rng.uniform(first - 5.0, t + 5.0) * 2.0);
+      const double b =
+          q % 4 == 0 ? t + 0.5 * static_cast<double>(rng.uniform_int(4))
+                     : a + 0.5 * std::floor(rng.uniform(0.0, 40.0) * 2.0);
+      const double got = acc.overlap(a, b);
+      EXPECT_EQ(got, rec.binary_overlap(a, b)) << "[" << a << ", " << b << ")";
+      EXPECT_NEAR(got, rec.brute_overlap(a, b), 1e-9 * (1.0 + t))
+          << "[" << a << ", " << b << ")";
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // attribute_wait / classify_miss
 
@@ -282,6 +362,32 @@ TEST(Attribution, FourPartsSumToLatency) {
   EXPECT_DOUBLE_EQ(
       w.queue_wait_ms + w.batch_wait_ms + w.switch_stall_ms + w.exec_ms,
       120.0 - 10.0);
+}
+
+TEST(Attribution, RandomWaitsDecomposeExactly) {
+  Rng rng(29);
+  IntervalAccount switches;
+  IntervalAccount execs;
+  double t = 0.0;
+  for (int i = 0; i < 500; ++i) {
+    t += rng.uniform(0.0, 3.0);  // idle gap: the batching hold
+    const double len = rng.uniform(0.0, 10.0);
+    (rng.bernoulli(0.2) ? switches : execs).add(t, t + len);
+    t += len;
+  }
+  for (int q = 0; q < 2000; ++q) {
+    const double arrival = rng.uniform(-5.0, t);
+    const double start = arrival + rng.uniform(0.0, 60.0);
+    const double end = start + rng.uniform(0.0, 10.0);
+    const WaitBreakdown w =
+        attribute_wait(switches, execs, arrival, start, end);
+    EXPECT_GE(w.queue_wait_ms, 0.0);
+    EXPECT_GE(w.batch_wait_ms, 0.0);
+    EXPECT_GE(w.switch_stall_ms, 0.0);
+    EXPECT_NEAR(
+        w.queue_wait_ms + w.batch_wait_ms + w.switch_stall_ms + w.exec_ms,
+        end - arrival, 1e-9 * t);
+  }
 }
 
 TEST(Attribution, ClassifiesEachMissCauseExactlyOnce) {

@@ -253,6 +253,49 @@ TEST(ServeNode, PerModelStatsSumToNodeTotals) {
   EXPECT_EQ(stats.unroutable, 0);
 }
 
+// Energy conservation: every successful drain is booked to one model, so
+// on a surviving battery the per-model energies sum to what the battery
+// lost; a battery that died can only have booked less than its capacity.
+// The loop checks the same relation at the end of every session.
+TEST(ServeNode, PerModelEnergySumsToBatteryDrain) {
+  for (SchedulingPolicy policy :
+       {SchedulingPolicy::kFifo, SchedulingPolicy::kEdf,
+        SchedulingPolicy::kEdfPriority}) {
+    for (double capacity_mj : {60'000.0, 1'500.0}) {
+      ServeSessionConfig config;
+      config.battery_capacity_mj = capacity_mj;
+      config.scheduler.policy = policy;
+      config.shed_expired = true;
+      config.admit_feasible = true;
+      NodeSession session(config, 3);
+      const std::vector<Request> schedule = generate_node_traffic(3, 6.0);
+      const NodeStats stats = session.node().serve(schedule);
+      const Battery& battery = session.node().battery();
+      double energy_mj = 0.0;
+      std::int64_t switches = 0;
+      for (const auto& [id, s] : stats.per_model) {
+        energy_mj += s.energy_used_mj;
+        switches += s.switches;
+      }
+      const std::string where = std::string(scheduling_policy_name(policy)) +
+                                " capacity " + std::to_string(capacity_mj);
+      EXPECT_GT(switches, 0) << where;  // switch energy is in the sum too
+      if (capacity_mj > 10'000.0) {
+        ASSERT_FALSE(battery.empty()) << where;
+        EXPECT_EQ(stats.dropped, 0) << where;
+        EXPECT_NEAR(energy_mj, battery.capacity_mj() - battery.remaining_mj(),
+                    1e-9 * capacity_mj)
+            << where;
+      } else {
+        ASSERT_TRUE(battery.empty()) << where;
+        EXPECT_GT(stats.dropped, 0) << where;
+        EXPECT_LE(energy_mj, battery.capacity_mj()) << where;
+        EXPECT_GT(energy_mj, 0.9 * battery.capacity_mj()) << where;
+      }
+    }
+  }
+}
+
 // Feasibility admission must reject EXACTLY the requests whose deadline
 // lies inside now + batch_latency(1, level) at ingress — no more, no
 // less — and attribute them to their target model.

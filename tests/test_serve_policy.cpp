@@ -5,10 +5,12 @@
 // arrival-order behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "serve/batcher.hpp"
 #include "serve/policy.hpp"
 #include "serve/request.hpp"
@@ -102,6 +104,55 @@ TEST(RequestHeap, MinArrivalAndExpiryScanTheWholeHeap) {
   EXPECT_EQ(expired[0].id, 2);
   EXPECT_EQ(heap.size(), 2);
   EXPECT_EQ(heap.peek().id, 0);  // heap property restored after removal
+}
+
+TEST(RequestHeap, ExtractingNothingLeavesThePopSequenceUnchanged) {
+  // extract_expired returns early when nothing has expired, without
+  // rebuilding the heap.  Interleaving such calls with pushes and pops
+  // must not move a single pop, under every policy; nor may a real
+  // expiry move the survivors.
+  for (const SchedulerConfig& cfg : {SchedulerConfig{}, edf(), edf_prio()}) {
+    Rng rng(17);
+    RequestHeap plain(cfg);
+    RequestHeap probed(cfg);
+    std::vector<std::int64_t> plain_ids;
+    std::vector<std::int64_t> probed_ids;
+    double now = 0.0;
+    for (std::int64_t id = 0; id < 400; ++id) {
+      now += rng.uniform(0.0, 2.0);
+      // Deadlines stay above every probe below, so no probe removes.
+      const Request r = make_request(id, now, 1e6 + rng.uniform(0.0, 500.0),
+                                     rng.uniform_int(3));
+      plain.push(r);
+      probed.push(r);
+      EXPECT_TRUE(probed.extract_expired(now).empty());
+      if (rng.bernoulli(0.4)) {
+        plain_ids.push_back(plain.pop().id);
+        EXPECT_TRUE(probed.extract_expired(now).empty());
+        probed_ids.push_back(probed.pop().id);
+      }
+    }
+    // One expiry that does remove: the survivors pop in the plain heap's
+    // order with the expired ids left out.
+    std::vector<std::int64_t> expired_ids;
+    for (const Request& r : probed.extract_expired(1e6 + 250.0)) {
+      expired_ids.push_back(r.id);
+    }
+    EXPECT_FALSE(expired_ids.empty());
+    while (!plain.empty()) {
+      const std::int64_t id = plain.pop().id;
+      if (std::find(expired_ids.begin(), expired_ids.end(), id) ==
+          expired_ids.end()) {
+        plain_ids.push_back(id);
+      }
+    }
+    while (!probed.empty()) {
+      EXPECT_TRUE(probed.extract_expired(now).empty());
+      probed_ids.push_back(probed.pop().id);
+    }
+    EXPECT_EQ(probed_ids, plain_ids)
+        << scheduling_policy_name(cfg.policy);
+  }
 }
 
 TEST(RequestHeap, PriorityClassesOutrankLaterDeadlines) {
