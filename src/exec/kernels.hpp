@@ -9,20 +9,32 @@
 // std::fma — so kernel outputs are BITWISE equal to the naive reference
 // lane by lane, regardless of ISA (exec/simd.hpp), tiling, unroll factor,
 // thread count, or the compiler's FP-contraction choice.  Sparse kernels
-// only skip terms whose stored weight is zero, which under fma
-// contributes exactly nothing for finite activations.
+// only skip terms whose stored weight is zero, and the pattern kernel's
+// padding only adds zero-weight terms at columns the reference also visits
+// with weight zero.  Both rest on fma(+0, x, acc) == acc for finite x and
+// any acc but -0, which a chain started at +0 reaches only when a product
+// underflows to zero.
 //
 // The inner loops (exec/kernels_inner.hpp) cover a row's n activation
 // columns with a width ladder of W*U, W, half-width and single-lane
-// chunks, so narrow batches still vectorize, and the pattern kernel
-// sweeps each tile row once per chunk, applying every tile's kept cells
-// to all of the tile's rows, so its cost follows the kept weights.
+// chunks, so narrow batches still vectorize.  The pattern kernel sweeps
+// each tile row once per chunk over the plan's padded slot layout
+// (PatternPlan::row_slots): a row has the same number of cells in every
+// tile, so row indices are compile-time constants and each row group's
+// accumulators stay in registers.
+//
+// Every kernel has an `_into` form that OVERWRITES a caller-owned output
+// buffer and reads X through an ActivationView, so a caller can reuse
+// workspaces and read a window of a wider buffer in place, with no
+// allocation or copy (MeasuredBackend reuses per-layer workspaces).  The
+// Tensor forms allocate the output and call the `_into` form.
 //
 // Parallelism partitions output rows across at most num_threads() chunks
 // (each element is written by exactly one thread), so results are also
-// independent of the thread count.  Cache tiling blocks the k-dimension
-// so the active slice of X stays resident; k_tile = 0 auto-sizes it to
-// the per-core L1/L2 budget.
+// independent of the thread count.  The calling thread runs the first
+// chunk itself while pool workers run the rest.  Cache tiling blocks the
+// k-dimension so the active slice of X stays resident; k_tile = 0
+// auto-sizes it to the per-core L1/L2 budget.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +44,15 @@
 #include "tensor/tensor.hpp"
 
 namespace rt3 {
+
+/// Read-only row-major view of an activation X[rows, n]: row k starts at
+/// data + k * stride (stride >= n).
+struct ActivationView {
+  const float* data = nullptr;
+  std::int64_t rows = 0;
+  std::int64_t n = 0;
+  std::int64_t stride = 0;
+};
 
 /// Textbook triple loop (r, j, then k ascending), fma-accumulated: the
 /// correctness reference every kernel must match bitwise.
@@ -45,16 +66,26 @@ std::int64_t resolve_k_tile(const KernelOptions& options, std::int64_t cols,
 /// Dense GEMM, k-tiled, rows parallelized over `pool` (nullptr = serial).
 Tensor dense_gemm(const Tensor& w, const Tensor& x, ThreadPool* pool,
                   const KernelOptions& options);
+/// `out` holds w.size(0) x x.n floats and is overwritten.
+void dense_gemm_into(const Tensor& w, const ActivationView& x, float* out,
+                     ThreadPool* pool, const KernelOptions& options);
 
 /// Kept-column GEMM over a block-pruned matrix: dense inner loops over
 /// each block's kept columns (the paper's hardware-friendly layout).
 Tensor block_gemm(const BlockPrunedMatrix& w, const Tensor& x,
                   ThreadPool* pool, const KernelOptions& options);
+void block_gemm_into(const BlockPrunedMatrix& w, const ActivationView& x,
+                     float* out, ThreadPool* pool,
+                     const KernelOptions& options);
 
-/// Pattern-masked GEMM driven by a precompiled PatternPlan: per-tile CSR
-/// kept-index lists, no per-cell mask tests at execution time.
+/// Pattern-masked GEMM driven by a precompiled PatternPlan's slot layout:
+/// per-pattern column lists shared by every tile assigned that pattern,
+/// no per-cell mask tests at execution time.
 Tensor pattern_gemm(const PatternPlan& plan, const Tensor& x,
                     ThreadPool* pool, const KernelOptions& options);
+void pattern_gemm_into(const PatternPlan& plan, const ActivationView& x,
+                       float* out, ThreadPool* pool,
+                       const KernelOptions& options);
 
 /// Irregular COO GEMM: every nonzero pays per-element row/col index loads
 /// and an output-row round trip (deliberately never vectorized or
@@ -64,6 +95,8 @@ Tensor pattern_gemm(const PatternPlan& plan, const Tensor& x,
 /// bitwise equal to the dense reference.
 Tensor coo_gemm(const IrregularPlan& plan, const Tensor& x, ThreadPool* pool,
                 const KernelOptions& options);
+void coo_gemm_into(const IrregularPlan& plan, const ActivationView& x,
+                   float* out, ThreadPool* pool, const KernelOptions& options);
 
 /// Dispatches on the plan's ExecMode using exactly `options`; callers
 /// that want the plan's autotuned options merge them in first (the
@@ -71,5 +104,9 @@ Tensor coo_gemm(const IrregularPlan& plan, const Tensor& x, ThreadPool* pool,
 /// options against an already-tuned plan.
 Tensor plan_gemm(const LayerPlan& plan, const Tensor& x, ThreadPool* pool,
                  const KernelOptions& options);
+/// `out` holds plan.rows x x.n floats and is overwritten.
+void plan_gemm_into(const LayerPlan& plan, const ActivationView& x,
+                    float* out, ThreadPool* pool,
+                    const KernelOptions& options);
 
 }  // namespace rt3

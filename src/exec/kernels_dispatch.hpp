@@ -16,7 +16,12 @@
 
 namespace rt3 {
 
-/// Dense GEMM row-range arguments: out[R,N] += W[R,C] x X[C,N] over rows
+/// Every range function OVERWRITES its output rows (out row r starts at
+/// out + r * n) and reads X row k at x + k * ldx (ldx >= n), so callers
+/// can run on the leading n columns of a wider activation buffer and
+/// reuse an output workspace without clearing it.
+
+/// Dense GEMM row-range arguments: out[R,N] = W[R,C] x X[C,N] over rows
 /// [r0, r1), k-tiled by `k_tile`, `unroll` independent j-vectors in
 /// flight per row.
 struct DenseRangeArgs {
@@ -25,6 +30,7 @@ struct DenseRangeArgs {
   float* out = nullptr;
   std::int64_t cols = 0;
   std::int64_t n = 0;
+  std::int64_t ldx = 0;
   std::int64_t k_tile = 64;
   std::int64_t unroll = 1;
 };
@@ -35,6 +41,7 @@ struct BlockRangeArgs {
   const float* x = nullptr;
   float* out = nullptr;
   std::int64_t n = 0;
+  std::int64_t ldx = 0;
   std::int64_t unroll = 1;
 };
 
@@ -45,6 +52,7 @@ struct PatternRangeArgs {
   const float* x = nullptr;
   float* out = nullptr;
   std::int64_t n = 0;
+  std::int64_t ldx = 0;
   std::int64_t unroll = 1;
 };
 

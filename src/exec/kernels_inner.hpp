@@ -18,16 +18,30 @@
 // (batch 1 is 4 columns) still run vector code on an 8-lane ISA.
 //
 // Tile-row pattern sweep: the pattern body walks one tile row once per
-// j-chunk, fetching each tile's CSR and values once and applying them to
-// every row of the tile, whose accumulators stay resident in groups of at
-// most kRowGroup rows.  Tiles ascend in tc and kept columns ascend within
-// a row, so each lane still sees its terms in ascending global column
-// order and the cost tracks kept weights, not (row, tile) visits.
+// j-chunk and row group, over the plan's slot layout
+// (PatternPlan::row_slots), which gives a row the same number of cells in
+// every tile.  The group's row count is a template parameter, so every
+// accumulator index is a compile-time constant and the group's Rows x U
+// accumulators live in registers (a runtime row index would force them
+// onto the stack and cost a load and a store per kept cell), and the
+// per-row trip counts repeat identically from tile to tile, so branches
+// predict.  Tiles ascend in tc and each row's cells ascend by column, so
+// each lane still sees its terms in ascending global column order; pad
+// cells are zero-weight terms at columns the reference also visits with
+// weight zero.
+//
+// Every body overwrites its output: chains start at +0 (or, for the
+// dense kernel's later k-tiles, at the partial sums the first wrote), so
+// stale workspace contents never leak into a result.  X rows are read at
+// a caller-given stride (ldx), so a window of a wider buffer runs in
+// place.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 
 #include "exec/kernels_dispatch.hpp"
 
@@ -83,16 +97,17 @@ void for_each_chunk(std::int64_t n, std::int64_t unroll, Body&& body) {
   }
 }
 
-/// Dense and block chunk body: out[lanes] += sum over t in [t0, t1) of
-/// weight(t) * x_row(t)[lanes], one fma per term in ascending t.  The
-/// families differ only in how a term finds its weight and X row.
+/// Dense and block chunk body: out[lanes] = (accumulate ? out[lanes] : 0)
+/// + sum over t in [t0, t1) of weight(t) * x_row(t)[lanes], one fma per
+/// term in ascending t.  The families differ only in how a term finds its
+/// weight and X row.
 template <class V, int U, class Weight, class XRow>
-void row_chunk(float* out, std::int64_t t0, std::int64_t t1,
+void row_chunk(float* out, bool accumulate, std::int64_t t0, std::int64_t t1,
                const Weight& weight, const XRow& x_row) {
   constexpr std::int64_t w = V::kWidth;
   typename V::Reg acc[U];
   for (int u = 0; u < U; ++u) {
-    acc[u] = V::load(out + u * w);
+    acc[u] = accumulate ? V::load(out + u * w) : V::broadcast(0.0F);
   }
   for (std::int64_t t = t0; t < t1; ++t) {
     const auto v = V::broadcast(weight(t));
@@ -116,10 +131,14 @@ void dense_range(const DenseRangeArgs& a, std::int64_t r0, std::int64_t r1) {
       float* orow = a.out + r * n;
       const auto weight = [wrow](std::int64_t k) { return wrow[k]; };
       for_each_chunk<V, H>(n, a.unroll, [&]<class C>(C, std::int64_t j) {
-        const auto x_row = [&](std::int64_t k) { return a.x + k * n + j; };
-        row_chunk<typename C::Vec, C::kU>(orow + j, kk, kend, weight, x_row);
+        const auto x_row = [&](std::int64_t k) { return a.x + k * a.ldx + j; };
+        row_chunk<typename C::Vec, C::kU>(orow + j, kk > 0, kk, kend, weight,
+                                          x_row);
       });
     }
+  }
+  if (a.cols == 0) {  // no k-tile ran: the product is all zeros
+    std::fill(a.out + r0 * n, a.out + r1 * n, 0.0F);
   }
 }
 
@@ -136,8 +155,10 @@ void block_range(const BlockRangeArgs& a, std::int64_t r0, std::int64_t r1) {
     float* orow = a.out + r * n;
     const auto weight = [vrow](std::int64_t c) { return vrow[c]; };
     for_each_chunk<V, H>(n, a.unroll, [&]<class C>(C, std::int64_t j) {
-      const auto x_row = [&](std::int64_t c) { return a.x + kept[c] * n + j; };
-      row_chunk<typename C::Vec, C::kU>(orow + j, 0, kc, weight, x_row);
+      const auto x_row = [&](std::int64_t c) {
+        return a.x + kept[c] * a.ldx + j;
+      };
+      row_chunk<typename C::Vec, C::kU>(orow + j, false, 0, kc, weight, x_row);
     });
   }
 }
@@ -146,45 +167,83 @@ void block_range(const BlockRangeArgs& a, std::int64_t r0, std::int64_t r1) {
 /// larger psizes sweep their tile row in several groups.
 constexpr std::int64_t kRowGroup = 8;
 
-/// Pattern chunk body: lanes [j, j + V::kWidth * U) of rows [g0, g1) of
-/// one tile row (g1 - g0 <= kRowGroup), whose tiles start at `tiles` and
-/// whose row g0 starts at `out`.  One pass over the tile row fetches each
-/// tile's CSR and values once and streams its kept cells, in CSR order,
-/// into the owning row's resident accumulator.
-template <class V, int U>
-void pattern_chunk(const PatternRangeArgs& a, const PatternTile* tiles,
-                   float* out, std::int64_t j, std::int64_t g0,
-                   std::int64_t g1) {
+/// Calls f(std::integral_constant<int, I>{}) for I = 0 .. N-1 in order:
+/// a loop whose index is a compile-time constant in every iteration.
+template <int N, class F>
+[[gnu::always_inline]] inline void unrolled(const F& f) {
+  [&]<int... I>(std::integer_sequence<int, I...>) {
+    (f(std::integral_constant<int, I>{}), ...);
+  }(std::make_integer_sequence<int, N>{});
+}
+
+/// One row group of one tile row in the slot layout.
+struct PatternGroup {
+  std::int64_t tile_row = 0;
+  /// Offset of the group's first cell within a tile's slot cells.
+  std::int64_t offset = 0;
+  /// Cells per tile of each of the group's rows (PatternPlan::row_slots).
+  const std::int64_t* slots = nullptr;
+  /// Output row of the group's first row.
+  float* out = nullptr;
+};
+
+/// Pattern chunk body: lanes [j, j + V::kWidth * U) of the Rows rows of
+/// one row group.  Each tile streams every row's cells, in slot order,
+/// into that row's accumulators.
+template <class V, int U, int Rows>
+void pattern_chunk(const PatternRangeArgs& a, const PatternGroup& g,
+                   std::int64_t j) {
   constexpr std::int64_t w = V::kWidth;
   const PatternPlan& plan = *a.plan;
-  const std::int64_t n = a.n;
-  typename V::Reg acc[kRowGroup][U];
-  for (std::int64_t r = 0; r < g1 - g0; ++r) {
+  const std::int64_t stride = plan.slot_stride;
+  const std::int64_t ldx = a.ldx;
+  const PatternTile* tiles = plan.tiles.data() + g.tile_row * plan.tiles_c;
+  const std::int32_t* cols0 = plan.slot_cols.data() + g.offset;
+  const float* vals = plan.slot_values.data() +
+                      g.tile_row * plan.tiles_c * stride + g.offset;
+  const float* xt = a.x + j;
+  std::int64_t slots[Rows];
+  typename V::Reg acc[Rows][U];
+  for (int r = 0; r < Rows; ++r) {
+    slots[r] = g.slots[r];
     for (int u = 0; u < U; ++u) {
-      acc[r][u] = V::load(out + r * n + j + u * w);
+      acc[r][u] = V::broadcast(0.0F);
     }
   }
-  for (std::int64_t tc = 0; tc < plan.tiles_c; ++tc) {
-    const CompiledPattern& cp = plan.tile_pattern(tiles[tc]);
-    const std::int32_t* row_ptr = cp.row_ptr.data();
-    const std::int32_t* rows = cp.rows.data();
-    const std::int32_t* cols = cp.cols.data();
-    const float* vals = plan.values.data() + tiles[tc].value_offset;
-    const float* xt = a.x + tc * plan.psize * n + j;
-    for (std::int32_t i = row_ptr[g0]; i < row_ptr[g1]; ++i) {
-      const auto v = V::broadcast(vals[i]);
-      const float* xp = xt + cols[i] * n;
-      auto& racc = acc[rows[i] - g0];
-      for (int u = 0; u < U; ++u) {
-        racc[u] = V::fma(v, V::load(xp + u * w), racc[u]);
+  for (std::int64_t tc = 0; tc < plan.tiles_c;
+       ++tc, vals += stride, xt += plan.psize * ldx) {
+    const std::int32_t* cols = cols0 + tiles[tc].pattern_id * stride;
+    const float* v = vals;
+    unrolled<Rows>([&](auto r) {
+      for (std::int64_t s = 0; s < slots[r]; ++s) {
+        const auto wv = V::broadcast(v[s]);
+        const float* xp = xt + cols[s] * ldx;
+        for (int u = 0; u < U; ++u) {
+          acc[r][u] = V::fma(wv, V::load(xp + u * w), acc[r][u]);
+        }
       }
-    }
+      cols += slots[r];
+      v += slots[r];
+    });
   }
-  for (std::int64_t r = 0; r < g1 - g0; ++r) {
+  for (int r = 0; r < Rows; ++r) {
     for (int u = 0; u < U; ++u) {
-      V::store(out + r * n + j + u * w, acc[r][u]);
+      V::store(g.out + r * a.n + j + u * w, acc[r][u]);
     }
   }
+}
+
+/// Calls f.template operator()<Rows>() with the compile-time Rows == h,
+/// for h in [1, kRowGroup].
+template <int Rows = 1, class F>
+void with_rows(std::int64_t h, const F& f) {
+  if constexpr (Rows < kRowGroup) {
+    if (h != Rows) {
+      with_rows<Rows + 1>(h, f);
+      return;
+    }
+  }
+  f.template operator()<Rows>();
 }
 
 /// Rows [row0, row1) are tile-row aligned (see PatternRangeArgs).
@@ -194,14 +253,21 @@ void pattern_range(const PatternRangeArgs& a, std::int64_t row0,
   const PatternPlan& plan = *a.plan;
   const std::int64_t p = plan.psize;
   for (std::int64_t tr = row0 / p; tr < (row1 + p - 1) / p; ++tr) {
-    const PatternTile* tiles = plan.tiles.data() + tr * plan.tiles_c;
     const std::int64_t rmax = std::min(p, plan.rows - tr * p);
+    PatternGroup g;
+    g.tile_row = tr;
     for (std::int64_t g0 = 0; g0 < rmax; g0 += kRowGroup) {
-      const std::int64_t g1 = std::min(g0 + kRowGroup, rmax);
-      float* out = a.out + (tr * p + g0) * a.n;
-      for_each_chunk<V, H>(a.n, a.unroll, [&]<class C>(C, std::int64_t j) {
-        pattern_chunk<typename C::Vec, C::kU>(a, tiles, out, j, g0, g1);
+      const std::int64_t h = std::min(kRowGroup, rmax - g0);
+      g.slots = plan.row_slots.data() + g0;
+      g.out = a.out + (tr * p + g0) * a.n;
+      with_rows(h, [&]<int Rows>() {
+        for_each_chunk<V, H>(a.n, a.unroll, [&]<class C>(C, std::int64_t j) {
+          pattern_chunk<typename C::Vec, C::kU, Rows>(a, g, j);
+        });
       });
+      for (std::int64_t r = 0; r < h; ++r) {
+        g.offset += g.slots[r];
+      }
     }
   }
 }

@@ -43,39 +43,46 @@ MeasuredBackend::MeasuredBackend(MeasuredBackendConfig config,
   Rng rng(config_.input_seed);
   const std::int64_t max_n = config_.max_batch * config_.cols_per_request;
   inputs_.reserve(layers_.size());
+  outputs_.reserve(layers_.size());
   for (const Linear* layer : layers_) {
-    inputs_.push_back(
-        Tensor::randn({layer->weight().value().size(1), max_n}, rng));
+    const Tensor& w = layer->weight().value();
+    inputs_.push_back(Tensor::randn({w.size(1), max_n}, rng));
+    outputs_.emplace_back(static_cast<std::size_t>(w.size(0) * max_n));
   }
+  output_cols_.assign(layers_.size(), 0);
 }
 
-Tensor MeasuredBackend::batch_input(std::int64_t li, std::int64_t n) const {
-  const Tensor& master = inputs_[static_cast<std::size_t>(li)];
-  const std::int64_t rows = master.size(0);
-  const std::int64_t max_n = master.size(1);
-  Tensor x({rows, n});
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* src = master.data() + r * max_n;
-    std::copy(src, src + n, x.data() + r * n);
-  }
-  return x;
+ActivationView MeasuredBackend::batch_input(std::int64_t layer,
+                                            std::int64_t batch) const {
+  check(layer >= 0 && layer < plans_.num_layers(),
+        "MeasuredBackend: layer out of range");
+  check(batch >= 1 && batch <= config_.max_batch,
+        "MeasuredBackend: batch size outside the activation buffer");
+  const Tensor& master = inputs_[static_cast<std::size_t>(layer)];
+  const std::int64_t n = batch * config_.cols_per_request;
+  return {master.data(), master.size(0), n, n};
 }
 
-double MeasuredBackend::run_layers_wall_ms(std::int64_t n) {
-  // Activation slices are prepared OUTSIDE the timed region: the kernel
-  // measurement covers GEMM work, not buffer bookkeeping.
-  std::vector<Tensor> xs;
-  xs.reserve(layers_.size());
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    xs.push_back(batch_input(static_cast<std::int64_t>(li), n));
-  }
+void MeasuredBackend::run_into_workspace(std::int64_t layer,
+                                         const LayerPlan& plan,
+                                         std::int64_t batch,
+                                         const KernelOptions& options) {
+  const auto li = static_cast<std::size_t>(layer);
+  const ActivationView x = batch_input(layer, batch);
+  plan_gemm_into(plan, x, outputs_[li].data(), &pool_, options);
+  output_cols_[li] = x.n;
+}
+
+double MeasuredBackend::run_layers_wall_ms(std::int64_t batch) {
+  // Only kernel calls are timed: activations are read in place and every
+  // output goes to a workspace allocated at construction.
   const auto t0 = wall_now();
   for (std::size_t li = 0; li < layers_.size(); ++li) {
-    const LayerPlan& plan = plans_.active_plan(static_cast<std::int64_t>(li));
-    const Tensor out =
-        plan_gemm(plan, xs[li], &pool_,
-                  plan.tuned ? *plan.tuned : config_.kernel);
-    sink_ += out[0];
+    const auto layer = static_cast<std::int64_t>(li);
+    const LayerPlan& plan = plans_.active_plan(layer);
+    run_into_workspace(layer, plan, batch,
+                       plan.tuned ? *plan.tuned : config_.kernel);
+    sink_ += outputs_[li][0];
   }
   return wall_ms_since(t0);
 }
@@ -89,8 +96,7 @@ BatchExecution MeasuredBackend::run_batch(std::int64_t batch_size,
   if (plans_.active_level() != level_pos) {
     plans_.swap_to(level_pos);  // defensive; the Server activates first
   }
-  const double wall =
-      run_layers_wall_ms(batch_size * config_.cols_per_request);
+  const double wall = run_layers_wall_ms(batch_size);
   total_kernel_wall_ms_ += wall;
   // A scheduler hiccup can inflate one sample 10-50x; that is host noise,
   // not device work, so virtual time uses the clamped sample.
@@ -122,24 +128,32 @@ Tensor MeasuredBackend::run_layer(std::int64_t layer, const Tensor& x) {
 double MeasuredBackend::time_layer_ms(std::int64_t layer, std::int64_t level,
                                       std::int64_t batch,
                                       const KernelOptions& options) {
-  check(batch >= 1 && batch <= config_.max_batch,
-        "MeasuredBackend: batch size outside the activation buffer");
-  const Tensor x = batch_input(layer, batch * config_.cols_per_request);
   const LayerPlan& plan = plans_.plan(layer, level);
   const auto t0 = wall_now();
-  const Tensor out = plan_gemm(plan, x, &pool_, options);
-  sink_ += out[0];
-  return wall_ms_since(t0);
+  run_into_workspace(layer, plan, batch, options);
+  const double ms = wall_ms_since(t0);
+  sink_ += outputs_[static_cast<std::size_t>(layer)][0];
+  return ms;
+}
+
+Tensor MeasuredBackend::last_output(std::int64_t layer) const {
+  check(layer >= 0 && layer < plans_.num_layers(),
+        "MeasuredBackend: layer out of range");
+  const auto li = static_cast<std::size_t>(layer);
+  const std::int64_t rows = plans_.plan(layer, 0).rows;
+  const auto* begin = outputs_[li].data();
+  return Tensor({rows, output_cols_[li]},
+                std::vector<float>(begin, begin + rows * output_cols_[li]));
 }
 
 void MeasuredBackend::auto_scale(double target_ms) {
   check(target_ms > 0.0, "MeasuredBackend: bad auto-scale target");
   const std::int64_t restore = plans_.active_level();
   plans_.swap_to(0);
-  run_layers_wall_ms(config_.cols_per_request);  // warm caches and pool
+  run_layers_wall_ms(1);  // warm caches and pool
   std::vector<double> walls;
   for (int rep = 0; rep < 5; ++rep) {
-    walls.push_back(run_layers_wall_ms(config_.cols_per_request));
+    walls.push_back(run_layers_wall_ms(1));
   }
   std::sort(walls.begin(), walls.end());
   const double median = std::max(walls[walls.size() / 2], 1e-6);

@@ -6,7 +6,10 @@
 //
 // All per-level execution plans are pre-built in a PlanCache at
 // construction; activate_level() at a drain-then-switch point only swaps
-// plan pointers, mirroring the paper's ms-scale pattern-set switch.
+// plan pointers, mirroring the paper's ms-scale pattern-set switch.  A
+// batch allocates and copies nothing: each layer reads its activation in
+// place from a master buffer and writes a per-layer output workspace,
+// both sized for max_batch at construction.
 #pragma once
 
 #include <cstdint>
@@ -101,18 +104,37 @@ class MeasuredBackend : public ExecutionBackend {
   /// Host wall ms spent inside kernels since construction.
   double total_kernel_wall_ms() const { return total_kernel_wall_ms_; }
 
+  /// The activation a batch of `batch` requests multiplies layer `layer`
+  /// by: the first cols x n floats of the layer's master buffer read as a
+  /// row-major [cols x n] matrix, n = batch * cols_per_request.  Every
+  /// width reads a contiguous prefix, so no batch copies or packs its
+  /// input and a narrow batch touches only its own few pages.
+  ActivationView batch_input(std::int64_t layer, std::int64_t batch) const;
+  /// Copy of the output the last kernel call (run_batch or time_layer_ms)
+  /// wrote to layer `layer`'s workspace — the test hook for bitwise
+  /// checks of the allocation-free batch path.
+  Tensor last_output(std::int64_t layer) const;
+
  private:
-  /// First `n` activation columns of layer `li`'s master input buffer.
-  Tensor batch_input(std::int64_t li, std::int64_t n) const;
-  /// Runs every layer once at activation width `n`; returns kernel wall ms.
-  double run_layers_wall_ms(std::int64_t n);
+  /// Runs every layer once on a batch into its workspace; returns the
+  /// wall ms of the kernel calls alone.
+  double run_layers_wall_ms(std::int64_t batch);
+  /// Runs one (layer, level) plan on a batch into the layer's workspace.
+  void run_into_workspace(std::int64_t layer, const LayerPlan& plan,
+                          std::int64_t batch, const KernelOptions& options);
 
   MeasuredBackendConfig config_;
   std::vector<Linear*> layers_;
   std::vector<double> freqs_;
   PlanCache plans_;
   ThreadPool pool_;
-  std::vector<Tensor> inputs_;  // per layer, [cols x max_batch*cols_per_request]
+  /// Per layer, cols x max_batch * cols_per_request floats (see
+  /// batch_input).
+  std::vector<Tensor> inputs_;
+  /// Per-layer output workspace (rows x max_n floats) and the width the
+  /// last kernel call wrote there.
+  std::vector<std::vector<float>> outputs_;
+  std::vector<std::int64_t> output_cols_;
   double total_kernel_wall_ms_ = 0.0;
   /// Level-0 batch-of-1 wall-time baseline from auto_scale (0 = unset).
   double baseline_item_wall_ms_ = 0.0;

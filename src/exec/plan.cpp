@@ -1,5 +1,6 @@
 #include "exec/plan.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
@@ -18,14 +19,62 @@ Tensor masked_weight_of(const Linear& layer, const Tensor* mask) {
   return mul(w, *mask);
 }
 
+/// Appends one compiled pattern's columns to `slot_cols` in the slot
+/// layout (see PatternPlan::row_slots), for a tile whose in-bounds
+/// columns are [0, cmax), and sets slot_of[i] to the slot of CSR cell i.
+/// Pads take the lowest in-bounds columns the row does not keep; a row
+/// that keeps all of them repeats column cmax - 1.
+void append_slot_layout(const CompiledPattern& cp, std::int64_t cmax,
+                        const std::vector<std::int64_t>& row_slots,
+                        std::int64_t stride,
+                        std::vector<std::int32_t>& slot_cols,
+                        std::vector<std::int32_t>& slot_of) {
+  const std::size_t base = slot_cols.size();
+  slot_cols.resize(base + static_cast<std::size_t>(stride), 0);
+  slot_of.assign(cp.cols.size(), 0);
+  std::vector<std::pair<std::int32_t, std::int32_t>> cells;  // (col, CSR i)
+  std::vector<bool> kept;
+  std::int32_t k = 0;
+  for (std::size_t r = 0; r + 1 < cp.row_ptr.size(); ++r) {
+    const auto slots = static_cast<std::size_t>(row_slots[r]);
+    cells.clear();
+    kept.assign(static_cast<std::size_t>(cmax), false);
+    for (std::int32_t i = cp.row_ptr[r]; i < cp.row_ptr[r + 1]; ++i) {
+      const std::int32_t c = cp.cols[static_cast<std::size_t>(i)];
+      cells.emplace_back(c, i);
+      kept[static_cast<std::size_t>(c)] = true;
+    }
+    for (std::int64_t c = 0; c < cmax && cells.size() < slots; ++c) {
+      if (!kept[static_cast<std::size_t>(c)]) {
+        cells.emplace_back(static_cast<std::int32_t>(c), -1);
+      }
+    }
+    while (cells.size() < slots) {
+      cells.emplace_back(static_cast<std::int32_t>(cmax - 1), -1);
+    }
+    std::sort(cells.begin(), cells.end());  // ascending column
+    for (const auto& [col, i] : cells) {
+      slot_cols[base + static_cast<std::size_t>(k)] = col;
+      if (i >= 0) {
+        slot_of[static_cast<std::size_t>(i)] = k;
+      }
+      ++k;
+    }
+  }
+}
+
 }  // namespace
 
 void check_kernel_options(const KernelOptions& options,
                           const std::string& who) {
+  // The message is built only on failure: kernels validate per call.
   const auto field = [&](bool ok, const char* name, std::int64_t value,
                          const char* want) {
-    check(ok, who + ": kernel option " + name + "=" + std::to_string(value) +
-                  " is invalid (need " + want + ")");
+    if (!ok) {
+      check(false, who + ": kernel option " + name + "=" +
+                       std::to_string(value) + " is invalid (need " + want +
+                       ")");
+    }
   };
   field(options.k_tile >= 0, "k_tile", options.k_tile, ">= 0");
   field(options.row_grain >= 1, "row_grain", options.row_grain, ">= 1");
@@ -84,28 +133,54 @@ PatternPlan PatternPlan::build(const Tensor& masked_weight,
   plan.tiles_c = (plan.cols + p - 1) / p;
   plan.compiled.reserve(set.patterns.size());
   for (const Pattern& pat : set.patterns) {
+    check(pat.psize() == p, "PatternPlan: patterns differ in psize");
     plan.compiled.push_back(CompiledPattern::compile(pat));
   }
-  plan.tiles.reserve(static_cast<std::size_t>(plan.tiles_r * plan.tiles_c));
+  const auto num_tiles = static_cast<std::size_t>(plan.tiles_r * plan.tiles_c);
+  plan.tiles.reserve(num_tiles);
 
-  Tensor tile({p, p});
+  // Slot layout: per tile row, the longest that row is in any pattern
+  // (clipping only drops cells, so the set's patterns bound the clipped
+  // ones).  Pads stay at the zero the values start from.
+  plan.row_slots.assign(static_cast<std::size_t>(p), 0);
+  for (const CompiledPattern& cp : plan.compiled) {
+    for (std::size_t r = 0; r < plan.row_slots.size(); ++r) {
+      plan.row_slots[r] = std::max<std::int64_t>(
+          plan.row_slots[r], cp.row_ptr[r + 1] - cp.row_ptr[r]);
+    }
+  }
+  for (const std::int64_t slots : plan.row_slots) {
+    plan.slot_stride += slots;
+  }
+  const auto stride = static_cast<std::size_t>(plan.slot_stride);
+  plan.slot_values.assign(num_tiles * stride, 0.0F);
+  // Per compiled pattern: the slot of each CSR cell.
+  std::vector<std::vector<std::int32_t>> slot_of(plan.compiled.size());
+  for (std::size_t pi = 0; pi < plan.compiled.size(); ++pi) {
+    append_slot_layout(plan.compiled[pi], p, plan.row_slots,
+                       plan.slot_stride, plan.slot_cols, slot_of[pi]);
+  }
+
   const float* w = masked_weight.data();
   for (std::int64_t tr = 0; tr < plan.tiles_r; ++tr) {
     for (std::int64_t tc = 0; tc < plan.tiles_c; ++tc) {
       const std::int64_t rmax = std::min(p, plan.rows - tr * p);
       const std::int64_t cmax = std::min(p, plan.cols - tc * p);
-      // Zero-padded tile extraction: out-of-bounds cells contribute nothing
-      // to retained L2, so edge assignment follows the same rule.
-      tile.fill(0.0F);
-      for (std::int64_t r = 0; r < rmax; ++r) {
-        for (std::int64_t c = 0; c < cmax; ++c) {
-          tile[r * p + c] = w[(tr * p + r) * plan.cols + tc * p + c];
-        }
-      }
+      const float* tile = w + tr * p * plan.cols + tc * p;
+      // Retained L2 per pattern, summed over the kept cells in ascending
+      // flat order as Pattern::retained_l2 does on the zero-padded tile;
+      // out-of-bounds cells would add +0 and are skipped.
       std::size_t best = 0;
       double best_l2 = -1.0;
       for (std::size_t pi = 0; pi < set.patterns.size(); ++pi) {
-        const double l2 = set.patterns[pi].retained_l2(tile);
+        const CompiledPattern& cp = plan.compiled[pi];
+        double l2 = 0.0;
+        for (std::size_t i = 0; i < cp.cols.size(); ++i) {
+          if (cp.rows[i] < rmax && cp.cols[i] < cmax) {
+            const double v = tile[cp.rows[i] * plan.cols + cp.cols[i]];
+            l2 += v * v;
+          }
+        }
         if (l2 > best_l2) {
           best_l2 = l2;
           best = pi;
@@ -116,13 +191,22 @@ PatternPlan PatternPlan::build(const Tensor& masked_weight,
       t.value_offset = static_cast<std::int64_t>(plan.values.size());
       t.pattern_id = static_cast<std::int32_t>(best);
       if (rmax < p || cmax < p) {
-        // Clipped edge tile: its own CSR over the in-bounds kept cells.
+        // Clipped edge tile: its own CSR over the in-bounds kept cells,
+        // and its own slot layout built from that CSR.
         t.pattern_id = static_cast<std::int32_t>(plan.compiled.size());
         plan.compiled.push_back(plan.compiled[best].clipped(rmax, cmax));
+        slot_of.emplace_back();
+        append_slot_layout(plan.compiled.back(), cmax, plan.row_slots,
+                           plan.slot_stride, plan.slot_cols, slot_of.back());
       }
       const CompiledPattern& cp = plan.tile_pattern(t);
+      const std::vector<std::int32_t>& slots =
+          slot_of[static_cast<std::size_t>(t.pattern_id)];
+      float* tile_slots = plan.slot_values.data() + plan.tiles.size() * stride;
       for (std::size_t i = 0; i < cp.cols.size(); ++i) {
-        plan.values.push_back(tile[cp.rows[i] * p + cp.cols[i]]);
+        const float v = tile[cp.rows[i] * plan.cols + cp.cols[i]];
+        plan.values.push_back(v);
+        tile_slots[slots[i]] = v;
       }
       plan.tiles.push_back(t);
     }

@@ -94,12 +94,28 @@ struct PatternPlan {
   std::vector<PatternTile> tiles;  // row-major over the tile grid
   std::vector<float> values;
 
+  /// Execution-only slot layout, built per compiled pattern after
+  /// clipping and kept beside the CSR (which, with `values`, is what
+  /// to_dense() and sparsity() read).  Every tile gives its row r exactly
+  /// row_slots[r] cells: the most any pattern of the set keeps in row r.
+  /// A shorter row is padded with zero-weight cells at in-bounds columns
+  /// it does not keep, and each row's cells ascend by column, so the
+  /// kernel's trip counts are the same for every tile and each row still
+  /// sees its terms in the reference order.  Row r's cells start at the
+  /// sum of row_slots over the rows before it.
+  std::vector<std::int64_t> row_slots;
+  /// Cells of a full-height tile: the per-pattern stride of slot_cols and
+  /// the per-tile stride of slot_values (a clipped last tile row uses a
+  /// prefix of each stride).
+  std::int64_t slot_stride = 0;
+  std::vector<std::int32_t> slot_cols;  // compiled.size() x slot_stride
+  std::vector<float> slot_values;       // tiles.size() x slot_stride
+
   /// Builds the plan from an (already backbone-masked) weight matrix.
   /// Dimensions need NOT be multiples of psize.
   static PatternPlan build(const Tensor& masked_weight, const PatternSet& set);
 
-  /// CSR of one tile; inline because the pattern kernel fetches it once
-  /// per visited tile.
+  /// CSR of one tile.
   const CompiledPattern& tile_pattern(const PatternTile& tile) const {
     return compiled[static_cast<std::size_t>(tile.pattern_id)];
   }

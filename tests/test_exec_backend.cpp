@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -36,6 +38,8 @@
 #include "serve/session.hpp"
 #include "serve/traffic.hpp"
 
+#include "heap_counter.hpp"
+
 namespace rt3 {
 namespace {
 
@@ -52,6 +56,53 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
     ASSERT_EQ(abits, bbits) << "mismatch at flat index " << i << ": " << av
                             << " vs " << bv;
   }
+}
+
+/// X copied into a NaN-filled buffer with `pad_cols` extra columns per
+/// row and `pad_rows` extra rows, read through a strided view: a kernel
+/// that reads outside X's window, or mixes a lane it does not own, turns
+/// its output NaN.
+struct PaddedActivation {
+  std::vector<float> buffer;
+  ActivationView view;
+};
+
+PaddedActivation nan_padded(const Tensor& x, std::int64_t pad_cols = 3,
+                            std::int64_t pad_rows = 17) {
+  const std::int64_t rows = x.size(0);
+  const std::int64_t n = x.size(1);
+  const std::int64_t stride = n + pad_cols;
+  PaddedActivation a;
+  a.buffer.assign(static_cast<std::size_t>((rows + pad_rows) * stride),
+                  std::numeric_limits<float>::quiet_NaN());
+  for (std::int64_t r = 0; r < rows; ++r) {
+    std::copy(x.data() + r * n, x.data() + (r + 1) * n,
+              a.buffer.begin() + r * stride);
+  }
+  a.view = {a.buffer.data(), rows, n, stride};
+  return a;
+}
+
+/// A rows x n output buffer full of NaN: a kernel that leaves any element
+/// unwritten (or accumulates onto it) fails the bitwise check.
+std::vector<float> nan_output(std::int64_t rows, std::int64_t n) {
+  return std::vector<float>(static_cast<std::size_t>(rows * n),
+                            std::numeric_limits<float>::quiet_NaN());
+}
+
+Tensor as_tensor(std::int64_t rows, std::int64_t n,
+                 const std::vector<float>& data) {
+  return Tensor({rows, n}, data);
+}
+
+/// The rows x n window of an activation view, copied.
+Tensor as_tensor(const ActivationView& v) {
+  Tensor t({v.rows, v.n});
+  for (std::int64_t r = 0; r < v.rows; ++r) {
+    std::copy(v.data + r * v.stride, v.data + r * v.stride + v.n,
+              t.data() + r * v.n);
+  }
+  return t;
 }
 
 KernelOptions tiny_tiles() {
@@ -314,6 +365,113 @@ TEST(SimdKernels, EveryActivationWidthBitwiseMatchesNaive) {
   }
 }
 
+TEST(SimdKernels, PatternRowGroupsUnrollsAndThreadsBitwiseMatchNaive) {
+  // The pattern kernel's accumulators are templated on the row-group
+  // height: psize 8 with 8k + h rows runs every height h in 1..8 (the
+  // last tile row is h high), psize 9 and 16 split each tile row into
+  // several groups, and every shape leaves clipped edge tiles in both
+  // directions.  X sits in a NaN-padded strided buffer and the output is
+  // NaN-prefilled, so a pad cell at a column outside a clipped tile, a
+  // lane read past n or an unwritten output element all break the
+  // bitwise match.  Every unroll, thread count and ISA runs.
+  Rng rng(59);
+  std::vector<PatternPlan> plans;
+  for (std::int64_t h = 1; h <= 8; ++h) {
+    const PatternSet set = random_pattern_set(8, 0.3 + 0.08 * h, 2, rng);
+    plans.push_back(PatternPlan::build(Tensor::randn({16 + h, 21}, rng), set));
+  }
+  for (const auto& [psize, rows, cols] :
+       {std::array<std::int64_t, 3>{9, 22, 20},
+        std::array<std::int64_t, 3>{16, 43, 37},
+        std::array<std::int64_t, 3>{3, 10, 8},
+        std::array<std::int64_t, 3>{5, 13, 11}}) {
+    for (const double sparsity : {0.2, 0.6, 0.9}) {
+      const PatternSet set = random_pattern_set(psize, sparsity, 3, rng);
+      plans.push_back(
+          PatternPlan::build(Tensor::randn({rows, cols}, rng), set));
+    }
+  }
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool3(3);
+  for (const std::int64_t n : {1, 3, 4, 8, 13, 32, 45}) {
+    for (const PatternPlan& plan : plans) {
+      const Tensor x = Tensor::randn({plan.cols, n}, rng);
+      const Tensor ref = naive_dense_matmul(plan.to_dense(), x);
+      const PaddedActivation px = nan_padded(x);
+      for (const std::int64_t unroll : {1, 2, 4}) {
+        KernelOptions o = tiny_tiles();
+        o.unroll = unroll;
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool1,
+                              &pool2, &pool3}) {
+          SCOPED_TRACE("psize=" + std::to_string(plan.psize) +
+                       " rows=" + std::to_string(plan.rows) +
+                       " n=" + std::to_string(n) +
+                       " unroll=" + std::to_string(unroll) + " threads=" +
+                       std::to_string(p == nullptr ? 0 : p->num_threads()));
+          for (const bool scalar : {false, true}) {
+            std::optional<ScopedScalarIsa> guard;
+            if (scalar) {
+              guard.emplace();
+            }
+            std::vector<float> out = nan_output(plan.rows, n);
+            pattern_gemm_into(plan, px.view, out.data(), p, o);
+            expect_bitwise_equal(as_tensor(plan.rows, n, out), ref);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, IntoFormsOverwriteStaleBuffersBitwise) {
+  // Every `_into` kernel overwrites a NaN-prefilled output and reads X
+  // through a strided, NaN-padded view; each must equal the naive
+  // reference bitwise, serially and on a pool, and again when the same
+  // buffer is reused with its previous result in it.
+  Rng rng(67);
+  const Tensor dw = Tensor::randn({19, 23}, rng);
+  Tensor sparse = Tensor::randn({18, 23}, rng);
+  for (std::int64_t i = 0; i < sparse.numel(); ++i) {
+    if (rng.bernoulli(0.5)) {
+      sparse[i] = 0.0F;
+    }
+  }
+  const BlockPrunedMatrix bp = BlockPrunedMatrix::from_dense(sparse, 3);
+  const IrregularPlan coo = IrregularPlan::build(sparse);
+  const PatternPlan pp =
+      PatternPlan::build(dw, random_pattern_set(4, 0.5, 2, rng));
+  ThreadPool pool(3);
+  for (const std::int64_t n : {1, 6, 37}) {
+    const Tensor x = Tensor::randn({23, n}, rng);
+    const PaddedActivation px = nan_padded(x);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (p == nullptr ? " serial" : " pool"));
+      const auto run = [&](std::int64_t rows, const Tensor& ref,
+                           const auto& into) {
+        std::vector<float> out = nan_output(rows, n);
+        for (int pass = 0; pass < 2; ++pass) {  // 2nd pass: stale result
+          into(out.data());
+          expect_bitwise_equal(as_tensor(rows, n, out), ref);
+        }
+      };
+      run(19, naive_dense_matmul(dw, x), [&](float* out) {
+        dense_gemm_into(dw, px.view, out, p, tiny_tiles());
+      });
+      run(18, naive_dense_matmul(bp.to_dense(), x), [&](float* out) {
+        block_gemm_into(bp, px.view, out, p, tiny_tiles());
+      });
+      run(18, naive_dense_matmul(coo.to_dense(), x), [&](float* out) {
+        coo_gemm_into(coo, px.view, out, p, tiny_tiles());
+      });
+      run(19, naive_dense_matmul(pp.to_dense(), x), [&](float* out) {
+        pattern_gemm_into(pp, px.view, out, p, tiny_tiles());
+      });
+    }
+  }
+}
+
 TEST(Kernels, CooGemmBitwiseMatchesNaive) {
   Rng rng(61);
   Tensor dense = Tensor::randn({14, 11}, rng);
@@ -471,6 +629,117 @@ TEST(MeasuredBackend, AllModesBitwiseMatchDenseReference) {
       expect_bitwise_equal(backend.run_layer(li, x), reference);
     }
   }
+}
+
+/// Two pruned layers (one ragged) under a MeasuredBackend in `mode` with
+/// three pattern-set levels.
+struct MeasuredRig {
+  std::vector<std::unique_ptr<Linear>> owned;
+  std::vector<Linear*> layers;
+  std::unique_ptr<MeasuredBackend> backend;
+};
+
+MeasuredRig measured_rig(ExecMode mode, std::int64_t threads,
+                         std::int64_t max_batch) {
+  MeasuredRig rig;
+  Rng rng(29);
+  rig.owned.push_back(std::make_unique<Linear>(24, 24, rng));
+  rig.owned.push_back(std::make_unique<Linear>(18, 14, rng));
+  for (auto& l : rig.owned) {
+    rig.layers.push_back(l.get());
+  }
+  ModelPruner pruner(rig.layers);
+  BpConfig bp;
+  bp.num_blocks = 2;
+  bp.prune_fraction = 0.25;
+  pruner.apply_bp(bp);
+  std::vector<PatternSet> sets;
+  for (const double s : {0.25, 0.5, 0.75}) {
+    sets.push_back(random_pattern_set(4, s, 2, rng));
+  }
+  MeasuredBackendConfig cfg;
+  cfg.mode = mode;
+  cfg.threads = threads;
+  cfg.max_batch = max_batch;
+  cfg.kernel = tiny_tiles();
+  const bool prune_to_set =
+      mode == ExecMode::kPattern || mode == ExecMode::kIrregular;
+  rig.backend = std::make_unique<MeasuredBackend>(
+      cfg, rig.layers, pruner.backbone_masks(),
+      prune_to_set ? sets : std::vector<PatternSet>{},
+      std::vector<double>{1400.0, 1000.0, 600.0});
+  return rig;
+}
+
+TEST(MeasuredBackend, ReusedWorkspacesStayBitwiseAcrossBatchSizes) {
+  // run_batch writes every layer into a workspace reused across calls:
+  // alternating widths 8 -> 1 -> 8 -> 3 at every level must leave each
+  // layer's output bitwise equal to the naive product of that level's
+  // plan and the batch's activation, with nothing stale from a wider or
+  // sparser earlier call.
+  for (ExecMode mode : {ExecMode::kDense, ExecMode::kBlock,
+                        ExecMode::kPattern, ExecMode::kIrregular}) {
+    MeasuredRig rig = measured_rig(mode, 3, 8);
+    MeasuredBackend& backend = *rig.backend;
+    for (std::int64_t level = 0; level < backend.num_levels(); ++level) {
+      backend.activate_level(level);
+      for (const std::int64_t batch : {8, 1, 8, 3}) {
+        SCOPED_TRACE(std::string(exec_mode_name(mode)) +
+                     " level=" + std::to_string(level) +
+                     " batch=" + std::to_string(batch));
+        const BatchExecution exec = backend.run_batch(batch, level);
+        EXPECT_GT(exec.kernel_wall_ms, 0.0);
+        for (std::int64_t li = 0; li < 2; ++li) {
+          const Tensor x = as_tensor(backend.batch_input(li, batch));
+          EXPECT_EQ(x.size(1), batch * backend.config().cols_per_request);
+          expect_bitwise_equal(
+              backend.last_output(li),
+              naive_dense_matmul(
+                  backend.plans().plan(li, level).dense_equivalent(), x));
+        }
+      }
+    }
+  }
+}
+
+TEST(MeasuredBackend, SteadyStateRunBatchAllocatesNoBuffers) {
+  // After warm-up a batch reads its activations in place and writes
+  // construction-time workspaces: no call allocates a block of 4 KiB or
+  // more, whatever the level or width.  The thread pool's task queue may
+  // still allocate a small node now and then.
+  MeasuredRig rig = measured_rig(ExecMode::kPattern, 2, 8);
+  MeasuredBackend& backend = *rig.backend;
+  for (std::int64_t level = 0; level < backend.num_levels(); ++level) {
+    backend.activate_level(level);
+    backend.run_batch(1, level);
+    backend.run_batch(8, level);
+  }
+  const std::int64_t allocs_before = g_heap_allocs.load();
+  const std::int64_t large_before = g_large_heap_allocs.load();
+  std::int64_t calls = 0;
+  for (int rep = 0; rep < 50; ++rep) {
+    for (std::int64_t level = 0; level < backend.num_levels(); ++level) {
+      backend.activate_level(level);
+      for (const std::int64_t batch : {1, 8, 3}) {
+        backend.run_batch(batch, level);
+        ++calls;
+      }
+    }
+  }
+  EXPECT_EQ(g_large_heap_allocs.load() - large_before, 0);
+  const double per_call =
+      static_cast<double>(g_heap_allocs.load() - allocs_before) /
+      static_cast<double>(calls);
+  RecordProperty("allocations_per_run_batch", std::to_string(per_call));
+  EXPECT_LT(per_call, 1.0);
+
+  // The counter does see allocations: the Tensor-returning run_layer
+  // allocates its output.
+  Rng rng(3);
+  const Tensor x = Tensor::randn({24, 64}, rng);
+  const std::int64_t layer_before = g_large_heap_allocs.load();
+  backend.run_layer(0, x);
+  EXPECT_GT(g_large_heap_allocs.load() - layer_before, 0);
 }
 
 TEST(AnalyticBackend, AttachedBackendReproducesDefaultServerExactly) {
