@@ -64,8 +64,8 @@ int main() {
   Rng net(17);
   double bandwidth_mbps = 12.0;
 
-  // Per-level composed sparsities, measured once up front (sparsity_at
-  // switches the engine, so don't call it inside the selection loop).
+  // Per-level composed sparsities, read once up front from the engine's
+  // stored masks (sparsity_at does not switch the engine).
   std::vector<double> level_sparsity;
   for (std::int64_t i = 0; i < engine.num_levels(); ++i) {
     level_sparsity.push_back(engine.sparsity_at(i));

@@ -1,5 +1,5 @@
 // Host wall-clock helpers for the handful of places that time real work
-// (kernel execution, plan swaps, mask re-composition).  Virtual serving
+// (kernel execution, plan swaps, mask installs).  Virtual serving
 // time never comes from here — only measured host-side costs do.
 #pragma once
 

@@ -77,17 +77,22 @@ void Linear::collect_params(const std::string& prefix,
   }
 }
 
-void Linear::set_mask(Tensor mask) {
+// Forward-time masking only: the underlying weight values stay resident so
+// a different pattern set can re-expose them (RT3's lightweight switch).
+// Call apply_mask_to_weights() explicitly to hard-zero, e.g. when exporting
+// a backbone.
+void Linear::set_mask(const Tensor& mask) {
   check(mask.shape() == weight_.shape(), "Linear::set_mask: shape mismatch");
-  for (std::int64_t i = 0; i < mask.numel(); ++i) {
-    check(mask[i] == 0.0F || mask[i] == 1.0F,
-          "Linear::set_mask: mask must be binary");
+  // A branch-free count, so the scan vectorizes: it runs on every
+  // ReconfigEngine switch.
+  std::int64_t non_binary = 0;
+  for (const float m : mask.vec()) {
+    non_binary += static_cast<std::int64_t>((m != 0.0F) & (m != 1.0F));
   }
-  // Forward-time masking only: the underlying weight values stay resident
-  // so a different pattern set can re-expose them (RT3's lightweight
-  // switch).  Call apply_mask_to_weights() explicitly to hard-zero, e.g.
-  // when exporting a backbone.
-  mask_ = std::move(mask);
+  check(non_binary == 0, "Linear::set_mask: mask must be binary");
+  // An engaged optional copy-assigns its Tensor, whose vectors keep their
+  // buffers: every installed mask has the weight's shape.
+  mask_ = mask;
 }
 
 void Linear::clear_mask() { mask_.reset(); }

@@ -43,10 +43,13 @@ class Linear : public Module {
   const Var& weight() const { return weight_; }
   Var& bias() { return bias_; }
 
-  /// Installs (replaces) the pruning mask; shape must equal the weight's.
-  /// Masking is forward-time only: weight values stay resident so another
-  /// pattern set can re-expose them (the RT3 switch semantics).
-  void set_mask(Tensor mask);
+  /// Installs (replaces) the pruning mask; shape must equal the weight's
+  /// and every entry must be 0 or 1.  Masking is forward-time only: weight
+  /// values stay resident so another pattern set can re-expose them (the
+  /// RT3 switch semantics).  Copies into the installed mask's storage when
+  /// one is present, so re-installing a stored mask allocates nothing (the
+  /// ReconfigEngine switch path).
+  void set_mask(const Tensor& mask);
 
   /// Removes the mask (dense layer again).
   void clear_mask();

@@ -2,8 +2,11 @@
 // model's prunable layers and composes Level-2 pattern masks on top.
 //
 // This realizes the RT3 run-time contract: the backbone mask is fixed once
-// (Level 1); switching a V/F level re-composes backbone AND pattern masks —
-// weights themselves never move.
+// (Level 1); a pattern set's `backbone AND pattern` masks are composed from
+// it (Level 2) and a V/F level switch only installs them — weights
+// themselves never move.  Composing and installing are separate steps, so
+// the ReconfigEngine composes every level once and its switches only
+// install, while training composes fresh masks after each weight update.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +35,18 @@ class ModelPruner {
   /// further pruning — used by the "no BP" ablations.
   void freeze_backbone();
 
-  /// Level 2: composes `backbone AND pattern` masks; the pattern for each
-  /// tile is chosen on the backbone-masked weights.  Returns the resulting
-  /// overall weight sparsity.
+  /// Level 2, compose step: the `backbone AND pattern` mask of every layer
+  /// (in layers() order) for `set`; the pattern for each tile is chosen on
+  /// the backbone-masked weights as they are now.  Installs nothing.
+  /// Throws CheckError when set's psize does not tile a layer.
+  std::vector<Tensor> compose_pattern_masks(const PatternSet& set) const;
+
+  /// Level 2, install step: installs one mask per layer (in layers()
+  /// order), copying into each layer's installed mask storage.
+  void install_masks(const std::vector<Tensor>& masks);
+
+  /// Composes and installs `set`'s masks.  Returns the resulting overall
+  /// weight sparsity.
   double apply_pattern_set(const PatternSet& set);
 
   /// Drops the Level-2 masks, restoring backbone-only masks.
@@ -59,5 +71,9 @@ class ModelPruner {
   std::vector<Linear*> layers_;
   std::vector<Tensor> backbone_masks_;
 };
+
+/// Overall fraction of zero entries across `masks` (0 when they hold no
+/// entries): the overall_sparsity() a model has with them installed.
+double masks_sparsity(const std::vector<Tensor>& masks);
 
 }  // namespace rt3

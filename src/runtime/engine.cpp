@@ -8,39 +8,48 @@
 namespace rt3 {
 
 ReconfigEngine::ReconfigEngine(ModelPruner& pruner,
-                               std::vector<PatternSet> sets,
-                               SwitchCostModel cost_model, ModelSpec spec,
-                               std::int64_t psize)
-    : pruner_(pruner),
-      sets_(std::move(sets)),
-      cost_model_(cost_model),
-      spec_(std::move(spec)),
-      psize_(psize) {
-  check(!sets_.empty(), "ReconfigEngine: no pattern sets");
+                               const std::vector<PatternSet>& sets,
+                               const SwitchCostModel& cost_model,
+                               const ModelSpec& spec, std::int64_t psize)
+    : pruner_(pruner) {
+  check(!sets.empty(), "ReconfigEngine: no pattern sets");
   check(pruner_.has_backbone(), "ReconfigEngine: backbone not frozen");
+  const std::int64_t tiles = spec.num_tiles(psize);
+  levels_.reserve(sets.size());
+  for (const PatternSet& set : sets) {
+    Level level;
+    level.masks = pruner_.compose_pattern_masks(set);
+    level.swap_bytes = set.storage_bytes();
+    level.modeled_ms = cost_model.pattern_set_switch_ms(
+        level.swap_bytes + tiles * 2, tiles);
+    levels_.push_back(std::move(level));
+  }
+}
+
+const ReconfigEngine::Level& ReconfigEngine::level_at(
+    std::int64_t level) const {
+  check(level >= 0 && level < num_levels(),
+        "ReconfigEngine: level out of range");
+  return levels_[static_cast<std::size_t>(level)];
 }
 
 SwitchReport ReconfigEngine::switch_to(std::int64_t to) {
-  check(to >= 0 && to < num_levels(), "ReconfigEngine: level out of range");
+  const Level& level = level_at(to);
   SwitchReport report;
   report.from_level = current_;
   report.to_level = to;
   if (to == current_) {
     return report;
   }
-  const auto& set = sets_[static_cast<std::size_t>(to)];
-  const std::int64_t tiles = spec_.num_tiles(psize_);
-  report.modeled_ms = cost_model_.pattern_set_switch_ms(
-      set.storage_bytes() + tiles * 2, tiles);
-
+  report.modeled_ms = level.modeled_ms;
   const auto t0 = wall_now();
-  pruner_.apply_pattern_set(set);
+  pruner_.install_masks(level.masks);
   report.wall_ms = wall_ms_since(t0);
   if (plan_swap_hook_) {
     report.plan_swap_wall_ms = plan_swap_hook_(to);
   }
   current_ = to;
-  report.swap_bytes = set.storage_bytes();
+  report.swap_bytes = level.swap_bytes;
   return report;
 }
 
@@ -48,15 +57,8 @@ void ReconfigEngine::set_plan_swap_hook(PlanSwapHook hook) {
   plan_swap_hook_ = std::move(hook);
 }
 
-double ReconfigEngine::sparsity_at(std::int64_t level) {
-  switch_to(level);
-  return pruner_.overall_sparsity();
-}
-
-const PatternSet& ReconfigEngine::set_at(std::int64_t level) const {
-  check(level >= 0 && level < num_levels(),
-        "ReconfigEngine: level out of range");
-  return sets_[static_cast<std::size_t>(level)];
+double ReconfigEngine::sparsity_at(std::int64_t level) const {
+  return masks_sparsity(level_at(level).masks);
 }
 
 DischargeStats simulate_discharge(const DischargeConfig& config,

@@ -20,7 +20,7 @@ struct SwitchReport {
   std::int64_t to_level = -1;
   /// Device-model switch latency (Odroid-scale, from SwitchCostModel).
   double modeled_ms = 0.0;
-  /// Wall-clock time the mask re-composition took on this host.
+  /// Wall-clock time installing the level's stored masks took on this host.
   double wall_ms = 0.0;
   /// Wall-clock time the plan-swap hook took (0 when no hook is set).
   double plan_swap_wall_ms = 0.0;
@@ -34,20 +34,29 @@ struct SwitchReport {
 using PlanSwapHook = std::function<double(std::int64_t)>;
 
 /// Holds the backbone-resident model and switches pattern sets.
+///
+/// Every level's per-layer `backbone AND pattern` masks, modeled switch
+/// latency and swap payload are composed once, at construction, so an
+/// effective switch_to only installs the stored masks: no pattern choice,
+/// no heap allocation once every layer holds a mask, and a cost that does
+/// not depend on the pattern set.  The masks are taken from the pruner's
+/// weights and backbone as they are when the engine is built; an engine
+/// does not see later weight or backbone updates (build a new one).
 class ReconfigEngine {
  public:
   /// `sets` are ordered fast -> slow V/F level.  `spec` and psize size the
-  /// modeled switch payload at paper scale.
-  ReconfigEngine(ModelPruner& pruner, std::vector<PatternSet> sets,
-                 SwitchCostModel cost_model, ModelSpec spec,
+  /// modeled switch payload at paper scale.  Throws CheckError when a set's
+  /// psize does not tile one of the pruner's layers.
+  ReconfigEngine(ModelPruner& pruner, const std::vector<PatternSet>& sets,
+                 const SwitchCostModel& cost_model, const ModelSpec& spec,
                  std::int64_t psize);
 
   std::int64_t num_levels() const {
-    return static_cast<std::int64_t>(sets_.size());
+    return static_cast<std::int64_t>(levels_.size());
   }
   std::int64_t current_level() const { return current_; }
 
-  /// Applies level `to`'s pattern set (no-op report if already active).
+  /// Installs level `to`'s masks (no-op report if already active).
   SwitchReport switch_to(std::int64_t to);
 
   /// Installs (or clears, with nullptr) the per-level plan-swap hook; it
@@ -55,17 +64,22 @@ class ReconfigEngine {
   /// in SwitchReport::plan_swap_wall_ms.
   void set_plan_swap_hook(PlanSwapHook hook);
 
-  /// Overall model sparsity at a level (measured on the composed masks).
-  double sparsity_at(std::int64_t level);
-
-  const PatternSet& set_at(std::int64_t level) const;
+  /// Overall model sparsity at a level, read from its stored masks; the
+  /// active level does not change.
+  double sparsity_at(std::int64_t level) const;
 
  private:
+  struct Level {
+    /// One composed mask per pruner layer, in layers() order.
+    std::vector<Tensor> masks;
+    double modeled_ms = 0.0;
+    std::int64_t swap_bytes = 0;
+  };
+
+  const Level& level_at(std::int64_t level) const;
+
   ModelPruner& pruner_;
-  std::vector<PatternSet> sets_;
-  SwitchCostModel cost_model_;
-  ModelSpec spec_;
-  std::int64_t psize_;
+  std::vector<Level> levels_;
   std::int64_t current_ = -1;
   PlanSwapHook plan_swap_hook_;
 };

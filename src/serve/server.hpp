@@ -92,8 +92,9 @@ class Server {
          const std::vector<double>& sparsities);
 
   /// Takes ownership of a live ReconfigEngine (the deployment path):
-  /// level switches then re-compose real masks and use the engine's
-  /// modeled switch latency.  One pattern set per governor level required.
+  /// level switches then install the engine's pre-composed real masks and
+  /// use its modeled switch latency.  One pattern set per governor level
+  /// required.
   void adopt_engine(std::unique_ptr<ReconfigEngine> engine);
 
   /// Takes ownership of an execution backend (the deployment path);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/check.hpp"
 #include "data/corpus.hpp"
@@ -139,6 +140,29 @@ TEST(EngineEdge, RequiresBackboneAndValidLevels) {
                         ModelSpec::paper_transformer(), 100);
   EXPECT_THROW(engine.switch_to(5), CheckError);
   EXPECT_THROW(engine.switch_to(-1), CheckError);
+}
+
+TEST(EngineEdge, NonTilingPatternSetFailsAtConstruction) {
+  Rng rng(2);
+  auto layer = std::make_unique<Linear>(8, 8, rng);
+  std::vector<Linear*> raw = {layer.get()};
+  ModelPruner pruner(raw);
+  pruner.freeze_backbone();
+  PatternSet tiles;
+  tiles.patterns.push_back(Pattern::dense(4));
+  PatternSet ragged;
+  ragged.patterns.push_back(Pattern::dense(3));  // 3 does not tile 8
+  // The bad level is named when the engine is built, before any switch.
+  try {
+    ReconfigEngine engine(pruner, {tiles, ragged}, SwitchCostModel(),
+                          ModelSpec::paper_transformer(), 100);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("multiples of psize"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(pruner.layers()[0]->has_mask());  // nothing was installed
 }
 
 TEST(SpaceEdge, ImportanceSkipsNonTileableLayers) {

@@ -9,6 +9,7 @@
 #include "common/check.hpp"
 #include "core/pareto.hpp"
 #include "core/pipeline.hpp"
+#include "heap_counter.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/package.hpp"
 
@@ -123,19 +124,27 @@ TEST(Package, ByteAccounting) {
 class EngineFixture : public ::testing::Test {
  protected:
   EngineFixture() : rng_(2) {
-    for (int i = 0; i < 2; ++i) {
-      layers_.push_back(std::make_unique<Linear>(16, 16, rng_));
-      raw_.push_back(layers_.back().get());
-    }
-    pruner_ = std::make_unique<ModelPruner>(raw_);
-    BpConfig bp;
-    bp.num_blocks = 4;
-    bp.prune_fraction = 0.25;
-    pruner_->apply_bp(bp);
+    pruner_ = make_pruner(rng_, layers_, raw_);
     sets_.push_back(random_pattern_set(4, 0.25, 2, rng_));
     sets_.push_back(random_pattern_set(4, 0.5, 2, rng_));
     sets_.push_back(random_pattern_set(4, 0.75, 2, rng_));
   }
+  /// Two 16 x 16 layers drawn from `rng` under a block-pruned backbone.
+  static std::unique_ptr<ModelPruner> make_pruner(
+      Rng& rng, std::vector<std::unique_ptr<Linear>>& layers,
+      std::vector<Linear*>& raw) {
+    for (int i = 0; i < 2; ++i) {
+      layers.push_back(std::make_unique<Linear>(16, 16, rng));
+      raw.push_back(layers.back().get());
+    }
+    auto pruner = std::make_unique<ModelPruner>(raw);
+    BpConfig bp;
+    bp.num_blocks = 4;
+    bp.prune_fraction = 0.25;
+    pruner->apply_bp(bp);
+    return pruner;
+  }
+
   Rng rng_;
   std::vector<std::unique_ptr<Linear>> layers_;
   std::vector<Linear*> raw_;
@@ -169,11 +178,58 @@ TEST_F(EngineFixture, RepeatSwitchIsNoop) {
 TEST_F(EngineFixture, SparsityAtIsMonotoneAcrossLevels) {
   ReconfigEngine engine(*pruner_, sets_, SwitchCostModel(),
                         ModelSpec::paper_transformer(), 100);
+  const std::int64_t active = engine.current_level();
   const double s0 = engine.sparsity_at(0);
   const double s1 = engine.sparsity_at(1);
   const double s2 = engine.sparsity_at(2);
   EXPECT_LT(s0, s1);
   EXPECT_LT(s1, s2);
+  EXPECT_EQ(engine.current_level(), active);
+}
+
+TEST_F(EngineFixture, SwitchesInstallFreshlyComposedMasks) {
+  ReconfigEngine engine(*pruner_, sets_, SwitchCostModel(),
+                        ModelSpec::paper_transformer(), 100);
+  // A twin model: the same weights and backbone, recomposed from scratch
+  // by apply_pattern_set at every step.
+  Rng twin_rng(2);
+  std::vector<std::unique_ptr<Linear>> twin_layers;
+  std::vector<Linear*> twin_raw;
+  auto twin = make_pruner(twin_rng, twin_layers, twin_raw);
+  for (std::size_t i = 0; i < raw_.size(); ++i) {
+    ASSERT_EQ(raw_[i]->weight().value().vec(),
+              twin_raw[i]->weight().value().vec());
+  }
+  for (const std::int64_t level : {0, 2, 1, 0, 2, 2, 1}) {
+    engine.switch_to(level);
+    const double twin_sparsity =
+        twin->apply_pattern_set(sets_[static_cast<std::size_t>(level)]);
+    for (std::size_t i = 0; i < raw_.size(); ++i) {
+      EXPECT_EQ(raw_[i]->mask().vec(), twin_raw[i]->mask().vec())
+          << "level " << level << " layer " << i;
+    }
+    EXPECT_EQ(pruner_->overall_sparsity(), twin_sparsity);
+    EXPECT_EQ(engine.sparsity_at(level), twin_sparsity);
+  }
+}
+
+TEST_F(EngineFixture, SwitchAllocatesNothing) {
+  ReconfigEngine engine(*pruner_, sets_, SwitchCostModel(),
+                        ModelSpec::paper_transformer(), 100);
+  std::vector<SwitchReport> reports;
+  reports.reserve(5);
+  const std::int64_t before = g_heap_allocs.load();
+  for (const std::int64_t level : {0, 2, 1, 1, 0}) {
+    reports.push_back(engine.switch_to(level));
+  }
+  EXPECT_EQ(g_heap_allocs.load() - before, 0);
+  EXPECT_EQ(reports.back().to_level, 0);
+  EXPECT_GT(reports.back().swap_bytes, 0);
+
+  // The counter does see allocations: composing a set builds tensors.
+  const std::int64_t compose_before = g_heap_allocs.load();
+  pruner_->apply_pattern_set(sets_[1]);
+  EXPECT_GT(g_heap_allocs.load() - compose_before, 0);
 }
 
 TEST(Discharge, SoftwareReconfigBeatsHardwareOnly) {
