@@ -222,8 +222,7 @@ int main(int argc, char** argv) {
   tcfg.rate_rps = 3.0;
   tcfg.duration_ms = repeats > 1 ? 60'000.0 : 15'000.0;
   tcfg.deadline_slack_ms = 350.0;
-  const ServerStats stats =
-      serve_concurrent(session.server(), generate_traffic(tcfg), 2);
+  const ServerStats stats = session.server().serve(generate_traffic(tcfg));
   std::cout << "measured burst session:\n" << stats.summary();
 
   std::string json = "{\n  \"levels\": [\n" + levels_json + "\n  ],\n";

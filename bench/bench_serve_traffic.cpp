@@ -129,7 +129,7 @@ Cell run_policy_cell(TrafficScenario scenario, SchedulingPolicy policy,
     }
     const std::vector<Request> schedule = generate_traffic(tcfg);
     ServeSession session(scfg);
-    const ServerStats stats = serve_concurrent(session.server(), schedule, 2);
+    const ServerStats stats = session.server().serve(schedule);
     check_miss_attribution(stats);
     if (rep == 0) {
       cell.capture_first(stats);
@@ -155,8 +155,7 @@ Cell run_node_cell(TrafficScenario scenario, std::int64_t models,
     tcfg.num_models = models;
     const std::vector<Request> schedule = generate_traffic(tcfg);
     NodeSession session(per_model, models);
-    const NodeStats stats =
-        serve_node_concurrent(session.node(), schedule, 2);
+    const NodeStats stats = session.node().serve(schedule);
     check_miss_attribution(stats);
     for (const auto& [model_id, model_stats] : stats.per_model) {
       (void)model_id;
@@ -194,7 +193,7 @@ Cell run_overload_cell(bool admit, std::int64_t repeats, std::uint64_t seed) {
     tcfg.tight_slack_ms = 250.0;
     const std::vector<Request> schedule = generate_traffic(tcfg);
     ServeSession session(scfg);
-    const ServerStats stats = serve_concurrent(session.server(), schedule, 2);
+    const ServerStats stats = session.server().serve(schedule);
     check_miss_attribution(stats);
     if (rep == 0) {
       cell.capture_first(stats);
@@ -230,7 +229,7 @@ Cell run_governor_cell(TrafficScenario scenario, double capacity_mj,
         base_traffic(scenario, seed + static_cast<std::uint64_t>(rep));
     const std::vector<Request> schedule = generate_traffic(tcfg);
     ServeSession session(scfg);
-    const ServerStats stats = serve_concurrent(session.server(), schedule, 2);
+    const ServerStats stats = session.server().serve(schedule);
     check_miss_attribution(stats);
     if (rep == 0) {
       cell.capture_first(stats);

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   rt3_cfg.backend = backend;
   rt3_cfg.scheduler.policy = policy;
   ServeSession b(rt3_cfg);
-  const ServerStats sb = serve_concurrent(b.server(), schedule, 2);
+  const ServerStats sb = b.server().serve(schedule);
 
   TablePrinter t({"strategy", "served", "dropped", "p99 (ms)", "miss rate",
                   "switches", "energy (mJ)"});
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
                "leaves F-mode; RT3 drains the\nin-flight batch, swaps the "
                "pattern set in milliseconds, and keeps the\nsub-model inside "
                "T at every level, so only burst-queueing tails miss\n(paper "
-               "Tables II/III, now under concurrent load).\n";
+               "Tables II/III).\n";
 
   // C: the multi-model node — three NLP services resident on one phone,
   // one battery, one governor; the same mean load split across them.
@@ -98,8 +98,7 @@ int main(int argc, char** argv) {
   per_model.backend = backend;
   per_model.scheduler.policy = policy;
   NodeSession node_session(per_model, ncfg.num_models);
-  const NodeStats nstats =
-      serve_node_concurrent(node_session.node(), node_schedule, 2);
+  const NodeStats nstats = node_session.node().serve(node_schedule);
   std::cout << nstats.summary()
             << "\nEvery model switched at the same drain boundaries ("
             << nstats.switches << " switches = " << ncfg.num_models

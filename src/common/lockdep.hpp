@@ -84,7 +84,7 @@ int num_edges();
 #endif  // RT3_LOCKDEP
 
 /// Capability-annotated mutex.  `name` is the lockdep lock class
-/// ("RequestQueue::mu_"); unnamed instances share the "(anonymous)"
+/// ("ThreadPool::mu_"); unnamed instances share the "(anonymous)"
 /// class, so give every long-lived mutex a distinct name.
 class RT3_CAPABILITY("mutex") Mutex {
  public:

@@ -40,7 +40,7 @@
 #include <cstdint>
 
 #include "exec/plan.hpp"
-#include "serve/thread_pool.hpp"
+#include "exec/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 
 namespace rt3 {

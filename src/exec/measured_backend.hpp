@@ -18,8 +18,8 @@
 #include "exec/backend.hpp"
 #include "exec/kernels.hpp"
 #include "exec/plan.hpp"
+#include "exec/thread_pool.hpp"
 #include "nn/linear.hpp"
-#include "serve/thread_pool.hpp"
 #include "sparse/pattern.hpp"
 
 namespace rt3 {

@@ -1,4 +1,4 @@
-#include "serve/thread_pool.hpp"
+#include "exec/thread_pool.hpp"
 
 #include <algorithm>
 

@@ -1,5 +1,5 @@
-// Fixed-size worker pool used by the serving subsystem for request
-// producers (traffic front-ends) and any parallel bookkeeping.  Tasks are
+// Fixed-size worker pool behind the kernel engine: the row-parallel GEMM
+// kernels (kernels.hpp) and MeasuredBackend's pinned workers.  Tasks are
 // opaque closures; the pool makes no ordering guarantee across workers.
 #pragma once
 

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/check.hpp"
-#include "serve/concurrent.hpp"
 #include "serve/serve_loop.hpp"
 
 namespace rt3 {
@@ -116,18 +115,6 @@ NodeStats ServeNode::serve(const std::vector<Request>& schedule) {
     node.publish(*observers_.metrics);
   }
   return node;
-}
-
-NodeStats ServeNode::serve_queue(RequestQueue& queue) {
-  return serve(drain_by_arrival(queue));
-}
-
-NodeStats serve_node_concurrent(ServeNode& node,
-                                const std::vector<Request>& schedule,
-                                std::int64_t producers) {
-  return consume_schedule_concurrently(
-      schedule, producers,
-      [&node](RequestQueue& queue) { return node.serve_queue(queue); });
 }
 
 }  // namespace rt3

@@ -122,12 +122,6 @@ class ServeNode {
   /// (sorted by arrival time; requests carry model ids).  Deterministic.
   NodeStats serve(const std::vector<Request>& schedule);
 
-  /// Pops requests from the queue until it is closed and drained, orders
-  /// them by (arrival timestamp, id), and runs serve().  Producers may
-  /// push from any number of threads; routing is deterministic because
-  /// ingestion races are erased by the timestamp ordering.
-  NodeStats serve_queue(RequestQueue& queue);
-
   /// Session observers (see SessionObservers); nullptr detaches.
   /// metrics receives NodeStats::publish.  One SLO monitor watches the
   /// whole node, whichever model the misses come from.
@@ -147,12 +141,5 @@ class ServeNode {
   ModelRegistry registry_;
   SessionObservers observers_;
 };
-
-/// Pushes `schedule` through a RequestQueue from `producers` pool threads
-/// (round-robin slices) while the node consumes — the MPMC ingestion path
-/// across models.  Stats are identical to node.serve(schedule).
-NodeStats serve_node_concurrent(ServeNode& node,
-                                const std::vector<Request>& schedule,
-                                std::int64_t producers);
 
 }  // namespace rt3

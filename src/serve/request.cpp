@@ -90,85 +90,4 @@ std::vector<Request> RequestHeap::extract_expired(double now_ms) {
   return out;
 }
 
-RequestQueue::RequestQueue(std::int64_t capacity) : capacity_(capacity) {
-  check(capacity >= 0, "RequestQueue: negative capacity");
-}
-
-bool RequestQueue::push(Request r) {
-  UniqueLock lock(mu_);
-  // Explicit wait loops (not wait(lock, pred)): the thread-safety
-  // analysis cannot look inside a predicate lambda, but it proves these
-  // guarded reads are under mu_ in the loop form.
-  while (!(closed_ || capacity_ == 0 || ssize_of(items_) < capacity_)) {
-    not_full_.wait(lock);
-  }
-  if (closed_) {
-    return false;
-  }
-  items_.push_back(r);
-  lock.unlock();
-  not_empty_.notify_one();
-  return true;
-}
-
-bool RequestQueue::pop(Request& out) {
-  UniqueLock lock(mu_);
-  while (!(closed_ || !items_.empty())) {
-    not_empty_.wait(lock);
-  }
-  if (items_.empty()) {
-    return false;  // closed and drained
-  }
-  out = items_.front();
-  items_.pop_front();
-  lock.unlock();
-  not_full_.notify_one();
-  return true;
-}
-
-bool RequestQueue::try_pop(Request& out) {
-  UniqueLock lock(mu_);
-  if (items_.empty()) {
-    return false;
-  }
-  out = items_.front();
-  items_.pop_front();
-  lock.unlock();
-  not_full_.notify_one();
-  return true;
-}
-
-void RequestQueue::close() {
-  {
-    MutexLock lock(mu_);
-    closed_ = true;
-  }
-  not_empty_.notify_all();
-  not_full_.notify_all();
-}
-
-bool RequestQueue::closed() const {
-  MutexLock lock(mu_);
-  return closed_;
-}
-
-std::int64_t RequestQueue::size() const {
-  MutexLock lock(mu_);
-  return ssize_of(items_);
-}
-
-std::vector<Request> drain_by_arrival(RequestQueue& queue) {
-  std::vector<Request> collected;
-  Request r;
-  while (queue.pop(r)) {
-    collected.push_back(r);
-  }
-  std::sort(collected.begin(), collected.end(),
-            [](const Request& a, const Request& b) {
-              return a.arrival_ms != b.arrival_ms ? a.arrival_ms < b.arrival_ms
-                                                  : a.id < b.id;
-            });
-  return collected;
-}
-
 }  // namespace rt3

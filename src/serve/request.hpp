@@ -1,20 +1,15 @@
-// Deadline-tagged inference requests, the policy-ordered heap that ranks
-// them, and the FIFO MPMC queue that carries them from producers (traffic
-// sources, RPC front-ends) to the serving loop.
+// Deadline-tagged inference requests and the policy-ordered heap that
+// ranks them inside the serving loop.
 //
 // Time in the serving subsystem is VIRTUAL and measured in milliseconds
 // from session start: requests carry their arrival and absolute deadline
 // timestamps, and the Server advances a simulated clock as batches
-// execute.  This keeps every serve session bit-reproducible from a seed
-// while the queue and thread pool remain real concurrency primitives.
+// execute.  This keeps every serve session bit-reproducible from a seed.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "common/lockdep.hpp"
-#include "common/thread_annotations.hpp"
 #include "serve/policy.hpp"
 
 namespace rt3 {
@@ -88,46 +83,5 @@ class RequestHeap {
   std::vector<Entry> entries_;
   std::int64_t next_seq_ = 0;
 };
-
-/// Blocking multi-producer/multi-consumer FIFO queue of requests: the
-/// ingestion path from producer threads into a serving session.
-///
-/// Pops come out in push order.  Scheduling policy is not applied here:
-/// serve_queue() drains the queue, orders it by (arrival, id) with
-/// drain_by_arrival(), and the Batcher applies the policy inside the loop.
-/// close() wakes everyone: pushes are rejected afterwards, pops drain what
-/// is left and then return false.  capacity 0 means unbounded; a bounded
-/// queue blocks producers when full (back-pressure).
-class RequestQueue {
- public:
-  explicit RequestQueue(std::int64_t capacity = 0);
-
-  /// Blocks while a bounded queue is full; returns false iff closed.
-  bool push(Request r) RT3_EXCLUDES(mu_);
-
-  /// Blocks until an item arrives or the queue is closed and drained;
-  /// returns false only in the latter case.
-  bool pop(Request& out) RT3_EXCLUDES(mu_);
-
-  /// Non-blocking pop; false if nothing is immediately available.
-  bool try_pop(Request& out) RT3_EXCLUDES(mu_);
-
-  void close() RT3_EXCLUDES(mu_);
-  bool closed() const RT3_EXCLUDES(mu_);
-  std::int64_t size() const RT3_EXCLUDES(mu_);
-
- private:
-  mutable Mutex mu_{"RequestQueue::mu_"};
-  CondVar not_empty_;
-  CondVar not_full_;
-  std::deque<Request> items_ RT3_GUARDED_BY(mu_);
-  std::int64_t capacity_;
-  bool closed_ RT3_GUARDED_BY(mu_) = false;
-};
-
-/// Pops `queue` until it is closed and drained, and returns the requests
-/// ordered by (arrival timestamp, id): the deterministic schedule behind
-/// every serve_queue(), whatever order concurrent producers pushed in.
-std::vector<Request> drain_by_arrival(RequestQueue& queue);
 
 }  // namespace rt3

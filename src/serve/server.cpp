@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
-#include "serve/concurrent.hpp"
 #include "serve/serve_loop.hpp"
 
 namespace rt3 {
@@ -76,18 +75,6 @@ ServerStats Server::serve(const std::vector<Request>& schedule) {
     stats.publish(*observers_.metrics, labels);
   }
   return stats;
-}
-
-ServerStats Server::serve_queue(RequestQueue& queue) {
-  return serve(drain_by_arrival(queue));
-}
-
-ServerStats serve_concurrent(Server& server,
-                             const std::vector<Request>& schedule,
-                             std::int64_t producers) {
-  return consume_schedule_concurrently(
-      schedule, producers,
-      [&server](RequestQueue& queue) { return server.serve_queue(queue); });
 }
 
 }  // namespace rt3

@@ -8,8 +8,7 @@
 // the governor picks, and a level change drains the in-flight batch
 // before the pattern-set switch.  Time is virtual (ms since session
 // start), so a session is bit-reproducible and runs in milliseconds of
-// host time.  serve_queue() accepts requests from any number of producer
-// threads through the MPMC RequestQueue.
+// host time.
 //
 // OWNERSHIP.  A Server OWNS its ReconfigEngine and ExecutionBackend when
 // they are handed over via adopt_engine()/adopt_backend() — which is how
@@ -125,11 +124,6 @@ class Server {
   /// Deterministic.
   ServerStats serve(const std::vector<Request>& schedule);
 
-  /// Pops requests from the queue until it is closed and drained, orders
-  /// them by (arrival timestamp, id), and runs serve().  Producers may
-  /// push from any number of threads.
-  ServerStats serve_queue(RequestQueue& queue);
-
   /// ANALYTIC latency of one batch at a governor-level position: the fixed
   /// per-inference runtime cost is paid once, the MAC cost per request.
   /// This is the built-in AnalyticBackend's formula regardless of which
@@ -154,13 +148,5 @@ class Server {
   ExecutionBackend* backend_ = nullptr;
   SessionObservers observers_;
 };
-
-/// Pushes `schedule` through a RequestQueue from `producers` pool threads
-/// (round-robin slices) while the server consumes — the real MPMC
-/// ingestion path.  Stats are identical to server.serve(schedule): races
-/// in ingestion order are erased by arrival-timestamp ordering.
-ServerStats serve_concurrent(Server& server,
-                             const std::vector<Request>& schedule,
-                             std::int64_t producers);
 
 }  // namespace rt3

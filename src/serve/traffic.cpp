@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -133,6 +135,27 @@ std::string traffic_scenario_name(TrafficScenario scenario) {
 }
 
 std::vector<Request> generate_traffic(const TrafficConfig& config) {
+  // Non-finite values slip past the range checks below; an infinite rate,
+  // for one, makes every thinning step add 0 ms and never ends.
+  const std::pair<const char*, double> fields[] = {
+      {"duration_ms", config.duration_ms},
+      {"rate_rps", config.rate_rps},
+      {"deadline_slack_ms", config.deadline_slack_ms},
+      {"deadline_slack_jitter", config.deadline_slack_jitter},
+      {"tight_fraction", config.tight_fraction},
+      {"tight_slack_ms", config.tight_slack_ms},
+      {"burst_on_ms", config.burst_on_ms},
+      {"burst_off_ms", config.burst_off_ms},
+      {"burst_factor", config.burst_factor},
+      {"diurnal_min_factor", config.diurnal_min_factor},
+  };
+  for (const auto& [name, value] : fields) {
+    check(std::isfinite(value),
+          std::string("generate_traffic: ") + name + " must be finite");
+  }
+  for (const double w : config.model_weights) {
+    check(std::isfinite(w), "generate_traffic: model_weights must be finite");
+  }
   check(config.duration_ms > 0.0, "generate_traffic: duration must be > 0");
   check(config.rate_rps > 0.0, "generate_traffic: rate must be > 0");
   check(config.deadline_slack_ms > 0.0,
@@ -156,6 +179,12 @@ std::vector<Request> generate_traffic(const TrafficConfig& config) {
             config.model_weights.size() ==
                 static_cast<std::size_t>(config.num_models),
         "generate_traffic: model_weights must have num_models entries");
+  // Checked in double: generate_single_model casts the expected count to
+  // size_t for reserve(), and an out-of-range cast is undefined.
+  const double expected = config.rate_rps * config.duration_ms / 1000.0;
+  check(expected <= static_cast<double>(std::vector<Request>().max_size()),
+        "generate_traffic: rate_rps * duration_ms expects more requests "
+        "than a schedule can hold");
 
   if (config.num_models == 1) {
     // Historical path, bitwise-identical: same streams, same draws.

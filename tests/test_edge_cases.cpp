@@ -2,8 +2,12 @@
 // rejections, arity checks, boundary configurations.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "data/corpus.hpp"
@@ -13,6 +17,7 @@
 #include "rl/reward.hpp"
 #include "runtime/engine.hpp"
 #include "search/space.hpp"
+#include "serve/traffic.hpp"
 #include "tensor/var.hpp"
 
 namespace rt3 {
@@ -244,6 +249,49 @@ TEST(BatteryEdge, ZeroAndNegativeGuards) {
   EXPECT_THROW(b.drain(-1.0), CheckError);
   EXPECT_TRUE(b.drain(0.0));  // no-op drain allowed
   EXPECT_NEAR(b.fraction(), 1.0, 1e-12);
+}
+
+TEST(TrafficEdge, NonFiniteAndOversizedConfigsNameTheField) {
+  // An infinite rate would hang the thinning loop and an out-of-range
+  // expected count would overflow reserve(); each must raise a CheckError
+  // that names the field instead.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::string, std::function<void(TrafficConfig&)>>>
+      cases = {
+          {"rate_rps", [](TrafficConfig& c) { c.rate_rps = kInf; }},
+          {"rate_rps", [](TrafficConfig& c) { c.rate_rps = kNan; }},
+          {"rate_rps", [](TrafficConfig& c) { c.rate_rps = 1e300; }},
+          {"duration_ms", [](TrafficConfig& c) { c.duration_ms = kInf; }},
+          {"duration_ms", [](TrafficConfig& c) { c.duration_ms = 1e300; }},
+          {"deadline_slack_ms",
+           [](TrafficConfig& c) { c.deadline_slack_ms = kInf; }},
+          {"deadline_slack_jitter",
+           [](TrafficConfig& c) { c.deadline_slack_jitter = kNan; }},
+          {"tight_fraction", [](TrafficConfig& c) { c.tight_fraction = kNan; }},
+          {"tight_slack_ms", [](TrafficConfig& c) { c.tight_slack_ms = kInf; }},
+          {"burst_on_ms", [](TrafficConfig& c) { c.burst_on_ms = kInf; }},
+          {"burst_off_ms", [](TrafficConfig& c) { c.burst_off_ms = kInf; }},
+          {"burst_factor", [](TrafficConfig& c) { c.burst_factor = kInf; }},
+          {"diurnal_min_factor",
+           [](TrafficConfig& c) { c.diurnal_min_factor = kNan; }},
+          {"model_weights",
+           [](TrafficConfig& c) {
+             c.num_models = 2;
+             c.model_weights = {1.0, kInf};
+           }},
+      };
+  for (const auto& [field, mutate] : cases) {
+    TrafficConfig config;
+    mutate(config);
+    try {
+      (void)generate_traffic(config);
+      ADD_FAILURE() << field << ": accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << field << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

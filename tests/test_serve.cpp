@@ -407,5 +407,13 @@ TEST(Server, HardwareOnlyBaselinePaysNoSwitchCost) {
   EXPECT_GT(stats.miss_rate(), 0.1);
 }
 
+TEST(ServeSession, HardwareOnlySessionHasNoEngine) {
+  ServeSessionConfig cfg;
+  cfg.software_reconfig = false;
+  ServeSession session(cfg);
+  EXPECT_FALSE(session.has_engine());
+  EXPECT_THROW(session.engine(), CheckError);
+}
+
 }  // namespace
 }  // namespace rt3

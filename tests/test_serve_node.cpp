@@ -1,7 +1,7 @@
 // Multi-model ServeNode front-end: deployment ownership, model-id
-// routing determinism under concurrent ingestion, feasibility-based
-// admission, per-model -> node stats aggregation, and the
-// shared-governor drain-then-switch across every resident model.
+// routing, feasibility-based admission, per-model -> node stats
+// aggregation, and the shared-governor drain-then-switch across every
+// resident model.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -181,37 +181,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(GovernorKind::kLadder, GovernorKind::kAdaptive,
                           GovernorKind::kRl),
         ::testing::Values(kDyingBatteryMj, kFullBatteryMj)));
-
-// Routing must be deterministic under genuinely concurrent multi-producer
-// ingestion: races in push order are erased by (arrival, id) ordering, so
-// per-model results are identical to the direct serve() path.
-TEST(ServeNode, RoutingIsDeterministicUnderMultiProducerQueue) {
-  ServeSessionConfig config;
-  NodeSession session(config, 3);
-  const std::vector<Request> schedule = generate_node_traffic(3, 3.0);
-
-  const NodeStats direct = session.node().serve(schedule);
-  for (const std::int64_t producers : {2, 5}) {
-    const NodeStats queued =
-        serve_node_concurrent(session.node(), schedule, producers);
-    ASSERT_EQ(direct.per_model.size(), queued.per_model.size());
-    for (std::size_t m = 0; m < direct.per_model.size(); ++m) {
-      const ServerStats& a = direct.per_model[m].second;
-      const ServerStats& b = queued.per_model[m].second;
-      EXPECT_EQ(direct.per_model[m].first, queued.per_model[m].first);
-      EXPECT_EQ(a.submitted, b.submitted);
-      EXPECT_EQ(a.completed, b.completed);
-      EXPECT_EQ(a.batches, b.batches);
-      EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-      ASSERT_EQ(a.latency_ms.size(), b.latency_ms.size());
-      for (std::size_t i = 0; i < a.latency_ms.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.latency_ms[i], b.latency_ms[i]);
-      }
-    }
-    EXPECT_DOUBLE_EQ(direct.sim_end_ms, queued.sim_end_ms);
-    EXPECT_DOUBLE_EQ(direct.energy_used_mj, queued.energy_used_mj);
-  }
-}
 
 // Per-model stats must sum exactly to the node totals, and every
 // submitted request must be accounted somewhere.

@@ -7,9 +7,9 @@
 //   rt3 simulate [--capacity MJ] [--t MS]             battery discharge
 //       simulation across the paper's {l6,l4,l3} ladder
 //   rt3 serve [--scenario NAME] ...                   battery-aware serve
-//       session: open-loop traffic through the MPMC queue, dynamic
-//       batching, pattern-set switches between batches as the governor
-//       steps the ladder down.  Flags:
+//       session: open-loop seeded traffic, dynamic batching,
+//       pattern-set switches between batches as the governor steps the
+//       ladder down.  Flags:
 //         --scenario NAME    steady | burst | diurnal        (burst)
 //         --backend NAME     analytic | measured             (analytic)
 //         --policy NAME      fifo | edf | edf-prio           (fifo)
@@ -48,7 +48,6 @@
 //         --admit            feasibility-based admission: reject requests
 //                            whose deadline no immediate solo launch
 //                            could meet (counted separately from shed)
-//         --producers N      concurrent producer threads     (2)
 //         --seed S           traffic seed                    (7)
 //         --trace FILE       write the session's request/batch/switch
 //                            lifecycle as Chrome trace-event JSON
@@ -176,8 +175,8 @@ int cmd_info(const std::string& path) {
 
 int cmd_search(const std::vector<std::string>& args) {
   const double t_ms = arg_double(args, "--t", 104.0);
-  const auto episodes =
-      static_cast<std::int64_t>(arg_double(args, "--episodes", 4));
+  const std::int64_t episodes = arg_int(args, "--episodes", 4);
+  check(episodes >= 0, "--episodes: must be >= 0");
   const std::string out = arg_string(args, "--out", "rt3_package.bin");
 
   std::cout << "training workload and running RT3 search (T = " << t_ms
@@ -394,7 +393,6 @@ TrafficConfig parse_traffic_config(const std::vector<std::string>& args) {
 int cmd_serve(const std::vector<std::string>& args) {
   ServeSessionConfig scfg = parse_session_config(args);
   TrafficConfig tcfg = parse_traffic_config(args);
-  const std::int64_t producers = arg_int(args, "--producers", 2);
   const std::string tuning_path = arg_string(args, "--tuning", "");
   const ObsFlags obs_flags = parse_obs_flags(args);
 
@@ -438,10 +436,9 @@ int cmd_serve(const std::vector<std::string>& args) {
             << fmt_f(scfg.battery_capacity_mj, 0) << " mJ battery, T = "
             << fmt_f(scfg.timing_constraint_ms, 0) << " ms, batch <= "
             << scfg.batch.max_batch_size << ", wait <= "
-            << fmt_f(scfg.batch.max_wait_ms, 0) << " ms, " << producers
-            << " producer threads, " << exec_backend_name(scfg.backend)
-            << " backend, " << scheduling_policy_name(scfg.scheduler.policy)
-            << " policy"
+            << fmt_f(scfg.batch.max_wait_ms, 0) << " ms, "
+            << exec_backend_name(scfg.backend) << " backend, "
+            << scheduling_policy_name(scfg.scheduler.policy) << " policy"
             << (scfg.governor != GovernorKind::kLadder
                     ? ", " + governor_kind_name(scfg.governor) + " governor"
                     : "")
@@ -455,8 +452,7 @@ int cmd_serve(const std::vector<std::string>& args) {
             << (scfg.shed_expired ? ", shedding" : "")
             << (scfg.admit_feasible ? ", feasibility admission" : "")
             << "\n\n";
-  const ServerStats stats =
-      serve_concurrent(session.server(), schedule, producers);
+  const ServerStats stats = session.server().serve(schedule);
   std::cout << stats.summary();
   std::cout << "  final engine lvl : " << session.engine().current_level()
             << " (0 = fastest)\n";
@@ -504,7 +500,6 @@ int cmd_node(const std::vector<std::string>& args) {
   ServeSessionConfig scfg = parse_session_config(args);
   TrafficConfig tcfg = parse_traffic_config(args);
   tcfg.num_models = arg_int(args, "--models", 3);
-  const std::int64_t producers = arg_int(args, "--producers", 2);
   const ObsFlags obs_flags = parse_obs_flags(args);
 
   const std::vector<Request> schedule = generate_traffic(tcfg);
@@ -537,13 +532,11 @@ int cmd_node(const std::vector<std::string>& args) {
             << fmt_f(tcfg.duration_ms / 1000.0, 0) << " s), T = "
             << fmt_f(scfg.timing_constraint_ms, 0) << " ms, batch <= "
             << scfg.batch.max_batch_size << " per model, "
-            << scheduling_policy_name(scfg.scheduler.policy) << " policy, "
-            << producers << " producer threads"
+            << scheduling_policy_name(scfg.scheduler.policy) << " policy"
             << (scfg.shed_expired ? ", shedding" : "")
             << (scfg.admit_feasible ? ", feasibility admission" : "")
             << "\n\n";
-  const NodeStats stats =
-      serve_node_concurrent(session.node(), schedule, producers);
+  const NodeStats stats = session.node().serve(schedule);
   std::cout << stats.summary();
   if (stats.completed + stats.shed + stats.rejected == stats.submitted &&
       stats.dropped == 0) {
@@ -732,7 +725,7 @@ int usage() {
       "           [--governor-batch N]\n"
       "           [--capacity MJ] [--t MS] [--rate RPS] [--duration MS]\n"
       "           [--slack MS] [--batch N] [--wait MS] [--threads N] [--shed]\n"
-      "           [--admit] [--producers N] [--seed S] [--trace FILE]\n"
+      "           [--admit] [--seed S] [--trace FILE]\n"
       "           [--max-trace-events N] [--metrics FILE]\n"
       "           [--metrics-format json|prom] [--telemetry FILE]\n"
       "           [--sample-every N] [--slo]\n"

@@ -37,9 +37,9 @@ Rules (run with --list-rules for the one-liners):
                 silently truncates artifacts that must byte-round-trip.
   raw-parallel  #pragma omp anywhere; thread_local anywhere without an
                 inline allow; std::thread construction in src/ outside
-                the ThreadPool/concurrent-harness files.  Parallelism in
-                the serving stack goes through rt3::ThreadPool so pinning,
-                poisoned-drain, and lockdep coverage apply.
+                src/exec/thread_pool.*.  Parallelism goes through
+                rt3::ThreadPool so pinning, poisoned-drain, and lockdep
+                coverage apply.
   raw-mutex     std::mutex / condition_variable / lock_guard / unique_lock
                 in src/ outside common/lockdep.*.  Raw std primitives
                 carry no thread-safety capability annotations and no
@@ -173,12 +173,11 @@ RULES = {
 }
 
 # std::thread construction is part of raw-parallel but has its own
-# whitelist: the pool itself and the MPMC ingestion harness.
+# whitelist: the pool itself.
 STD_THREAD_PATTERN = re.compile(r"\bstd\s*::\s*thread\b(?!\s*::)")
 STD_THREAD_EXEMPT = (
-    "src/serve/thread_pool.hpp",
-    "src/serve/thread_pool.cpp",
-    "src/serve/concurrent.hpp",
+    "src/exec/thread_pool.hpp",
+    "src/exec/thread_pool.cpp",
 )
 
 SERIALIZER_MARKERS = re.compile(
@@ -359,7 +358,7 @@ def scan_file(root, rel_path, only_rule=None):
             for ln, line in enumerate(stripped_lines, start=1):
                 if STD_THREAD_PATTERN.search(line):
                     emit(ln, name,
-                         "std::thread outside the pool/harness whitelist; "
+                         "std::thread outside src/exec/thread_pool.*; "
                          "use rt3::ThreadPool", raw_lines[ln - 1])
 
     if only_rule in (None, "bare-allow"):

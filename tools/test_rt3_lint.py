@@ -202,7 +202,7 @@ class TestRawParallel(LintFixture):
                           "std::thread t([] {});\n")
 
     def test_std_thread_in_pool_clean(self):
-        self.assert_clean("src/serve/thread_pool.cpp",
+        self.assert_clean("src/exec/thread_pool.cpp",
                           "workers_.emplace_back(std::thread([] {}));\n",
                           only_rule="raw-parallel")
 
