@@ -15,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/table.hpp"
+#include "common/text_fields.hpp"
 #include "exec/analytic_backend.hpp"
 #include "exec/calibrator.hpp"
 #include "exec/measured_backend.hpp"
@@ -56,14 +58,10 @@ int main(int argc, char** argv) {
   std::int64_t repeats = 5;
   if (argc > 2) {
     try {
-      repeats = std::stoll(argv[2]);
-    } catch (const std::exception&) {
-      std::cerr << "bench_exec_backend: REPEATS must be an integer, got '"
-                << argv[2] << "'\n";
-      return 2;
-    }
-    if (repeats < 1) {
-      std::cerr << "bench_exec_backend: REPEATS must be >= 1\n";
+      repeats = parse_int("bench_exec_backend: REPEATS", argv[2]);
+      check(repeats >= 1, "bench_exec_backend: REPEATS must be >= 1");
+    } catch (const CheckError& e) {
+      std::cerr << "error: " << e.what() << "\n";
       return 2;
     }
   }

@@ -1,8 +1,6 @@
 #include "common/args.hpp"
 
-#include <cstring>
-
-#include "common/check.hpp"
+#include "common/text_fields.hpp"
 
 namespace rt3 {
 
@@ -39,39 +37,13 @@ const std::string* find_value(const std::vector<std::string>& args,
 double arg_double(const std::vector<std::string>& args,
                   const std::string& flag, double fallback) {
   const std::string* value = find_value(args, flag);
-  if (value == nullptr) {
-    return fallback;
-  }
-  try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(*value, &pos);
-    check(pos == value->size(), flag + ": trailing garbage in '" + *value +
-                                    "'");
-    return parsed;
-  } catch (const CheckError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw CheckError(flag + ": cannot parse '" + *value + "' as a number");
-  }
+  return value != nullptr ? parse_finite(flag, *value) : fallback;
 }
 
 std::int64_t arg_int(const std::vector<std::string>& args,
                      const std::string& flag, std::int64_t fallback) {
   const std::string* value = find_value(args, flag);
-  if (value == nullptr) {
-    return fallback;
-  }
-  try {
-    std::size_t pos = 0;
-    const long long parsed = std::stoll(*value, &pos);
-    check(pos == value->size(), flag + ": trailing garbage in '" + *value +
-                                    "'");
-    return static_cast<std::int64_t>(parsed);
-  } catch (const CheckError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw CheckError(flag + ": cannot parse '" + *value + "' as an integer");
-  }
+  return value != nullptr ? parse_int(flag, *value) : fallback;
 }
 
 std::string arg_string(const std::vector<std::string>& args,

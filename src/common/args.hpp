@@ -15,14 +15,15 @@ namespace rt3 {
 std::vector<std::string> split_flag_args(int argc, char** argv,
                                          int begin = 1);
 
-/// Value of `flag` as a double; `fallback` when absent.  Throws
-/// CheckError unless the WHOLE value parses as a number (trailing
-/// garbage like "3.5x" is rejected, not truncated).
+/// Value of `flag` as a finite double; `fallback` when absent.  Throws
+/// a CheckError naming the flag unless the WHOLE value parses (trailing
+/// garbage like "3.5x" is rejected, not truncated) to a finite number
+/// (nan, inf and overflow are rejected).
 double arg_double(const std::vector<std::string>& args,
                   const std::string& flag, double fallback);
 
-/// Value of `flag` as an integer; `fallback` when absent.  Throws
-/// CheckError on trailing garbage ("3x") that stoll would truncate.
+/// Value of `flag` as an integer; `fallback` when absent.  Throws a
+/// CheckError naming the flag on trailing garbage ("3x") or overflow.
 std::int64_t arg_int(const std::vector<std::string>& args,
                      const std::string& flag, std::int64_t fallback);
 

@@ -45,7 +45,7 @@ struct BlockRangeArgs {
   std::int64_t unroll = 1;
 };
 
-/// Pattern-CSR GEMM arguments; ranges are tile-row aligned (multiples of
+/// Pattern GEMM arguments; ranges are tile-row aligned (multiples of
 /// the plan's psize) so each worker owns whole tile rows.
 struct PatternRangeArgs {
   const PatternPlan* plan = nullptr;

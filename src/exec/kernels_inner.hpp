@@ -197,7 +197,7 @@ void pattern_chunk(const PatternRangeArgs& a, const PatternGroup& g,
   const PatternPlan& plan = *a.plan;
   const std::int64_t stride = plan.slot_stride;
   const std::int64_t ldx = a.ldx;
-  const PatternTile* tiles = plan.tiles.data() + g.tile_row * plan.tiles_c;
+  const std::int32_t* tiles = plan.tiles.data() + g.tile_row * plan.tiles_c;
   const std::int32_t* cols0 = plan.slot_cols.data() + g.offset;
   const float* vals = plan.slot_values.data() +
                       g.tile_row * plan.tiles_c * stride + g.offset;
@@ -212,7 +212,7 @@ void pattern_chunk(const PatternRangeArgs& a, const PatternGroup& g,
   }
   for (std::int64_t tc = 0; tc < plan.tiles_c;
        ++tc, vals += stride, xt += plan.psize * ldx) {
-    const std::int32_t* cols = cols0 + tiles[tc].pattern_id * stride;
+    const std::int32_t* cols = cols0 + tiles[tc] * stride;
     const float* v = vals;
     unrolled<Rows>([&](auto r) {
       for (std::int64_t s = 0; s < slots[r]; ++s) {

@@ -10,11 +10,21 @@
 namespace rt3 {
 namespace {
 
-/// Validated before pool_ construction (member-init order): a
-/// non-positive thread count is a caller bug, not something to clamp
-/// silently to 1.
+/// Scheduling-noise guard: once auto_scale() has set a per-item
+/// baseline, a batch's wall time is clamped to this many times baseline x
+/// batch size BEFORE it becomes virtual device time (a descheduled kernel
+/// thread is host noise, not device work).  kernel_wall_ms stays raw.
+constexpr double kOutlierClamp = 8.0;
+
+/// Validated before pool_ construction (member-init order), so no thread
+/// starts for a bad count: an out-of-range count is a caller bug, not
+/// something to clamp.
 std::int64_t checked_threads(std::int64_t threads) {
-  check(threads >= 1, "MeasuredBackend: threads must be >= 1");
+  constexpr std::int64_t kMax = MeasuredBackendConfig::kMaxThreads;
+  if (threads < 1 || threads > kMax) {
+    throw CheckError("MeasuredBackend: threads=" + std::to_string(threads) +
+                     " is invalid (need 1.." + std::to_string(kMax) + ")");
+  }
   return threads;
 }
 
@@ -29,8 +39,8 @@ MeasuredBackend::MeasuredBackend(MeasuredBackendConfig config,
       layers_(std::move(layers)),
       freqs_(std::move(level_freqs_mhz)),
       plans_(config.mode, layers_, backbone_masks, sets,
-             static_cast<std::int64_t>(freqs_.size()), config.bp_blocks),
-      pool_(checked_threads(config.threads), config.pin_threads) {
+             static_cast<std::int64_t>(freqs_.size())),
+      pool_(checked_threads(config.threads), /*pin_to_cores=*/true) {
   check(!freqs_.empty(), "MeasuredBackend: no levels");
   check(plans_.num_levels() == static_cast<std::int64_t>(freqs_.size()),
         "MeasuredBackend: one frequency per plan level required");
@@ -101,16 +111,16 @@ BatchExecution MeasuredBackend::run_batch(std::int64_t batch_size,
   // A scheduler hiccup can inflate one sample 10-50x; that is host noise,
   // not device work, so virtual time uses the clamped sample.
   double accounted = wall;
-  if (config_.outlier_clamp > 0.0 && baseline_item_wall_ms_ > 0.0) {
-    accounted = std::min(accounted,
-                         config_.outlier_clamp * baseline_item_wall_ms_ *
-                             static_cast<double>(batch_size));
+  if (baseline_item_wall_ms_ > 0.0) {
+    const auto items = static_cast<double>(batch_size);
+    const double cap = kOutlierClamp * baseline_item_wall_ms_ * items;
+    accounted = std::min(accounted, cap);
   }
-  double latency = accounted * config_.latency_scale;
-  if (config_.scale_with_freq) {
-    latency *= freqs_.front() / freqs_[static_cast<std::size_t>(level_pos)];
-  }
-  return {latency, wall};
+  // Slower levels take proportionally longer (fastest_freq / level_freq),
+  // emulating DVFS that the host cannot perform.
+  const double level_freq = freqs_[static_cast<std::size_t>(level_pos)];
+  const double slowdown = freqs_.front() / level_freq;
+  return {accounted * config_.latency_scale * slowdown, wall};
 }
 
 double MeasuredBackend::activate_level(std::int64_t level_pos) {

@@ -25,15 +25,15 @@
 namespace rt3 {
 
 struct MeasuredBackendConfig {
+  /// Largest accepted `threads`.
+  static constexpr std::int64_t kMaxThreads = 256;
   /// Which kernel family executes the layers.
   ExecMode mode = ExecMode::kPattern;
-  /// Kernel worker threads (the backend owns its pool).  Must be >= 1;
-  /// non-positive values are rejected at construction rather than
-  /// silently clamped.
+  /// Kernel worker threads (the backend owns its pool, pinning worker i
+  /// to core i % hardware_concurrency, Linux best-effort, so latency
+  /// samples stop paying migration jitter).  Must be in [1, kMaxThreads];
+  /// other values are rejected at construction rather than clamped.
   std::int64_t threads = 2;
-  /// Pin worker i to core i % hardware_concurrency (Linux best-effort)
-  /// so latency samples stop paying migration jitter.
-  bool pin_threads = true;
   /// Backend-wide kernel launch defaults; a plan's autotuned options
   /// (PlanCache::apply_tuning) take precedence per (layer, level).
   KernelOptions kernel;
@@ -41,21 +41,8 @@ struct MeasuredBackendConfig {
   std::int64_t cols_per_request = 4;
   /// Largest batch the pre-generated activation buffers support.
   std::int64_t max_batch = 64;
-  /// Row-block count for kBlock plans (non-divisible layers fall back
-  /// to one block).
-  std::int64_t bp_blocks = 4;
   /// Host-wall-ms -> virtual-device-ms factor (see auto_scale()).
   double latency_scale = 1.0;
-  /// Scheduling-noise guard: once auto_scale() has established a
-  /// per-item baseline, a single batch's wall time is clamped to
-  /// `outlier_clamp` x baseline x batch_size BEFORE it becomes virtual
-  /// device time (a descheduled kernel thread is host noise, not device
-  /// work).  kernel_wall_ms stays raw.  <= 0 disables the clamp.
-  double outlier_clamp = 8.0;
-  /// Additionally scale virtual latency by fastest_freq / level_freq so
-  /// slower governor levels take proportionally longer, emulating DVFS
-  /// that the host cannot perform.
-  bool scale_with_freq = true;
   /// Seed for the deterministic activation buffers.
   std::uint64_t input_seed = 17;
 };

@@ -9,6 +9,10 @@
 namespace rt3 {
 namespace {
 
+/// Row-block count of kBlock plans; a layer whose row count it does not
+/// divide runs as one block.
+constexpr std::int64_t kBlockPlanRowBlocks = 4;
+
 /// Backbone-masked weight values of a layer (dense copy).
 Tensor masked_weight_of(const Linear& layer, const Tensor* mask) {
   const Tensor& w = layer.weight().value();
@@ -20,7 +24,7 @@ Tensor masked_weight_of(const Linear& layer, const Tensor* mask) {
 }
 
 /// Appends one compiled pattern's columns to `slot_cols` in the slot
-/// layout (see PatternPlan::row_slots), for a tile whose in-bounds
+/// layout (see PatternPlan), for a tile whose in-bounds
 /// columns are [0, cmax), and sets slot_of[i] to the slot of CSR cell i.
 /// Pads take the lowest in-bounds columns the row does not keep; a row
 /// that keeps all of them repeats column cmax - 1.
@@ -122,28 +126,25 @@ CompiledPattern CompiledPattern::clipped(std::int64_t rmax,
 
 PatternPlan PatternPlan::build(const Tensor& masked_weight,
                                const PatternSet& set) {
-  check(masked_weight.dim() == 2, "PatternPlan: need a 2-D weight");
-  check(!set.patterns.empty(), "PatternPlan: empty pattern set");
   PatternPlan plan;
+  plan.tiles = choose_tile_patterns(masked_weight, set);
   plan.rows = masked_weight.size(0);
   plan.cols = masked_weight.size(1);
   plan.psize = set.psize();
   const std::int64_t p = plan.psize;
   plan.tiles_r = (plan.rows + p - 1) / p;
   plan.tiles_c = (plan.cols + p - 1) / p;
-  plan.compiled.reserve(set.patterns.size());
+  std::vector<CompiledPattern> compiled;
+  compiled.reserve(set.patterns.size());
   for (const Pattern& pat : set.patterns) {
-    check(pat.psize() == p, "PatternPlan: patterns differ in psize");
-    plan.compiled.push_back(CompiledPattern::compile(pat));
+    compiled.push_back(CompiledPattern::compile(pat));
   }
-  const auto num_tiles = static_cast<std::size_t>(plan.tiles_r * plan.tiles_c);
-  plan.tiles.reserve(num_tiles);
 
-  // Slot layout: per tile row, the longest that row is in any pattern
-  // (clipping only drops cells, so the set's patterns bound the clipped
-  // ones).  Pads stay at the zero the values start from.
+  // Per tile row, the longest that row is in any pattern (clipping only
+  // drops cells, so the set's patterns bound the clipped ones).  Pads
+  // stay at the zero the values start from.
   plan.row_slots.assign(static_cast<std::size_t>(p), 0);
-  for (const CompiledPattern& cp : plan.compiled) {
+  for (const CompiledPattern& cp : compiled) {
     for (std::size_t r = 0; r < plan.row_slots.size(); ++r) {
       plan.row_slots[r] = std::max<std::int64_t>(
           plan.row_slots[r], cp.row_ptr[r + 1] - cp.row_ptr[r]);
@@ -153,62 +154,43 @@ PatternPlan PatternPlan::build(const Tensor& masked_weight,
     plan.slot_stride += slots;
   }
   const auto stride = static_cast<std::size_t>(plan.slot_stride);
-  plan.slot_values.assign(num_tiles * stride, 0.0F);
-  // Per compiled pattern: the slot of each CSR cell.
-  std::vector<std::vector<std::int32_t>> slot_of(plan.compiled.size());
-  for (std::size_t pi = 0; pi < plan.compiled.size(); ++pi) {
-    append_slot_layout(plan.compiled[pi], p, plan.row_slots,
-                       plan.slot_stride, plan.slot_cols, slot_of[pi]);
+  plan.slot_values.assign(plan.tiles.size() * stride, 0.0F);
+  // Per set pattern: the slot of each CSR cell.
+  std::vector<std::vector<std::int32_t>> slot_of(compiled.size());
+  for (std::size_t pi = 0; pi < compiled.size(); ++pi) {
+    append_slot_layout(compiled[pi], p, plan.row_slots, plan.slot_stride,
+                       plan.slot_cols, slot_of[pi]);
   }
 
   const float* w = masked_weight.data();
+  auto blocks = static_cast<std::int32_t>(compiled.size());
+  CompiledPattern edge;
+  std::vector<std::int32_t> edge_slot_of;
   for (std::int64_t tr = 0; tr < plan.tiles_r; ++tr) {
     for (std::int64_t tc = 0; tc < plan.tiles_c; ++tc) {
       const std::int64_t rmax = std::min(p, plan.rows - tr * p);
       const std::int64_t cmax = std::min(p, plan.cols - tc * p);
       const float* tile = w + tr * p * plan.cols + tc * p;
-      // Retained L2 per pattern, summed over the kept cells in ascending
-      // flat order as Pattern::retained_l2 does on the zero-padded tile;
-      // out-of-bounds cells would add +0 and are skipped.
-      std::size_t best = 0;
-      double best_l2 = -1.0;
-      for (std::size_t pi = 0; pi < set.patterns.size(); ++pi) {
-        const CompiledPattern& cp = plan.compiled[pi];
-        double l2 = 0.0;
-        for (std::size_t i = 0; i < cp.cols.size(); ++i) {
-          if (cp.rows[i] < rmax && cp.cols[i] < cmax) {
-            const double v = tile[cp.rows[i] * plan.cols + cp.cols[i]];
-            l2 += v * v;
-          }
-        }
-        if (l2 > best_l2) {
-          best_l2 = l2;
-          best = pi;
-        }
-      }
-
-      PatternTile t;
-      t.value_offset = static_cast<std::int64_t>(plan.values.size());
-      t.pattern_id = static_cast<std::int32_t>(best);
+      const auto t = static_cast<std::size_t>(tr * plan.tiles_c + tc);
+      std::int32_t& id = plan.tiles[t];
+      const CompiledPattern* cp = &compiled[static_cast<std::size_t>(id)];
+      const std::vector<std::int32_t>* slots =
+          &slot_of[static_cast<std::size_t>(id)];
       if (rmax < p || cmax < p) {
-        // Clipped edge tile: its own CSR over the in-bounds kept cells,
-        // and its own slot layout built from that CSR.
-        t.pattern_id = static_cast<std::int32_t>(plan.compiled.size());
-        plan.compiled.push_back(plan.compiled[best].clipped(rmax, cmax));
-        slot_of.emplace_back();
-        append_slot_layout(plan.compiled.back(), cmax, plan.row_slots,
-                           plan.slot_stride, plan.slot_cols, slot_of.back());
+        // Clipped edge tile: a slot block of its own, built from the CSR
+        // of its in-bounds kept cells.
+        edge = cp->clipped(rmax, cmax);
+        id = blocks++;
+        append_slot_layout(edge, cmax, plan.row_slots, plan.slot_stride,
+                           plan.slot_cols, edge_slot_of);
+        cp = &edge;
+        slots = &edge_slot_of;
       }
-      const CompiledPattern& cp = plan.tile_pattern(t);
-      const std::vector<std::int32_t>& slots =
-          slot_of[static_cast<std::size_t>(t.pattern_id)];
-      float* tile_slots = plan.slot_values.data() + plan.tiles.size() * stride;
-      for (std::size_t i = 0; i < cp.cols.size(); ++i) {
-        const float v = tile[cp.rows[i] * plan.cols + cp.cols[i]];
-        plan.values.push_back(v);
-        tile_slots[slots[i]] = v;
+      float* tile_slots = plan.slot_values.data() + t * stride;
+      for (std::size_t i = 0; i < cp->cols.size(); ++i) {
+        tile_slots[(*slots)[i]] = tile[cp->rows[i] * plan.cols + cp->cols[i]];
       }
-      plan.tiles.push_back(t);
+      plan.kept_cells += static_cast<std::int64_t>(cp->cols.size());
     }
   }
   return plan;
@@ -251,15 +233,24 @@ double IrregularPlan::sparsity() const {
 }
 
 Tensor PatternPlan::to_dense() const {
+  // Every slot cell is written in slot order.  A pad holds +0 at a column
+  // its row does not keep, or repeats column cmax - 1, which sorts before
+  // the real cell there, so the real value is written last.
   Tensor out({rows, cols});
+  const auto stride = static_cast<std::size_t>(slot_stride);
   for (std::int64_t tr = 0; tr < tiles_r; ++tr) {
+    const std::int64_t rmax = std::min(psize, rows - tr * psize);
     for (std::int64_t tc = 0; tc < tiles_c; ++tc) {
-      const PatternTile& tile =
-          tiles[static_cast<std::size_t>(tr * tiles_c + tc)];
-      const CompiledPattern& cp = tile_pattern(tile);
-      for (std::size_t i = 0; i < cp.cols.size(); ++i) {
-        out[(tr * psize + cp.rows[i]) * cols + tc * psize + cp.cols[i]] =
-            values[static_cast<std::size_t>(tile.value_offset) + i];
+      const auto t = static_cast<std::size_t>(tr * tiles_c + tc);
+      const std::int32_t* cell_cols =
+          slot_cols.data() + static_cast<std::size_t>(tiles[t]) * stride;
+      const float* cell_values = slot_values.data() + t * stride;
+      for (std::int64_t r = 0; r < rmax; ++r) {
+        float* out_row = out.data() + (tr * psize + r) * cols + tc * psize;
+        const std::int64_t slots = row_slots[static_cast<std::size_t>(r)];
+        for (std::int64_t s = 0; s < slots; ++s) {
+          out_row[*cell_cols++] = *cell_values++;
+        }
       }
     }
   }
@@ -267,7 +258,7 @@ Tensor PatternPlan::to_dense() const {
 }
 
 double PatternPlan::sparsity() const {
-  return 1.0 - static_cast<double>(values.size()) /
+  return 1.0 - static_cast<double>(kept_cells) /
                    static_cast<double>(rows * cols);
 }
 
@@ -302,7 +293,7 @@ double LayerPlan::sparsity() const {
 PlanCache::PlanCache(ExecMode mode, const std::vector<Linear*>& layers,
                      const std::vector<Tensor>& backbone_masks,
                      const std::vector<PatternSet>& sets,
-                     std::int64_t num_levels, std::int64_t bp_blocks)
+                     std::int64_t num_levels)
     : mode_(mode) {
   check(!layers.empty(), "PlanCache: no layers");
   check(backbone_masks.empty() || backbone_masks.size() == layers.size(),
@@ -315,7 +306,6 @@ PlanCache::PlanCache(ExecMode mode, const std::vector<Linear*>& layers,
     num_levels = static_cast<std::int64_t>(sets.size());
   }
   check(num_levels >= 1, "PlanCache: need at least one level");
-  check(bp_blocks >= 1, "PlanCache: need at least one row block");
 
   const auto t0 = wall_now();
   plans_.resize(static_cast<std::size_t>(num_levels));
@@ -337,7 +327,7 @@ PlanCache::PlanCache(ExecMode mode, const std::vector<Linear*>& layers,
         case ExecMode::kBlock: {
           const Tensor wb = masked_weight_of(*layers[li], mask);
           const std::int64_t nb =
-              plan.rows % bp_blocks == 0 ? bp_blocks : 1;
+              plan.rows % kBlockPlanRowBlocks == 0 ? kBlockPlanRowBlocks : 1;
           plan.block = BlockPrunedMatrix::from_dense(wb, nb);
           break;
         }

@@ -3,16 +3,16 @@
 // A KernelPlan fixes, ahead of time, everything a kernel needs to execute
 // one weight matrix in one ExecMode: the dense payload (kDense), the
 // kept-column block layout (kBlock), or the pattern-tiled structure
-// (kPattern) in which each Pattern's kept-index list is compiled once into
-// a per-row CSR and shared by every tile assigned that pattern.  A
+// (kPattern) in which each Pattern's kept cells are compiled once into a
+// padded slot layout shared by every tile assigned that pattern.  A
 // PlanCache pre-builds one plan per (layer, V/F level) at construction, so
 // activating a level at a governor switch is a pointer swap — the runtime
 // analogue of the paper's ms-scale pattern-set switch, with the expensive
 // compilation paid before serving starts.
 //
 // Edge tiles of matrices whose dimensions are not multiples of psize get a
-// clipped CSR of their own (kept cells outside the matrix are dropped), so
-// plans handle arbitrary layer shapes.
+// clipped slot layout of their own (kept cells outside the matrix are
+// dropped), so plans handle arbitrary layer shapes.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +58,8 @@ void check_kernel_options(const KernelOptions& options,
 
 /// One Pattern's kept cells as a CSR over tile rows: row r's kept columns
 /// are cols[row_ptr[r] .. row_ptr[r+1]), ascending, and rows[i] is the
-/// tile row of kept cell i.  Values stored against this structure are laid
-/// out in the same traversal order.
+/// tile row of kept cell i.  A build-time helper: PatternPlan::build lays
+/// each one out as slots and keeps only the slot layout.
 struct CompiledPattern {
   std::int64_t psize = 0;
   std::vector<std::int32_t> row_ptr;  // tile rows + 1 entries
@@ -72,53 +72,40 @@ struct CompiledPattern {
   CompiledPattern clipped(std::int64_t rmax, std::int64_t cmax) const;
 };
 
-/// One psize x psize tile of a pattern plan.
-struct PatternTile {
-  /// Index into PatternPlan::compiled.
-  std::int32_t pattern_id = 0;
-  /// Offset of this tile's first value in PatternPlan::values.
-  std::int64_t value_offset = 0;
-};
-
-/// Pattern-tiled execution structure for one weight matrix: per-tile
-/// pattern assignment (paper's retained-L2 rule over the backbone-masked
-/// weights), shared compiled kept-index lists, tile-major values.
+/// Pattern-tiled execution structure for one weight matrix: the per-tile
+/// pattern choice (choose_tile_patterns over the backbone-masked weights)
+/// in the one layout the kernel reads.
+///
+/// Slot layout: every tile gives its row r exactly row_slots[r] cells, the
+/// most any pattern of the set keeps in row r.  A shorter row is padded
+/// with zero-weight cells at in-bounds columns it does not keep (a row
+/// that keeps all of them repeats column cmax - 1), and each row's cells
+/// ascend by column, so the kernel's trip counts are the same for every
+/// tile and each row still sees its terms in the reference order.  Row
+/// r's cells start at the sum of row_slots over the rows before it.
 struct PatternPlan {
   std::int64_t rows = 0;
   std::int64_t cols = 0;
   std::int64_t psize = 0;
   std::int64_t tiles_r = 0;
   std::int64_t tiles_c = 0;
-  /// One per set pattern, then one per clipped edge tile.
-  std::vector<CompiledPattern> compiled;
-  std::vector<PatternTile> tiles;  // row-major over the tile grid
-  std::vector<float> values;
-
-  /// Execution-only slot layout, built per compiled pattern after
-  /// clipping and kept beside the CSR (which, with `values`, is what
-  /// to_dense() and sparsity() read).  Every tile gives its row r exactly
-  /// row_slots[r] cells: the most any pattern of the set keeps in row r.
-  /// A shorter row is padded with zero-weight cells at in-bounds columns
-  /// it does not keep, and each row's cells ascend by column, so the
-  /// kernel's trip counts are the same for every tile and each row still
-  /// sees its terms in the reference order.  Row r's cells start at the
-  /// sum of row_slots over the rows before it.
+  /// Per tile, row-major over the tile grid: the index of its slot_cols
+  /// block — its set pattern's, or for a clipped edge tile, the block
+  /// built for that tile alone (one per set pattern come first).
+  std::vector<std::int32_t> tiles;
   std::vector<std::int64_t> row_slots;
-  /// Cells of a full-height tile: the per-pattern stride of slot_cols and
+  /// Cells of a full-height tile: the per-block stride of slot_cols and
   /// the per-tile stride of slot_values (a clipped last tile row uses a
   /// prefix of each stride).
   std::int64_t slot_stride = 0;
-  std::vector<std::int32_t> slot_cols;  // compiled.size() x slot_stride
+  std::vector<std::int32_t> slot_cols;  // blocks x slot_stride
   std::vector<float> slot_values;       // tiles.size() x slot_stride
+  /// In-bounds kept cells over all tiles (pads excluded).
+  std::int64_t kept_cells = 0;
 
   /// Builds the plan from an (already backbone-masked) weight matrix.
   /// Dimensions need NOT be multiples of psize.
   static PatternPlan build(const Tensor& masked_weight, const PatternSet& set);
-
-  /// CSR of one tile.
-  const CompiledPattern& tile_pattern(const PatternTile& tile) const {
-    return compiled[static_cast<std::size_t>(tile.pattern_id)];
-  }
 
   /// The dense matrix this plan computes with (masked weight under the
   /// per-tile pattern assignment) — the kernel's ground truth in tests.
@@ -183,12 +170,11 @@ class PlanCache {
   /// with sets executes each level's PATTERN nonzeros as COO triples —
   /// the same pruned weights a kPattern cache would run, so the measured
   /// gap between the two caches is pure indexing overhead (Challenge 1).
-  /// `bp_blocks` is the row-block count for kBlock plans; layers whose row
-  /// count is not divisible fall back to a single block.
+  /// kBlock plans split a layer into 4 row blocks; layers whose row count
+  /// is not divisible by 4 fall back to a single block.
   PlanCache(ExecMode mode, const std::vector<Linear*>& layers,
             const std::vector<Tensor>& backbone_masks,
-            const std::vector<PatternSet>& sets, std::int64_t num_levels,
-            std::int64_t bp_blocks);
+            const std::vector<PatternSet>& sets, std::int64_t num_levels);
 
   std::int64_t num_layers() const {
     return static_cast<std::int64_t>(plans_.empty() ? 0 : plans_[0].size());

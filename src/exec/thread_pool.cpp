@@ -1,6 +1,8 @@
 #include "exec/thread_pool.hpp"
 
 #include <algorithm>
+#include <string>
+#include <system_error>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -17,7 +19,15 @@ ThreadPool::ThreadPool(std::int64_t num_threads, bool pin_to_cores) {
   const unsigned cores = std::max(1U, std::thread::hardware_concurrency());
   pinned_ = pin_to_cores;
   for (std::int64_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    try {
+      workers_.emplace_back([this] { worker_loop(); });
+    } catch (const std::system_error& e) {
+      // Unwinding past a joinable std::thread would std::terminate.
+      stop_and_join();
+      throw CheckError("ThreadPool: cannot start worker " +
+                       std::to_string(i + 1) + " of " +
+                       std::to_string(num_threads) + ": " + e.what());
+    }
     if (pin_to_cores) {
 #if defined(__linux__)
       cpu_set_t set;
@@ -34,7 +44,9 @@ ThreadPool::ThreadPool(std::int64_t num_threads, bool pin_to_cores) {
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     MutexLock lock(mu_);
     stopping_ = true;

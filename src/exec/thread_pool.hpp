@@ -21,7 +21,9 @@ class ThreadPool {
   /// is pinned to hardware core i % hardware_concurrency (Linux,
   /// best-effort) so kernel workers keep their per-core L1/L2 warm and
   /// latency samples stop paying migration jitter; elsewhere the flag is
-  /// a no-op and pinned() reports false.
+  /// a no-op and pinned() reports false.  If a worker cannot be started,
+  /// the ones already started are stopped and joined and CheckError is
+  /// thrown.
   explicit ThreadPool(std::int64_t num_threads, bool pin_to_cores = false);
 
   /// Drains outstanding tasks, then joins all workers.
@@ -52,6 +54,8 @@ class ThreadPool {
 
  private:
   void worker_loop() RT3_EXCLUDES(mu_);
+  /// Lets the workers drain the queue and exit, then joins them.
+  void stop_and_join() RT3_EXCLUDES(mu_);
 
   Mutex mu_{"ThreadPool::mu_"};
   CondVar has_work_;

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/text_fields.hpp"
 #include "exec/simd.hpp"
 
 namespace rt3 {
@@ -20,6 +20,8 @@ constexpr std::array<std::int64_t, 3> kUnrolls = {1, 2, 4};
 constexpr std::array<std::int64_t, 4> kThreads = {0, 1, 2, 4};
 
 constexpr int kFeatures = 7;
+
+constexpr const char* kWho = "TuningRecord";
 
 /// Quadratic feature map over the (log-scaled) knobs: enough curvature to
 /// place the minimum of each knob's latency bowl, small enough to fit
@@ -93,45 +95,6 @@ double predict(const std::array<double, kFeatures>& w,
   return acc;
 }
 
-/// 17 significant digits: value -> text -> value round-trips bit-exactly,
-/// so re-serializing a parsed record is byte-identical.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::int64_t parse_i64(const std::string& text) {
-  std::size_t pos = 0;
-  const long long v = std::stoll(text, &pos);
-  check(pos == text.size(), "TuningRecord: bad integer: " + text);
-  return static_cast<std::int64_t>(v);
-}
-
-double parse_f64(const std::string& text) {
-  std::size_t pos = 0;
-  const double v = std::stod(text, &pos);
-  check(pos == text.size(), "TuningRecord: bad number: " + text);
-  return v;
-}
-
-/// Consumes one "key=value" token.
-std::string take_kv(std::istringstream& in, const std::string& key) {
-  std::string token;
-  check(static_cast<bool>(in >> token) &&
-            token.rfind(key + "=", 0) == 0,
-        "TuningRecord: expected " + key + "=...");
-  return token.substr(key.size() + 1);
-}
-
-std::string take_field(std::istringstream& in, const std::string& name) {
-  std::string label;
-  std::string value;
-  check(static_cast<bool>(in >> label >> value) && label == name,
-        "TuningRecord: expected '" + name + " <value>'");
-  return value;
-}
-
 }  // namespace
 
 std::string TuningRecord::serialize() const {
@@ -147,8 +110,8 @@ std::string TuningRecord::serialize() const {
         << " row_grain=" << e.options.row_grain
         << " unroll=" << e.options.unroll
         << " threads=" << e.options.threads
-        << " predicted_ms=" << fmt_double(e.predicted_ms)
-        << " measured_ms=" << fmt_double(e.measured_ms) << "\n";
+        << " predicted_ms=" << format_g17(e.predicted_ms)
+        << " measured_ms=" << format_g17(e.measured_ms) << "\n";
   }
   return out.str();
 }
@@ -161,26 +124,37 @@ TuningRecord TuningRecord::parse(const std::string& text) {
             magic == "rt3-tuning" && version == "v1",
         "TuningRecord: not an rt3-tuning v1 file");
   TuningRecord record;
-  record.mode = exec_mode_from_name(take_field(in, "mode"));
-  record.isa = take_field(in, "isa");
-  record.batch = parse_i64(take_field(in, "batch"));
-  const std::int64_t count = parse_i64(take_field(in, "entries"));
+  record.mode = exec_mode_from_name(take_field(in, kWho, "mode"));
+  record.isa = take_field(in, kWho, "isa");
+  record.batch =
+      parse_int("TuningRecord: batch", take_field(in, kWho, "batch"));
+  const std::int64_t count =
+      parse_int("TuningRecord: entries", take_field(in, kWho, "entries"));
+  // No reserve(count): a corrupt count must fail at the first missing
+  // entry line, not as a bad_alloc.
   check(count >= 0, "TuningRecord: bad entry count");
-  record.entries.reserve(static_cast<std::size_t>(count));
   for (std::int64_t i = 0; i < count; ++i) {
+    const std::string where = "TuningRecord: entry " + std::to_string(i);
     std::string label;
     check(static_cast<bool>(in >> label) && label == "entry",
-          "TuningRecord: expected an entry line");
+          where + ": expected an entry line (entries " +
+              std::to_string(count) + ")");
+    const auto int_kv = [&](const std::string& key) {
+      return parse_int(where + " " + key, take_kv(in, kWho, key));
+    };
+    const auto double_kv = [&](const std::string& key) {
+      return parse_finite(where + " " + key, take_kv(in, kWho, key));
+    };
     TuningEntry e;
-    e.layer = parse_i64(take_kv(in, "layer"));
-    e.level = parse_i64(take_kv(in, "level"));
-    e.options.k_tile = parse_i64(take_kv(in, "k_tile"));
-    e.options.row_grain = parse_i64(take_kv(in, "row_grain"));
-    e.options.unroll = parse_i64(take_kv(in, "unroll"));
-    e.options.threads = parse_i64(take_kv(in, "threads"));
-    e.predicted_ms = parse_f64(take_kv(in, "predicted_ms"));
-    e.measured_ms = parse_f64(take_kv(in, "measured_ms"));
-    check_kernel_options(e.options, "TuningRecord: entry " + std::to_string(i));
+    e.layer = int_kv("layer");
+    e.level = int_kv("level");
+    e.options.k_tile = int_kv("k_tile");
+    e.options.row_grain = int_kv("row_grain");
+    e.options.unroll = int_kv("unroll");
+    e.options.threads = int_kv("threads");
+    e.predicted_ms = double_kv("predicted_ms");
+    e.measured_ms = double_kv("measured_ms");
+    check_kernel_options(e.options, where);
     record.entries.push_back(e);
   }
   return record;

@@ -95,41 +95,21 @@ PatternSet random_pattern_set(std::int64_t psize, double sparsity,
 }
 
 Tensor pattern_mask_for_weight(const Tensor& weight, const PatternSet& set) {
-  check(weight.dim() == 2, "pattern_mask_for_weight: need 2-D weight");
-  check(!set.patterns.empty(), "pattern_mask_for_weight: empty set");
+  const std::vector<std::int32_t> choice = choose_tile_patterns(weight, set);
   const std::int64_t psize = set.psize();
-  const std::int64_t rows = weight.size(0);
   const std::int64_t cols = weight.size(1);
-  check(rows % psize == 0 && cols % psize == 0,
+  check(weight.size(0) % psize == 0 && cols % psize == 0,
         "pattern_mask_for_weight: dims must be multiples of psize");
-
   Tensor mask(weight.shape());
-  const std::int64_t tiles_r = rows / psize;
   const std::int64_t tiles_c = cols / psize;
-  Tensor tile({psize, psize});
-  for (std::int64_t tr = 0; tr < tiles_r; ++tr) {
-    for (std::int64_t tc = 0; tc < tiles_c; ++tc) {
-      for (std::int64_t r = 0; r < psize; ++r) {
-        for (std::int64_t c = 0; c < psize; ++c) {
-          tile[r * psize + c] =
-              weight[(tr * psize + r) * cols + tc * psize + c];
-        }
-      }
-      std::size_t best = 0;
-      double best_l2 = -1.0;
-      for (std::size_t p = 0; p < set.patterns.size(); ++p) {
-        const double l2 = set.patterns[p].retained_l2(tile);
-        if (l2 > best_l2) {
-          best_l2 = l2;
-          best = p;
-        }
-      }
-      const Pattern& pat = set.patterns[best];
-      for (std::int64_t r = 0; r < psize; ++r) {
-        for (std::int64_t c = 0; c < psize; ++c) {
-          mask[(tr * psize + r) * cols + tc * psize + c] =
-              pat.kept(r, c) ? 1.0F : 0.0F;
-        }
+  for (std::size_t t = 0; t < choice.size(); ++t) {
+    const std::int64_t tr = static_cast<std::int64_t>(t) / tiles_c;
+    const std::int64_t tc = static_cast<std::int64_t>(t) % tiles_c;
+    const Pattern& pat = set.patterns[static_cast<std::size_t>(choice[t])];
+    for (std::int64_t r = 0; r < psize; ++r) {
+      for (std::int64_t c = 0; c < psize; ++c) {
+        mask[(tr * psize + r) * cols + tc * psize + c] =
+            pat.kept(r, c) ? 1.0F : 0.0F;
       }
     }
   }

@@ -30,8 +30,8 @@ PatternSet random_pattern_set(std::int64_t psize, double sparsity,
                               std::int64_t m, Rng& rng);
 
 /// Full binary mask for a weight matrix under a pattern set: every tile is
-/// assigned the set's pattern with maximal retained l2 (paper Fig. 2 rule).
-/// Weight dims must be multiples of psize.
+/// assigned the set's pattern with maximal retained l2 (paper Fig. 2 rule,
+/// choose_tile_patterns).  Weight dims must be multiples of psize.
 Tensor pattern_mask_for_weight(const Tensor& weight, const PatternSet& set);
 
 /// Number of kept positions for a pattern of side `psize` at `sparsity`

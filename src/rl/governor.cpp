@@ -2,60 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/text_fields.hpp"
 
 namespace rt3 {
 
 namespace {
 
-/// 17 significant digits: float -> text -> float round-trips bit-exactly,
-/// so re-serializing a parsed artifact is byte-identical.
-std::string fmt_float(float v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", static_cast<double>(v));
-  return buf;
-}
+constexpr const char* kWho = "rt3-governor";
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-// std::stoll/std::stod throw std::invalid_argument / std::out_of_range
-// (both std::logic_error) on junk or overflow; malformed input must surface
-// as a CheckError naming the field and the token instead.
 std::int64_t parse_i64(const std::string& field, const std::string& text) {
-  long long v = 0;
-  bool ok = false;
-  try {
-    std::size_t pos = 0;
-    v = std::stoll(text, &pos);
-    ok = pos == text.size();
-  } catch (const std::logic_error&) {
-  }
-  check(ok, "rt3-governor: " + field + ": bad integer '" + text + "'");
-  return static_cast<std::int64_t>(v);
+  return parse_int(std::string(kWho) + ": " + field, text);
 }
 
 double parse_f64(const std::string& field, const std::string& text) {
-  double v = 0.0;
-  bool ok = false;
-  try {
-    std::size_t pos = 0;
-    v = std::stod(text, &pos);
-    ok = pos == text.size();
-  } catch (const std::logic_error&) {
-  }
-  check(ok, "rt3-governor: " + field + ": bad number '" + text + "'");
-  check(std::isfinite(v),
-        "rt3-governor: " + field + ": non-finite value '" + text + "'");
-  return v;
+  return parse_finite(std::string(kWho) + ": " + field, text);
 }
 
 /// A weight: a finite double that also stays finite as a float.
@@ -64,22 +29,6 @@ float parse_f32(const std::string& field, const std::string& text) {
   check(std::isfinite(v),
         "rt3-governor: " + field + ": value '" + text + "' overflows float");
   return v;
-}
-
-/// Consumes one "key=value" token.
-std::string take_kv(std::istringstream& in, const std::string& key) {
-  std::string token;
-  check(static_cast<bool>(in >> token) && token.rfind(key + "=", 0) == 0,
-        "rt3-governor: expected " + key + "=...");
-  return token.substr(key.size() + 1);
-}
-
-std::string take_field(std::istringstream& in, const std::string& name) {
-  std::string label;
-  std::string value;
-  check(static_cast<bool>(in >> label >> value) && label == name,
-        "rt3-governor: expected '" + name + " <value>'");
-  return value;
 }
 
 }  // namespace
@@ -233,15 +182,15 @@ std::string RlGovernorPolicy::serialize() const {
   out << "obs_dim " << kObsDim << "\n";
   out << "hidden_dim " << config_.hidden_dim << "\n";
   out << "num_levels " << num_levels() << "\n";
-  out << "queue_depth_scale " << fmt_double(config_.queue_depth_scale) << "\n";
-  out << "miss_alpha " << fmt_double(config_.miss_alpha) << "\n";
+  out << "queue_depth_scale " << format_g17(config_.queue_depth_scale) << "\n";
+  out << "miss_alpha " << format_g17(config_.miss_alpha) << "\n";
   const std::vector<NamedParam> named = named_parameters();
   out << "params " << named.size() << "\n";
   for (const NamedParam& np : named) {
     out << "param name=" << np.name << " numel=" << np.param.numel() << "\n";
     const Tensor& value = np.param.value();
     for (std::int64_t i = 0; i < value.numel(); ++i) {
-      out << (i > 0 ? " " : "") << fmt_float(value[i]);
+      out << (i > 0 ? " " : "") << format_g17(value[i]);
     }
     out << "\n";
   }
@@ -257,24 +206,27 @@ std::shared_ptr<RlGovernorPolicy> RlGovernorPolicy::parse(
             version == "v1",
         "rt3-governor: not an rt3-governor v1 file");
   const std::int64_t obs_dim =
-      parse_i64("obs_dim", take_field(in, "obs_dim"));
+      parse_i64("obs_dim", take_field(in, kWho, "obs_dim"));
   check(obs_dim == kObsDim, "rt3-governor: artifact obs_dim " +
                                 std::to_string(obs_dim) + " != " +
                                 std::to_string(kObsDim));
   RlGovernorConfig config;
-  config.hidden_dim = parse_i64("hidden_dim", take_field(in, "hidden_dim"));
+  config.hidden_dim =
+      parse_i64("hidden_dim", take_field(in, kWho, "hidden_dim"));
   const std::int64_t levels =
-      parse_i64("num_levels", take_field(in, "num_levels"));
+      parse_i64("num_levels", take_field(in, kWho, "num_levels"));
   check(levels == static_cast<std::int64_t>(ladder.levels().size()),
         "rt3-governor: artifact has " + std::to_string(levels) +
             " levels but the ladder has " +
             std::to_string(ladder.levels().size()));
   config.queue_depth_scale =
-      parse_f64("queue_depth_scale", take_field(in, "queue_depth_scale"));
-  config.miss_alpha = parse_f64("miss_alpha", take_field(in, "miss_alpha"));
+      parse_f64("queue_depth_scale", take_field(in, kWho, "queue_depth_scale"));
+  config.miss_alpha =
+      parse_f64("miss_alpha", take_field(in, kWho, "miss_alpha"));
   auto policy = std::make_shared<RlGovernorPolicy>(std::move(ladder), config);
 
-  const std::int64_t count = parse_i64("params", take_field(in, "params"));
+  const std::int64_t count =
+      parse_i64("params", take_field(in, kWho, "params"));
   const std::vector<NamedParam> named = policy->named_parameters();
   check(count == static_cast<std::int64_t>(named.size()),
         "rt3-governor: artifact has " + std::to_string(count) +
@@ -283,11 +235,11 @@ std::shared_ptr<RlGovernorPolicy> RlGovernorPolicy::parse(
     std::string label;
     check(static_cast<bool>(in >> label) && label == "param",
           "rt3-governor: expected a param line");
-    const std::string name = take_kv(in, "name");
+    const std::string name = take_kv(in, kWho, "name");
     check(name == np.name, "rt3-governor: expected param " + np.name +
                                ", found " + name);
     const std::string field = "param " + name;
-    const std::int64_t numel = parse_i64(field, take_kv(in, "numel"));
+    const std::int64_t numel = parse_i64(field, take_kv(in, kWho, "numel"));
     check(numel == np.param.numel(),
           "rt3-governor: param " + name + " has numel " +
               std::to_string(numel) + ", expected " +

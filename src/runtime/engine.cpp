@@ -45,16 +45,9 @@ SwitchReport ReconfigEngine::switch_to(std::int64_t to) {
   const auto t0 = wall_now();
   pruner_.install_masks(level.masks);
   report.wall_ms = wall_ms_since(t0);
-  if (plan_swap_hook_) {
-    report.plan_swap_wall_ms = plan_swap_hook_(to);
-  }
   current_ = to;
   report.swap_bytes = level.swap_bytes;
   return report;
-}
-
-void ReconfigEngine::set_plan_swap_hook(PlanSwapHook hook) {
-  plan_swap_hook_ = std::move(hook);
 }
 
 double ReconfigEngine::sparsity_at(std::int64_t level) const {

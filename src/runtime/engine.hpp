@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "dvfs/dvfs.hpp"
@@ -22,16 +21,9 @@ struct SwitchReport {
   double modeled_ms = 0.0;
   /// Wall-clock time installing the level's stored masks took on this host.
   double wall_ms = 0.0;
-  /// Wall-clock time the plan-swap hook took (0 when no hook is set).
-  double plan_swap_wall_ms = 0.0;
   /// Storage bytes of the pattern set swapped in (0 for a no-op switch).
   std::int64_t swap_bytes = 0;
 };
-
-/// Hook invoked after a pattern-set switch is applied, with the new level;
-/// returns the host wall ms spent swapping execution plans (typically
-/// PlanCache::swap_to via a MeasuredBackend).
-using PlanSwapHook = std::function<double(std::int64_t)>;
 
 /// Holds the backbone-resident model and switches pattern sets.
 ///
@@ -59,11 +51,6 @@ class ReconfigEngine {
   /// Installs level `to`'s masks (no-op report if already active).
   SwitchReport switch_to(std::int64_t to);
 
-  /// Installs (or clears, with nullptr) the per-level plan-swap hook; it
-  /// runs inside every effective switch_to and its wall time is reported
-  /// in SwitchReport::plan_swap_wall_ms.
-  void set_plan_swap_hook(PlanSwapHook hook);
-
   /// Overall model sparsity at a level, read from its stored masks; the
   /// active level does not change.
   double sparsity_at(std::int64_t level) const;
@@ -81,7 +68,6 @@ class ReconfigEngine {
   ModelPruner& pruner_;
   std::vector<Level> levels_;
   std::int64_t current_ = -1;
-  PlanSwapHook plan_swap_hook_;
 };
 
 /// Battery-discharge simulation (the paper's Table II experiment and the

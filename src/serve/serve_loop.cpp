@@ -20,6 +20,10 @@
 namespace rt3 {
 namespace {
 
+/// Virtual switch latency of a shard without a ReconfigEngine; with one,
+/// the engine's modeled pattern-set switch time is used.
+constexpr double kEnginelessSwitchMs = 5.0;
+
 [[noreturn]] void reject_request(const Request& r, const char* what) {
   throw CheckError("serve: request " + std::to_string(r.id) + " " + what);
 }
@@ -93,8 +97,7 @@ SwitchReport switch_engine(ReconfigEngine& engine, std::int64_t to,
         .arg("to_level", report.to_level)
         .arg("modeled_ms", report.modeled_ms);
     if (trace->record_wall()) {
-      ev.arg("wall_ms", report.wall_ms)
-          .arg("plan_swap_wall_ms", report.plan_swap_wall_ms);
+      ev.arg("wall_ms", report.wall_ms);
     }
     trace->record(std::move(ev));
   }
@@ -221,22 +224,17 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
       for (Shard& sh : shards) {
         const ServerConfig& cfg = sh.server->config();
         ReconfigEngine* engine = sh.server->reconfig_engine();
-        // An engine with a plan-swap hook swaps plans inside switch_to;
-        // the hook's wall cost is folded into this switch's swap entry so
-        // the subsequent (then no-op) activate_level is not counted as 0.
-        double engine_swap_ms = 0.0;
         if (cfg.software_reconfig && active >= 0) {
           if (!battery.drain(cfg.switch_energy_mj)) {
             battery_died = true;  // mid-epoch death: leftovers drop below
             break;
           }
           sh.stats.energy_used_mj += cfg.switch_energy_mj;
-          double switch_ms = cfg.switch_latency_ms;
+          double switch_ms = kEnginelessSwitchMs;
           if (engine != nullptr) {
             const SwitchReport report =
                 switch_engine(*engine, pos, now, trace, telemetry);
             switch_ms = report.modeled_ms;
-            engine_swap_ms = report.plan_swap_wall_ms;
           }
           ++sh.stats.switches;
           switch_ivals.add(now, now + switch_ms);
@@ -257,15 +255,12 @@ NodeStats serve_session(const std::vector<ShardRef>& refs, Battery& battery,
           lag += switch_ms;
         } else if (cfg.software_reconfig && engine != nullptr) {
           // Initial activation: free at t = 0.
-          const SwitchReport report =
-              switch_engine(*engine, pos, now, trace, telemetry);
-          engine_swap_ms = report.plan_swap_wall_ms;
+          switch_engine(*engine, pos, now, trace, telemetry);
         }
         // Swap the active execution-plan set along with the pattern set
         // (virtual-time free: precompiled plans make this a pointer swap,
         // but the wall cost is reported per switch).
-        const double swap_ms =
-            engine_swap_ms + sh.server->exec_backend().activate_level(pos);
+        const double swap_ms = sh.server->exec_backend().activate_level(pos);
         sh.stats.plan_swap_ms.push_back(swap_ms);
         sh.stats.plan_swap_ms_total += swap_ms;
       }

@@ -57,9 +57,6 @@ struct ServerConfig {
   bool software_reconfig = true;
   /// Energy cost of one pattern-set switch (mJ).
   double switch_energy_mj = 0.5;
-  /// Switch latency when no ReconfigEngine is attached; with an engine
-  /// the modeled pattern-set switch time is used instead.
-  double switch_latency_ms = 5.0;
   ExecMode exec_mode = ExecMode::kPattern;
   /// Load shedding: drop a request once its deadline is already blown,
   /// before it occupies a batch slot (counted in ServerStats::shed).

@@ -1,5 +1,7 @@
 #include "sparse/block_format.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace rt3 {
@@ -123,8 +125,7 @@ std::int64_t BlockPrunedMatrix::storage_bytes() const {
 
 PatternMaskedMatrix PatternMaskedMatrix::from_dense(const Tensor& dense,
                                                     const PatternSet& set) {
-  check(dense.dim() == 2, "PatternMaskedMatrix: need 2-D");
-  check(!set.patterns.empty(), "PatternMaskedMatrix: empty pattern set");
+  std::vector<std::int32_t> choice = choose_tile_patterns(dense, set);
   const std::int64_t psize = set.psize();
   const std::int64_t rows = dense.size(0);
   const std::int64_t cols = dense.size(1);
@@ -133,41 +134,21 @@ PatternMaskedMatrix PatternMaskedMatrix::from_dense(const Tensor& dense,
 
   PatternMaskedMatrix out(rows, cols, psize);
   out.set_ = set;
-  const std::int64_t tiles_r = rows / psize;
   const std::int64_t tiles_c = cols / psize;
-  out.assignment_.reserve(static_cast<std::size_t>(tiles_r * tiles_c));
-
-  for (std::int64_t tr = 0; tr < tiles_r; ++tr) {
-    for (std::int64_t tc = 0; tc < tiles_c; ++tc) {
-      // Extract the tile.
-      Tensor tile({psize, psize});
-      for (std::int64_t r = 0; r < psize; ++r) {
-        for (std::int64_t c = 0; c < psize; ++c) {
-          tile[r * psize + c] =
-              dense[(tr * psize + r) * cols + tc * psize + c];
-        }
-      }
-      // Paper's rule: choose the pattern with the largest retained l2.
-      std::size_t best = 0;
-      double best_l2 = -1.0;
-      for (std::size_t p = 0; p < set.patterns.size(); ++p) {
-        const double l2 = set.patterns[p].retained_l2(tile);
-        if (l2 > best_l2) {
-          best_l2 = l2;
-          best = p;
-        }
-      }
-      out.assignment_.push_back(static_cast<std::int64_t>(best));
-      const Pattern& pat = set.patterns[best];
-      for (std::int64_t r = 0; r < psize; ++r) {
-        for (std::int64_t c = 0; c < psize; ++c) {
-          if (pat.kept(r, c)) {
-            out.values_.push_back(tile[r * psize + c]);
-          }
+  for (std::size_t t = 0; t < choice.size(); ++t) {
+    const std::int64_t tr = static_cast<std::int64_t>(t) / tiles_c;
+    const std::int64_t tc = static_cast<std::int64_t>(t) % tiles_c;
+    const Pattern& pat = set.patterns[static_cast<std::size_t>(choice[t])];
+    for (std::int64_t r = 0; r < psize; ++r) {
+      for (std::int64_t c = 0; c < psize; ++c) {
+        if (pat.kept(r, c)) {
+          out.values_.push_back(
+              dense[(tr * psize + r) * cols + tc * psize + c]);
         }
       }
     }
   }
+  out.assignment_ = std::move(choice);
   return out;
 }
 

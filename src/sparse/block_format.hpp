@@ -60,8 +60,9 @@ class BlockPrunedMatrix {
 /// into a shared PatternSet.  This is the Level-2 execution format.
 class PatternMaskedMatrix {
  public:
-  /// Assigns each tile the set's pattern with maximal retained L2 (the
-  /// paper's selection rule) and stores only the masked values.
+  /// Assigns each tile the set's pattern with maximal retained L2
+  /// (choose_tile_patterns) and stores only the masked values.  Dims must
+  /// be multiples of psize.
   static PatternMaskedMatrix from_dense(const Tensor& dense,
                                         const PatternSet& set);
 
@@ -70,7 +71,7 @@ class PatternMaskedMatrix {
   std::int64_t rows() const { return rows_; }
   std::int64_t cols() const { return cols_; }
   std::int64_t psize() const { return psize_; }
-  const std::vector<std::int64_t>& assignments() const { return assignment_; }
+  const std::vector<std::int32_t>& assignments() const { return assignment_; }
   /// Tile-major kept values and the shared pattern library (kernel-facing).
   const std::vector<float>& values() const { return values_; }
   const PatternSet& pattern_set() const { return set_; }
@@ -95,7 +96,7 @@ class PatternMaskedMatrix {
   std::int64_t cols_;
   std::int64_t psize_;
   PatternSet set_;
-  std::vector<std::int64_t> assignment_;  // tile-major pattern ids
+  std::vector<std::int32_t> assignment_;  // tile-major pattern ids
   std::vector<float> values_;             // kept values, tile-major
 };
 

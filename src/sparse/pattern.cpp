@@ -134,4 +134,48 @@ std::int64_t PatternSet::storage_bytes() const {
          ((bits_per_pattern + 7) / 8);
 }
 
+std::vector<std::int32_t> choose_tile_patterns(const Tensor& weight,
+                                               const PatternSet& set) {
+  check(weight.dim() == 2, "choose_tile_patterns: need a 2-D weight");
+  const std::int64_t p = set.psize();  // throws on an empty set
+  for (const Pattern& pat : set.patterns) {
+    check(pat.psize() == p, "choose_tile_patterns: patterns differ in psize");
+  }
+  const std::int64_t rows = weight.size(0);
+  const std::int64_t cols = weight.size(1);
+  const std::int64_t tiles_r = (rows + p - 1) / p;
+  const std::int64_t tiles_c = (cols + p - 1) / p;
+  std::vector<std::int32_t> choice;
+  choice.reserve(static_cast<std::size_t>(tiles_r * tiles_c));
+  for (std::int64_t tr = 0; tr < tiles_r; ++tr) {
+    for (std::int64_t tc = 0; tc < tiles_c; ++tc) {
+      const std::int64_t rmax = std::min(p, rows - tr * p);
+      const std::int64_t cmax = std::min(p, cols - tc * p);
+      const float* tile = weight.data() + tr * p * cols + tc * p;
+      std::size_t best = 0;
+      double best_l2 = -1.0;
+      for (std::size_t pi = 0; pi < set.patterns.size(); ++pi) {
+        // Kept cells in ascending flat order, as retained_l2 sums them;
+        // the padding's cells would add +0 and are skipped.
+        const std::uint8_t* bits = set.patterns[pi].bits().data();
+        double l2 = 0.0;
+        for (std::int64_t r = 0; r < rmax; ++r) {
+          for (std::int64_t c = 0; c < cmax; ++c) {
+            if (bits[r * p + c] != 0) {
+              const double v = tile[r * cols + c];
+              l2 += v * v;
+            }
+          }
+        }
+        if (l2 > best_l2) {
+          best_l2 = l2;
+          best = pi;
+        }
+      }
+      choice.push_back(static_cast<std::int32_t>(best));
+    }
+  }
+  return choice;
+}
+
 }  // namespace rt3

@@ -73,4 +73,14 @@ struct PatternSet {
   std::int64_t storage_bytes() const;
 };
 
+/// The paper's Level-2 pattern choice, the one implementation behind the
+/// pruning masks, PatternMaskedMatrix and the kernel plans: for every
+/// psize x psize tile of a 2-D `weight`, tile-major, the index of the
+/// set's pattern with the largest retained L2 (Pattern::retained_l2's
+/// sum, in its order).  Ties go to the lowest index; a ragged edge tile
+/// scores as if zero-padded, so dimensions need not be multiples of
+/// psize.  Reads the weight in place; the result is the only allocation.
+std::vector<std::int32_t> choose_tile_patterns(const Tensor& weight,
+                                               const PatternSet& set);
+
 }  // namespace rt3

@@ -43,6 +43,18 @@ TEST(Args, RejectsTrailingGarbageAndNonNumbers) {
   EXPECT_THROW(arg_int(args, "--repeats", 1), CheckError);
   EXPECT_THROW(arg_double(args, "--rate", 1.0), CheckError);
   EXPECT_EQ(arg_string(args, "--repeats", ""), "3x");  // strings pass through
+  // Non-finite and overflowing values are refused by flag name.
+  for (const std::string bad : {"nan", "inf", "-inf", "1e999"}) {
+    try {
+      (void)arg_double({"--t", bad}, "--t", 1.0);
+      ADD_FAILURE() << "--t " << bad << " was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("--t"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(arg_int({"--seed", "99999999999999999999"}, "--seed", 1),
+               CheckError);
 }
 
 TEST(Check, NarrowRoundTrip) {

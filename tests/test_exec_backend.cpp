@@ -33,7 +33,6 @@
 #include "perf/calibration.hpp"
 #include "pruning/model_pruner.hpp"
 #include "pruning/pattern_prune.hpp"
-#include "runtime/engine.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/traffic.hpp"
@@ -540,7 +539,7 @@ TEST(PatternPlan, AssignmentMatchesModelPrunerComposition) {
   pruner.apply_pattern_set(set);
 
   const PlanCache cache(ExecMode::kPattern, layers, pruner.backbone_masks(),
-                        {set}, 1, 4);
+                        {set}, 1);
   for (std::size_t li = 0; li < layers.size(); ++li) {
     const Tensor expected =
         mul(layers[li]->weight().value(), layers[li]->mask());
@@ -565,7 +564,7 @@ TEST(PlanCache, SwapIsCheapAndTracksLevels) {
   for (double s : {0.25, 0.5, 0.75}) {
     sets.push_back(random_pattern_set(4, s, 2, rng));
   }
-  PlanCache cache(ExecMode::kPattern, layers, {}, sets, 3, 4);
+  PlanCache cache(ExecMode::kPattern, layers, {}, sets, 3);
   EXPECT_EQ(cache.num_levels(), 3);
   EXPECT_EQ(cache.num_layers(), 1);
   EXPECT_GT(cache.build_wall_ms(), 0.0);
@@ -970,50 +969,6 @@ TEST(MeasuredBackend, ServeSessionEndToEnd) {
   EXPECT_LE(kernel_wall_ms, stats.kernel_wall_ms_total);
 }
 
-TEST(ReconfigEngine, PlanSwapHookRunsInsideSwitchAndIsReported) {
-  // Engine-level users without a Server wire the PlanCache through the
-  // plan-swap hook: the swap runs inside switch_to and its wall time
-  // lands in the SwitchReport.
-  Rng rng(37);
-  std::vector<std::unique_ptr<Linear>> owned;
-  std::vector<Linear*> layers;
-  owned.push_back(std::make_unique<Linear>(16, 16, rng));
-  layers.push_back(owned.back().get());
-  ModelPruner pruner(layers);
-  BpConfig bp;
-  bp.num_blocks = 4;
-  bp.prune_fraction = 0.25;
-  pruner.apply_bp(bp);
-  std::vector<PatternSet> sets;
-  for (double s : {0.25, 0.5, 0.75}) {
-    sets.push_back(random_pattern_set(4, s, 2, rng));
-  }
-  PlanCache cache(ExecMode::kPattern, layers, pruner.backbone_masks(), sets,
-                  3, 4);
-  ReconfigEngine engine(pruner, sets, SwitchCostModel(),
-                        ModelSpec::paper_transformer(), 100);
-  std::vector<std::int64_t> hook_levels;
-  engine.set_plan_swap_hook([&](std::int64_t level) {
-    hook_levels.push_back(level);
-    return cache.swap_to(level);
-  });
-
-  const SwitchReport first = engine.switch_to(1);
-  EXPECT_EQ(cache.active_level(), 1);
-  EXPECT_GE(first.plan_swap_wall_ms, 0.0);
-  ASSERT_EQ(hook_levels.size(), 1U);
-  EXPECT_EQ(hook_levels[0], 1);
-
-  const SwitchReport noop = engine.switch_to(1);  // already active
-  EXPECT_DOUBLE_EQ(noop.plan_swap_wall_ms, 0.0);
-  EXPECT_EQ(hook_levels.size(), 1U);  // hook only fires on real switches
-
-  engine.set_plan_swap_hook(nullptr);
-  const SwitchReport unhooked = engine.switch_to(2);
-  EXPECT_DOUBLE_EQ(unhooked.plan_swap_wall_ms, 0.0);
-  EXPECT_EQ(cache.active_level(), 1);  // cleared hook no longer swaps
-}
-
 TEST(MeasuredBackend, RejectsNonPositiveThreads) {
   Rng rng(67);
   std::vector<std::unique_ptr<Linear>> owned;
@@ -1022,10 +977,19 @@ TEST(MeasuredBackend, RejectsNonPositiveThreads) {
   layers.push_back(owned.back().get());
   MeasuredBackendConfig cfg;
   cfg.mode = ExecMode::kDense;
-  for (std::int64_t threads : {std::int64_t{0}, std::int64_t{-3}}) {
+  // Above the cap is refused by value before any worker thread starts.
+  for (std::int64_t threads :
+       {std::int64_t{0}, std::int64_t{-3}, std::int64_t{100000}}) {
     cfg.threads = threads;
-    EXPECT_THROW(MeasuredBackend(cfg, layers, {}, {}, {1000.0}),
-                 CheckError);
+    try {
+      MeasuredBackend backend(cfg, layers, {}, {}, {1000.0});
+      ADD_FAILURE() << "threads=" << threads << " was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("threads=" +
+                                           std::to_string(threads)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -1127,6 +1091,45 @@ TEST(TuningRecord, HandEditedUnrollOutsideLadderIsRejected) {
   }
 }
 
+TEST(TuningRecord, MalformedRecordsAreRejectedByFieldName) {
+  TuningRecord record;
+  record.mode = ExecMode::kPattern;
+  record.isa = "avx2";
+  record.batch = 1;
+  TuningEntry e;
+  e.predicted_ms = 0.5;
+  e.measured_ms = 0.25;
+  record.entries.push_back(e);
+  const std::string text = record.serialize();
+  const auto edit = [&](const std::string& from, const std::string& to) {
+    std::string edited = text;
+    const std::size_t at = edited.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return edited.replace(at, from.size(), to);
+  };
+  // Each record must fail with a CheckError naming the field, never with
+  // std::stoll/std::stod's own exceptions or by loading a non-finite value.
+  const std::pair<std::string, std::string> bad[] = {
+      {edit("layer=0", "layer=abc"), "layer: bad integer 'abc'"},
+      {edit("predicted_ms=0.5", "predicted_ms=1e999"),
+       "predicted_ms: bad number '1e999'"},
+      {edit("predicted_ms=0.5 measured_ms=0.25",
+            "predicted_ms=nan measured_ms=inf"),
+       "predicted_ms: non-finite value 'nan'"},
+      {edit("entries 1", "entries 999999999999999"),
+       "entry 1: expected an entry line (entries 999999999999999)"},
+  };
+  for (const auto& [edited, expected] : bad) {
+    try {
+      TuningRecord::parse(edited);
+      ADD_FAILURE() << "accepted: " << edited;
+    } catch (const CheckError& err) {
+      EXPECT_NE(std::string(err.what()).find(expected), std::string::npos)
+          << err.what();
+    }
+  }
+}
+
 TEST(PlanCache, ApplyTuningInstallsPerPlanOptions) {
   Rng rng(73);
   std::vector<std::unique_ptr<Linear>> owned;
@@ -1136,7 +1139,7 @@ TEST(PlanCache, ApplyTuningInstallsPerPlanOptions) {
   std::vector<PatternSet> sets;
   sets.push_back(random_pattern_set(4, 0.25, 2, rng));
   sets.push_back(random_pattern_set(4, 0.5, 2, rng));
-  PlanCache cache(ExecMode::kPattern, layers, {}, sets, 2, 4);
+  PlanCache cache(ExecMode::kPattern, layers, {}, sets, 2);
   ASSERT_FALSE(cache.plan(0, 0).tuned.has_value());
 
   TuningRecord record;

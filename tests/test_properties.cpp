@@ -1,15 +1,20 @@
 // Cross-module property tests: BP pruning-dimension variants, the
 // unstructured baseline, latency-model orderings, search-space response to
-// the timing constraint, package corruption handling, and discharge
-// accounting.
+// the timing constraint, package corruption handling, discharge
+// accounting, and the one per-tile pattern choice behind the pruning
+// masks, the pattern storage format and the kernel plans.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <vector>
 
 #include "common/check.hpp"
 #include "dvfs/dvfs.hpp"
+#include "exec/plan.hpp"
 #include "perf/latency_model.hpp"
 #include "pruning/block_prune.hpp"
 #include "pruning/pattern_prune.hpp"
@@ -329,6 +334,165 @@ TEST(PatternEdge, MaskForWeightWithDensePattern) {
   set.patterns.push_back(Pattern::dense(4));
   const Tensor mask = pattern_mask_for_weight(w, set);
   EXPECT_DOUBLE_EQ(mask.sparsity(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// One per-tile pattern choice: pattern_mask_for_weight, PatternMaskedMatrix
+// and PatternPlan all run choose_tile_patterns, the paper's retained-L2
+// rule, so the masks, the storage format and the kernel plans agree.
+// ---------------------------------------------------------------------------
+
+/// The rule spelled out: per tile, copied into a zero-padded psize x psize
+/// block, the first pattern with the largest Pattern::retained_l2.
+std::vector<std::int32_t> reference_choice(const Tensor& w,
+                                           const PatternSet& set) {
+  const std::int64_t p = set.psize();
+  const std::int64_t rows = w.size(0);
+  const std::int64_t cols = w.size(1);
+  std::vector<std::int32_t> choice;
+  for (std::int64_t tr = 0; tr * p < rows; ++tr) {
+    for (std::int64_t tc = 0; tc * p < cols; ++tc) {
+      Tensor tile({p, p});
+      for (std::int64_t r = 0; r < p && tr * p + r < rows; ++r) {
+        for (std::int64_t c = 0; c < p && tc * p + c < cols; ++c) {
+          tile[r * p + c] = w[(tr * p + r) * cols + tc * p + c];
+        }
+      }
+      std::int32_t best = 0;
+      double best_l2 = -1.0;
+      for (std::size_t i = 0; i < set.patterns.size(); ++i) {
+        const double l2 = set.patterns[i].retained_l2(tile);
+        if (l2 > best_l2) {
+          best_l2 = l2;
+          best = static_cast<std::int32_t>(i);
+        }
+      }
+      choice.push_back(best);
+    }
+  }
+  return choice;
+}
+
+/// `w` where the chosen (edge-clipped) pattern keeps a cell, +0 elsewhere:
+/// the pruned matrix with the sign of pruned cells cleared (mul(w, mask)
+/// would leave -0 at a pruned negative weight).
+Tensor keep_chosen(const Tensor& w, const PatternSet& set,
+                   const std::vector<std::int32_t>& choice) {
+  const std::int64_t p = set.psize();
+  const std::int64_t rows = w.size(0);
+  const std::int64_t cols = w.size(1);
+  const std::int64_t tiles_c = (cols + p - 1) / p;
+  Tensor out({rows, cols});
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (std::int64_t j = 0; j < cols; ++j) {
+      const auto t = static_cast<std::size_t>((i / p) * tiles_c + j / p);
+      const Pattern& pat =
+          set.patterns[static_cast<std::size_t>(choice[t])];
+      if (pat.kept(i % p, j % p)) {
+        out[i * cols + j] = w[i * cols + j];
+      }
+    }
+  }
+  return out;
+}
+
+void expect_bitwise_equal(const Tensor& a, const Tensor& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+              std::bit_cast<std::uint32_t>(b[i]))
+        << what << " at " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+
+void expect_one_choice(const Tensor& w, const PatternSet& set) {
+  const std::vector<std::int32_t> choice = choose_tile_patterns(w, set);
+  ASSERT_EQ(choice, reference_choice(w, set));
+  const Tensor kept = keep_chosen(w, set, choice);
+  const Tensor plan_dense = PatternPlan::build(w, set).to_dense();
+  expect_bitwise_equal(plan_dense, kept, "plan vs chosen cells");
+  const std::int64_t p = set.psize();
+  if (w.size(0) % p != 0 || w.size(1) % p != 0) {
+    return;  // the mask and the storage format need whole tiles
+  }
+  const Tensor mask = pattern_mask_for_weight(w, set);
+  expect_bitwise_equal(plan_dense,
+                       PatternMaskedMatrix::from_dense(w, set).to_dense(),
+                       "plan vs PatternMaskedMatrix");
+  const Tensor product = mul(w, mask);
+  for (std::int64_t i = 0; i < w.numel(); ++i) {
+    // Bitwise where kept; a pruned cell is +0 in the plan, +-0 in mul.
+    if (mask[i] != 0.0F) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(plan_dense[i]),
+                std::bit_cast<std::uint32_t>(product[i]))
+          << "plan vs mul(w, mask) at " << i;
+    } else {
+      ASSERT_EQ(plan_dense[i], 0.0F);
+      ASSERT_EQ(product[i], 0.0F);
+    }
+  }
+}
+
+TEST(PatternChoice, MasksFormatAndPlansAgreeOnEveryTile) {
+  Rng rng(2026);
+  const std::vector<std::pair<std::int64_t, std::int64_t>> shapes = {
+      {8, 16}, {16, 8}, {24, 24}, {7, 10}, {13, 5}, {9, 17}, {3, 3}};
+  for (const std::int64_t p : {4, 8}) {
+    for (std::int64_t m = 1; m <= 4; ++m) {
+      for (const auto& [rows, cols] : shapes) {
+        PatternSet set = random_pattern_set(p, 0.5, m, rng);
+        if (m >= 3) {
+          set.patterns[2] = set.patterns[1];  // an exact tie every tile
+        }
+        Tensor w = Tensor::randn({rows, cols}, rng);
+        for (std::int64_t c = 0; c < std::min(p, cols); ++c) {
+          for (std::int64_t r = 0; r < std::min(p, rows); ++r) {
+            w[r * cols + c] = 0.0F;  // tile (0, 0): every pattern ties at 0
+          }
+        }
+        SCOPED_TRACE("psize " + std::to_string(p) + ", " +
+                     std::to_string(m) + " patterns, " +
+                     std::to_string(rows) + "x" + std::to_string(cols));
+        expect_one_choice(w, set);
+        const std::vector<std::int32_t> choice = choose_tile_patterns(w, set);
+        EXPECT_EQ(choice[0], 0);
+        for (const std::int32_t id : choice) {
+          EXPECT_NE(id, 2);  // the duplicate never beats its first copy
+        }
+      }
+    }
+  }
+}
+
+TEST(PatternChoice, EdgeRowKeepingEveryColumnKeepsNegativeZero) {
+  // Row 0 of pattern a keeps every column; row 0 of b keeps one, but b's
+  // row 1 keeps four, so every row gets 4 slots.  On the ragged edge
+  // tile (2 in-bounds columns) a's row 0 keeps both and pads by
+  // repeating column 1, where the kept weight is -0.0.
+  const auto bits = [](const char* rows) {
+    std::vector<std::uint8_t> out;
+    for (const char* c = rows; *c != '\0'; ++c) {
+      out.push_back(*c == '#' ? 1 : 0);
+    }
+    return out;
+  };
+  PatternSet set;
+  set.patterns.emplace_back(4, bits("####....#....#.."));
+  set.patterns.emplace_back(4, bits("#...####..#....#"));
+  Rng rng(7);
+  Tensor w = Tensor::randn({4, 6}, rng);
+  w[4] = 5.0F;   // row 0 of the edge tile, kept by both patterns
+  w[5] = -0.0F;  // the cell a's padding repeats
+  w[10] = 0.0F;  // b's row 1 scores nothing, so a wins the edge tile
+  w[11] = 0.0F;
+  expect_one_choice(w, set);
+  const std::vector<std::int32_t> choice = choose_tile_patterns(w, set);
+  ASSERT_EQ(choice.size(), 2U);
+  EXPECT_EQ(choice[1], 0);
+  const Tensor dense = PatternPlan::build(w, set).to_dense();
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(dense[5]),
+            std::bit_cast<std::uint32_t>(-0.0F));
 }
 
 }  // namespace
