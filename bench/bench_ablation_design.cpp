@@ -48,13 +48,13 @@ int main() {
   bench::print_header("Design ablations - psize / theta / m",
                       "paper Sections II-B, III-C design discussion");
 
-  bench::LmWorkload w = bench::make_lm_workload(91);
-  ModelPruner pruner(w.model->prunable());
+  bench::Workload w = bench::make_lm_workload(91);
+  ModelPruner pruner(w.task->prunable());
   BpConfig bp;
   bp.num_blocks = 4;
   bp.prune_fraction = 0.35;
   pruner.apply_bp(bp);
-  const ModelSpec spec = ModelSpec::paper_transformer();
+  const ModelSpec spec = w.task->paper_spec();
   const SwitchCostModel cost;
 
   // --- 1. pattern size --------------------------------------------------
@@ -86,8 +86,7 @@ int main() {
 
   // --- 2. theta ----------------------------------------------------------
   std::cout << "\n(2) Search-space widening factor theta (T = 104 ms):\n";
-  LatencyModel latency;
-  latency.calibrate(spec, 0.6426, ExecMode::kBlock, 1400.0, 114.59);
+  const LatencyModel latency = w.task->paper_latency();
   const VfTable table = VfTable::odroid_xu3_a7();
   std::vector<VfLevel> levels;
   for (std::int64_t i : {5, 3, 2}) {

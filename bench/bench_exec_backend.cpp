@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
                            freqs);
   measured.auto_scale(0.8 * 115.0);
 
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   const AnalyticBackend analytic(latency, ModelSpec::paper_transformer(),
                                  ExecMode::kPattern, freqs,
                                  paper_ladder_sparsities(latency, 115.0));

@@ -27,27 +27,24 @@ struct FrontierRun {
 FrontierRun explore(double timing_ms, std::uint64_t seed,
                     std::int64_t episodes) {
   FrontierRun out;
-  bench::LmWorkload w = bench::make_lm_workload(seed);
+  bench::Workload w = bench::make_lm_workload(seed);
   // Clone the pre-trained model for the heuristic and UB baselines (same
   // starting point as RT3, no redundant retraining).
-  TransformerLm heuristic_model(w.model->config());
-  copy_parameters(heuristic_model, *w.model);
-  TransformerLm ub_model(w.model->config());
-  copy_parameters(ub_model, *w.model);
+  const auto heuristic = w.task->clone();
+  const auto ub = w.task->clone();
 
   Rt3Options options = bench::bench_options(timing_ms, episodes);
-  Rt3LmPipeline pipeline(*w.model, *w.corpus, options,
-                         ModelSpec::paper_transformer());
+  Rt3Pipeline pipeline(*w.task, options);
   out.result = pipeline.run();
 
   // Heuristic baseline: per level, the smallest grid sparsity meeting T,
   // jointly trained on the cloned pre-trained model.
-  ModelPruner pruner(heuristic_model.prunable());
+  ModelPruner pruner(heuristic->prunable());
   pruner.apply_bp(options.bp);
-  train_lm(heuristic_model, *w.corpus, options.backbone_train);
+  train(*heuristic, options.backbone_train);
   const double backbone_sparsity = pruner.overall_sparsity();
 
-  const ModelSpec spec = ModelSpec::paper_transformer();
+  const ModelSpec spec = heuristic->paper_spec();
   const LatencyModel& latency = pipeline.latency_model();
   const VfTable table = VfTable::odroid_xu3_a7();
   Rng rng(seed + 7);
@@ -65,14 +62,13 @@ FrontierRun explore(double timing_ms, std::uint64_t seed,
     out.heuristic_sparsity.push_back(pruner.apply_pattern_set(set));
     pruner.restore_backbone();
   }
-  out.heuristic_acc = joint_train_lm(heuristic_model, pruner, heuristic_sets,
-                                     *w.corpus, options.final_train)
-                          .per_set_accuracy;
+  out.heuristic_acc =
+      joint_train(*heuristic, pruner, heuristic_sets, options.final_train)
+          .per_set_accuracy;
 
   // Accuracy upper bound on RT3's chosen sets.
-  out.ub_acc = bench::ub_accuracies_lm(ub_model, *w.corpus, options.bp,
-                                       out.result.chosen_sets,
-                                       options.final_train);
+  out.ub_acc = bench::ub_accuracies(*ub, options.bp, out.result.chosen_sets,
+                                    options.final_train);
   return out;
 }
 

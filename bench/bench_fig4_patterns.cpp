@@ -16,8 +16,8 @@ int main() {
                       "paper Fig. 4: patterns at 3 V/F levels share structure");
 
   // Build a trained backbone, as the search would.
-  bench::LmWorkload w = bench::make_lm_workload(61);
-  ModelPruner pruner(w.model->prunable());
+  bench::Workload w = bench::make_lm_workload(61);
+  ModelPruner pruner(w.task->prunable());
   BpConfig bp;
   bp.num_blocks = 4;
   bp.prune_fraction = 0.35;

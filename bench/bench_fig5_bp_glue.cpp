@@ -38,9 +38,8 @@ int main() {
   int count = 0;
 
   for (const TaskPlan& plan : kPlans) {
-    bench::GlueWorkload w =
-        bench::make_glue_workload(plan.task, 70 + count);
-    ModelPruner pruner(w.model->prunable());
+    bench::Workload w = bench::make_glue_workload(plan.task, 70 + count);
+    ModelPruner pruner(w.task->prunable());
     BpConfig bp;
     bp.num_blocks = 4;
     bp.prune_fraction = 1.0 - 1.0 / plan.paper_rate;
@@ -49,7 +48,7 @@ int main() {
     ft.steps = 80;
     ft.batch = 16;
     ft.lr = 5e-3F;
-    const double bp_score = train_glue(*w.model, *w.data, ft);
+    const double bp_score = train(*w.task, ft);
     const double loss = w.dense_score - bp_score;
     total_loss += loss;
     ++count;
@@ -61,8 +60,8 @@ int main() {
 
   // WikiText-2 analog (paper annotates 2x on WikiText-2).
   {
-    bench::LmWorkload w = bench::make_lm_workload(80);
-    ModelPruner pruner(w.model->prunable());
+    bench::Workload w = bench::make_lm_workload(80);
+    ModelPruner pruner(w.task->prunable());
     BpConfig bp;
     bp.num_blocks = 4;
     bp.prune_fraction = 0.5;
@@ -72,11 +71,11 @@ int main() {
     ft.batch = 12;
     ft.seq_len = 16;
     ft.lr = 8e-3F;
-    const double bp_acc = train_lm(*w.model, *w.corpus, ft);
-    const double loss = w.dense_accuracy - bp_acc;
+    const double bp_acc = train(*w.task, ft);
+    const double loss = w.dense_score - bp_acc;
     total_loss += loss;
     ++count;
-    t.add_row({"WikiText-2", "accuracy", "2.0x", fmt_pct(w.dense_accuracy),
+    t.add_row({"WikiText-2", "accuracy", "2.0x", fmt_pct(w.dense_score),
                fmt_pct(bp_acc), fmt_pct(loss)});
   }
 

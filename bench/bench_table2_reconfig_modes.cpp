@@ -21,10 +21,9 @@ int main() {
   const VfTable table = VfTable::odroid_xu3_a7();
   const PowerModel power;
   const ModelSpec spec = ModelSpec::paper_transformer();
-  LatencyModel latency;
   // Anchor: the BP-only model M1 (64.26% sparsity) at F-mode = 114.59 ms.
+  const LatencyModel latency = paper_transformer_latency();
   const double m1_sparsity = 0.6426;
-  latency.calibrate(spec, m1_sparsity, ExecMode::kBlock, 1400.0, 114.59);
 
   const double kT = 115.0;
   const double budget_mj = 1.135e8;  // sized so E1 lands near the paper's 1.53e6 runs

@@ -74,36 +74,17 @@ void print_workload(const WorkloadRow& row) {
             << "\n";
 }
 
-WorkloadRow run_lm_workload(double timing_ms, std::uint64_t seed) {
+WorkloadRow run_workload(const std::string& name, bench::Workload w,
+                         double timing_ms) {
   WorkloadRow row;
-  row.name = "WikiText-2 analog / Transformer";
+  row.name = name;
   row.timing_ms = timing_ms;
-  bench::LmWorkload w = bench::make_lm_workload(seed);
   Rt3Options options = bench::bench_options(timing_ms, /*episodes=*/3);
-  Rt3LmPipeline pipeline(*w.model, *w.corpus, options,
-                         ModelSpec::paper_transformer());
+  Rt3Pipeline pipeline(*w.task, options);
   row.result = pipeline.run();
-  TrainConfig ub_cfg = options.final_train;
-  row.ub_accuracy = bench::ub_accuracies_lm(*w.model, *w.corpus, options.bp,
-                                            row.result.chosen_sets, ub_cfg);
-  row.model_switch_s = row.result.model_switch_ms / 1000.0;
-  row.pattern_switch_ms = row.result.pattern_switch_ms;
-  return row;
-}
-
-WorkloadRow run_glue_workload(GlueTask task, double timing_ms,
-                              std::uint64_t seed) {
-  WorkloadRow row;
-  row.name = GlueDataset::task_name(task) + " analog / DistilBERT";
-  row.timing_ms = timing_ms;
-  bench::GlueWorkload w = bench::make_glue_workload(task, seed);
-  Rt3Options options = bench::bench_options(timing_ms, /*episodes=*/3);
-  Rt3GluePipeline pipeline(*w.model, *w.data, options,
-                           ModelSpec::paper_distilbert());
-  row.result = pipeline.run();
-  TrainConfig ub_cfg = options.final_train;
-  row.ub_accuracy = bench::ub_scores_glue(*w.model, *w.data, options.bp,
-                                          row.result.chosen_sets, ub_cfg);
+  row.ub_accuracy = bench::ub_accuracies(*w.task, options.bp,
+                                         row.result.chosen_sets,
+                                         options.final_train);
   row.model_switch_s = row.result.model_switch_ms / 1000.0;
   row.pattern_switch_ms = row.result.pattern_switch_ms;
   return row;
@@ -117,10 +98,18 @@ int main() {
       "Table III - AutoML results (RT3 vs accuracy upper bound)",
       "paper Table III: WikiText-2 (94/104 ms), RTE (200 ms), STS-B (330 ms)");
 
-  print_workload(run_lm_workload(94.0, 11));
-  print_workload(run_lm_workload(104.0, 12));
-  print_workload(run_glue_workload(GlueTask::kRte, 200.0, 13));
-  print_workload(run_glue_workload(GlueTask::kStsB, 330.0, 14));
+  const std::string lm = "WikiText-2 analog / Transformer";
+  const auto glue = [](GlueTask task) {
+    return GlueDataset::task_name(task) + " analog / DistilBERT";
+  };
+  print_workload(run_workload(lm, bench::make_lm_workload(11), 94.0));
+  print_workload(run_workload(lm, bench::make_lm_workload(12), 104.0));
+  print_workload(run_workload(glue(GlueTask::kRte),
+                              bench::make_glue_workload(GlueTask::kRte, 13),
+                              200.0));
+  print_workload(run_workload(glue(GlueTask::kStsB),
+                              bench::make_glue_workload(GlueTask::kStsB, 14),
+                              330.0));
 
   std::cout
       << "\nPaper Table III shape checks:\n"

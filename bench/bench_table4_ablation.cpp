@@ -75,177 +75,47 @@ void print_block(const std::string& workload, double dense_score,
   std::cout << t.str();
 }
 
-// ---------------------------------------------------------------------------
-// LM workload ablation
-// ---------------------------------------------------------------------------
-
-std::vector<MethodResult> ablate_lm(double t_ms) {
-  const ModelSpec spec = ModelSpec::paper_transformer();
-  LatencyModel latency;
-  latency.calibrate(spec, 0.6426, ExecMode::kBlock, 1400.0, 114.59);
-
-  bench::LmWorkload base = bench::make_lm_workload(21);
+// One workload's ablation rows.  `seed` seeds the random block and
+// pattern choices; `ft` is every row's fine-tune.
+std::vector<MethodResult> ablate(const bench::Workload& base,
+                                 std::uint64_t seed, double t_ms,
+                                 const TrainConfig& ft) {
+  const ModelSpec spec = base.task->paper_spec();
+  const LatencyModel latency = base.task->paper_latency();
   BpConfig bp;
   bp.num_blocks = 4;
   bp.prune_fraction = 0.35;
-
-  TrainConfig ft;
-  ft.steps = 60;
-  ft.batch = 8;
-  ft.seq_len = 16;
-  ft.lr = 5e-3F;
 
   std::vector<MethodResult> rows;
 
   // No-Opt.
-  rows.push_back({"No-Opt", 0.0, runs_for(spec, latency, {0.0}, ExecMode::kDense),
-                  base.dense_accuracy});
-
-  const auto clone_base = [&]() {
-    auto clone = std::make_unique<TransformerLm>(base.model->config());
-    copy_parameters(*clone, *base.model);
-    return clone;
-  };
+  rows.push_back({"No-Opt", 0.0,
+                  runs_for(spec, latency, {0.0}, ExecMode::kDense),
+                  base.dense_score});
 
   // rBP only.
   {
-    auto model = clone_base();
-    ModelPruner pruner(model->prunable());
-    Rng rng(22);
-    pruner.apply_random_bp(bp, rng);
-    const double acc = train_lm(*model, *base.corpus, ft);
-    const double s = pruner.overall_sparsity();
-    rows.push_back({"rBP only", s, runs_for(spec, latency, {s}, ExecMode::kBlock),
-                    acc});
-  }
-
-  const auto pp_row = [&](const std::string& name, bool random_backbone,
-                          bool random_patterns, std::uint64_t seed) {
-    auto model = clone_base();
-    ModelPruner pruner(model->prunable());
-    Rng rng(seed);
-    if (random_backbone) {
-      pruner.apply_random_bp(bp, rng);
-    } else {
-      pruner.apply_bp(bp);
-    }
-    train_lm(*model, *base.corpus, ft);  // recover the backbone
-    const double backbone_sparsity = pruner.overall_sparsity();
-    const auto targets = level_targets(spec, latency, t_ms, backbone_sparsity);
-    std::vector<PatternSet> sets;
-    std::vector<double> sigmas;
-    for (double target : targets) {
-      PatternSet set =
-          random_patterns
-              ? random_pattern_set(8, target, 4, rng)
-              : pattern_set_from_layers(pruner.layers(), 8, target, 4, rng);
-      sigmas.push_back(pruner.apply_pattern_set(set));
-      pruner.restore_backbone();
-      sets.push_back(std::move(set));
-    }
-    const JointTrainResult joint =
-        joint_train_lm(*model, pruner, sets, *base.corpus, ft);
-    double avg_acc = 0.0;
-    double avg_sparsity = 0.0;
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      avg_acc += joint.per_set_accuracy[i] / static_cast<double>(sets.size());
-      avg_sparsity += sigmas[i] / static_cast<double>(sets.size());
-    }
-    rows.push_back({name, avg_sparsity,
-                    runs_for(spec, latency, sigmas, ExecMode::kPattern),
-                    avg_acc});
-  };
-
-  pp_row("rBP+rPP", true, true, 23);
-  pp_row("rBP+PP", true, false, 24);
-
-  // BP only.
-  {
-    auto model = clone_base();
-    ModelPruner pruner(model->prunable());
-    pruner.apply_bp(bp);
-    const double acc = train_lm(*model, *base.corpus, ft);
-    const double s = pruner.overall_sparsity();
-    rows.push_back({"BP only", s, runs_for(spec, latency, {s}, ExecMode::kBlock),
-                    acc});
-  }
-
-  // RT3: full pipeline.
-  {
-    auto model = clone_base();
-    Rt3Options options = bench::bench_options(t_ms, /*episodes=*/3);
-    options.bp = bp;
-    Rt3LmPipeline pipeline(*model, *base.corpus, options, spec);
-    const Rt3Result result = pipeline.run();
-    double avg_acc = 0.0;
-    double avg_sparsity = 0.0;
-    std::vector<double> sigmas;
-    for (const auto& sub : result.levels) {
-      avg_acc += sub.accuracy / static_cast<double>(result.levels.size());
-      avg_sparsity +=
-          sub.overall_sparsity / static_cast<double>(result.levels.size());
-      sigmas.push_back(sub.overall_sparsity);
-    }
-    rows.push_back({"RT3", avg_sparsity,
-                    runs_for(spec, latency, sigmas, ExecMode::kPattern),
-                    avg_acc});
-  }
-
-  return rows;
-}
-
-// ---------------------------------------------------------------------------
-// GLUE workload ablation
-// ---------------------------------------------------------------------------
-
-std::vector<MethodResult> ablate_glue(GlueTask task, double t_ms,
-                                      std::uint64_t seed) {
-  const ModelSpec spec = ModelSpec::paper_distilbert();
-  LatencyModel latency;
-  latency.calibrate(spec, 0.5178, ExecMode::kPattern, 1400.0, 199.94);
-
-  bench::GlueWorkload base = bench::make_glue_workload(task, seed);
-  BpConfig bp;
-  bp.num_blocks = 4;
-  bp.prune_fraction = 0.35;
-
-  TrainConfig ft;
-  ft.steps = 50;
-  ft.batch = 16;
-  ft.lr = 5e-3F;
-
-  std::vector<MethodResult> rows;
-  rows.push_back({"No-Opt", 0.0, runs_for(spec, latency, {0.0}, ExecMode::kDense),
-                  base.dense_score});
-
-  const auto clone_base = [&]() {
-    auto clone = std::make_unique<DistilBertLike>(base.model->config());
-    copy_parameters(*clone, *base.model);
-    return clone;
-  };
-
-  {
-    auto model = clone_base();
-    ModelPruner pruner(model->prunable());
+    const auto task = base.task->clone();
+    ModelPruner pruner(task->prunable());
     Rng rng(seed + 1);
     pruner.apply_random_bp(bp, rng);
-    const double acc = train_glue(*model, *base.data, ft);
+    const double acc = train(*task, ft);
     const double s = pruner.overall_sparsity();
-    rows.push_back({"rBP only", s, runs_for(spec, latency, {s}, ExecMode::kBlock),
-                    acc});
+    rows.push_back({"rBP only", s,
+                    runs_for(spec, latency, {s}, ExecMode::kBlock), acc});
   }
 
   const auto pp_row = [&](const std::string& name, bool random_backbone,
-                          bool random_patterns, std::uint64_t s2) {
-    auto model = clone_base();
-    ModelPruner pruner(model->prunable());
-    Rng rng(s2);
+                          bool random_patterns, std::uint64_t row_seed) {
+    const auto task = base.task->clone();
+    ModelPruner pruner(task->prunable());
+    Rng rng(row_seed);
     if (random_backbone) {
       pruner.apply_random_bp(bp, rng);
     } else {
       pruner.apply_bp(bp);
     }
-    train_glue(*model, *base.data, ft);
+    train(*task, ft);  // recover the backbone
     const double backbone_sparsity = pruner.overall_sparsity();
     const auto targets = level_targets(spec, latency, t_ms, backbone_sparsity);
     std::vector<PatternSet> sets;
@@ -259,8 +129,7 @@ std::vector<MethodResult> ablate_glue(GlueTask task, double t_ms,
       pruner.restore_backbone();
       sets.push_back(std::move(set));
     }
-    const JointTrainResult joint =
-        joint_train_glue(*model, pruner, sets, *base.data, ft);
+    const JointTrainResult joint = joint_train(*task, pruner, sets, ft);
     double avg_acc = 0.0;
     double avg_sparsity = 0.0;
     for (std::size_t i = 0; i < sets.size(); ++i) {
@@ -275,21 +144,23 @@ std::vector<MethodResult> ablate_glue(GlueTask task, double t_ms,
   pp_row("rBP+rPP", true, true, seed + 2);
   pp_row("rBP+PP", true, false, seed + 3);
 
+  // BP only.
   {
-    auto model = clone_base();
-    ModelPruner pruner(model->prunable());
+    const auto task = base.task->clone();
+    ModelPruner pruner(task->prunable());
     pruner.apply_bp(bp);
-    const double acc = train_glue(*model, *base.data, ft);
+    const double acc = train(*task, ft);
     const double s = pruner.overall_sparsity();
-    rows.push_back({"BP only", s, runs_for(spec, latency, {s}, ExecMode::kBlock),
-                    acc});
+    rows.push_back({"BP only", s,
+                    runs_for(spec, latency, {s}, ExecMode::kBlock), acc});
   }
 
+  // RT3: full pipeline.
   {
-    auto model = clone_base();
+    const auto task = base.task->clone();
     Rt3Options options = bench::bench_options(t_ms, /*episodes=*/3);
     options.bp = bp;
-    Rt3GluePipeline pipeline(*model, *base.data, options, spec);
+    Rt3Pipeline pipeline(*task, options);
     const Rt3Result result = pipeline.run();
     double avg_acc = 0.0;
     double avg_sparsity = 0.0;
@@ -308,6 +179,15 @@ std::vector<MethodResult> ablate_glue(GlueTask task, double t_ms,
   return rows;
 }
 
+TrainConfig fine_tune(std::int64_t steps, std::int64_t batch) {
+  TrainConfig ft;
+  ft.steps = steps;
+  ft.batch = batch;
+  ft.seq_len = 16;
+  ft.lr = 5e-3F;
+  return ft;
+}
+
 }  // namespace
 
 int main() {
@@ -315,13 +195,17 @@ int main() {
   bench::print_header("Table IV - two-level ablation",
                       "paper Table IV: No-Opt / rBP / rBP+rPP / rBP+PP / BP / RT3");
 
-  const auto lm_rows = ablate_lm(104.0);
+  const auto lm_rows =
+      ablate(bench::make_lm_workload(21), 21, 104.0, fine_tune(60, 8));
   print_block("WikiText-2 analog (T: 104 ms)", lm_rows.front().avg_accuracy,
               lm_rows);
-  const auto rte_rows = ablate_glue(GlueTask::kRte, 200.0, 31);
+  const auto rte_rows = ablate(bench::make_glue_workload(GlueTask::kRte, 31),
+                               31, 200.0, fine_tune(50, 16));
   print_block("RTE analog (T: 200 ms)", rte_rows.front().avg_accuracy,
               rte_rows);
-  const auto stsb_rows = ablate_glue(GlueTask::kStsB, 330.0, 41);
+  const auto stsb_rows =
+      ablate(bench::make_glue_workload(GlueTask::kStsB, 41), 41, 330.0,
+             fine_tune(50, 16));
   print_block("STS-B analog (T: 330 ms)", stsb_rows.front().avg_accuracy,
               stsb_rows);
 

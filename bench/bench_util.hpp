@@ -12,24 +12,24 @@
 #include <string>
 
 #include "core/pipeline.hpp"
-#include "data/corpus.hpp"
-#include "data/glue.hpp"
-#include "nn/distilbert.hpp"
-#include "nn/transformer_lm.hpp"
+#include "train/task.hpp"
 #include "train/trainer.hpp"
 
 namespace rt3::bench {
 
-/// Pre-trained WikiText-analog workload.
-struct LmWorkload {
+/// A pre-trained workload: the task owns the model; `corpus` (LM) or
+/// `data` (GLUE) is what the task trains on.
+struct Workload {
   std::unique_ptr<Corpus> corpus;
-  std::unique_ptr<TransformerLm> model;
-  double dense_accuracy = 0.0;
+  std::unique_ptr<GlueDataset> data;
+  std::unique_ptr<TrainingTask> task;
+  double dense_score = 0.0;
 };
 
-inline LmWorkload make_lm_workload(std::uint64_t seed = 1,
-                                   std::int64_t train_steps = 200) {
-  LmWorkload w;
+/// Pre-trained WikiText-analog workload.
+inline Workload make_lm_workload(std::uint64_t seed = 1,
+                                 std::int64_t train_steps = 200) {
+  Workload w;
   CorpusConfig ccfg;
   ccfg.vocab_size = 64;
   ccfg.num_tokens = 10000;
@@ -46,7 +46,8 @@ inline LmWorkload make_lm_workload(std::uint64_t seed = 1,
   mcfg.num_encoder_layers = 2;
   mcfg.num_decoder_layers = 1;
   mcfg.seed = seed + 1;
-  w.model = std::make_unique<TransformerLm>(mcfg);
+  w.task = std::make_unique<LmTrainingTask>(
+      std::make_unique<TransformerLm>(mcfg), *w.corpus);
 
   TrainConfig pre;
   pre.steps = train_steps;
@@ -54,20 +55,14 @@ inline LmWorkload make_lm_workload(std::uint64_t seed = 1,
   pre.seq_len = 16;
   pre.lr = 8e-3F;
   pre.seed = seed + 2;
-  w.dense_accuracy = train_lm(*w.model, *w.corpus, pre);
+  w.dense_score = train(*w.task, pre);
   return w;
 }
 
 /// Pre-trained GLUE-analog workload.
-struct GlueWorkload {
-  std::unique_ptr<GlueDataset> data;
-  std::unique_ptr<DistilBertLike> model;
-  double dense_score = 0.0;
-};
-
-inline GlueWorkload make_glue_workload(GlueTask task, std::uint64_t seed = 2,
-                                       std::int64_t train_steps = 320) {
-  GlueWorkload w;
+inline Workload make_glue_workload(GlueTask task, std::uint64_t seed = 2,
+                                   std::int64_t train_steps = 320) {
+  Workload w;
   GlueTaskConfig gcfg;
   gcfg.task = task;
   gcfg.vocab_size = 160;
@@ -86,14 +81,15 @@ inline GlueWorkload make_glue_workload(GlueTask task, std::uint64_t seed = 2,
   mcfg.max_seq_len = 32;
   mcfg.num_outputs = w.data->is_regression() ? 1 : w.data->num_classes();
   mcfg.seed = seed + 1;
-  w.model = std::make_unique<DistilBertLike>(mcfg);
+  w.task = std::make_unique<GlueTrainingTask>(
+      std::make_unique<DistilBertLike>(mcfg), *w.data);
 
   TrainConfig pre;
   pre.steps = train_steps;
   pre.batch = 16;
   pre.lr = 5e-3F;
   pre.seed = seed + 2;
-  w.dense_score = train_glue(*w.model, *w.data, pre);
+  w.dense_score = train(*w.task, pre);
   return w;
 }
 
@@ -126,38 +122,19 @@ inline Rt3Options bench_options(double timing_constraint_ms,
 
 /// Accuracy upper bound (Table III "UB"): train one model copy per pattern
 /// set individually, instead of the shared joint backbone.
-inline std::vector<double> ub_accuracies_lm(const TransformerLm& trained,
-                                            const Corpus& corpus,
-                                            const BpConfig& bp,
-                                            const std::vector<PatternSet>& sets,
-                                            const TrainConfig& cfg) {
+inline std::vector<double> ub_accuracies(const TrainingTask& trained,
+                                         const BpConfig& bp,
+                                         const std::vector<PatternSet>& sets,
+                                         const TrainConfig& cfg) {
   std::vector<double> accs;
   for (const auto& set : sets) {
-    TransformerLm clone(trained.config());
-    copy_parameters(clone, trained);
-    ModelPruner pruner(clone.prunable());
+    const std::unique_ptr<TrainingTask> clone = trained.clone();
+    ModelPruner pruner(clone->prunable());
     pruner.apply_bp(bp);
     pruner.apply_pattern_set(set);
-    accs.push_back(train_lm(clone, corpus, cfg));
+    accs.push_back(train(*clone, cfg));
   }
   return accs;
-}
-
-inline std::vector<double> ub_scores_glue(const DistilBertLike& trained,
-                                          const GlueDataset& data,
-                                          const BpConfig& bp,
-                                          const std::vector<PatternSet>& sets,
-                                          const TrainConfig& cfg) {
-  std::vector<double> scores;
-  for (const auto& set : sets) {
-    DistilBertLike clone(trained.config());
-    copy_parameters(clone, trained);
-    ModelPruner pruner(clone.prunable());
-    pruner.apply_bp(bp);
-    pruner.apply_pattern_set(set);
-    scores.push_back(train_glue(clone, data, cfg));
-  }
-  return scores;
 }
 
 inline void print_header(const std::string& title, const std::string& paper_ref) {

@@ -21,8 +21,7 @@ int main() {
   const VfTable table = VfTable::odroid_xu3_a7();
   const PowerModel power;
   const ModelSpec spec = ModelSpec::paper_transformer();
-  LatencyModel latency;
-  latency.calibrate(spec, 0.6426, ExecMode::kBlock, 1400.0, 114.59);
+  const LatencyModel latency = paper_transformer_latency();
 
   const double kT = 115.0;
   const double capacity = 5e4;  // mJ; scaled battery for a fast run

@@ -31,13 +31,14 @@ int main() {
   model_cfg.num_heads = 4;
   model_cfg.ffn_hidden = 64;
   TransformerLm model(model_cfg);
+  LmTrainingTask task(model, corpus);
 
   TrainConfig pretrain;
   pretrain.steps = 200;
   pretrain.batch = 12;
   pretrain.seq_len = 16;
   pretrain.lr = 8e-3F;
-  const double dense_acc = train_lm(model, corpus, pretrain);
+  const double dense_acc = train(task, pretrain);
   std::cout << "dense model accuracy: " << fmt_pct(dense_acc) << "\n";
 
   // 2. Level 1: block-structured pruning (Algorithm 1) + recovery.
@@ -48,7 +49,7 @@ int main() {
   pruner.apply_bp(bp);
   TrainConfig recover = pretrain;
   recover.steps = 80;
-  const double backbone_acc = train_lm(model, corpus, recover);
+  const double backbone_acc = train(task, recover);
   std::cout << "backbone (BP " << fmt_pct(pruner.overall_sparsity())
             << " sparse) accuracy: " << fmt_pct(backbone_acc) << "\n";
 
@@ -57,13 +58,11 @@ int main() {
   std::vector<PatternSet> sets;
   sets.push_back(pattern_set_from_layers(pruner.layers(), 8, 0.45, 4, rng));
   sets.push_back(pattern_set_from_layers(pruner.layers(), 8, 0.75, 4, rng));
-  const JointTrainResult joint =
-      joint_train_lm(model, pruner, sets, corpus, recover);
+  const JointTrainResult joint = joint_train(task, pruner, sets, recover);
 
   // 4. Run-time switching with modeled mobile latency.
   const ModelSpec spec = ModelSpec::paper_transformer();
-  LatencyModel latency;
-  latency.calibrate(spec, 0.6426, ExecMode::kBlock, 1400.0, 114.59);
+  const LatencyModel latency = paper_transformer_latency();
   ReconfigEngine engine(pruner, sets, SwitchCostModel(), spec, 100);
 
   TablePrinter t({"mode", "overall sparsity", "latency@1.4GHz",

@@ -23,13 +23,14 @@ int main() {
   model_cfg.num_heads = 4;
   model_cfg.ffn_hidden = 64;
   TransformerLm model(model_cfg);
+  LmTrainingTask task(model, corpus);
 
   TrainConfig pre;
   pre.steps = 200;
   pre.batch = 12;
   pre.seq_len = 16;
   pre.lr = 8e-3F;
-  train_lm(model, corpus, pre);
+  train(task, pre);
 
   Rt3Options options;
   options.timing_constraint_ms = 104.0;
@@ -49,8 +50,7 @@ int main() {
   options.backbone_train.batch = 8;
   options.backbone_train.seq_len = 16;
 
-  Rt3LmPipeline pipeline(model, corpus, options,
-                         ModelSpec::paper_transformer());
+  Rt3Pipeline pipeline(task, options);
   const Rt3Result result = pipeline.run();
 
   std::cout << "\noriginal accuracy : " << fmt_pct(result.original_accuracy)

@@ -30,12 +30,13 @@ int main() {
   model_cfg.num_heads = 4;
   model_cfg.ffn_hidden = 64;
   TransformerLm model(model_cfg);
+  LmTrainingTask task(model, corpus);
   TrainConfig pre;
   pre.steps = 160;
   pre.batch = 12;
   pre.seq_len = 16;
   pre.lr = 8e-3F;
-  train_lm(model, corpus, pre);
+  train(task, pre);
 
   ModelPruner pruner(model.prunable());
   BpConfig bp;
@@ -44,7 +45,7 @@ int main() {
   pruner.apply_bp(bp);
   TrainConfig recover = pre;
   recover.steps = 60;
-  train_lm(model, corpus, recover);
+  train(task, recover);
 
   // Three pattern sets: relaxed / normal / tight deadlines.
   Rng rng(3);
@@ -52,11 +53,10 @@ int main() {
   for (double s : {0.3, 0.6, 0.85}) {
     sets.push_back(pattern_set_from_layers(pruner.layers(), 8, s, 4, rng));
   }
-  joint_train_lm(model, pruner, sets, corpus, recover);
+  joint_train(task, pruner, sets, recover);
 
   const ModelSpec spec = ModelSpec::paper_transformer();
-  LatencyModel latency;
-  latency.calibrate(spec, 0.6426, ExecMode::kBlock, 1400.0, 114.59);
+  const LatencyModel latency = paper_transformer_latency();
   ReconfigEngine engine(pruner, sets, SwitchCostModel(), spec, 100);
 
   // Device pinned at N-mode (l4, 1000 MHz); the deadline fluctuates.

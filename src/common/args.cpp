@@ -1,5 +1,6 @@
 #include "common/args.hpp"
 
+#include "common/check.hpp"
 #include "common/text_fields.hpp"
 
 namespace rt3 {
@@ -60,6 +61,16 @@ bool arg_present(const std::vector<std::string>& args,
     }
   }
   return false;
+}
+
+void reject_unknown_flags(const std::vector<std::string>& args,
+                          const std::vector<std::string>& known,
+                          const std::string& who) {
+  for (const std::string& a : args) {
+    if (a.rfind("--", 0) == 0) {
+      check(arg_present(known, a), who + ": unknown flag " + a);
+    }
+  }
 }
 
 std::vector<std::string> positional_args(

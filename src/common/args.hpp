@@ -35,6 +35,13 @@ std::string arg_string(const std::vector<std::string>& args,
 bool arg_present(const std::vector<std::string>& args,
                  const std::string& flag);
 
+/// Throws a CheckError naming the first "--flag" token in `args` that is
+/// not in `known` (`who` prefixes the message), so a typo or a removed
+/// flag fails loudly instead of silently changing nothing.
+void reject_unknown_flags(const std::vector<std::string>& args,
+                          const std::vector<std::string>& known,
+                          const std::string& who);
+
 /// The positional (non-flag) operands: tokens not starting with "--" that
 /// are not consumed as some preceding flag's value.  CONTRACT: a token
 /// right after a "--flag" is treated as that flag's value UNLESS the flag

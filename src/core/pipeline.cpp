@@ -11,6 +11,10 @@ namespace rt3 {
 
 namespace {
 
+// Evaluation shape of the dense and backbone scores (GLUE ignores it).
+constexpr std::int64_t kEvalBatch = 8;
+constexpr std::int64_t kEvalSeqLen = 16;
+
 std::vector<VfLevel> resolve_levels(const std::vector<std::int64_t>& indices) {
   const VfTable table = VfTable::odroid_xu3_a7();
   std::vector<VfLevel> levels;
@@ -28,34 +32,65 @@ std::vector<VfLevel> resolve_levels(const std::vector<std::int64_t>& indices) {
 
 }  // namespace
 
-Rt3Result run_rt3_search(const Rt3Options& options, const ModelSpec& spec,
-                         const LatencyModel& latency,
-                         const PatternSearchSpace& space,
-                         const SearchHooks& hooks, double original_accuracy,
-                         double backbone_accuracy, double backbone_sparsity) {
-  const auto levels = resolve_levels(options.level_indices);
-  const std::int64_t n_levels = static_cast<std::int64_t>(levels.size());
+Rt3Pipeline::Rt3Pipeline(TrainingTask& task, const Rt3Options& options)
+    : task_(task),
+      options_(options),
+      levels_(resolve_levels(options.level_indices)),
+      spec_(task.paper_spec()),
+      latency_(task.paper_latency()),
+      pruner_(task.prunable()) {}
+
+Rt3Result Rt3Pipeline::run() {
+  const double original = task_.dev_metric(kEvalBatch, kEvalSeqLen);
+
+  // Level 1: block-structured pruning + masked recovery fine-tune.
+  pruner_.apply_bp(options_.bp);
+  train(task_, options_.backbone_train);
+  const double backbone_acc = task_.dev_metric(kEvalBatch, kEvalSeqLen);
+  const double backbone_sparsity = pruner_.overall_sparsity();
+
+  // Level 2: shrunken search space from the fixed backbone.
+  SearchSpaceConfig space_cfg = options_.space;
+  space_cfg.timing_constraint_ms = options_.timing_constraint_ms;
+  const PatternSearchSpace space =
+      PatternSearchSpace::build(space_cfg, levels_, spec_, latency_,
+                                pruner_.layers(), backbone_sparsity);
+  return search(space, original, backbone_acc, backbone_sparsity);
+}
+
+double Rt3Pipeline::measure_sparsity(const PatternSet& set) {
+  const double s = pruner_.apply_pattern_set(set);
+  pruner_.restore_backbone();
+  return s;
+}
+
+Rt3Result Rt3Pipeline::search(const PatternSearchSpace& space,
+                              double original_accuracy,
+                              double backbone_accuracy,
+                              double backbone_sparsity) {
+  const std::int64_t n_levels = static_cast<std::int64_t>(levels_.size());
   const PowerModel power;
-  const double tranche = options.energy_budget_mj / static_cast<double>(n_levels);
-  const double min_accuracy = options.min_accuracy > 0.0
-                                  ? options.min_accuracy
+  const double tranche =
+      options_.energy_budget_mj / static_cast<double>(n_levels);
+  const double min_accuracy = options_.min_accuracy > 0.0
+                                  ? options_.min_accuracy
                                   : 0.5 * backbone_accuracy;
 
   // Normalizer for R_runs: the runs achievable at an aggressive 97%
   // sparsity at every level — an upper bound no real episode exceeds.
   double runs_reference = 0.0;
-  for (const auto& level : levels) {
+  for (const auto& level : levels_) {
     const double lat =
-        latency.latency_ms(spec, 0.97, ExecMode::kPattern, level.freq_mhz);
+        latency_.latency_ms(spec_, 0.97, ExecMode::kPattern, level.freq_mhz);
     runs_reference += number_of_runs(tranche, power.power_mw(level), lat);
   }
 
-  ControllerConfig ctrl_cfg = options.controller;
+  ControllerConfig ctrl_cfg = options_.controller;
   ctrl_cfg.num_levels = n_levels;
   ctrl_cfg.num_sparsity_choices = space.grid_size();
   ctrl_cfg.num_variants = space.num_variants();
   RlController controller(ctrl_cfg);
-  Rng rng(options.seed);
+  Rng rng(options_.seed);
 
   Rt3Result result;
   result.original_accuracy = original_accuracy;
@@ -77,7 +112,7 @@ Rt3Result run_rt3_search(const Rt3Options& options, const ModelSpec& spec,
   BestEpisode best;
   ParetoFront pareto;
 
-  for (std::int64_t episode = 0; episode < options.episodes; ++episode) {
+  for (std::int64_t episode = 0; episode < options_.episodes; ++episode) {
     const EpisodeSample sample = controller.sample(rng);
 
     std::vector<PatternSet> sets;
@@ -89,31 +124,35 @@ Rt3Result run_rt3_search(const Rt3Options& options, const ModelSpec& spec,
           space.variant(sample.sparsity_choice[static_cast<std::size_t>(i)],
                         sample.variant_choice[static_cast<std::size_t>(i)]);
       sets.push_back(set);
-      const double sigma = hooks.measure_sparsity(set);
+      const double sigma = measure_sparsity(set);
       sparsities.push_back(sigma);
-      const double lat = latency.latency_ms(spec, sigma, ExecMode::kPattern,
-                                            levels[static_cast<std::size_t>(i)].freq_mhz);
+      const double lat =
+          latency_.latency_ms(spec_, sigma, ExecMode::kPattern,
+                              levels_[static_cast<std::size_t>(i)].freq_mhz);
       latencies.push_back(lat);
       runs.push_back(number_of_runs(
-          tranche, power.power_mw(levels[static_cast<std::size_t>(i)]), lat));
+          tranche, power.power_mw(levels_[static_cast<std::size_t>(i)]),
+          lat));
     }
 
     RewardInputs inputs;
     inputs.latencies_ms = latencies;
     inputs.runs = runs;
-    inputs.timing_constraint_ms = options.timing_constraint_ms;
+    inputs.timing_constraint_ms = options_.timing_constraint_ms;
     inputs.backbone_accuracy = backbone_accuracy;
     inputs.min_accuracy = min_accuracy;
     inputs.runs_reference = runs_reference;
-    inputs.penalty = options.penalty;
+    inputs.penalty = options_.penalty;
 
     bool feasible = true;
     for (double lat : latencies) {
-      feasible = feasible && lat <= options.timing_constraint_ms;
+      feasible = feasible && lat <= options_.timing_constraint_ms;
     }
     if (feasible) {
       // Paper: fine-tune only when the timing constraint holds.
-      inputs.accuracies = hooks.joint_train(sets, options.episode_train);
+      inputs.accuracies =
+          joint_train(task_, pruner_, sets, options_.episode_train)
+              .per_set_accuracy;
     }
 
     const RewardResult reward = compute_reward(inputs);
@@ -139,18 +178,18 @@ Rt3Result run_rt3_search(const Rt3Options& options, const ModelSpec& spec,
     // baseline): smallest sparsity that satisfies T per level, variant 0.
     for (std::int64_t i = 0; i < n_levels; ++i) {
       const std::int64_t g = space.heuristic_choice_for_level(
-          levels[static_cast<std::size_t>(i)], spec, latency,
-          ExecMode::kPattern, options.timing_constraint_ms,
+          levels_[static_cast<std::size_t>(i)], spec_, latency_,
+          ExecMode::kPattern, options_.timing_constraint_ms,
           backbone_sparsity);
       const PatternSet& set = space.variant(g, 0);
       best.sets.push_back(set);
-      const double sigma = hooks.measure_sparsity(set);
+      const double sigma = measure_sparsity(set);
       best.sparsities.push_back(sigma);
       best.latencies.push_back(
-          latency.latency_ms(spec, sigma, ExecMode::kPattern,
-                             levels[static_cast<std::size_t>(i)].freq_mhz));
+          latency_.latency_ms(spec_, sigma, ExecMode::kPattern,
+                              levels_[static_cast<std::size_t>(i)].freq_mhz));
       best.runs.push_back(number_of_runs(
-          tranche, power.power_mw(levels[static_cast<std::size_t>(i)]),
+          tranche, power.power_mw(levels_[static_cast<std::size_t>(i)]),
           best.latencies.back()));
     }
   }
@@ -174,12 +213,12 @@ Rt3Result run_rt3_search(const Rt3Options& options, const ModelSpec& spec,
       sorted.sets[i] = best.sets[order[i]];
       sorted.sparsities[i] = best.sparsities[order[i]];
       sorted.latencies[i] =
-          latency.latency_ms(spec, sorted.sparsities[i], ExecMode::kPattern,
-                             levels[i].freq_mhz);
-      sorted.runs[i] = number_of_runs(tranche, power.power_mw(levels[i]),
+          latency_.latency_ms(spec_, sorted.sparsities[i],
+                              ExecMode::kPattern, levels_[i].freq_mhz);
+      sorted.runs[i] = number_of_runs(tranche, power.power_mw(levels_[i]),
                                       sorted.latencies[i]);
       feasible = feasible &&
-                 sorted.latencies[i] <= options.timing_constraint_ms;
+                 sorted.latencies[i] <= options_.timing_constraint_ms;
     }
     if (feasible) {
       best = std::move(sorted);
@@ -188,15 +227,16 @@ Rt3Result run_rt3_search(const Rt3Options& options, const ModelSpec& spec,
 
   // Final longer joint fine-tune of the selected solution.
   const std::vector<double> final_accs =
-      hooks.joint_train(best.sets, options.final_train);
+      joint_train(task_, pruner_, best.sets, options_.final_train)
+          .per_set_accuracy;
 
   result.chosen_sets = best.sets;
   result.total_runs = 0.0;
   result.weighted_accuracy = 0.0;
   for (std::int64_t i = 0; i < n_levels; ++i) {
     SubModelResult sub;
-    sub.level_name = levels[static_cast<std::size_t>(i)].name;
-    sub.freq_mhz = levels[static_cast<std::size_t>(i)].freq_mhz;
+    sub.level_name = levels_[static_cast<std::size_t>(i)].name;
+    sub.freq_mhz = levels_[static_cast<std::size_t>(i)].freq_mhz;
     sub.pattern_sparsity = best.sets[static_cast<std::size_t>(i)].sparsity();
     sub.overall_sparsity = best.sparsities[static_cast<std::size_t>(i)];
     sub.latency_ms = best.latencies[static_cast<std::size_t>(i)];
@@ -211,8 +251,9 @@ Rt3Result run_rt3_search(const Rt3Options& options, const ModelSpec& spec,
   // Switch costs (Table III "Interrupt" row): device-model numbers from the
   // cost model plus a measured wall-clock mask recomposition on this host.
   const SwitchCostModel cost_model;
-  result.model_switch_ms = cost_model.full_model_switch_ms(spec.dense_bytes());
-  const std::int64_t tiles = spec.num_tiles(100);
+  result.model_switch_ms =
+      cost_model.full_model_switch_ms(spec_.dense_bytes());
+  const std::int64_t tiles = spec_.num_tiles(100);
   std::int64_t max_set_bytes = 0;
   for (const auto& set : best.sets) {
     max_set_bytes = std::max(max_set_bytes, set.storage_bytes());
@@ -220,75 +261,27 @@ Rt3Result run_rt3_search(const Rt3Options& options, const ModelSpec& spec,
   result.pattern_switch_ms =
       cost_model.pattern_set_switch_ms(max_set_bytes + tiles * 2, tiles);
   const auto t0 = wall_now();
-  hooks.measure_sparsity(best.sets.front());
+  measure_sparsity(best.sets.front());
   result.pattern_switch_wall_ms = wall_ms_since(t0);
   return result;
 }
 
-Rt3LmPipeline::Rt3LmPipeline(TransformerLm& model, const Corpus& corpus,
-                             const Rt3Options& options, ModelSpec paper_spec)
-    : model_(model),
-      corpus_(corpus),
-      options_(options),
-      spec_(std::move(paper_spec)),
-      pruner_(model.prunable()) {
-  // Table II anchor: BP-only Transformer at F-mode = 114.59 ms.
-  latency_.calibrate(spec_, 0.6426, ExecMode::kBlock, 1400.0, 114.59);
-}
-
-Rt3Result Rt3LmPipeline::run() {
-  const double original = eval_lm(model_, corpus_);
-
-  // Level 1: block-structured pruning + masked recovery fine-tune.
-  pruner_.apply_bp(options_.bp);
-  train_lm(model_, corpus_, options_.backbone_train);
-  const double backbone_acc = eval_lm(model_, corpus_);
-  const double backbone_sparsity = pruner_.overall_sparsity();
-
-  // Level 2: shrunken search space from the fixed backbone.
-  SearchSpaceConfig space_cfg = options_.space;
-  space_cfg.timing_constraint_ms = options_.timing_constraint_ms;
-  const auto levels = resolve_levels(options_.level_indices);
-  const PatternSearchSpace space =
-      PatternSearchSpace::build(space_cfg, levels, spec_, latency_,
-                                pruner_.layers(), backbone_sparsity);
-
-  SearchHooks hooks;
-  hooks.joint_train = [this](const std::vector<PatternSet>& sets,
-                             const TrainConfig& cfg) {
-    return joint_train_lm(model_, pruner_, sets, corpus_, cfg)
-        .per_set_accuracy;
-  };
-  hooks.measure_sparsity = [this](const PatternSet& set) {
-    const double s = pruner_.apply_pattern_set(set);
-    pruner_.restore_backbone();
-    return s;
-  };
-
-  return run_rt3_search(options_, spec_, latency_, space, hooks, original,
-                        backbone_acc, backbone_sparsity);
-}
-
-namespace {
-
-DeploymentPackage make_package(const Module& model, const ModelPruner& pruner,
-                               const Rt3Result& result,
-                               const std::vector<VfLevel>& levels) {
+DeploymentPackage Rt3Pipeline::package(const Rt3Result& result) const {
   DeploymentPackage pkg;
-  for (const auto& np : model.named_parameters()) {
+  for (const auto& np : task_.model().named_parameters()) {
     pkg.param_names.push_back(np.name);
     pkg.params.push_back(np.param.value());
   }
-  for (std::size_t i = 0; i < pruner.layers().size(); ++i) {
+  for (std::size_t i = 0; i < pruner_.layers().size(); ++i) {
     pkg.prunable_names.push_back("prunable." + std::to_string(i));
-    pkg.backbone_masks.push_back(pruner.backbone_masks()[i]);
+    pkg.backbone_masks.push_back(pruner_.backbone_masks()[i]);
   }
   pkg.pattern_sets = result.chosen_sets;
   for (std::size_t i = 0; i < result.levels.size(); ++i) {
     const SubModelResult& sub = result.levels[i];
     LevelMeta meta;
     meta.level_name = sub.level_name;
-    meta.freq_mhz = levels[i].freq_mhz;
+    meta.freq_mhz = levels_[i].freq_mhz;
     meta.pattern_sparsity = sub.pattern_sparsity;
     meta.overall_sparsity = sub.overall_sparsity;
     meta.latency_ms = sub.latency_ms;
@@ -296,63 +289,6 @@ DeploymentPackage make_package(const Module& model, const ModelPruner& pruner,
     pkg.levels.push_back(std::move(meta));
   }
   return pkg;
-}
-
-}  // namespace
-
-DeploymentPackage Rt3LmPipeline::package(const Rt3Result& result) const {
-  return make_package(model_, pruner_, result,
-                      resolve_levels(options_.level_indices));
-}
-
-Rt3GluePipeline::Rt3GluePipeline(DistilBertLike& model,
-                                 const GlueDataset& data,
-                                 const Rt3Options& options,
-                                 ModelSpec paper_spec)
-    : model_(model),
-      data_(data),
-      options_(options),
-      spec_(std::move(paper_spec)),
-      pruner_(model.prunable()) {
-  // DistilBERT anchor: the paper's RTE M1 (51.78% sparsity) meets T=200 ms
-  // at F-mode with 199.94 ms.
-  latency_.calibrate(spec_, 0.5178, ExecMode::kPattern, 1400.0, 199.94);
-}
-
-Rt3Result Rt3GluePipeline::run() {
-  const double original = model_.evaluate(data_);
-
-  pruner_.apply_bp(options_.bp);
-  train_glue(model_, data_, options_.backbone_train);
-  const double backbone_acc = model_.evaluate(data_);
-  const double backbone_sparsity = pruner_.overall_sparsity();
-
-  SearchSpaceConfig space_cfg = options_.space;
-  space_cfg.timing_constraint_ms = options_.timing_constraint_ms;
-  const auto levels = resolve_levels(options_.level_indices);
-  const PatternSearchSpace space =
-      PatternSearchSpace::build(space_cfg, levels, spec_, latency_,
-                                pruner_.layers(), backbone_sparsity);
-
-  SearchHooks hooks;
-  hooks.joint_train = [this](const std::vector<PatternSet>& sets,
-                             const TrainConfig& cfg) {
-    return joint_train_glue(model_, pruner_, sets, data_, cfg)
-        .per_set_accuracy;
-  };
-  hooks.measure_sparsity = [this](const PatternSet& set) {
-    const double s = pruner_.apply_pattern_set(set);
-    pruner_.restore_backbone();
-    return s;
-  };
-
-  return run_rt3_search(options_, spec_, latency_, space, hooks, original,
-                        backbone_acc, backbone_sparsity);
-}
-
-DeploymentPackage Rt3GluePipeline::package(const Rt3Result& result) const {
-  return make_package(model_, pruner_, result,
-                      resolve_levels(options_.level_indices));
 }
 
 }  // namespace rt3

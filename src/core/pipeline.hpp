@@ -1,4 +1,5 @@
-// The end-to-end RT3 pipeline (paper Fig. 1):
+// The end-to-end RT3 pipeline (paper Fig. 1), written once for both of
+// the paper's workloads over the training-task seam (train/task.hpp):
 //
 //   Level 1:  block-structured pruning of the pre-trained model -> fixed
 //             backbone C, brief masked fine-tune.
@@ -12,16 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/pareto.hpp"
-#include "data/corpus.hpp"
-#include "data/glue.hpp"
 #include "dvfs/dvfs.hpp"
-#include "nn/distilbert.hpp"
-#include "nn/transformer_lm.hpp"
 #include "perf/latency_model.hpp"
 #include "pruning/model_pruner.hpp"
 #include "rl/controller.hpp"
@@ -89,12 +85,12 @@ struct Rt3Result {
   std::vector<PatternSet> chosen_sets;
 };
 
-/// RT3 on the Transformer / WikiText-2-analog workload.
-class Rt3LmPipeline {
+/// RT3 on one workload, seen through the training-task seam.
+class Rt3Pipeline {
  public:
-  /// `model` must already be pre-trained on `corpus`.
-  Rt3LmPipeline(TransformerLm& model, const Corpus& corpus,
-                const Rt3Options& options, ModelSpec paper_spec);
+  /// `task`'s model must already be pre-trained.  The latency model is
+  /// calibrated on the workload's paper anchor.
+  Rt3Pipeline(TrainingTask& task, const Rt3Options& options);
 
   Rt3Result run();
 
@@ -104,49 +100,19 @@ class Rt3LmPipeline {
   const LatencyModel& latency_model() const { return latency_; }
 
  private:
-  TransformerLm& model_;
-  const Corpus& corpus_;
+  /// Level 2: the RL pattern-set search over `space`, then the final
+  /// joint fine-tune of the selected sets and the switch costs.
+  Rt3Result search(const PatternSearchSpace& space, double original_accuracy,
+                   double backbone_accuracy, double backbone_sparsity);
+  /// Composed overall sparsity of `set` on the backbone (restored after).
+  double measure_sparsity(const PatternSet& set);
+
+  TrainingTask& task_;
   Rt3Options options_;
+  std::vector<VfLevel> levels_;  // options_.level_indices, fast -> slow
   ModelSpec spec_;
   LatencyModel latency_;
   ModelPruner pruner_;
 };
-
-/// RT3 on the DistilBERT / GLUE-analog workload.
-class Rt3GluePipeline {
- public:
-  Rt3GluePipeline(DistilBertLike& model, const GlueDataset& data,
-                  const Rt3Options& options, ModelSpec paper_spec);
-
-  Rt3Result run();
-  DeploymentPackage package(const Rt3Result& result) const;
-
-  const LatencyModel& latency_model() const { return latency_; }
-
- private:
-  DistilBertLike& model_;
-  const GlueDataset& data_;
-  Rt3Options options_;
-  ModelSpec spec_;
-  LatencyModel latency_;
-  ModelPruner pruner_;
-};
-
-/// Shared search core used by both pipelines (exposed for tests).
-/// `joint_train` runs Fig.-2 training over the given sets and returns
-/// per-set accuracies; `measure_sparsity` returns the composed overall
-/// sparsity for a set.
-struct SearchHooks {
-  std::function<std::vector<double>(const std::vector<PatternSet>&,
-                                    const TrainConfig&)>
-      joint_train;
-  std::function<double(const PatternSet&)> measure_sparsity;
-};
-
-Rt3Result run_rt3_search(const Rt3Options& options, const ModelSpec& spec,
-                         const LatencyModel& latency,
-                         const PatternSearchSpace& space,
-                         const SearchHooks& hooks, double original_accuracy,
-                         double backbone_accuracy, double backbone_sparsity);
 
 }  // namespace rt3

@@ -58,8 +58,7 @@ double Corpus::oracle_accuracy() const {
 }
 
 LmBatcher::LmBatcher(const std::vector<std::int64_t>& tokens,
-                     std::int64_t batch, std::int64_t seq_len,
-                     std::uint64_t /*seed*/)
+                     std::int64_t batch, std::int64_t seq_len)
     : tokens_(tokens), batch_(batch), seq_len_(seq_len) {
   check(batch >= 1 && seq_len >= 1, "LmBatcher: bad batch/seq_len");
   check(static_cast<std::int64_t>(tokens.size()) > seq_len + 1,

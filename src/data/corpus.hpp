@@ -70,7 +70,7 @@ struct LmBatch {
 class LmBatcher {
  public:
   LmBatcher(const std::vector<std::int64_t>& tokens, std::int64_t batch,
-            std::int64_t seq_len, std::uint64_t seed = 9);
+            std::int64_t seq_len);
 
   /// Number of distinct windows available.
   std::int64_t num_windows() const;

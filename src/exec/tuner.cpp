@@ -128,6 +128,7 @@ TuningRecord TuningRecord::parse(const std::string& text) {
   record.isa = take_field(in, kWho, "isa");
   record.batch =
       parse_int("TuningRecord: batch", take_field(in, kWho, "batch"));
+  check(record.batch >= 1, "TuningRecord: batch: must be >= 1");
   const std::int64_t count =
       parse_int("TuningRecord: entries", take_field(in, kWho, "entries"));
   // No reserve(count): a corrupt count must fail at the first missing
@@ -154,6 +155,10 @@ TuningRecord TuningRecord::parse(const std::string& text) {
     e.options.threads = int_kv("threads");
     e.predicted_ms = double_kv("predicted_ms");
     e.measured_ms = double_kv("measured_ms");
+    check(e.layer >= 0, where + " layer: must be >= 0");
+    check(e.level >= 0, where + " level: must be >= 0");
+    check(e.predicted_ms >= 0.0, where + " predicted_ms: must be >= 0");
+    check(e.measured_ms >= 0.0, where + " measured_ms: must be >= 0");
     check_kernel_options(e.options, where);
     record.entries.push_back(e);
   }
@@ -322,7 +327,9 @@ TuningEntry Autotuner::tune_one(std::int64_t layer, std::int64_t level,
   entry.layer = layer;
   entry.level = level;
   entry.options = grid[static_cast<std::size_t>(winner)];
-  entry.predicted_ms = predicted[static_cast<std::size_t>(winner)];
+  // The linear fit can extrapolate below zero; a time never is.
+  entry.predicted_ms =
+      std::max(0.0, predicted[static_cast<std::size_t>(winner)]);
   entry.measured_ms = winner_ms;
   return entry;
 }

@@ -33,7 +33,7 @@ struct TuningEntry {
   std::int64_t layer = 0;
   std::int64_t level = 0;
   KernelOptions options;
-  /// Fitted-model prediction for the winner (ms).
+  /// Fitted-model prediction for the winner (ms), floored at 0.
   double predicted_ms = 0.0;
   /// Winner's re-measured cost (ms) — the selection criterion.
   double measured_ms = 0.0;

@@ -109,6 +109,20 @@ void LatencyModel::calibrate(const ModelSpec& spec, double sparsity,
       compute_cycles;
 }
 
+LatencyModel paper_transformer_latency() {
+  LatencyModel latency;
+  latency.calibrate(ModelSpec::paper_transformer(), 0.6426, ExecMode::kBlock,
+                    1400.0, 114.59);
+  return latency;
+}
+
+LatencyModel paper_distilbert_latency() {
+  LatencyModel latency;
+  latency.calibrate(ModelSpec::paper_distilbert(), 0.5178, ExecMode::kPattern,
+                    1400.0, 199.94);
+  return latency;
+}
+
 SwitchCostModel::SwitchCostModel(SwitchCostConfig config) : config_(config) {
   check(config_.flash_bytes_per_ms > 0.0 && config_.memory_bytes_per_ms > 0.0,
         "SwitchCostModel: bad bandwidth");

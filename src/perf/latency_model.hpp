@@ -70,8 +70,7 @@ class LatencyModel {
                               double freq_mhz, double target_ms) const;
 
   /// Calibrates macs_per_cycle so that (spec, sparsity, mode) at freq_mhz
-  /// lands exactly on target_ms.  Used once against Table II's M1 anchor
-  /// (114.59 ms at F-mode).
+  /// lands exactly on target_ms.  The paper anchors below call it once.
   void calibrate(const ModelSpec& spec, double sparsity, ExecMode mode,
                  double freq_mhz, double target_ms);
 
@@ -80,6 +79,14 @@ class LatencyModel {
  private:
   LatencyModelConfig config_;
 };
+
+/// The Transformer anchor (paper Table II): the 64.26%-sparse BP-only
+/// model runs block-executed in 114.59 ms at F-mode (1400 MHz).
+LatencyModel paper_transformer_latency();
+
+/// The DistilBERT anchor: the paper's RTE M1 (51.78% sparsity,
+/// pattern-executed) meets T = 200 ms at F-mode (1400 MHz) with 199.94 ms.
+LatencyModel paper_distilbert_latency();
 
 struct SwitchCostConfig {
   /// Flash/storage read bandwidth for full-model reloads (bytes/ms).

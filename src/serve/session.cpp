@@ -68,13 +68,6 @@ GovernorHandle session_governor(const ServeSessionConfig& config) {
 
 }  // namespace
 
-LatencyModel paper_calibrated_latency() {
-  LatencyModel latency;
-  latency.calibrate(ModelSpec::paper_transformer(), 0.6426, ExecMode::kBlock,
-                    1400.0, 114.59);
-  return latency;
-}
-
 std::vector<double> paper_ladder_sparsities(const LatencyModel& latency,
                                             double timing_constraint_ms) {
   const VfTable table = VfTable::odroid_xu3_a7();
@@ -120,7 +113,7 @@ DeploymentParts make_paper_deployment(
     const std::vector<double>& tuned_sparsities) {
   const VfTable table = VfTable::odroid_xu3_a7();
   const ModelSpec spec = ModelSpec::paper_transformer();
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   const bool measured = config.backend == ExecBackendKind::kMeasured;
 
   ServerConfig scfg;
@@ -207,7 +200,7 @@ DeploymentParts make_paper_deployment(
 
 ServeSession::ServeSession(const ServeSessionConfig& config)
     : rng_(config.seed) {
-  sparsities_ = paper_ladder_sparsities(paper_calibrated_latency(),
+  sparsities_ = paper_ladder_sparsities(paper_transformer_latency(),
                                         config.timing_constraint_ms);
   DeploymentParts parts = make_paper_deployment(
       config, rng_, owned_layers_, layers_, pruner_, sparsities_);
@@ -236,7 +229,7 @@ NodeSession::NodeSession(const ServeSessionConfig& per_model,
                                       session_governor(per_model),
                                       PowerModel());
   const std::vector<double> sparsities = paper_ladder_sparsities(
-      paper_calibrated_latency(), per_model.timing_constraint_ms);
+      paper_transformer_latency(), per_model.timing_constraint_ms);
   for (std::int64_t m = 0; m < num_models; ++m) {
     ServeSessionConfig cfg = per_model;
     cfg.seed = per_model.seed + static_cast<std::uint64_t>(m);

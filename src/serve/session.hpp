@@ -4,8 +4,8 @@
 // traffic bench, and the demo all exercise the same end-to-end path —
 // battery -> governor -> drain -> pattern-set switch -> keep serving.
 //
-// The latency model is calibrated against the paper's Table II anchor
-// (114.59 ms at F-mode, 64.26% sparsity) and per-level sparsities are
+// The latency model is `paper_transformer_latency()` (the Table II
+// anchor, perf/latency_model.hpp) and per-level sparsities are
 // chosen to just meet the timing constraint at each frequency, exactly
 // like `rt3 simulate`.
 #pragma once
@@ -35,10 +35,6 @@ std::string governor_kind_name(GovernorKind kind);
 
 /// The serving ladder {l6, l4, l3} (F -> N -> E), paper Table II.
 const std::vector<std::int64_t>& paper_serve_ladder();
-
-/// LatencyModel calibrated against the Table II anchor (114.59 ms at
-/// F-mode, 64.26% sparsity, block execution).
-LatencyModel paper_calibrated_latency();
 
 /// Per-ladder-level sparsities that just meet `timing_constraint_ms` at
 /// each frequency (never below the 64.26% backbone floor).

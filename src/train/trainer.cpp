@@ -1,90 +1,39 @@
 #include "train/trainer.hpp"
 
-#include <map>
-
 #include "common/check.hpp"
 #include "pruning/block_prune.hpp"
 #include "tensor/optim.hpp"
 
 namespace rt3 {
 
-void copy_parameters(Module& dst, const Module& src) {
-  const auto src_named = src.named_parameters();
-  auto dst_named = dst.named_parameters();
-  check(src_named.size() == dst_named.size(),
-        "copy_parameters: parameter count mismatch");
-  std::map<std::string, const Var*> by_name;
-  for (const auto& np : src_named) {
-    by_name[np.name] = &np.param;
-  }
-  for (auto& np : dst_named) {
-    const auto it = by_name.find(np.name);
-    check(it != by_name.end(), "copy_parameters: missing " + np.name);
-    check(it->second->shape() == np.param.shape(),
-          "copy_parameters: shape mismatch for " + np.name);
-    np.param.mutable_value() = it->second->value();
-  }
-}
-
-double train_lm(TransformerLm& model, const Corpus& corpus,
-                const TrainConfig& config) {
-  LmBatcher train_batcher(corpus.train(), config.batch, config.seq_len);
-  Adam opt(model.parameters(), config.lr);
+double train(TrainingTask& task, const TrainConfig& config) {
+  Adam opt(task.model().parameters(), config.lr);
   Rng rng(config.seed);
 
   // Lasso regularization targets the prunable weights (Level-1 prep).
   std::vector<Linear*> lasso_layers;
   if (config.group_lasso_lambda > 0.0F) {
-    lasso_layers = model.prunable();
+    lasso_layers = task.prunable();
   }
 
   for (std::int64_t step = 0; step < config.steps; ++step) {
+    task.draw_minibatch(rng, config.batch, config.seq_len);
     opt.zero_grad();
-    Var loss = model.loss(train_batcher.next(rng));
-    if (config.group_lasso_lambda > 0.0F) {
-      for (Linear* layer : lasso_layers) {
-        if (layer->weight().shape()[0] % config.lasso_blocks != 0) {
-          continue;
-        }
-        const auto coeffs = reweighting_coefficients(
-            layer->weight().value(), config.lasso_blocks);
-        loss = add(loss,
-                   scale(group_lasso_penalty(layer->weight(),
-                                             config.lasso_blocks, coeffs),
-                         config.group_lasso_lambda));
+    Var loss = task.minibatch_loss();
+    for (Linear* layer : lasso_layers) {
+      if (layer->weight().shape()[0] % config.lasso_blocks != 0) {
+        continue;
       }
+      const auto coeffs = reweighting_coefficients(layer->weight().value(),
+                                                   config.lasso_blocks);
+      loss = add(loss, scale(group_lasso_penalty(layer->weight(),
+                                                 config.lasso_blocks, coeffs),
+                             config.group_lasso_lambda));
     }
     loss.backward();
     opt.step();
   }
-  return eval_lm(model, corpus, config.batch, config.seq_len);
-}
-
-double eval_lm(const TransformerLm& model, const Corpus& corpus,
-               std::int64_t batch, std::int64_t seq_len,
-               std::int64_t max_batches) {
-  LmBatcher valid_batcher(corpus.valid(), batch, seq_len);
-  return model.evaluate(valid_batcher, max_batches);
-}
-
-double train_glue(DistilBertLike& model, const GlueDataset& data,
-                  const TrainConfig& config) {
-  Adam opt(model.parameters(), config.lr);
-  Rng rng(config.seed);
-  const auto& train = data.train();
-  for (std::int64_t step = 0; step < config.steps; ++step) {
-    std::vector<GlueExample> batch;
-    batch.reserve(static_cast<std::size_t>(config.batch));
-    for (std::int64_t i = 0; i < config.batch; ++i) {
-      batch.push_back(train[static_cast<std::size_t>(
-          rng.uniform_int(static_cast<std::int64_t>(train.size())))]);
-    }
-    opt.zero_grad();
-    Var loss = model.loss(data, batch);
-    loss.backward();
-    opt.step();
-  }
-  return model.evaluate(data);
+  return task.dev_metric(config.batch, config.seq_len);
 }
 
 namespace {
@@ -109,26 +58,24 @@ std::vector<double> normalized_weights(std::size_t n,
 
 }  // namespace
 
-JointTrainResult joint_train_lm(TransformerLm& model, ModelPruner& pruner,
-                                const std::vector<PatternSet>& sets,
-                                const Corpus& corpus,
-                                const TrainConfig& config,
-                                const std::vector<double>& set_weights) {
-  check(!sets.empty(), "joint_train_lm: no pattern sets");
+JointTrainResult joint_train(TrainingTask& task, ModelPruner& pruner,
+                             const std::vector<PatternSet>& sets,
+                             const TrainConfig& config,
+                             const std::vector<double>& set_weights) {
+  check(!sets.empty(), "joint_train: no pattern sets");
   const auto alphas = normalized_weights(sets.size(), set_weights);
-  LmBatcher train_batcher(corpus.train(), config.batch, config.seq_len);
-  Adam opt(model.parameters(), config.lr);
+  Adam opt(task.model().parameters(), config.lr);
   Rng rng(config.seed);
 
   for (std::int64_t step = 0; step < config.steps; ++step) {
-    const LmBatch batch = train_batcher.next(rng);
+    task.draw_minibatch(rng, config.batch, config.seq_len);
     opt.zero_grad();
     // Fig. 2 forward: one sub-loss per pattern set on the same minibatch;
     // each apply_pattern_set captures its masks into that sub-graph.
     Var total;
     for (std::size_t i = 0; i < sets.size(); ++i) {
       pruner.apply_pattern_set(sets[i]);
-      Var sub = scale(model.loss(batch), static_cast<float>(alphas[i]));
+      Var sub = scale(task.minibatch_loss(), static_cast<float>(alphas[i]));
       total = total.defined() ? add(total, sub) : sub;
     }
     total.backward();
@@ -139,44 +86,7 @@ JointTrainResult joint_train_lm(TransformerLm& model, ModelPruner& pruner,
   for (const auto& set : sets) {
     pruner.apply_pattern_set(set);
     result.per_set_accuracy.push_back(
-        eval_lm(model, corpus, config.batch, config.seq_len));
-  }
-  return result;
-}
-
-JointTrainResult joint_train_glue(DistilBertLike& model, ModelPruner& pruner,
-                                  const std::vector<PatternSet>& sets,
-                                  const GlueDataset& data,
-                                  const TrainConfig& config,
-                                  const std::vector<double>& set_weights) {
-  check(!sets.empty(), "joint_train_glue: no pattern sets");
-  const auto alphas = normalized_weights(sets.size(), set_weights);
-  Adam opt(model.parameters(), config.lr);
-  Rng rng(config.seed);
-  const auto& train = data.train();
-
-  for (std::int64_t step = 0; step < config.steps; ++step) {
-    std::vector<GlueExample> batch;
-    batch.reserve(static_cast<std::size_t>(config.batch));
-    for (std::int64_t i = 0; i < config.batch; ++i) {
-      batch.push_back(train[static_cast<std::size_t>(
-          rng.uniform_int(static_cast<std::int64_t>(train.size())))]);
-    }
-    opt.zero_grad();
-    Var total;
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      pruner.apply_pattern_set(sets[i]);
-      Var sub = scale(model.loss(data, batch), static_cast<float>(alphas[i]));
-      total = total.defined() ? add(total, sub) : sub;
-    }
-    total.backward();
-    opt.step();
-  }
-
-  JointTrainResult result;
-  for (const auto& set : sets) {
-    pruner.apply_pattern_set(set);
-    result.per_set_accuracy.push_back(model.evaluate(data));
+        task.dev_metric(config.batch, config.seq_len));
   }
   return result;
 }

@@ -1,20 +1,17 @@
-// Training loops: base-model pre-training, Level-1 fine-tuning with the
-// reweighted group lasso, the Fig.-2 JOINT training of the shared backbone
-// across all selected pattern sets, and individual fine-tuning (the
-// accuracy upper-bound baseline of Table III).
+// Training loops over the training-task seam (train/task.hpp), written
+// once for both of the paper's workloads: pre-training and fine-tuning
+// (Level-1 recovery with the optional reweighted group lasso, and the
+// individually trained accuracy upper bound of Table III), and the
+// Fig.-2 JOINT training of the shared backbone across all selected
+// pattern sets.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "data/corpus.hpp"
-#include "data/glue.hpp"
-#include "nn/distilbert.hpp"
-#include "nn/module.hpp"
-#include "nn/transformer_lm.hpp"
 #include "pruning/model_pruner.hpp"
 #include "sparse/pattern.hpp"
+#include "train/task.hpp"
 
 namespace rt3 {
 
@@ -23,51 +20,29 @@ struct TrainConfig {
   std::int64_t batch = 8;
   std::int64_t seq_len = 16;
   float lr = 5e-3F;
-  /// Group-lasso strength during Level-1 fine-tuning (0 disables).
+  /// Group-lasso strength on the prunable weights (0 disables).
   float group_lasso_lambda = 0.0F;
   std::int64_t lasso_blocks = 4;
   std::uint64_t seed = 31;
 };
 
-/// Copies parameter values between two structurally identical modules
-/// (matched by name); used to clone models for the UB baseline.
-void copy_parameters(Module& dst, const Module& src);
-
-/// Pre-trains / fine-tunes a TransformerLm on the corpus.  Honours any
-/// masks installed on the model (masked weights receive no gradient).
-/// Returns final validation next-word accuracy.
-double train_lm(TransformerLm& model, const Corpus& corpus,
-                const TrainConfig& config);
-
-/// Evaluates validation next-word accuracy.
-double eval_lm(const TransformerLm& model, const Corpus& corpus,
-               std::int64_t batch = 8, std::int64_t seq_len = 16,
-               std::int64_t max_batches = 8);
-
-/// Pre-trains / fine-tunes a DistilBertLike on a GLUE-analog task.
-/// Returns the final dev metric.
-double train_glue(DistilBertLike& model, const GlueDataset& data,
-                  const TrainConfig& config);
+/// Pre-trains / fine-tunes the task's model.  Honours any masks installed
+/// on it (masked weights receive no gradient).  Returns the dev metric
+/// at the config's batch and seq_len.
+double train(TrainingTask& task, const TrainConfig& config);
 
 /// Fig. 2 joint training: for each step, every pattern set is applied in
 /// turn, its sub-loss computed on the SAME minibatch, and the weighted sum
 /// back-propagated through the shared backbone.  Afterwards the model's
 /// masks are left on the LAST set; callers re-apply per-level masks before
-/// evaluating.  Returns per-set accuracies measured after training.
+/// evaluating.  Returns per-set dev metrics measured after training.
 struct JointTrainResult {
   std::vector<double> per_set_accuracy;
 };
 
-JointTrainResult joint_train_lm(TransformerLm& model, ModelPruner& pruner,
-                                const std::vector<PatternSet>& sets,
-                                const Corpus& corpus,
-                                const TrainConfig& config,
-                                const std::vector<double>& set_weights = {});
-
-JointTrainResult joint_train_glue(DistilBertLike& model, ModelPruner& pruner,
-                                  const std::vector<PatternSet>& sets,
-                                  const GlueDataset& data,
-                                  const TrainConfig& config,
-                                  const std::vector<double>& set_weights = {});
+JointTrainResult joint_train(TrainingTask& task, ModelPruner& pruner,
+                             const std::vector<PatternSet>& sets,
+                             const TrainConfig& config,
+                             const std::vector<double>& set_weights = {});
 
 }  // namespace rt3

@@ -57,6 +57,27 @@ TEST(Args, RejectsTrailingGarbageAndNonNumbers) {
                CheckError);
 }
 
+TEST(Args, RejectsUnknownFlagsByName) {
+  const std::vector<std::string> known = {"--rate", "--shed"};
+  EXPECT_NO_THROW(reject_unknown_flags({"--rate", "3", "--shed", "out.json"},
+                                       known, "rt3 serve"));
+  // A value never counts as a flag, even a negative number.
+  EXPECT_NO_THROW(reject_unknown_flags({"--rate", "-3"}, known, "rt3 serve"));
+  const char* argv[] = {"rt3", "--rate=3", "--bogus-flag=3"};
+  try {
+    reject_unknown_flags(split_flag_args(3, const_cast<char**>(argv)), known,
+                         "rt3 serve");
+    ADD_FAILURE() << "--bogus-flag was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("rt3 serve: unknown flag --bogus-flag"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(reject_unknown_flags({"--producers", "2"}, known, "rt3 serve"),
+               CheckError);
+  EXPECT_THROW(reject_unknown_flags({"--shed"}, {}, "rt3 levels"), CheckError);
+}
+
 TEST(Check, NarrowRoundTrip) {
   EXPECT_EQ(narrow<std::int32_t>(std::int64_t{42}), 42);
   EXPECT_THROW(narrow<std::int8_t>(std::int64_t{1000}), CheckError);

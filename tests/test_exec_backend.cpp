@@ -742,7 +742,7 @@ TEST(MeasuredBackend, SteadyStateRunBatchAllocatesNoBuffers) {
 }
 
 TEST(AnalyticBackend, AttachedBackendReproducesDefaultServerExactly) {
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   const std::vector<double> sparsities = paper_ladder_sparsities(latency, 115.0);
   const VfTable table = VfTable::odroid_xu3_a7();
   const auto make = [&] {
@@ -784,7 +784,7 @@ TEST(AnalyticBackend, AttachedBackendReproducesDefaultServerExactly) {
 }
 
 TEST(AnalyticBackend, LevelTableIsBitwiseEqualToTheLatencyModel) {
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   const ModelSpec spec = ModelSpec::paper_transformer();
   const std::vector<double> sparsities =
       paper_ladder_sparsities(latency, 115.0);
@@ -816,7 +816,7 @@ TEST(AnalyticBackend, LevelTableIsBitwiseEqualToTheLatencyModel) {
 }
 
 TEST(AnalyticBackend, OutOfRangeSparsityThrowsAtConstruction) {
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   const ModelSpec spec = ModelSpec::paper_transformer();
   for (double bad : {1.0, -0.1}) {
     EXPECT_THROW(AnalyticBackend(latency, spec, ExecMode::kPattern,
@@ -1118,6 +1118,14 @@ TEST(TuningRecord, MalformedRecordsAreRejectedByFieldName) {
        "predicted_ms: non-finite value 'nan'"},
       {edit("entries 1", "entries 999999999999999"),
        "entry 1: expected an entry line (entries 999999999999999)"},
+      {edit("batch 1", "batch -5"), "batch: must be >= 1"},
+      {edit("batch 1", "batch 0"), "batch: must be >= 1"},
+      {edit("layer=0", "layer=-1"), "entry 0 layer: must be >= 0"},
+      {edit("level=0", "level=-2"), "entry 0 level: must be >= 0"},
+      {edit("predicted_ms=0.5", "predicted_ms=-0.5"),
+       "entry 0 predicted_ms: must be >= 0"},
+      {edit("measured_ms=0.25", "measured_ms=-1"),
+       "entry 0 measured_ms: must be >= 0"},
   };
   for (const auto& [edited, expected] : bad) {
     try {

@@ -198,7 +198,7 @@ double json_num_field(const std::string& json, const std::string& key) {
 
 /// Server over the paper ladder, exactly like the simulate CLI path.
 Server make_paper_server(double capacity_mj, BatchPolicy policy) {
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   ServerConfig cfg;
   cfg.battery_capacity_mj = capacity_mj;
   cfg.batch = policy;
@@ -224,7 +224,7 @@ std::vector<Request> tight_traffic(double rate_rps, std::int64_t num_models,
 }
 
 ModelDeployment paper_deployment(ServerConfig cfg) {
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   ModelDeployment dep;
   dep.config(cfg)
       .spec(ModelSpec::paper_transformer())

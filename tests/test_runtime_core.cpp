@@ -3,6 +3,7 @@
 // end-to-end mini pipeline integration test.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -309,13 +310,14 @@ TEST(Pipeline, EndToEndLmRunsAndSatisfiesConstraint) {
   mcfg.ffn_hidden = 32;
   mcfg.max_seq_len = 16;
   TransformerLm model(mcfg);
+  LmTrainingTask task(model, corpus);
 
   TrainConfig pre;
   pre.steps = 120;
   pre.batch = 8;
   pre.seq_len = 12;
   pre.lr = 8e-3F;
-  train_lm(model, corpus, pre);
+  train(task, pre);
 
   Rt3Options options;
   options.timing_constraint_ms = 110.0;
@@ -335,7 +337,7 @@ TEST(Pipeline, EndToEndLmRunsAndSatisfiesConstraint) {
   options.backbone_train.batch = 4;
   options.backbone_train.seq_len = 12;
 
-  Rt3LmPipeline pipeline(model, corpus, options, ModelSpec::paper_transformer());
+  Rt3Pipeline pipeline(task, options);
   const Rt3Result result = pipeline.run();
 
   ASSERT_EQ(result.levels.size(), 3U);
@@ -360,6 +362,57 @@ TEST(Pipeline, EndToEndLmRunsAndSatisfiesConstraint) {
   const DeploymentPackage loaded = DeploymentPackage::load(path);
   std::remove(path.c_str());
   EXPECT_EQ(loaded.param_names.size(), pkg.param_names.size());
+}
+
+TEST(Pipeline, EndToEndGlueRunsAndSatisfiesConstraint) {
+  GlueTaskConfig gcfg;
+  gcfg.task = GlueTask::kRte;
+  gcfg.vocab_size = 64;
+  gcfg.seq_len = 12;
+  gcfg.train_size = 200;
+  gcfg.dev_size = 80;
+  const GlueDataset data(gcfg);
+  DistilBertConfig mcfg;
+  mcfg.vocab_size = 64;
+  mcfg.d_model = 16;
+  mcfg.num_heads = 2;
+  mcfg.ffn_hidden = 32;
+  mcfg.num_layers = 1;
+  mcfg.max_seq_len = 16;
+  mcfg.num_outputs = data.num_classes();
+  DistilBertLike model(mcfg);
+  GlueTrainingTask task(model, data);
+
+  TrainConfig pre;
+  pre.steps = 40;
+  pre.batch = 8;
+  train(task, pre);
+
+  // DistilBERT's paper anchor: T = 200 ms at F-mode (RTE M1).
+  Rt3Options options;
+  options.timing_constraint_ms = 200.0;
+  options.episodes = 2;
+  options.bp.num_blocks = 4;
+  options.bp.prune_fraction = 0.25;
+  options.space.psize = 4;
+  options.space.patterns_per_set = 2;
+  options.space.num_variants = 2;
+  options.episode_train.steps = 5;
+  options.final_train.steps = 10;
+  options.backbone_train.steps = 10;
+  Rt3Pipeline pipeline(task, options);
+  const Rt3Result result = pipeline.run();
+
+  ASSERT_EQ(result.levels.size(), 3U);
+  EXPECT_EQ(result.explored.size(), 2U);
+  for (const auto& sub : result.levels) {
+    EXPECT_LE(sub.latency_ms, options.timing_constraint_ms * 1.001)
+        << sub.level_name;
+    EXPECT_TRUE(std::isfinite(sub.accuracy)) << sub.level_name;
+    EXPECT_GE(sub.accuracy, 0.0) << sub.level_name;
+    EXPECT_LE(sub.accuracy, 1.0) << sub.level_name;
+  }
+  EXPECT_EQ(pipeline.package(result).pattern_sets.size(), 3U);
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // Tests for search-space generation and the Fig.-2 joint trainer.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "common/check.hpp"
 #include "data/corpus.hpp"
+#include "data/glue.hpp"
+#include "nn/distilbert.hpp"
 #include "nn/transformer_lm.hpp"
 #include "pruning/model_pruner.hpp"
 #include "search/space.hpp"
+#include "train/task.hpp"
 #include "train/trainer.hpp"
 
 namespace rt3 {
@@ -133,9 +137,11 @@ class JointFixture : public ::testing::Test {
     cfg.ffn_hidden = 32;
     cfg.max_seq_len = 16;
     model_ = std::make_unique<TransformerLm>(cfg);
+    task_ = std::make_unique<LmTrainingTask>(*model_, *corpus_);
   }
   std::unique_ptr<Corpus> corpus_;
   std::unique_ptr<TransformerLm> model_;
+  std::unique_ptr<LmTrainingTask> task_;
 };
 
 TEST_F(JointFixture, CopyParametersClones) {
@@ -154,8 +160,8 @@ TEST_F(JointFixture, TrainLmImproves) {
   cfg.batch = 8;
   cfg.seq_len = 12;
   cfg.lr = 8e-3F;
-  const double before = eval_lm(*model_, *corpus_);
-  const double after = train_lm(*model_, *corpus_, cfg);
+  const double before = task_->dev_metric(8, 16);
+  const double after = train(*task_, cfg);
   EXPECT_GT(after, before);
 }
 
@@ -170,7 +176,7 @@ TEST_F(JointFixture, GroupLassoShrinksColumnNorms) {
   // Norm of the weakest half of columns before/after lasso training: the
   // regularizer should push weak groups down relative to total.
   const Tensor before = model_->prunable()[0]->weight().value();
-  train_lm(*model_, *corpus_, cfg);
+  train(*task_, cfg);
   const Tensor after = model_->prunable()[0]->weight().value();
   EXPECT_LT(after.l2_norm(), before.l2_norm() * 1.5F);  // no blow-up
 }
@@ -193,7 +199,7 @@ TEST_F(JointFixture, JointTrainingReturnsPerSetAccuracy) {
   cfg.seq_len = 12;
   cfg.lr = 8e-3F;
   const JointTrainResult result =
-      joint_train_lm(*model_, pruner, sets, *corpus_, cfg);
+      joint_train(*task_, pruner, sets, cfg);
   ASSERT_EQ(result.per_set_accuracy.size(), 2U);
   for (double acc : result.per_set_accuracy) {
     EXPECT_GE(acc, 0.0);
@@ -218,7 +224,7 @@ TEST_F(JointFixture, JointTrainingTrainsAllSets) {
   cfg.seq_len = 12;
   cfg.lr = 8e-3F;
   const JointTrainResult result =
-      joint_train_lm(*model_, pruner, sets, *corpus_, cfg);
+      joint_train(*task_, pruner, sets, cfg);
   EXPECT_GT(result.per_set_accuracy[0], 0.4);
   EXPECT_GT(result.per_set_accuracy[1], 0.3);
   // Larger-capacity (less sparse) set should not be much worse.
@@ -240,7 +246,7 @@ TEST_F(JointFixture, WeightedLossRespectsAlphas) {
   // All weight on set 0: its accuracy should come out at least as good as
   // the heavily-sparse set's.
   const JointTrainResult result =
-      joint_train_lm(*model_, pruner, sets, *corpus_, cfg, {1.0, 0.0});
+      joint_train(*task_, pruner, sets, cfg, {1.0, 0.0});
   EXPECT_GE(result.per_set_accuracy[0] + 0.05, result.per_set_accuracy[1]);
 }
 
@@ -248,8 +254,48 @@ TEST_F(JointFixture, RejectsEmptySets) {
   ModelPruner pruner(model_->prunable());
   pruner.freeze_backbone();
   TrainConfig cfg;
-  EXPECT_THROW(joint_train_lm(*model_, pruner, {}, *corpus_, cfg),
-               CheckError);
+  EXPECT_THROW(joint_train(*task_, pruner, {}, cfg), CheckError);
+}
+
+TEST(GlueJointTraining, ReturnsOneScorePerSetAndMovesTheBackbone) {
+  GlueTaskConfig gcfg;
+  gcfg.task = GlueTask::kRte;
+  gcfg.vocab_size = 64;
+  gcfg.seq_len = 12;
+  gcfg.train_size = 200;
+  gcfg.dev_size = 80;
+  const GlueDataset data(gcfg);
+  DistilBertConfig mcfg;
+  mcfg.vocab_size = 64;
+  mcfg.d_model = 16;
+  mcfg.num_heads = 2;
+  mcfg.ffn_hidden = 32;
+  mcfg.num_layers = 1;
+  mcfg.max_seq_len = 16;
+  mcfg.num_outputs = data.num_classes();
+  DistilBertLike model(mcfg);
+  GlueTrainingTask task(model, data);
+
+  ModelPruner pruner(task.prunable());
+  pruner.freeze_backbone();
+  const Tensor before = task.prunable()[0]->weight().value();
+  Rng rng(7);
+  std::vector<PatternSet> sets;
+  sets.push_back(random_pattern_set(4, 0.25, 2, rng));
+  sets.push_back(random_pattern_set(4, 0.5, 2, rng));
+  sets.push_back(random_pattern_set(4, 0.75, 2, rng));
+  TrainConfig cfg;
+  cfg.steps = 10;
+  cfg.batch = 8;
+  const JointTrainResult result = joint_train(task, pruner, sets, cfg);
+
+  ASSERT_EQ(result.per_set_accuracy.size(), sets.size());
+  for (double score : result.per_set_accuracy) {
+    EXPECT_TRUE(std::isfinite(score));
+    EXPECT_GE(score, 0.0);  // RTE is scored by accuracy
+    EXPECT_LE(score, 1.0);
+  }
+  EXPECT_FALSE(task.prunable()[0]->weight().value().allclose(before));
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ std::int64_t int_arg(const TraceEvent& e, const std::string& key) {
 }
 
 Server make_paper_server(double capacity_mj, BatchPolicy policy) {
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   ServerConfig cfg;
   cfg.battery_capacity_mj = capacity_mj;
   cfg.batch = policy;
@@ -192,7 +192,7 @@ TEST(Batcher, ShedExpiredDropsOnlyBlownDeadlines) {
 }
 
 TEST(Server, ShedsHopelessRequestsBeforeTheyOccupyASlot) {
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   ServerConfig cfg;
   cfg.battery_capacity_mj = 1e9;
   cfg.batch = BatchPolicy{1, 0.0};  // immediate single-request batches
@@ -217,7 +217,7 @@ TEST(Server, ShedsHopelessRequestsBeforeTheyOccupyASlot) {
 }
 
 TEST(Server, SheddingKeepsAccountingExactUnderOverload) {
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   ServerConfig cfg;
   cfg.battery_capacity_mj = 4'000.0;  // dies mid-session
   cfg.batch = BatchPolicy{2, 20.0};
@@ -387,7 +387,7 @@ TEST(Server, LiveEngineSwitchesPatternSetsUnderTraffic) {
 TEST(Server, HardwareOnlyBaselinePaysNoSwitchCost) {
   const VfTable table = VfTable::odroid_xu3_a7();
   const ModelSpec spec = ModelSpec::paper_transformer();
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   ServerConfig cfg;
   cfg.battery_capacity_mj = 18'000.0;
   cfg.batch = BatchPolicy{4, 30.0};

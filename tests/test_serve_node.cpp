@@ -51,7 +51,7 @@ std::int64_t int_arg(const TraceEvent& e, const std::string& key) {
 
 /// A minimal analytic deployment over the paper ladder (no engine).
 ModelDeployment paper_deployment(ServerConfig cfg) {
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   ModelDeployment dep;
   dep.config(cfg)
       .spec(ModelSpec::paper_transformer())

@@ -218,7 +218,7 @@ TEST(Server, FifoPolicyReproducesPrePolicyBehaviourBitwise) {
   // The policy seam must be invisible under --policy=fifo: identical
   // stats, bit for bit, to the same server run (which exercised the
   // historical path before this PR; values asserted via determinism).
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   const auto run = [&](SchedulerConfig scheduler) {
     ServerConfig cfg;
     cfg.battery_capacity_mj = 18'000.0;

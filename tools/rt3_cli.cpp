@@ -70,11 +70,13 @@
 //                            breach/recover events land on trace lane 0
 //                            and episodes print + export with --telemetry
 //       Flags also accept --flag=value form (common/args.hpp, shared with
-//       the bench executables).
+//       the bench executables).  Every subcommand but `report` rejects a
+//       flag it does not list here with an error naming it (exit 1).
 //   rt3 node [--models N] ...                         multi-model serving
 //       node: N backbone-resident models behind ONE battery/governor,
 //       requests routed by model id with optional feasibility admission.
-//       Takes every `rt3 serve` flag (applied per model) plus:
+//       Takes every `rt3 serve` flag but --tuning (applied per model)
+//       plus:
 //         --models N         resident models on the node     (3)
 //   rt3 tune [--out FILE] ...                         offline kernel
 //       autotuner: searches (k_tile, unroll, threads) per (layer, level)
@@ -113,6 +115,7 @@
 //   rt3 levels                                        print the V/F ladder
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -174,6 +177,7 @@ int cmd_info(const std::string& path) {
 }
 
 int cmd_search(const std::vector<std::string>& args) {
+  reject_unknown_flags(args, {"--t", "--episodes", "--out"}, "rt3 search");
   const double t_ms = arg_double(args, "--t", 104.0);
   const std::int64_t episodes = arg_int(args, "--episodes", 4);
   check(episodes >= 0, "--episodes: must be >= 0");
@@ -191,12 +195,13 @@ int cmd_search(const std::vector<std::string>& args) {
   mcfg.num_heads = 4;
   mcfg.ffn_hidden = 64;
   TransformerLm model(mcfg);
+  LmTrainingTask task(model, corpus);
   TrainConfig pre;
   pre.steps = 200;
   pre.batch = 12;
   pre.seq_len = 16;
   pre.lr = 8e-3F;
-  train_lm(model, corpus, pre);
+  train(task, pre);
 
   Rt3Options options;
   options.timing_constraint_ms = t_ms;
@@ -207,8 +212,7 @@ int cmd_search(const std::vector<std::string>& args) {
   options.episode_train.steps = 16;
   options.final_train.steps = 80;
   options.backbone_train.steps = 50;
-  Rt3LmPipeline pipeline(model, corpus, options,
-                         ModelSpec::paper_transformer());
+  Rt3Pipeline pipeline(task, options);
   const Rt3Result result = pipeline.run();
 
   TablePrinter t({"level", "sparsity", "latency", "accuracy"});
@@ -223,12 +227,13 @@ int cmd_search(const std::vector<std::string>& args) {
 }
 
 int cmd_simulate(const std::vector<std::string>& args) {
+  reject_unknown_flags(args, {"--capacity", "--t"}, "rt3 simulate");
   const double capacity = arg_double(args, "--capacity", 5e4);
   const double t_ms = arg_double(args, "--t", 115.0);
   const VfTable table = VfTable::odroid_xu3_a7();
   const PowerModel power;
   const ModelSpec spec = ModelSpec::paper_transformer();
-  const LatencyModel latency = paper_calibrated_latency();
+  const LatencyModel latency = paper_transformer_latency();
   const std::vector<double> sparsities = paper_ladder_sparsities(latency, t_ms);
   DischargeConfig cfg;
   cfg.battery_capacity_mj = capacity;
@@ -315,6 +320,30 @@ void report_observability(const ObsOutputs& obs, TraceRecorder* trace_mut) {
   }
 }
 
+/// The flags each shared parser below reads.  A subcommand passes the
+/// union of the groups it parses, plus its own flags, to
+/// reject_unknown_flags.
+const std::vector<std::string> kObsFlags = {
+    "--trace", "--metrics", "--metrics-format", "--telemetry", "--slo",
+    "--sample-every", "--max-trace-events"};
+const std::vector<std::string> kSessionFlags = {
+    "--capacity", "--t", "--batch", "--wait", "--backend", "--policy",
+    "--prio-weight", "--aging", "--governor", "--governor-policy",
+    "--governor-margin", "--governor-batch", "--threads", "--shed",
+    "--admit"};
+const std::vector<std::string> kTrafficFlags = {
+    "--classes", "--jitter", "--tight-frac", "--tight-slack", "--scenario",
+    "--rate", "--duration", "--slack", "--seed"};
+
+std::vector<std::string> flag_union(
+    std::initializer_list<std::vector<std::string>> groups) {
+  std::vector<std::string> all;
+  for (const std::vector<std::string>& group : groups) {
+    all.insert(all.end(), group.begin(), group.end());
+  }
+  return all;
+}
+
 /// The observability flags shared by `rt3 serve` and `rt3 node`.
 struct ObsFlags {
   std::string trace_path;
@@ -391,6 +420,10 @@ TrafficConfig parse_traffic_config(const std::vector<std::string>& args) {
 }
 
 int cmd_serve(const std::vector<std::string>& args) {
+  reject_unknown_flags(
+      args,
+      flag_union({kSessionFlags, kTrafficFlags, kObsFlags, {"--tuning"}}),
+      "rt3 serve");
   ServeSessionConfig scfg = parse_session_config(args);
   TrafficConfig tcfg = parse_traffic_config(args);
   const std::string tuning_path = arg_string(args, "--tuning", "");
@@ -497,6 +530,10 @@ int cmd_serve(const std::vector<std::string>& args) {
 }
 
 int cmd_node(const std::vector<std::string>& args) {
+  reject_unknown_flags(
+      args,
+      flag_union({kSessionFlags, kTrafficFlags, kObsFlags, {"--models"}}),
+      "rt3 node");
   ServeSessionConfig scfg = parse_session_config(args);
   TrafficConfig tcfg = parse_traffic_config(args);
   tcfg.num_models = arg_int(args, "--models", 3);
@@ -569,6 +606,12 @@ int cmd_node(const std::vector<std::string>& args) {
 /// search is skipped and an existing record is applied + re-serialized,
 /// which doubles as the format round-trip check in CI.
 int cmd_tune(const std::vector<std::string>& args) {
+  reject_unknown_flags(
+      args,
+      flag_union({kSessionFlags,
+                  {"--out", "--load", "--samples", "--finalists", "--repeats",
+                   "--tune-batch", "--tune-seed"}}),
+      "rt3 tune");
   ServeSessionConfig scfg = parse_session_config(args);
   scfg.backend = ExecBackendKind::kMeasured;
   const std::string out = arg_string(args, "--out", "rt3_tuning.txt");
@@ -627,6 +670,12 @@ int cmd_tune(const std::vector<std::string>& args) {
 /// With --load the training is skipped and an existing artifact is
 /// re-serialized, which doubles as the format round-trip check in CI.
 int cmd_train_governor(const std::vector<std::string>& args) {
+  reject_unknown_flags(
+      args,
+      flag_union({kSessionFlags, kTrafficFlags,
+                  {"--out", "--load", "--episodes", "--hidden", "--lr",
+                   "--governor-seed", "--sample-seed"}}),
+      "rt3 train-governor");
   const std::string out = arg_string(args, "--out", "rt3_governor.txt");
   const std::string load = arg_string(args, "--load", "");
 
@@ -725,13 +774,16 @@ int usage() {
       "           [--governor-batch N]\n"
       "           [--capacity MJ] [--t MS] [--rate RPS] [--duration MS]\n"
       "           [--slack MS] [--batch N] [--wait MS] [--threads N] [--shed]\n"
-      "           [--admit] [--seed S] [--trace FILE]\n"
+      "           [--jitter F] [--tight-frac F] [--tight-slack MS]\n"
+      "           [--tuning FILE] [--admit] [--seed S] [--trace FILE]\n"
       "           [--max-trace-events N] [--metrics FILE]\n"
       "           [--metrics-format json|prom] [--telemetry FILE]\n"
       "           [--sample-every N] [--slo]\n"
-      "                                 (flags accept --flag=value too)\n"
+      "                                 (flags accept --flag=value too;\n"
+      "                                 an unlisted flag is an error)\n"
       "                                                 battery-aware serving\n"
-      "  node     [--models N] + every serve flag       multi-model node:\n"
+      "  node     [--models N] + every serve flag but --tuning\n"
+      "                                                 multi-model node:\n"
       "                                 N models, ONE battery/governor,\n"
       "                                 model-id routing + admission\n"
       "  tune     [--out FILE] [--load FILE] [--samples N] [--finalists N]\n"
@@ -761,9 +813,11 @@ int main(int argc, char** argv) {
   const std::vector<std::string> args = split_flag_args(argc, argv, 2);
   try {
     if (cmd == "levels") {
+      reject_unknown_flags(args, {}, "rt3 levels");
       return cmd_levels();
     }
     if (cmd == "info") {
+      reject_unknown_flags(args, {}, "rt3 info");
       if (args.empty()) {
         return usage();
       }
