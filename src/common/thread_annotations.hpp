@@ -45,7 +45,8 @@
   RT3_THREAD_ANNOTATION(try_acquire_capability(b, __VA_ARGS__))
 
 /// Caller must hold the capability across the call.
-#define RT3_REQUIRES(...) RT3_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
+#define RT3_REQUIRES(...) \
+  RT3_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 
 /// Caller must NOT hold the capability (the function acquires it itself —
 /// calling with it held would self-deadlock).

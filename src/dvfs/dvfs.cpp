@@ -52,7 +52,8 @@ double PowerModel::energy_mj(const VfLevel& level, double duration_ms) const {
 double number_of_runs(double energy_budget_mj, double power_mw,
                       double latency_ms) {
   check(energy_budget_mj >= 0.0, "number_of_runs: negative budget");
-  check(power_mw > 0.0 && latency_ms > 0.0, "number_of_runs: bad operating point");
+  check(power_mw > 0.0 && latency_ms > 0.0,
+        "number_of_runs: bad operating point");
   const double energy_per_run_mj = power_mw * latency_ms / 1000.0;
   return energy_budget_mj / energy_per_run_mj;
 }

@@ -25,7 +25,9 @@ class VfTable {
 
   explicit VfTable(std::vector<VfLevel> levels);
 
-  std::int64_t size() const { return static_cast<std::int64_t>(levels_.size()); }
+  std::int64_t size() const {
+    return static_cast<std::int64_t>(levels_.size());
+  }
   const VfLevel& level(std::int64_t index) const;
   const std::vector<VfLevel>& levels() const { return levels_; }
 

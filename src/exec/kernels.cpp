@@ -111,6 +111,15 @@ void parallel_rows(ThreadPool* pool, std::int64_t total,
   }
 }
 
+/// The active ISA's table for an n-column activation (see
+/// KernelTable::narrow).
+const KernelTable& active_table(std::int64_t n) {
+  const KernelTable& table = kernel_table_for(active_simd_isa());
+  const KernelTable* narrow =
+      n < table.width && table.narrow != nullptr ? table.narrow() : nullptr;
+  return narrow != nullptr ? *narrow : table;
+}
+
 ActivationView activation_view(const Tensor& x) {
   check(x.dim() == 2, "exec kernel: need a 2-D activation");
   return {x.data(), x.size(0), x.size(1), x.size(1)};
@@ -132,19 +141,22 @@ Tensor into_tensor(std::int64_t rows, const Tensor& x, Into&& into) {
 
 }  // namespace
 
-const KernelTable& kernel_table_for(SimdIsa isa) {
-  const KernelTable* table = nullptr;
+const KernelTable* built_kernel_table(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar:
-      table = scalar_kernel_table();
-      break;
-    case SimdIsa::kAvx2:
-      table = avx2_kernel_table();
-      break;
+      return scalar_kernel_table();
     case SimdIsa::kNeon:
-      table = neon_kernel_table();
-      break;
+      return neon_kernel_table();
+    case SimdIsa::kAvx2:
+      return avx2_kernel_table();
+    case SimdIsa::kAvx512:
+      return avx512_kernel_table();
   }
+  return nullptr;
+}
+
+const KernelTable& kernel_table_for(SimdIsa isa) {
+  const KernelTable* table = built_kernel_table(isa);
   check(table != nullptr, "kernel_table_for: ISA not available in this build");
   return *table;
 }
@@ -202,7 +214,7 @@ void dense_gemm_into(const Tensor& w, const ActivationView& x, float* out,
   check_matmul_shapes(w.size(1), x);
   check_kernel_options(options, "exec kernel");
   const std::int64_t cols = w.size(1);
-  const KernelTable& table = kernel_table_for(active_simd_isa());
+  const KernelTable& table = active_table(x.n);
   DenseRangeArgs args;
   args.w = w.data();
   args.x = x.data;
@@ -230,7 +242,7 @@ void block_gemm_into(const BlockPrunedMatrix& w, const ActivationView& x,
                      const KernelOptions& options) {
   check_matmul_shapes(w.cols(), x);
   check_kernel_options(options, "exec kernel");
-  const KernelTable& table = kernel_table_for(active_simd_isa());
+  const KernelTable& table = active_table(x.n);
   BlockRangeArgs args;
   args.w = &w;
   args.x = x.data;
@@ -256,7 +268,7 @@ void pattern_gemm_into(const PatternPlan& plan, const ActivationView& x,
                        const KernelOptions& options) {
   check_matmul_shapes(plan.cols, x);
   check_kernel_options(options, "exec kernel");
-  const KernelTable& table = kernel_table_for(active_simd_isa());
+  const KernelTable& table = active_table(x.n);
   PatternRangeArgs args;
   args.plan = &plan;
   args.x = x.data;

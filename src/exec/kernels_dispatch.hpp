@@ -67,16 +67,25 @@ struct KernelTable {
                       std::int64_t r1) = nullptr;
   void (*pattern_range)(const PatternRangeArgs&, std::int64_t r0,
                         std::int64_t r1) = nullptr;
+  /// When set, calls whose activations are narrower than `width` run on
+  /// the table it returns instead (if that is not nullptr).
+  const KernelTable* (*narrow)() = nullptr;
 };
 
 /// Always available.
 const KernelTable* scalar_kernel_table();
 /// nullptr unless the build produced AVX2+FMA code (x86 only).
 const KernelTable* avx2_kernel_table();
+/// nullptr unless the build produced AVX-512F code (x86 only).
+const KernelTable* avx512_kernel_table();
 /// nullptr off aarch64.
 const KernelTable* neon_kernel_table();
 
-/// Table for an ISA; throws CheckError when the build lacks it.
+/// Table for an ISA, or nullptr when the build lacks it.  A table that
+/// exists may still need instructions this host lacks: only run one that
+/// simd_isa_supported() accepts.
+const KernelTable* built_kernel_table(SimdIsa isa);
+/// built_kernel_table, but throws CheckError when the build lacks it.
 const KernelTable& kernel_table_for(SimdIsa isa);
 
 }  // namespace rt3

@@ -14,8 +14,9 @@
 // and block, one for pattern) updates Vec::kWidth * U adjacent lanes,
 // keeping U independent accumulator chains in flight (chains never mix
 // lanes).  A row's n lanes are covered by chunks of W*U lanes, then W,
-// then a half-width vector H, then single lanes, so narrow activations
-// (batch 1 is 4 columns) still run vector code on an 8-lane ISA.
+// then each of the table's narrower rungs in turn down to single lanes,
+// so narrow activations (batch 1 is 4 columns) still run vector code on
+// an 8- or 16-lane ISA.
 //
 // Tile-row pattern sweep: the pattern body walks one tile row once per
 // j-chunk and row group, over the plan's slot layout
@@ -48,7 +49,9 @@
 namespace rt3 {
 namespace inner {
 
-/// Portable reference lanes (width 1): the last rung of every ladder.
+/// Portable reference lanes (width 1): the scalar table's only rung and
+/// the NEON ladder's last.  The x86 tables end in a TU-local copy
+/// (exec/kernels_x86.hpp).
 struct VecScalar {
   static constexpr std::int64_t kWidth = 1;
   using Reg = float;
@@ -66,9 +69,10 @@ struct Chunk {
   static constexpr std::int64_t kLanes = V::kWidth * U;
 };
 
-/// Covers lanes [0, n) with chunks of W*U, W, H and 1 lanes, calling
-/// body(Chunk<Vec, U>{}, j) for each chunk starting at lane j.
-template <class V, class H, int U, class Body>
+/// Covers lanes [0, n) with chunks of W*U lanes, then W, then each
+/// Narrower rung in order, calling body(Chunk<Vec, U>{}, j) for each
+/// chunk starting at lane j.
+template <class V, int U, class... Narrower, class Body>
 void ladder(std::int64_t n, Body& body) {
   std::int64_t j = 0;
   const auto rung = [&]<class C>(C chunk) {
@@ -78,22 +82,21 @@ void ladder(std::int64_t n, Body& body) {
   };
   rung(Chunk<V, U>{});
   rung(Chunk<V, 1>{});
-  rung(Chunk<H, 1>{});
-  rung(Chunk<VecScalar, 1>{});
+  (rung(Chunk<Narrower, 1>{}), ...);
 }
 
 /// Runs the ladder at a validated unroll factor (1, 2 or 4).
-template <class V, class H, class Body>
+template <class V, class... Narrower, class Body>
 void for_each_chunk(std::int64_t n, std::int64_t unroll, Body&& body) {
   switch (unroll) {
     case 4:
-      ladder<V, H, 4>(n, body);
+      ladder<V, 4, Narrower...>(n, body);
       return;
     case 2:
-      ladder<V, H, 2>(n, body);
+      ladder<V, 2, Narrower...>(n, body);
       return;
     default:
-      ladder<V, H, 1>(n, body);
+      ladder<V, 1, Narrower...>(n, body);
   }
 }
 
@@ -121,7 +124,7 @@ void row_chunk(float* out, bool accumulate, std::int64_t t0, std::int64_t t1,
   }
 }
 
-template <class V, class H>
+template <class V, class... Narrower>
 void dense_range(const DenseRangeArgs& a, std::int64_t r0, std::int64_t r1) {
   const std::int64_t n = a.n;
   for (std::int64_t kk = 0; kk < a.cols; kk += a.k_tile) {
@@ -130,19 +133,24 @@ void dense_range(const DenseRangeArgs& a, std::int64_t r0, std::int64_t r1) {
       const float* wrow = a.w + r * a.cols;
       float* orow = a.out + r * n;
       const auto weight = [wrow](std::int64_t k) { return wrow[k]; };
-      for_each_chunk<V, H>(n, a.unroll, [&]<class C>(C, std::int64_t j) {
+      const auto chunk = [&]<class C>(C, std::int64_t j) {
         const auto x_row = [&](std::int64_t k) { return a.x + k * a.ldx + j; };
         row_chunk<typename C::Vec, C::kU>(orow + j, kk > 0, kk, kend, weight,
                                           x_row);
-      });
+      };
+      for_each_chunk<V, Narrower...>(n, a.unroll, chunk);
     }
   }
   if (a.cols == 0) {  // no k-tile ran: the product is all zeros
-    std::fill(a.out + r0 * n, a.out + r1 * n, 0.0F);
+    // A loop, not std::fill: a standard template instantiated in an ISA
+    // TU could be merged into code that runs on narrower hosts.
+    for (std::int64_t i = r0 * n; i < r1 * n; ++i) {
+      a.out[i] = 0.0F;
+    }
   }
 }
 
-template <class V, class H>
+template <class V, class... Narrower>
 void block_range(const BlockRangeArgs& a, std::int64_t r0, std::int64_t r1) {
   const std::int64_t n = a.n;
   const std::int64_t rows_per_block = a.w->block_rows();
@@ -154,12 +162,13 @@ void block_range(const BlockRangeArgs& a, std::int64_t r0, std::int64_t r1) {
         a.w->block_values(b).data() + (r - b * rows_per_block) * kc;
     float* orow = a.out + r * n;
     const auto weight = [vrow](std::int64_t c) { return vrow[c]; };
-    for_each_chunk<V, H>(n, a.unroll, [&]<class C>(C, std::int64_t j) {
+    const auto chunk = [&]<class C>(C, std::int64_t j) {
       const auto x_row = [&](std::int64_t c) {
         return a.x + kept[c] * a.ldx + j;
       };
       row_chunk<typename C::Vec, C::kU>(orow + j, false, 0, kc, weight, x_row);
-    });
+    };
+    for_each_chunk<V, Narrower...>(n, a.unroll, chunk);
   }
 }
 
@@ -247,7 +256,7 @@ void with_rows(std::int64_t h, const F& f) {
 }
 
 /// Rows [row0, row1) are tile-row aligned (see PatternRangeArgs).
-template <class V, class H>
+template <class V, class... Narrower>
 void pattern_range(const PatternRangeArgs& a, std::int64_t row0,
                    std::int64_t row1) {
   const PatternPlan& plan = *a.plan;
@@ -261,9 +270,10 @@ void pattern_range(const PatternRangeArgs& a, std::int64_t row0,
       g.slots = plan.row_slots.data() + g0;
       g.out = a.out + (tr * p + g0) * a.n;
       with_rows(h, [&]<int Rows>() {
-        for_each_chunk<V, H>(a.n, a.unroll, [&]<class C>(C, std::int64_t j) {
+        const auto chunk = [&]<class C>(C, std::int64_t j) {
           pattern_chunk<typename C::Vec, C::kU, Rows>(a, g, j);
-        });
+        };
+        for_each_chunk<V, Narrower...>(a.n, a.unroll, chunk);
       });
       for (std::int64_t r = 0; r < h; ++r) {
         g.offset += g.slots[r];
@@ -272,16 +282,20 @@ void pattern_range(const PatternRangeArgs& a, std::int64_t row0,
   }
 }
 
-/// Kernel table over full-width V with half-width rung H (VecScalar when
-/// the ISA has no narrower vector).
-template <class V, class H = VecScalar>
-KernelTable make_kernel_table(const char* name) {
+/// Kernel table over full-width V whose ladder then walks the Narrower
+/// rungs, widest first; the narrowest rung is one lane, so every n is
+/// covered.  constexpr, so a table is constant-initialized: fetching it
+/// runs none of the table's (possibly host-unsupported) code.
+template <class V, class... Narrower>
+constexpr KernelTable make_kernel_table(const char* name) {
+  static_assert(std::min({V::kWidth, Narrower::kWidth...}) == 1,
+                "the ladder must end in a single-lane rung");
   KernelTable t;
   t.name = name;
   t.width = V::kWidth;
-  t.dense_range = &dense_range<V, H>;
-  t.block_range = &block_range<V, H>;
-  t.pattern_range = &pattern_range<V, H>;
+  t.dense_range = &dense_range<V, Narrower...>;
+  t.block_range = &block_range<V, Narrower...>;
+  t.pattern_range = &pattern_range<V, Narrower...>;
   return t;
 }
 

@@ -1,8 +1,8 @@
-// NEON kernel table (width 4) for aarch64 — the paper's actual mobile
-// target class.  vfmaq_f32 is a per-lane fused multiply-add with a single
-// rounding, so the table is bitwise equal to the scalar reference
-// lane-wise.  aarch64 mandates NEON, so no runtime probe is needed; on
-// other architectures the table is absent.
+// NEON kernel table (width 4; narrower rung 1) for aarch64 — the paper's
+// actual mobile target class.  vfmaq_f32 is a per-lane fused
+// multiply-add with a single rounding, so the table is bitwise equal to
+// the scalar reference lane-wise.  aarch64 mandates NEON, so no runtime
+// probe is needed; on other architectures the table is absent.
 #include "exec/kernels_dispatch.hpp"
 
 #if defined(__aarch64__)
@@ -26,8 +26,8 @@ struct VecNeon {
 }  // namespace
 
 const KernelTable* neon_kernel_table() {
-  static const KernelTable table =
-      inner::make_kernel_table<VecNeon>("neon");
+  static constexpr KernelTable table =
+      inner::make_kernel_table<VecNeon, inner::VecScalar>("neon");
   return &table;
 }
 

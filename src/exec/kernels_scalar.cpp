@@ -7,7 +7,7 @@
 namespace rt3 {
 
 const KernelTable* scalar_kernel_table() {
-  static const KernelTable table =
+  static constexpr KernelTable table =
       inner::make_kernel_table<inner::VecScalar>("scalar");
   return &table;
 }

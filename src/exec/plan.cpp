@@ -13,16 +13,6 @@ namespace {
 /// divide runs as one block.
 constexpr std::int64_t kBlockPlanRowBlocks = 4;
 
-/// Backbone-masked weight values of a layer (dense copy).
-Tensor masked_weight_of(const Linear& layer, const Tensor* mask) {
-  const Tensor& w = layer.weight().value();
-  if (mask == nullptr) {
-    return w;
-  }
-  check(mask->shape() == w.shape(), "PlanCache: mask/weight shape mismatch");
-  return mul(w, *mask);
-}
-
 /// Appends one compiled pattern's columns to `slot_cols` in the slot
 /// layout (see PatternPlan), for a tile whose in-bounds
 /// columns are [0, cmax), and sets slot_of[i] to the slot of CSR cell i.
@@ -308,50 +298,48 @@ PlanCache::PlanCache(ExecMode mode, const std::vector<Linear*>& layers,
   check(num_levels >= 1, "PlanCache: need at least one level");
 
   const auto t0 = wall_now();
-  plans_.resize(static_cast<std::size_t>(num_levels));
-  for (std::int64_t level = 0; level < num_levels; ++level) {
-    auto& level_plans = plans_[static_cast<std::size_t>(level)];
-    level_plans.reserve(layers.size());
-    for (std::size_t li = 0; li < layers.size(); ++li) {
-      const Tensor* mask =
-          backbone_masks.empty() ? nullptr : &backbone_masks[li];
-      LayerPlan plan;
+  plans_.assign(static_cast<std::size_t>(num_levels),
+                std::vector<LayerPlan>(layers.size()));
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    // Every level prunes the same backbone-masked weight, so it is masked
+    // once per layer.  Dense executes the raw weights: no mask.
+    const Tensor& w = layers[li]->weight().value();
+    Tensor masked;
+    const Tensor* wb = &w;
+    if (!backbone_masks.empty() && mode != ExecMode::kDense) {
+      check(backbone_masks[li].shape() == w.shape(),
+            "PlanCache: mask/weight shape mismatch");
+      masked = mul(w, backbone_masks[li]);
+      wb = &masked;
+    }
+    for (std::int64_t level = 0; level < num_levels; ++level) {
+      const auto lv = static_cast<std::size_t>(level);
+      LayerPlan& plan = plans_[lv][li];
       plan.mode = mode;
-      plan.rows = layers[li]->weight().value().size(0);
-      plan.cols = layers[li]->weight().value().size(1);
+      plan.rows = w.size(0);
+      plan.cols = w.size(1);
       switch (mode) {
         case ExecMode::kDense:
-          // Dense executes the raw weights: no pruning, no mask.
-          plan.dense_weight = layers[li]->weight().value();
+          plan.dense_weight = w;
           break;
         case ExecMode::kBlock: {
-          const Tensor wb = masked_weight_of(*layers[li], mask);
           const std::int64_t nb =
               plan.rows % kBlockPlanRowBlocks == 0 ? kBlockPlanRowBlocks : 1;
-          plan.block = BlockPrunedMatrix::from_dense(wb, nb);
+          plan.block = BlockPrunedMatrix::from_dense(*wb, nb);
           break;
         }
-        case ExecMode::kPattern: {
-          const Tensor wb = masked_weight_of(*layers[li], mask);
-          plan.pattern = PatternPlan::build(
-              wb, sets[static_cast<std::size_t>(level)]);
+        case ExecMode::kPattern:
+          plan.pattern = PatternPlan::build(*wb, sets[lv]);
           break;
-        }
-        case ExecMode::kIrregular: {
+        case ExecMode::kIrregular:
           // With pattern sets: the level's pattern-pruned nonzeros as COO
           // triples (regular-vs-irregular execution of identical weights).
           // Without: the backbone-masked weight, identical per level.
-          const Tensor wb = masked_weight_of(*layers[li], mask);
           plan.irregular = IrregularPlan::build(
-              sets.empty()
-                  ? wb
-                  : PatternPlan::build(
-                        wb, sets[static_cast<std::size_t>(level)])
-                        .to_dense());
+              sets.empty() ? *wb
+                           : PatternPlan::build(*wb, sets[lv]).to_dense());
           break;
-        }
       }
-      level_plans.push_back(std::move(plan));
     }
   }
   build_wall_ms_ = wall_ms_since(t0);

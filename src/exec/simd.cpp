@@ -12,20 +12,42 @@
 namespace rt3 {
 namespace {
 
-SimdIsa detect_once() {
+constexpr SimdIsa kIsas[] = {SimdIsa::kScalar, SimdIsa::kNeon,
+                             SimdIsa::kAvx2, SimdIsa::kAvx512};
+
+/// Whether this CPU (and OS) executes the ISA's instructions.
+bool host_executes(SimdIsa isa) {
+  switch (isa) {
+    case SimdIsa::kScalar:
+      return true;
+    case SimdIsa::kNeon:
 #if defined(__aarch64__)
-  return SimdIsa::kNeon;
-#elif defined(__x86_64__) || defined(__i386__)
-  // The AVX2 table may be absent when the toolchain could not compile it
-  // (see CMakeLists); only report an ISA we can actually dispatch to.
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
-      avx2_kernel_table() != nullptr) {
-    return SimdIsa::kAvx2;
-  }
-  return SimdIsa::kScalar;
+      return true;  // aarch64 mandates NEON
 #else
-  return SimdIsa::kScalar;
+      return false;
 #endif
+    case SimdIsa::kAvx2:
+    case SimdIsa::kAvx512:
+#if defined(__x86_64__) || defined(__i386__)
+      // The AVX-512 table's narrower rungs are AVX2 and FMA code.
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+             (isa == SimdIsa::kAvx2 || __builtin_cpu_supports("avx512f"));
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+/// The widest supported ISA: kIsas ascends by width, so the last one.
+SimdIsa detect_once() {
+  SimdIsa widest = SimdIsa::kScalar;
+  for (SimdIsa isa : kIsas) {
+    if (simd_isa_supported(isa)) {
+      widest = isa;
+    }
+  }
+  return widest;
 }
 
 SimdIsa& active_isa_slot() {
@@ -57,17 +79,23 @@ const char* simd_isa_name(SimdIsa isa) {
       return "neon";
     case SimdIsa::kAvx2:
       return "avx2";
+    case SimdIsa::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
 
 SimdIsa simd_isa_from_name(const std::string& name) {
-  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kNeon, SimdIsa::kAvx2}) {
+  for (SimdIsa isa : kIsas) {
     if (name == simd_isa_name(isa)) {
       return isa;
     }
   }
   throw CheckError("unknown SIMD ISA: " + name);
+}
+
+bool simd_isa_supported(SimdIsa isa) {
+  return host_executes(isa) && built_kernel_table(isa) != nullptr;
 }
 
 SimdIsa detect_simd_isa() {
@@ -78,7 +106,7 @@ SimdIsa detect_simd_isa() {
 SimdIsa active_simd_isa() { return active_isa_slot(); }
 
 void set_simd_isa(SimdIsa isa) {
-  check(isa == SimdIsa::kScalar || isa == detect_simd_isa(),
+  check(simd_isa_supported(isa),
         std::string("set_simd_isa: host cannot execute ") +
             simd_isa_name(isa));
   active_isa_slot() = isa;
@@ -92,6 +120,8 @@ std::int64_t simd_isa_width(SimdIsa isa) {
       return 4;
     case SimdIsa::kAvx2:
       return 8;
+    case SimdIsa::kAvx512:
+      return 16;
   }
   return 1;
 }

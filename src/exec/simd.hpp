@@ -3,15 +3,18 @@
 // The measured kernels vectorize the activation (j) dimension only: every
 // output element still accumulates its k-terms in ascending order through
 // a single fused-multiply-add chain, so a width-W vector kernel computes
-// W independent scalar chains side by side.  Hardware FMA (AVX2 vfmadd /
-// NEON vfma) and std::fma both round once per step, which is what keeps
-// the vector kernels BITWISE equal to the scalar reference lane-wise.
+// W independent scalar chains side by side.  Hardware FMA (AVX-512 and
+// AVX2 vfmadd / NEON vfma) and std::fma all round once per step, which is
+// what keeps the vector kernels BITWISE equal to the scalar reference
+// lane-wise.
 //
-// Dispatch is resolved at runtime: x86 hosts probe AVX2+FMA via CPUID,
-// aarch64 always has NEON, and everything else (or a forced override, see
-// set_simd_isa) falls back to the portable scalar table.  The AVX2 table
-// lives in a translation unit compiled with -mavx2 -mfma; when the
-// toolchain cannot produce it the table is absent and detection skips it.
+// Dispatch is resolved at runtime: x86 hosts probe AVX-512F, then
+// AVX2+FMA, via CPUID; aarch64 always has NEON; everything else (or a
+// forced override, see set_simd_isa) falls back to the portable scalar
+// table.  Each vector table lives in its own translation unit that alone
+// is built for its ISA (the AVX2 one with -mavx2 -mfma, the AVX-512 one
+// through a target pragma); when the toolchain cannot produce a table it
+// is absent and detection skips it.
 #pragma once
 
 #include <cstdint>
@@ -24,18 +27,25 @@ enum class SimdIsa : std::uint8_t {
   kScalar,  // portable std::fma loops (always available)
   kNeon,    // aarch64 NEON, width 4
   kAvx2,    // x86 AVX2 + FMA, width 8
+  kAvx512,  // x86 AVX-512F, width 16
 };
 
 const char* simd_isa_name(SimdIsa isa);
-/// Parses "scalar" / "neon" / "avx2"; throws CheckError otherwise.
+/// Parses "scalar" / "neon" / "avx2" / "avx512"; throws CheckError
+/// otherwise.
 SimdIsa simd_isa_from_name(const std::string& name);
 
-/// Widest ISA this host can actually execute (CPUID-probed once).
+/// True when this build has the ISA's kernel table and this host can
+/// execute it (CPUID-probed).  Always true for kScalar.
+bool simd_isa_supported(SimdIsa isa);
+
+/// Widest ISA this host can actually execute (probed once).
 SimdIsa detect_simd_isa();
 
 /// The ISA kernels currently dispatch to.  Defaults to detect_simd_isa();
-/// set_simd_isa() overrides it (tests and the scalar-vs-SIMD bench force
-/// kScalar) and throws CheckError if the host cannot execute `isa`.
+/// set_simd_isa() overrides it with any supported ISA (tests pit the
+/// tables against each other; the scalar-vs-SIMD bench forces kScalar)
+/// and throws CheckError if the host cannot execute `isa`.
 SimdIsa active_simd_isa();
 void set_simd_isa(SimdIsa isa);
 /// Vector width (floats per register) of an ISA.

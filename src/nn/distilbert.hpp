@@ -43,7 +43,8 @@ class DistilBertLike : public Module {
   Var regression_loss(const std::vector<GlueExample>& examples) const;
 
   /// Task-appropriate loss dispatch.
-  Var loss(const GlueDataset& data, const std::vector<GlueExample>& batch) const;
+  Var loss(const GlueDataset& data,
+           const std::vector<GlueExample>& batch) const;
 
   /// Predicted labels for classification tasks on the dev set.
   std::vector<std::int64_t> predict_labels(

@@ -84,8 +84,8 @@ class FeedForward : public Module {
 /// Pre-norm Transformer encoder layer.
 class EncoderLayer : public Module {
  public:
-  EncoderLayer(std::int64_t dim, std::int64_t num_heads, std::int64_t ffn_hidden,
-               Rng& rng);
+  EncoderLayer(std::int64_t dim, std::int64_t num_heads,
+               std::int64_t ffn_hidden, Rng& rng);
 
   /// x: [B, T, D]. `causal` lets a decoder-less LM stay autoregressive.
   Var forward(const Var& x, bool causal) const;
@@ -104,8 +104,8 @@ class EncoderLayer : public Module {
 /// Pre-norm Transformer decoder layer (causal self-attn + cross-attn).
 class DecoderLayer : public Module {
  public:
-  DecoderLayer(std::int64_t dim, std::int64_t num_heads, std::int64_t ffn_hidden,
-               Rng& rng);
+  DecoderLayer(std::int64_t dim, std::int64_t num_heads,
+               std::int64_t ffn_hidden, Rng& rng);
 
   /// x: [B, T, D] decoder stream; memory: [B, Tm, D] encoder output.
   Var forward(const Var& x, const Var& memory) const;

@@ -40,7 +40,8 @@ class Module {
   }
 
   /// Convenience: named parameters rooted at `prefix`.
-  std::vector<NamedParam> named_parameters(const std::string& prefix = "") const {
+  std::vector<NamedParam> named_parameters(
+      const std::string& prefix = "") const {
     std::vector<NamedParam> out;
     collect_params(prefix, out);
     return out;

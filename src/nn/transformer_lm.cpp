@@ -58,8 +58,8 @@ double TransformerLm::evaluate(const LmBatcher& batcher,
   std::int64_t hits = 0;
   std::int64_t total = 0;
   for (std::int64_t bi = 0; bi < max_batches; ++bi) {
-    const LmBatch batch =
-        batcher.at(bi * batcher.num_windows() / std::max<std::int64_t>(max_batches, 1));
+    const LmBatch batch = batcher.at(bi * batcher.num_windows() /
+                                     std::max<std::int64_t>(max_batches, 1));
     Var logits = forward(batch.inputs, batch.batch, batch.seq_len);
     const Tensor& lv = logits.value();
     const std::int64_t v = config_.vocab_size;

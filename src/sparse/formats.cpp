@@ -63,7 +63,9 @@ Tensor CooMatrix::multiply(const Tensor& dense) const {
 std::int64_t CooMatrix::storage_bytes() const { return nnz() * (4 + 4 + 4); }
 
 CsrMatrix::CsrMatrix(std::int64_t rows, std::int64_t cols)
-    : rows_(rows), cols_(cols), row_ptr_(static_cast<std::size_t>(rows) + 1, 0) {
+    : rows_(rows),
+      cols_(cols),
+      row_ptr_(static_cast<std::size_t>(rows) + 1, 0) {
   check(rows > 0 && cols > 0, "CsrMatrix: bad dimensions");
 }
 

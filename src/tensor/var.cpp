@@ -79,7 +79,8 @@ Var Var::make_op(Tensor value, std::vector<Var> parents,
   bool any_grad = false;
   for (const auto& p : parents) {
     check(p.defined(), "make_op: null parent");
-    any_grad = any_grad || p.node()->requires_grad || !p.node()->parents.empty();
+    any_grad =
+        any_grad || p.node()->requires_grad || !p.node()->parents.empty();
   }
   if (any_grad) {
     out.node_->parents = std::move(parents);

@@ -257,7 +257,8 @@ Tensor permute_raw(const Tensor& a, const std::vector<std::int64_t>& axes) {
         "permute: axes arity mismatch");
   Shape new_shape(static_cast<std::size_t>(nd));
   for (std::int64_t d = 0; d < nd; ++d) {
-    new_shape[static_cast<std::size_t>(d)] = a.size(axes[static_cast<std::size_t>(d)]);
+    new_shape[static_cast<std::size_t>(d)] =
+        a.size(axes[static_cast<std::size_t>(d)]);
   }
   Tensor out(new_shape);
   // Strides of the input.
@@ -270,8 +271,9 @@ Tensor permute_raw(const Tensor& a, const std::vector<std::int64_t>& axes) {
   for (std::int64_t flat = 0; flat < out.numel(); ++flat) {
     std::int64_t src = 0;
     for (std::int64_t d = 0; d < nd; ++d) {
-      src += idx[static_cast<std::size_t>(d)] *
-             in_strides[static_cast<std::size_t>(axes[static_cast<std::size_t>(d)])];
+      const auto axis =
+          static_cast<std::size_t>(axes[static_cast<std::size_t>(d)]);
+      src += idx[static_cast<std::size_t>(d)] * in_strides[axis];
     }
     out[flat] = a[src];
     // Increment the multi-index over the OUTPUT shape.
@@ -361,7 +363,8 @@ Var concat_rows(const std::vector<Var>& parts) {
 }
 
 Var relu(const Var& a) {
-  Tensor out = pointwise(a.value(), [](float x) { return x > 0.0F ? x : 0.0F; });
+  Tensor out =
+      pointwise(a.value(), [](float x) { return x > 0.0F ? x : 0.0F; });
   const Tensor a_val = a.value();
   return Var::make_op(std::move(out), {a},
                       [a_val](const Tensor& g, std::vector<Var>& ps) {

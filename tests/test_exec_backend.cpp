@@ -10,6 +10,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -111,14 +112,14 @@ KernelOptions tiny_tiles() {
   return options;
 }
 
-/// Forces the portable scalar kernel table for a scope, restoring the
-/// host's detected ISA on exit.
-class ScopedScalarIsa {
+/// Forces one kernel table for a scope, restoring the previous ISA on
+/// exit.
+class ScopedIsa {
  public:
-  ScopedScalarIsa() : prev_(active_simd_isa()) {
-    set_simd_isa(SimdIsa::kScalar);
+  explicit ScopedIsa(SimdIsa isa) : prev_(active_simd_isa()) {
+    set_simd_isa(isa);
   }
-  ~ScopedScalarIsa() { set_simd_isa(prev_); }
+  ~ScopedIsa() { set_simd_isa(prev_); }
 
  private:
   SimdIsa prev_;
@@ -229,18 +230,20 @@ TEST(Kernels, PatternGemmHandlesNonMultipleOfPsizeEdges) {
 }
 
 TEST(SimdIsa, NamesRoundTripAndTopologyProbesAreSane) {
-  for (SimdIsa isa :
-       {SimdIsa::kScalar, SimdIsa::kNeon, SimdIsa::kAvx2}) {
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kNeon, SimdIsa::kAvx2,
+                      SimdIsa::kAvx512}) {
     EXPECT_EQ(simd_isa_from_name(simd_isa_name(isa)), isa);
   }
-  EXPECT_THROW(simd_isa_from_name("avx512"), CheckError);
+  EXPECT_THROW(simd_isa_from_name("avx1024"), CheckError);
   EXPECT_GE(simd_isa_width(detect_simd_isa()), 1);
+  EXPECT_TRUE(simd_isa_supported(SimdIsa::kScalar));
+  EXPECT_TRUE(simd_isa_supported(detect_simd_isa()));
   EXPECT_GT(cpu_l1d_bytes(), 0);
   EXPECT_GT(cpu_l2_bytes(), 0);
   EXPECT_GE(cpu_cores(), 1);
   // Forcing scalar is always allowed; the guard restores detection.
   {
-    ScopedScalarIsa guard;
+    ScopedIsa guard(SimdIsa::kScalar);
     EXPECT_EQ(active_simd_isa(), SimdIsa::kScalar);
     EXPECT_EQ(kernel_table_for(active_simd_isa()).width, 1);
   }
@@ -266,7 +269,7 @@ TEST(SimdKernels, RaggedShapesBitwiseMatchScalarAcrossUnrolls) {
     KernelOptions o = tiny_tiles();
     o.unroll = unroll;
     {
-      ScopedScalarIsa guard;
+      ScopedIsa guard(SimdIsa::kScalar);
       expect_bitwise_equal(dense_gemm(w, x, &pool, o), reference);
     }
     expect_bitwise_equal(dense_gemm(w, x, &pool, o), reference);
@@ -297,7 +300,7 @@ TEST(SimdKernels, BlockAndPatternFamiliesMatchScalarOnRaggedShapes) {
     KernelOptions o = tiny_tiles();
     o.unroll = unroll;
     {
-      ScopedScalarIsa guard;
+      ScopedIsa guard(SimdIsa::kScalar);
       expect_bitwise_equal(block_gemm(bp, bx, &pool, o), bref);
       expect_bitwise_equal(pattern_gemm(plan, px, &pool, o), pref);
     }
@@ -307,8 +310,8 @@ TEST(SimdKernels, BlockAndPatternFamiliesMatchScalarOnRaggedShapes) {
 }
 
 TEST(SimdKernels, EveryActivationWidthBitwiseMatchesNaive) {
-  // Every activation width from 1 to 2W + W/2 + 1 walks each rung of the
-  // width ladder (W*U, W, the half-width vector, single lanes) alone and
+  // Every activation width from 1 to 2W + W/2 + 1 walks the rungs of the
+  // width ladder (W*U, W, the narrower vectors, single lanes) alone and
   // in every combination, at every unroll, serially and on a pool.  Pattern
   // shapes are not psize multiples, so clipped edge tiles run, and psize
   // 16 sweeps its tile rows in two resident row groups.
@@ -348,9 +351,9 @@ TEST(SimdKernels, EveryActivationWidthBitwiseMatchesNaive) {
                      " unroll=" + std::to_string(unroll) +
                      (p == nullptr ? " serial" : " pool"));
         for (const bool scalar : {false, true}) {
-          std::optional<ScopedScalarIsa> guard;
+          std::optional<ScopedIsa> guard;
           if (scalar) {
-            guard.emplace();
+            guard.emplace(SimdIsa::kScalar);
           }
           expect_bitwise_equal(dense_gemm(dw, dx, p, o), dref);
           expect_bitwise_equal(block_gemm(bp, bx, p, o), bref);
@@ -358,6 +361,80 @@ TEST(SimdKernels, EveryActivationWidthBitwiseMatchesNaive) {
             expect_bitwise_equal(pattern_gemm(plans[i], px[i], p, o),
                                  pref[i]);
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, EveryHostIsaBitwiseMatchesNaiveAndTheOthers) {
+  // Every table this host can execute runs dense, block and pattern
+  // (psize 4, and psize 8, whose 8-row groups keep 8 x 4 accumulators of
+  // 16 lanes at unroll 4) at widths that walk each rung of every ladder
+  // (16*U, 16, 8, 4, 1 lanes) alone and combined; avx512 runs its
+  // narrower rungs on the lanes left over past 16 (31, 45, 95), since
+  // narrower calls go to avx2.  Each output must be bitwise equal to
+  // naive_dense_matmul and to the scalar table's.
+  std::vector<SimdIsa> isas;
+  std::string skipped;
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kNeon, SimdIsa::kAvx2,
+                      SimdIsa::kAvx512}) {
+    if (simd_isa_supported(isa)) {
+      isas.push_back(isa);
+    } else {
+      skipped += std::string(" ") + simd_isa_name(isa);
+    }
+  }
+  if (!skipped.empty()) {
+    std::cout << "note: this host cannot execute, so not tested:" << skipped
+              << "\n";
+  }
+  ASSERT_EQ(isas.front(), SimdIsa::kScalar);
+  Rng rng(61);
+  const Tensor dw = Tensor::randn({13, 11}, rng);
+  Tensor bw = Tensor::randn({12, 10}, rng);
+  for (std::int64_t i = 0; i < bw.numel(); ++i) {
+    if (rng.bernoulli(0.4)) {
+      bw[i] = 0.0F;
+    }
+  }
+  const BlockPrunedMatrix bp = BlockPrunedMatrix::from_dense(bw, 3);
+  std::vector<PatternPlan> plans;
+  for (const std::int64_t psize : {4, 8}) {
+    const PatternSet set = random_pattern_set(psize, 0.5, 3, rng);
+    plans.push_back(PatternPlan::build(
+        Tensor::randn({2 * psize + 3, psize + 5}, rng), set));
+  }
+  ThreadPool pool(2);
+  for (const std::int64_t n : {1, 3, 4, 7, 8, 12, 16, 31, 32, 45, 64, 95}) {
+    std::vector<Tensor> xs = {Tensor::randn({11, n}, rng),
+                              Tensor::randn({10, n}, rng)};
+    std::vector<Tensor> refs = {naive_dense_matmul(dw, xs[0]),
+                                naive_dense_matmul(bp.to_dense(), xs[1])};
+    for (const PatternPlan& plan : plans) {
+      xs.push_back(Tensor::randn({plan.cols, n}, rng));
+      refs.push_back(naive_dense_matmul(plan.to_dense(), xs.back()));
+    }
+    for (const std::int64_t unroll : {1, 2, 4}) {
+      KernelOptions o = tiny_tiles();
+      o.unroll = unroll;
+      std::vector<Tensor> scalar_outs;
+      for (const SimdIsa isa : isas) {
+        SCOPED_TRACE(std::string(simd_isa_name(isa)) +
+                     " n=" + std::to_string(n) +
+                     " unroll=" + std::to_string(unroll));
+        ScopedIsa guard(isa);
+        std::vector<Tensor> outs = {dense_gemm(dw, xs[0], &pool, o),
+                                    block_gemm(bp, xs[1], &pool, o)};
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+          outs.push_back(pattern_gemm(plans[i], xs[i + 2], &pool, o));
+        }
+        if (scalar_outs.empty()) {
+          scalar_outs = outs;
+        }
+        for (std::size_t i = 0; i < outs.size(); ++i) {
+          expect_bitwise_equal(outs[i], refs[i]);
+          expect_bitwise_equal(outs[i], scalar_outs[i]);
         }
       }
     }
@@ -409,9 +486,9 @@ TEST(SimdKernels, PatternRowGroupsUnrollsAndThreadsBitwiseMatchNaive) {
                        " unroll=" + std::to_string(unroll) + " threads=" +
                        std::to_string(p == nullptr ? 0 : p->num_threads()));
           for (const bool scalar : {false, true}) {
-            std::optional<ScopedScalarIsa> guard;
+            std::optional<ScopedIsa> guard;
             if (scalar) {
-              guard.emplace();
+              guard.emplace(SimdIsa::kScalar);
             }
             std::vector<float> out = nan_output(plan.rows, n);
             pattern_gemm_into(plan, px.view, out.data(), p, o);
