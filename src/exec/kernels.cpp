@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <exception>
+#include <utility>
+#include <variant>
 
 #include "common/check.hpp"
 #include "exec/kernels_dispatch.hpp"
@@ -25,77 +27,47 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Splits [0, total) into at most min(pool workers, options.threads) row
-/// chunks — never more chunks than can run concurrently, so no worker
-/// queues behind another while its siblings idle.  Chunk boundaries are
-/// multiples of `align` rows; the remainder is spread one align-unit at a
-/// time across the leading chunks so sizes differ by at most one unit.
-/// The calling thread runs chunk 0 itself while the pool runs the rest,
-/// then waits for them.  Serial when the pool is absent, capped to one
-/// thread, or the matrix is too small to amortize dispatch.
-template <class Body>
-void parallel_rows(ThreadPool* pool, std::int64_t total,
-                   const KernelOptions& options, std::int64_t align,
-                   const Body& body) {
-  if (total <= 0) {
+/// Runs task(t) for every t in [0, tasks): the calling thread runs task
+/// 0 itself while pool workers run the rest, then waits for them and
+/// rethrows the first exception a task threw.  The kernel engine's only
+/// fork/join.
+template <class Task>
+void fork_join(ThreadPool* pool, std::int64_t tasks, const Task& task) {
+  if (tasks <= 1) {
+    if (tasks == 1) {
+      task(0);
+    }
     return;
   }
-  std::int64_t max_chunks = pool == nullptr ? 1 : pool->num_threads();
-  if (options.threads > 0) {
-    max_chunks = std::min(max_chunks, options.threads);
-  }
-  if (max_chunks <= 1 || total < 2 * options.row_grain) {
-    body(0, total);
-    return;
-  }
-  const std::int64_t units = (total + align - 1) / align;
-  const std::int64_t grain_units =
-      std::max<std::int64_t>(1, options.row_grain / align);
-  const std::int64_t chunks = std::min(max_chunks, units / grain_units);
-  if (chunks <= 1) {
-    body(0, total);
-    return;
-  }
-  // Each task captures only this frame and its chunk index, which keeps
+  // Each pool task captures only this frame and its index, which keeps
   // the std::function in its small-object buffer (no allocation).  Tasks
   // catch their own exceptions and count themselves down, so the caller
   // can return as soon as the count reaches zero.
   struct Fork {
-    const Body* body;
-    std::int64_t total, align, base, rem;
+    const Task* task;
     std::atomic<std::int64_t> pending;
     std::atomic<bool> failed{false};
     std::exception_ptr error{};
-    void run(std::int64_t c) const {
-      const std::int64_t begin =
-          std::min(total, (c * base + std::min(c, rem)) * align);
-      const std::int64_t take = (base + (c < rem ? 1 : 0)) * align;
-      (*body)(begin, std::min(begin + take, total));
-    }
-    void fail() {
-      if (!failed.exchange(true)) {
-        error = std::current_exception();
+    void run(std::int64_t t) {
+      try {
+        (*task)(t);
+      } catch (...) {
+        if (!failed.exchange(true)) {
+          error = std::current_exception();
+        }
       }
     }
   };
-  Fork fork{&body, total, align, units / chunks, units % chunks, chunks - 1};
-  for (std::int64_t c = 1; c < chunks; ++c) {
-    pool->submit([f = &fork, c] {
-      try {
-        f->run(c);
-      } catch (...) {
-        f->fail();
-      }
+  Fork fork{&task, tasks - 1};
+  for (std::int64_t t = 1; t < tasks; ++t) {
+    pool->submit([f = &fork, t] {
+      f->run(t);
       // Last touch of `fork`: the caller may return right after this.
       f->pending.fetch_sub(1, std::memory_order_release);
     });
   }
-  try {
-    fork.run(0);
-  } catch (...) {
-    fork.fail();
-  }
-  // The pool's chunks are as long as ours, so they finish about now: spin
+  fork.run(0);
+  // The pool's tasks are as long as ours, so they finish about now: spin
   // briefly rather than pay a sleep/wake round trip, and fall back to
   // blocking if a worker was descheduled.
   std::int64_t spins = 0;
@@ -111,23 +83,292 @@ void parallel_rows(ThreadPool* pool, std::int64_t total,
   }
 }
 
-/// The active ISA's table for an n-column activation (see
-/// KernelTable::narrow).
-const KernelTable& active_table(std::int64_t n) {
+/// How one call's output rows split across threads: into at most
+/// min(pool workers, options.threads) chunks, never more than can run
+/// concurrently, so no worker queues behind another while its siblings
+/// idle.  Chunk boundaries are multiples of `align` rows; the remainder is
+/// spread one align-unit at a time across the leading chunks so sizes
+/// differ by at most one unit.  One chunk when there is no pool, the call
+/// is capped to one thread or the matrix is too small to amortize
+/// dispatch; none when it has no rows.
+struct RowSplit {
+  std::int64_t total = 0;
+  std::int64_t align = 1;
+  std::int64_t chunks = 0;
+  std::int64_t base = 0;  // align-units per chunk
+  std::int64_t rem = 0;   // leading chunks that take one unit more
+
+  RowSplit(std::int64_t workers, std::int64_t rows,
+           const KernelOptions& options, std::int64_t unit)
+      : total(rows), align(unit) {
+    if (total <= 0) {
+      return;
+    }
+    std::int64_t max_chunks = workers;
+    if (options.threads > 0) {
+      max_chunks = std::min(max_chunks, options.threads);
+    }
+    const std::int64_t units = (total + align - 1) / align;
+    chunks = 1;
+    if (max_chunks > 1 && total >= 2 * options.row_grain) {
+      const std::int64_t grain_units =
+          std::max<std::int64_t>(1, options.row_grain / align);
+      chunks = std::max<std::int64_t>(
+          1, std::min(max_chunks, units / grain_units));
+    }
+    base = units / chunks;
+    rem = units % chunks;
+  }
+
+  /// Rows [first, second) of chunk c < chunks.
+  std::pair<std::int64_t, std::int64_t> rows(std::int64_t c) const {
+    const std::int64_t begin =
+        std::min(total, (c * base + std::min(c, rem)) * align);
+    const std::int64_t take = (base + (c < rem ? 1 : 0)) * align;
+    return {begin, std::min(begin + take, total)};
+  }
+};
+
+/// One kernel call of any family: `out` (rows x x.n floats, overwritten)
+/// = the weight times X, under `options`.
+struct Call {
+  std::variant<const Tensor*, const BlockPrunedMatrix*, const PatternPlan*,
+               const IrregularPlan*>
+      weight;
+  ActivationView x;
+  float* out = nullptr;
+  KernelOptions options;
+};
+
+void check_matmul_shapes(std::int64_t w_cols, const ActivationView& x) {
+  check(x.rows == w_cols && x.n >= 0 && x.stride >= x.n,
+        "exec kernel: activation shape mismatch");
+}
+
+// Per family: the weight's checks against X, and its output rows with the
+// row multiple a chunk keeps (whole tile rows for the pattern kernel).
+
+void check_weight(const Tensor& w, const ActivationView& x) {
+  check(w.dim() == 2, "dense_gemm: need a 2-D weight");
+  check_matmul_shapes(w.size(1), x);
+}
+
+void check_weight(const BlockPrunedMatrix& w, const ActivationView& x) {
+  check_matmul_shapes(w.cols(), x);
+}
+
+void check_weight(const PatternPlan& p, const ActivationView& x) {
+  check_matmul_shapes(p.cols, x);
+}
+
+void check_weight(const IrregularPlan& p, const ActivationView& x) {
+  check_matmul_shapes(p.cols, x);
+  check(p.row_start.size() == static_cast<std::size_t>(p.rows) + 1,
+        "coo_gemm: plan missing row_start partition");
+}
+
+std::pair<std::int64_t, std::int64_t> rows_and_align(const Tensor& w) {
+  return {w.size(0), 1};
+}
+
+std::pair<std::int64_t, std::int64_t> rows_and_align(
+    const BlockPrunedMatrix& w) {
+  return {w.rows(), 1};
+}
+
+std::pair<std::int64_t, std::int64_t> rows_and_align(const PatternPlan& p) {
+  return {p.rows, p.psize};
+}
+
+std::pair<std::int64_t, std::int64_t> rows_and_align(const IrregularPlan& p) {
+  return {p.rows, 1};
+}
+
+void check_call(const Call& c) {
+  std::visit([&](const auto* w) { check_weight(*w, c.x); }, c.weight);
+  check_kernel_options(c.options, "exec kernel");
+}
+
+RowSplit row_split(std::int64_t workers, const Call& c) {
+  const auto [rows, align] =
+      std::visit([](const auto* w) { return rows_and_align(*w); }, c.weight);
+  return RowSplit(workers, rows, c.options, align);
+}
+
+/// The tables a launch runs on: `wide` covers whole width-lane vectors
+/// and `rest` the lanes left over (nullptr: `wide` runs every lane).  See
+/// KernelTable::narrow.
+struct Tables {
+  const KernelTable* wide = nullptr;
+  const KernelTable* rest = nullptr;
+};
+
+Tables active_tables() {
   const KernelTable& table = kernel_table_for(active_simd_isa());
-  const KernelTable* narrow =
-      n < table.width && table.narrow != nullptr ? table.narrow() : nullptr;
-  return narrow != nullptr ? *narrow : table;
+  if (table.narrow == nullptr) {
+    return {&table, nullptr};
+  }
+  const KernelTable* rest = table.narrow();
+  return {&table, rest != nullptr ? rest : scalar_kernel_table()};
+}
+
+template <class Args>
+using RangeFn = void (*)(const Args&, std::int64_t, std::int64_t);
+
+/// Rows per block when both tables share a row range: the rest table
+/// then re-reads a block's weights from L1/L2, not from memory.
+constexpr std::int64_t kSplitRowBlock = 8;
+
+/// Rows [r0, r1) of one family's range function over all n lanes: the
+/// wide table's whole vectors, then the lanes left over on `rest` through
+/// a column window of X and the output.  When both run, they alternate
+/// over blocks of about kSplitRowBlock rows, each a multiple of `align`
+/// (a range function's rows must start on its own row multiple).
+template <class Args>
+void run_lanes(const Tables& tables, RangeFn<Args> KernelTable::*range,
+               const Args& a, std::int64_t align, std::int64_t r0,
+               std::int64_t r1) {
+  const std::int64_t n = a.n;
+  const std::int64_t whole =
+      tables.rest == nullptr ? n : n - n % tables.wide->width;
+  if (whole == n || whole == 0) {
+    const KernelTable* table = whole == n ? tables.wide : tables.rest;
+    (table->*range)(a, r0, r1);
+    return;
+  }
+  Args wide = a;
+  wide.n = whole;
+  Args rest = a;
+  rest.x += whole;
+  rest.out += whole;
+  rest.n = n - whole;
+  const std::int64_t block = (kSplitRowBlock + align - 1) / align * align;
+  for (std::int64_t b0 = r0; b0 < r1; b0 += block) {
+    const std::int64_t b1 = std::min(b0 + block, r1);
+    (tables.wide->*range)(wide, b0, b1);
+    (tables.rest->*range)(rest, b0, b1);
+  }
+}
+
+// Per family: rows [r0, r1) of a validated call.
+
+void run_rows(const Tensor& w, const Call& c, const Tables& tables,
+              std::int64_t r0, std::int64_t r1) {
+  DenseRangeArgs a;
+  a.w = w.data();
+  a.x = c.x.data;
+  a.out = c.out;
+  a.cols = w.size(1);
+  a.n = c.x.n;
+  a.ldx = c.x.stride;
+  a.ldo = c.x.n;
+  a.k_tile = resolve_k_tile(c.options, a.cols, c.x.n);
+  a.unroll = c.options.unroll;
+  run_lanes(tables, &KernelTable::dense_range, a, 1, r0, r1);
+}
+
+void run_rows(const BlockPrunedMatrix& w, const Call& c, const Tables& tables,
+              std::int64_t r0, std::int64_t r1) {
+  BlockRangeArgs a;
+  a.w = &w;
+  a.x = c.x.data;
+  a.out = c.out;
+  a.n = c.x.n;
+  a.ldx = c.x.stride;
+  a.ldo = c.x.n;
+  a.unroll = c.options.unroll;
+  run_lanes(tables, &KernelTable::block_range, a, 1, r0, r1);
+}
+
+void run_rows(const PatternPlan& p, const Call& c, const Tables& tables,
+              std::int64_t r0, std::int64_t r1) {
+  PatternRangeArgs a;
+  a.plan = &p;
+  a.x = c.x.data;
+  a.out = c.out;
+  a.n = c.x.n;
+  a.ldx = c.x.stride;
+  a.ldo = c.x.n;
+  a.unroll = c.options.unroll;
+  run_lanes(tables, &KernelTable::pattern_range, a, p.psize, r0, r1);
+}
+
+/// Deliberately element-at-a-time: every triple re-loads its row/col
+/// indices and round-trips the output row through memory, with no
+/// vectorization and no accumulator reuse across triples.  Triples are
+/// row-major sorted, so each output lane still sees ascending-k fma order
+/// and the result is bitwise equal to the dense reference.
+void run_rows(const IrregularPlan& p, const Call& c, const Tables&,
+              std::int64_t r0, std::int64_t r1) {
+  const std::int64_t n = c.x.n;
+  std::fill(c.out + r0 * n, c.out + r1 * n, 0.0F);
+  const std::int64_t e0 = p.row_start[static_cast<std::size_t>(r0)];
+  const std::int64_t e1 = p.row_start[static_cast<std::size_t>(r1)];
+  for (std::int64_t e = e0; e < e1; ++e) {
+    const auto ei = static_cast<std::size_t>(e);
+    const float v = p.values[ei];
+    const float* xrow = c.x.data + p.col_idx[ei] * c.x.stride;
+    float* orow = c.out + p.row_idx[ei] * n;
+    for (std::int64_t j = 0; j < n; ++j) {
+      orow[j] = std::fma(v, xrow[j], orow[j]);
+    }
+  }
+}
+
+/// Runs call_at(0) .. call_at(count - 1), none of which may write what
+/// another reads or writes, in one fork/join on the active ISA's tables.
+/// Each call's rows split as a lone call's would (RowSplit, under its own
+/// options), and task t runs chunk t of every call, in order.  Every call
+/// is validated before any runs.
+template <class CallAt>
+void run_calls(ThreadPool* pool, std::int64_t count, const CallAt& call_at) {
+  const Tables tables = active_tables();
+  const std::int64_t workers = pool == nullptr ? 1 : pool->num_threads();
+  std::int64_t tasks = 0;
+  for (std::int64_t i = 0; i < count; ++i) {
+    const Call c = call_at(i);
+    check_call(c);
+    tasks = std::max(tasks, row_split(workers, c).chunks);
+  }
+  fork_join(pool, tasks, [&](std::int64_t t) {
+    for (std::int64_t i = 0; i < count; ++i) {
+      const Call c = call_at(i);
+      const RowSplit split = row_split(workers, c);
+      if (t < split.chunks) {
+        const auto [r0, r1] = split.rows(t);
+        std::visit([&](const auto* w) { run_rows(*w, c, tables, r0, r1); },
+                   c.weight);
+      }
+    }
+  });
+}
+
+void run_call(ThreadPool* pool, const Call& call) {
+  run_calls(pool, 1, [&call](std::int64_t) { return call; });
+}
+
+/// A plan's call, on the payload of its mode.
+Call plan_call(const GemmCall& g) {
+  const LayerPlan& plan = *g.plan;
+  const auto call = [&g](auto weight) {
+    return Call{weight, g.x, g.out, g.options};
+  };
+  switch (plan.mode) {
+    case ExecMode::kDense:
+      return call(&plan.dense_weight);
+    case ExecMode::kBlock:
+      return call(&*plan.block);
+    case ExecMode::kPattern:
+      return call(&*plan.pattern);
+    case ExecMode::kIrregular:
+      return call(&*plan.irregular);
+  }
+  throw CheckError("plan_gemm: unsupported mode");
 }
 
 ActivationView activation_view(const Tensor& x) {
   check(x.dim() == 2, "exec kernel: need a 2-D activation");
   return {x.data(), x.size(0), x.size(1), x.size(1)};
-}
-
-void check_matmul_shapes(std::int64_t w_cols, const ActivationView& x) {
-  check(x.rows == w_cols && x.n >= 0 && x.stride >= x.n,
-        "exec kernel: activation shape mismatch");
 }
 
 /// The Tensor form of an `_into` kernel: a fresh rows x n output.
@@ -210,24 +451,7 @@ Tensor dense_gemm(const Tensor& w, const Tensor& x, ThreadPool* pool,
 
 void dense_gemm_into(const Tensor& w, const ActivationView& x, float* out,
                      ThreadPool* pool, const KernelOptions& options) {
-  check(w.dim() == 2, "dense_gemm: need a 2-D weight");
-  check_matmul_shapes(w.size(1), x);
-  check_kernel_options(options, "exec kernel");
-  const std::int64_t cols = w.size(1);
-  const KernelTable& table = active_table(x.n);
-  DenseRangeArgs args;
-  args.w = w.data();
-  args.x = x.data;
-  args.out = out;
-  args.cols = cols;
-  args.n = x.n;
-  args.ldx = x.stride;
-  args.k_tile = resolve_k_tile(options, cols, x.n);
-  args.unroll = options.unroll;
-  parallel_rows(pool, w.size(0), options, 1,
-                [&](std::int64_t r0, std::int64_t r1) {
-                  table.dense_range(args, r0, r1);
-                });
+  run_call(pool, {&w, x, out, options});
 }
 
 Tensor block_gemm(const BlockPrunedMatrix& w, const Tensor& x,
@@ -240,20 +464,7 @@ Tensor block_gemm(const BlockPrunedMatrix& w, const Tensor& x,
 void block_gemm_into(const BlockPrunedMatrix& w, const ActivationView& x,
                      float* out, ThreadPool* pool,
                      const KernelOptions& options) {
-  check_matmul_shapes(w.cols(), x);
-  check_kernel_options(options, "exec kernel");
-  const KernelTable& table = active_table(x.n);
-  BlockRangeArgs args;
-  args.w = &w;
-  args.x = x.data;
-  args.out = out;
-  args.n = x.n;
-  args.ldx = x.stride;
-  args.unroll = options.unroll;
-  parallel_rows(pool, w.rows(), options, 1,
-                [&](std::int64_t r0, std::int64_t r1) {
-                  table.block_range(args, r0, r1);
-                });
+  run_call(pool, {&w, x, out, options});
 }
 
 Tensor pattern_gemm(const PatternPlan& plan, const Tensor& x,
@@ -266,21 +477,7 @@ Tensor pattern_gemm(const PatternPlan& plan, const Tensor& x,
 void pattern_gemm_into(const PatternPlan& plan, const ActivationView& x,
                        float* out, ThreadPool* pool,
                        const KernelOptions& options) {
-  check_matmul_shapes(plan.cols, x);
-  check_kernel_options(options, "exec kernel");
-  const KernelTable& table = active_table(x.n);
-  PatternRangeArgs args;
-  args.plan = &plan;
-  args.x = x.data;
-  args.out = out;
-  args.n = x.n;
-  args.ldx = x.stride;
-  args.unroll = options.unroll;
-  // Partition aligned to tile rows: each worker owns whole tile-rows.
-  parallel_rows(pool, plan.rows, options, plan.psize,
-                [&](std::int64_t r0, std::int64_t r1) {
-                  table.pattern_range(args, r0, r1);
-                });
+  run_call(pool, {&plan, x, out, options});
 }
 
 Tensor coo_gemm(const IrregularPlan& plan, const Tensor& x, ThreadPool* pool,
@@ -293,32 +490,7 @@ Tensor coo_gemm(const IrregularPlan& plan, const Tensor& x, ThreadPool* pool,
 void coo_gemm_into(const IrregularPlan& plan, const ActivationView& x,
                    float* out, ThreadPool* pool,
                    const KernelOptions& options) {
-  check_matmul_shapes(plan.cols, x);
-  check_kernel_options(options, "exec kernel");
-  check(plan.row_start.size() ==
-            static_cast<std::size_t>(plan.rows) + 1,
-        "coo_gemm: plan missing row_start partition");
-  const std::int64_t n = x.n;
-  // Deliberately element-at-a-time: every triple re-loads its row/col
-  // indices and round-trips the output row through memory, with no
-  // vectorization and no accumulator reuse across triples.  Triples are
-  // row-major sorted, so each output lane still sees ascending-k fma
-  // order and the result is bitwise equal to the dense reference.
-  parallel_rows(pool, plan.rows, options, 1,
-                [&](std::int64_t r0, std::int64_t r1) {
-    std::fill(out + r0 * n, out + r1 * n, 0.0F);
-    const std::int64_t e0 = plan.row_start[static_cast<std::size_t>(r0)];
-    const std::int64_t e1 = plan.row_start[static_cast<std::size_t>(r1)];
-    for (std::int64_t e = e0; e < e1; ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      const float v = plan.values[ei];
-      const float* xrow = x.data + plan.col_idx[ei] * x.stride;
-      float* orow = out + plan.row_idx[ei] * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        orow[j] = std::fma(v, xrow[j], orow[j]);
-      }
-    }
-  });
+  run_call(pool, {&plan, x, out, options});
 }
 
 Tensor plan_gemm(const LayerPlan& plan, const Tensor& x, ThreadPool* pool,
@@ -331,17 +503,15 @@ Tensor plan_gemm(const LayerPlan& plan, const Tensor& x, ThreadPool* pool,
 void plan_gemm_into(const LayerPlan& plan, const ActivationView& x,
                     float* out, ThreadPool* pool,
                     const KernelOptions& options) {
-  switch (plan.mode) {
-    case ExecMode::kDense:
-      return dense_gemm_into(plan.dense_weight, x, out, pool, options);
-    case ExecMode::kBlock:
-      return block_gemm_into(*plan.block, x, out, pool, options);
-    case ExecMode::kPattern:
-      return pattern_gemm_into(*plan.pattern, x, out, pool, options);
-    case ExecMode::kIrregular:
-      return coo_gemm_into(*plan.irregular, x, out, pool, options);
-  }
-  throw CheckError("plan_gemm: unsupported mode");
+  const GemmCall call{&plan, x, out, options};
+  plan_gemm_into(std::span<const GemmCall>(&call, 1), pool);
+}
+
+void plan_gemm_into(std::span<const GemmCall> calls, ThreadPool* pool) {
+  run_calls(pool, static_cast<std::int64_t>(calls.size()),
+            [calls](std::int64_t i) {
+              return plan_call(calls[static_cast<std::size_t>(i)]);
+            });
 }
 
 }  // namespace rt3

@@ -17,7 +17,9 @@
 //
 // The inner loops (exec/kernels_inner.hpp) cover a row's n activation
 // columns with a width ladder of W*U, W, half-width and single-lane
-// chunks, so narrow batches still vectorize.  The pattern kernel sweeps
+// chunks, so narrow batches still vectorize.  The AVX-512 table runs
+// whole 16-lane vectors only; the lanes left over run on the AVX2 table
+// through a column window (KernelTable::narrow).  The pattern kernel sweeps
 // each tile row once per chunk over the plan's padded slot layout
 // (PatternPlan::row_slots): a row has the same number of cells in every
 // tile, so row indices are compile-time constants and each row group's
@@ -31,13 +33,17 @@
 //
 // Parallelism partitions output rows across at most num_threads() chunks
 // (each element is written by exactly one thread), so results are also
-// independent of the thread count.  The calling thread runs the first
-// chunk itself while pool workers run the rest.  Cache tiling blocks the
-// k-dimension so the active slice of X stays resident; k_tile = 0
-// auto-sizes it to the per-core L1/L2 budget.
+// independent of the thread count.  Every launch is one fork/join: the
+// calling thread runs chunk 0 itself while pool workers run the rest.  A
+// many-call launch (plan_gemm_into over a span of GemmCalls) splits each
+// call as it would alone and runs chunk t of every call on thread t, so a
+// whole batch of layers pays one worker wake-up and one join.  Cache
+// tiling blocks the k-dimension so the active slice of X stays resident;
+// k_tile = 0 auto-sizes it to the per-core L1/L2 budget.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "exec/plan.hpp"
 #include "exec/thread_pool.hpp"
@@ -104,9 +110,27 @@ void coo_gemm_into(const IrregularPlan& plan, const ActivationView& x,
 /// options against an already-tuned plan.
 Tensor plan_gemm(const LayerPlan& plan, const Tensor& x, ThreadPool* pool,
                  const KernelOptions& options);
-/// `out` holds plan.rows x x.n floats and is overwritten.
+/// `out` holds plan.rows x x.n floats and is overwritten.  The many-call
+/// form below with one call.
 void plan_gemm_into(const LayerPlan& plan, const ActivationView& x,
                     float* out, ThreadPool* pool,
                     const KernelOptions& options);
+
+/// One call of a many-call launch: `out` (plan->rows x x.n floats,
+/// overwritten) = *plan x X under exactly `options`.
+struct GemmCall {
+  const LayerPlan* plan = nullptr;
+  ActivationView x;
+  float* out = nullptr;
+  KernelOptions options;
+};
+
+/// Runs every call in ONE fork/join.  Each call's rows split exactly as
+/// they would for that call alone (its own `threads` cap and `row_grain`)
+/// and pool thread t runs its chunk of every call, in list order, so the
+/// outputs are bitwise those of running the calls one by one.  There is no
+/// barrier between calls: no call may read or write another's output.
+/// Every call is validated before any runs.
+void plan_gemm_into(std::span<const GemmCall> calls, ThreadPool* pool);
 
 }  // namespace rt3

@@ -1,8 +1,8 @@
-// AVX-512F kernel table (width 16; narrower rungs 8, 4 and 1 for the
-// lanes left over; calls narrower than 16 lanes run on the AVX2 table,
-// see below).  _mm512_fmadd_ps rounds once per lane per step, exactly
-// like std::fma, which is what keeps this table bitwise equal to the
-// scalar reference lane-wise.
+// AVX-512F kernel table (width 16, no narrower rungs: the lanes past the
+// last whole 16-lane vector, and every lane of a call narrower than 16,
+// run on the AVX2 table; see below).  _mm512_fmadd_ps rounds once per
+// lane per step, exactly like std::fma, which is what keeps this table
+// bitwise equal to the scalar reference lane-wise.
 //
 // The file enables its own ISA, so any build of src/ gets the table
 // without per-file flags.  The standard library and the plan types are
@@ -37,7 +37,6 @@
 #include <immintrin.h>
 
 #include "exec/kernels_inner.hpp"
-#include "exec/kernels_x86.hpp"
 
 namespace rt3 {
 namespace {
@@ -54,21 +53,17 @@ struct VecAvx512 {
 
 }  // namespace
 
+// Narrower rungs compiled in this file would still carry 512-bit
+// instructions (stack zeroing, moves of xmm16-31: the compiler mixes them
+// in under this target), and while one is in flight a Xeon issues vector
+// FMAs on one port instead of two: on a Sapphire Rapids host batch 1 ran
+// ~15% slower on them than on the AVX2 table.  So the ladder stops at
+// whole 16-lane vectors and the AVX2 table, compiled without AVX-512,
+// runs the rest.  Both tables run the same bodies, so the outputs are
+// identical.
 const KernelTable* avx512_kernel_table() {
-  static constexpr KernelTable table = [] {
-    KernelTable t =
-        inner::make_kernel_table<VecAvx512, VecAvx2, VecSse, VecLane>(
-            "avx512");
-    // Calls narrower than one 16-lane vector never reach a 512-bit rung,
-    // yet in this file the compiler still mixes 512-bit instructions into
-    // the narrower rungs (stack zeroing, moves of xmm16-31).  While one is
-    // in flight a Xeon issues vector FMAs on one port instead of two: on
-    // a Sapphire Rapids host batch 1 ran ~15% slower here than on the
-    // AVX2 table.  Both tables run the same bodies, so the outputs are
-    // identical.
-    t.narrow = &avx2_kernel_table;
-    return t;
-  }();
+  static constexpr KernelTable table =
+      inner::make_kernel_table<VecAvx512>("avx512", &avx2_kernel_table);
   return &table;
 }
 

@@ -16,10 +16,11 @@
 
 namespace rt3 {
 
-/// Every range function OVERWRITES its output rows (out row r starts at
-/// out + r * n) and reads X row k at x + k * ldx (ldx >= n), so callers
-/// can run on the leading n columns of a wider activation buffer and
-/// reuse an output workspace without clearing it.
+/// Every range function OVERWRITES lanes [0, n) of its output rows (out
+/// row r starts at out + r * ldo, ldo >= n) and reads X row k at
+/// x + k * ldx (ldx >= n), so callers can run on a column window of wider
+/// activation and output buffers and reuse an output workspace without
+/// clearing it.
 
 /// Dense GEMM row-range arguments: out[R,N] = W[R,C] x X[C,N] over rows
 /// [r0, r1), k-tiled by `k_tile`, `unroll` independent j-vectors in
@@ -31,6 +32,7 @@ struct DenseRangeArgs {
   std::int64_t cols = 0;
   std::int64_t n = 0;
   std::int64_t ldx = 0;
+  std::int64_t ldo = 0;
   std::int64_t k_tile = 64;
   std::int64_t unroll = 1;
 };
@@ -42,6 +44,7 @@ struct BlockRangeArgs {
   float* out = nullptr;
   std::int64_t n = 0;
   std::int64_t ldx = 0;
+  std::int64_t ldo = 0;
   std::int64_t unroll = 1;
 };
 
@@ -53,8 +56,13 @@ struct PatternRangeArgs {
   float* out = nullptr;
   std::int64_t n = 0;
   std::int64_t ldx = 0;
+  std::int64_t ldo = 0;
   std::int64_t unroll = 1;
 };
+
+struct KernelTable;
+/// Fetches the table that runs a wider table's leftover lanes.
+using NarrowTable = const KernelTable* (*)();
 
 /// One ISA's kernel family.  All functions process output rows [r0, r1)
 /// and are safe to run concurrently on disjoint ranges.
@@ -67,9 +75,10 @@ struct KernelTable {
                       std::int64_t r1) = nullptr;
   void (*pattern_range)(const PatternRangeArgs&, std::int64_t r0,
                         std::int64_t r1) = nullptr;
-  /// When set, calls whose activations are narrower than `width` run on
-  /// the table it returns instead (if that is not nullptr).
-  const KernelTable* (*narrow)() = nullptr;
+  /// When set, the table's ladder stops at whole `width`-lane vectors:
+  /// the lanes past the last of them (all of them when n < width) run on
+  /// the table this returns, or on the scalar table if that is nullptr.
+  NarrowTable narrow = nullptr;
 };
 
 /// Always available.

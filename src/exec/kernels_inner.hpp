@@ -16,7 +16,10 @@
 // lanes).  A row's n lanes are covered by chunks of W*U lanes, then W,
 // then each of the table's narrower rungs in turn down to single lanes,
 // so narrow activations (batch 1 is 4 columns) still run vector code on
-// an 8- or 16-lane ISA.
+// an 8-lane ISA.  A table with a `narrow` table (AVX-512) has no narrower
+// rungs: its ladder covers whole W-lane vectors only, and dispatch hands
+// the lanes left over to the narrow table through a column window
+// (exec/kernels.cpp).
 //
 // Tile-row pattern sweep: the pattern body walks one tile row once per
 // j-chunk and row group, over the plan's slot layout
@@ -33,9 +36,9 @@
 //
 // Every body overwrites its output: chains start at +0 (or, for the
 // dense kernel's later k-tiles, at the partial sums the first wrote), so
-// stale workspace contents never leak into a result.  X rows are read at
-// a caller-given stride (ldx), so a window of a wider buffer runs in
-// place.
+// stale workspace contents never leak into a result.  X and output rows
+// are addressed at caller-given strides (ldx, ldo), so a column window of
+// wider buffers runs in place.
 #pragma once
 
 #include <algorithm>
@@ -50,8 +53,8 @@ namespace rt3 {
 namespace inner {
 
 /// Portable reference lanes (width 1): the scalar table's only rung and
-/// the NEON ladder's last.  The x86 tables end in a TU-local copy
-/// (exec/kernels_x86.hpp).
+/// the NEON ladder's last.  The AVX2 ladder ends in a file-local copy
+/// (exec/kernels_avx2.cpp).
 struct VecScalar {
   static constexpr std::int64_t kWidth = 1;
   using Reg = float;
@@ -131,7 +134,7 @@ void dense_range(const DenseRangeArgs& a, std::int64_t r0, std::int64_t r1) {
     const std::int64_t kend = std::min(kk + a.k_tile, a.cols);
     for (std::int64_t r = r0; r < r1; ++r) {
       const float* wrow = a.w + r * a.cols;
-      float* orow = a.out + r * n;
+      float* orow = a.out + r * a.ldo;
       const auto weight = [wrow](std::int64_t k) { return wrow[k]; };
       const auto chunk = [&]<class C>(C, std::int64_t j) {
         const auto x_row = [&](std::int64_t k) { return a.x + k * a.ldx + j; };
@@ -144,8 +147,10 @@ void dense_range(const DenseRangeArgs& a, std::int64_t r0, std::int64_t r1) {
   if (a.cols == 0) {  // no k-tile ran: the product is all zeros
     // A loop, not std::fill: a standard template instantiated in an ISA
     // TU could be merged into code that runs on narrower hosts.
-    for (std::int64_t i = r0 * n; i < r1 * n; ++i) {
-      a.out[i] = 0.0F;
+    for (std::int64_t r = r0; r < r1; ++r) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        a.out[r * a.ldo + j] = 0.0F;
+      }
     }
   }
 }
@@ -160,7 +165,7 @@ void block_range(const BlockRangeArgs& a, std::int64_t r0, std::int64_t r1) {
     const auto kc = static_cast<std::int64_t>(a.w->kept_cols(b).size());
     const float* vrow =
         a.w->block_values(b).data() + (r - b * rows_per_block) * kc;
-    float* orow = a.out + r * n;
+    float* orow = a.out + r * a.ldo;
     const auto weight = [vrow](std::int64_t c) { return vrow[c]; };
     const auto chunk = [&]<class C>(C, std::int64_t j) {
       const auto x_row = [&](std::int64_t c) {
@@ -237,7 +242,7 @@ void pattern_chunk(const PatternRangeArgs& a, const PatternGroup& g,
   }
   for (int r = 0; r < Rows; ++r) {
     for (int u = 0; u < U; ++u) {
-      V::store(g.out + r * a.n + j + u * w, acc[r][u]);
+      V::store(g.out + r * a.ldo + j + u * w, acc[r][u]);
     }
   }
 }
@@ -268,7 +273,7 @@ void pattern_range(const PatternRangeArgs& a, std::int64_t row0,
     for (std::int64_t g0 = 0; g0 < rmax; g0 += kRowGroup) {
       const std::int64_t h = std::min(kRowGroup, rmax - g0);
       g.slots = plan.row_slots.data() + g0;
-      g.out = a.out + (tr * p + g0) * a.n;
+      g.out = a.out + (tr * p + g0) * a.ldo;
       with_rows(h, [&]<int Rows>() {
         const auto chunk = [&]<class C>(C, std::int64_t j) {
           pattern_chunk<typename C::Vec, C::kU, Rows>(a, g, j);
@@ -282,6 +287,18 @@ void pattern_range(const PatternRangeArgs& a, std::int64_t row0,
   }
 }
 
+/// The table whose range functions run the ladder V, Narrower...
+template <class V, class... Narrower>
+constexpr KernelTable ladder_table(const char* name) {
+  KernelTable t;
+  t.name = name;
+  t.width = V::kWidth;
+  t.dense_range = &dense_range<V, Narrower...>;
+  t.block_range = &block_range<V, Narrower...>;
+  t.pattern_range = &pattern_range<V, Narrower...>;
+  return t;
+}
+
 /// Kernel table over full-width V whose ladder then walks the Narrower
 /// rungs, widest first; the narrowest rung is one lane, so every n is
 /// covered.  constexpr, so a table is constant-initialized: fetching it
@@ -289,13 +306,19 @@ void pattern_range(const PatternRangeArgs& a, std::int64_t row0,
 template <class V, class... Narrower>
 constexpr KernelTable make_kernel_table(const char* name) {
   static_assert(std::min({V::kWidth, Narrower::kWidth...}) == 1,
-                "the ladder must end in a single-lane rung");
-  KernelTable t;
-  t.name = name;
-  t.width = V::kWidth;
-  t.dense_range = &dense_range<V, Narrower...>;
-  t.block_range = &block_range<V, Narrower...>;
-  t.pattern_range = &pattern_range<V, Narrower...>;
+                "the ladder must end in a single-lane rung, or the table "
+                "needs a narrow table");
+  return ladder_table<V, Narrower...>(name);
+}
+
+/// Kernel table over V alone: its ladder covers whole V vectors only,
+/// and dispatch runs the lanes left over on `narrow`'s table
+/// (KernelTable::narrow).
+template <class V>
+constexpr KernelTable make_kernel_table(const char* name,
+                                        NarrowTable narrow) {
+  KernelTable t = ladder_table<V>(name);
+  t.narrow = narrow;
   return t;
 }
 

@@ -1,6 +1,7 @@
 #include "exec/measured_backend.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/check.hpp"
@@ -15,6 +16,10 @@ namespace {
 /// batch size BEFORE it becomes virtual device time (a descheduled kernel
 /// thread is host noise, not device work).  kernel_wall_ms stays raw.
 constexpr double kOutlierClamp = 8.0;
+
+bool is_aligned(const float* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % AlignedFloats::kAlign == 0;
+}
 
 /// Validated before pool_ construction (member-init order), so no thread
 /// starts for a bad count: an out-of-range count is a caller bug, not
@@ -50,16 +55,24 @@ MeasuredBackend::MeasuredBackend(MeasuredBackendConfig config,
   for (double f : freqs_) {
     check(f > 0.0, "MeasuredBackend: bad level frequency");
   }
+  // The masters hold the draws Tensor::randn would make, in its order.
   Rng rng(config_.input_seed);
   const std::int64_t max_n = config_.max_batch * config_.cols_per_request;
   inputs_.reserve(layers_.size());
   outputs_.reserve(layers_.size());
   for (const Linear* layer : layers_) {
     const Tensor& w = layer->weight().value();
-    inputs_.push_back(Tensor::randn({w.size(1), max_n}, rng));
+    inputs_.emplace_back(static_cast<std::size_t>(w.size(1) * max_n));
+    for (float& x : inputs_.back()) {
+      x = static_cast<float>(rng.normal(0.0, 1.0));
+    }
     outputs_.emplace_back(static_cast<std::size_t>(w.size(0) * max_n));
+    check(is_aligned(inputs_.back().data()) &&
+              is_aligned(outputs_.back().data()),
+          "MeasuredBackend: workspace not cache-line aligned");
   }
   output_cols_.assign(layers_.size(), 0);
+  calls_.resize(layers_.size());
 }
 
 ActivationView MeasuredBackend::batch_input(std::int64_t layer,
@@ -68,9 +81,9 @@ ActivationView MeasuredBackend::batch_input(std::int64_t layer,
         "MeasuredBackend: layer out of range");
   check(batch >= 1 && batch <= config_.max_batch,
         "MeasuredBackend: batch size outside the activation buffer");
-  const Tensor& master = inputs_[static_cast<std::size_t>(layer)];
   const std::int64_t n = batch * config_.cols_per_request;
-  return {master.data(), master.size(0), n, n};
+  return {inputs_[static_cast<std::size_t>(layer)].data(),
+          plans_.plan(layer, 0).cols, n, n};
 }
 
 void MeasuredBackend::run_into_workspace(std::int64_t layer,
@@ -90,11 +103,16 @@ double MeasuredBackend::run_layers_wall_ms(std::int64_t batch) {
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const auto layer = static_cast<std::int64_t>(li);
     const LayerPlan& plan = plans_.active_plan(layer);
-    run_into_workspace(layer, plan, batch,
-                       plan.tuned ? *plan.tuned : config_.kernel);
-    sink_ += outputs_[li][0];
+    calls_[li] = {&plan, batch_input(layer, batch), outputs_[li].data(),
+                  plan.tuned ? *plan.tuned : config_.kernel};
+    output_cols_[li] = calls_[li].x.n;
   }
-  return wall_ms_since(t0);
+  plan_gemm_into(calls_, &pool_);
+  const double ms = wall_ms_since(t0);
+  for (const AlignedFloats& out : outputs_) {
+    sink_ += *out.data();
+  }
+  return ms;
 }
 
 BatchExecution MeasuredBackend::run_batch(std::int64_t batch_size,
@@ -142,7 +160,7 @@ double MeasuredBackend::time_layer_ms(std::int64_t layer, std::int64_t level,
   const auto t0 = wall_now();
   run_into_workspace(layer, plan, batch, options);
   const double ms = wall_ms_since(t0);
-  sink_ += outputs_[static_cast<std::size_t>(layer)][0];
+  sink_ += *outputs_[static_cast<std::size_t>(layer)].data();
   return ms;
 }
 

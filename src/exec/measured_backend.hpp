@@ -9,12 +9,22 @@
 // plan pointers, mirroring the paper's ms-scale pattern-set switch.  A
 // batch allocates and copies nothing: each layer reads its activation in
 // place from a master buffer and writes a per-layer output workspace,
-// both sized for max_batch at construction.
+// both sized for max_batch at construction and both starting on a 64-byte
+// cache line (exec/aligned_buffer.hpp), so a 16-lane load or store at a
+// row start never straddles two lines.  A batch is ONE fork/join: every
+// layer's kernel call goes into a call list sized at construction and
+// runs through the many-call plan_gemm_into, each layer split over the
+// pool as it would be alone (honouring its tuned `threads` and
+// `row_grain`), so the workers wake once per batch, not once per layer.
+// The layers are independent (each reads its own master), so there is no
+// barrier between them.  time_layer_ms, the autotuner's hook, still times
+// one layer with its own fork.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "exec/aligned_buffer.hpp"
 #include "exec/backend.hpp"
 #include "exec/kernels.hpp"
 #include "exec/plan.hpp"
@@ -95,7 +105,8 @@ class MeasuredBackend : public ExecutionBackend {
   /// by: the first cols x n floats of the layer's master buffer read as a
   /// row-major [cols x n] matrix, n = batch * cols_per_request.  Every
   /// width reads a contiguous prefix, so no batch copies or packs its
-  /// input and a narrow batch touches only its own few pages.
+  /// input and a narrow batch touches only its own few pages.  `data` is
+  /// 64-byte aligned.
   ActivationView batch_input(std::int64_t layer, std::int64_t batch) const;
   /// Copy of the output the last kernel call (run_batch or time_layer_ms)
   /// wrote to layer `layer`'s workspace — the test hook for bitwise
@@ -103,8 +114,8 @@ class MeasuredBackend : public ExecutionBackend {
   Tensor last_output(std::int64_t layer) const;
 
  private:
-  /// Runs every layer once on a batch into its workspace; returns the
-  /// wall ms of the kernel calls alone.
+  /// Runs every layer once on a batch into its workspace, in one
+  /// fork/join; returns the wall ms of the kernel calls alone.
   double run_layers_wall_ms(std::int64_t batch);
   /// Runs one (layer, level) plan on a batch into the layer's workspace.
   void run_into_workspace(std::int64_t layer, const LayerPlan& plan,
@@ -117,11 +128,13 @@ class MeasuredBackend : public ExecutionBackend {
   ThreadPool pool_;
   /// Per layer, cols x max_batch * cols_per_request floats (see
   /// batch_input).
-  std::vector<Tensor> inputs_;
+  std::vector<AlignedFloats> inputs_;
   /// Per-layer output workspace (rows x max_n floats) and the width the
   /// last kernel call wrote there.
-  std::vector<std::vector<float>> outputs_;
+  std::vector<AlignedFloats> outputs_;
   std::vector<std::int64_t> output_cols_;
+  /// One kernel call per layer, refilled by every batch.
+  std::vector<GemmCall> calls_;
   double total_kernel_wall_ms_ = 0.0;
   /// Level-0 batch-of-1 wall-time baseline from auto_scale (0 = unset).
   double baseline_item_wall_ms_ = 0.0;

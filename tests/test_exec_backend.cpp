@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -371,10 +373,10 @@ TEST(SimdKernels, EveryHostIsaBitwiseMatchesNaiveAndTheOthers) {
   // Every table this host can execute runs dense, block and pattern
   // (psize 4, and psize 8, whose 8-row groups keep 8 x 4 accumulators of
   // 16 lanes at unroll 4) at widths that walk each rung of every ladder
-  // (16*U, 16, 8, 4, 1 lanes) alone and combined; avx512 runs its
-  // narrower rungs on the lanes left over past 16 (31, 45, 95), since
-  // narrower calls go to avx2.  Each output must be bitwise equal to
-  // naive_dense_matmul and to the scalar table's.
+  // (16*U, 16, 8, 4, 1 lanes) alone and combined; avx512 hands the lanes
+  // past its last whole 16-lane vector (20, 31, 36, 45, 95) to avx2
+  // through a column window, and narrower calls wholly.  Each output must
+  // be bitwise equal to naive_dense_matmul and to the scalar table's.
   std::vector<SimdIsa> isas;
   std::string skipped;
   for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kNeon, SimdIsa::kAvx2,
@@ -406,7 +408,8 @@ TEST(SimdKernels, EveryHostIsaBitwiseMatchesNaiveAndTheOthers) {
         Tensor::randn({2 * psize + 3, psize + 5}, rng), set));
   }
   ThreadPool pool(2);
-  for (const std::int64_t n : {1, 3, 4, 7, 8, 12, 16, 31, 32, 45, 64, 95}) {
+  for (const std::int64_t n :
+       {1, 3, 4, 7, 8, 12, 16, 20, 31, 32, 36, 45, 64, 95}) {
     std::vector<Tensor> xs = {Tensor::randn({11, n}, rng),
                               Tensor::randn({10, n}, rng)};
     std::vector<Tensor> refs = {naive_dense_matmul(dw, xs[0]),
@@ -546,6 +549,84 @@ TEST(Kernels, IntoFormsOverwriteStaleBuffersBitwise) {
       });
     }
   }
+}
+
+TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
+  // One many-call plan_gemm_into over every mode's plans of a 24 x 24 and
+  // a ragged 18 x 14 layer, each call with its own threads cap (0, 1, 2),
+  // row_grain (1, 3, 16) and unroll, must leave every output bitwise
+  // equal to a serial plan_gemm of that call alone.  Every call reads a
+  // NaN-padded strided view and overwrites a NaN-prefilled output, so a
+  // chunk that one call's split leaves unrun, or a lane one call writes
+  // into another's buffer, breaks the match.
+  Rng rng(71);
+  std::vector<std::unique_ptr<Linear>> owned;
+  std::vector<Linear*> layers;
+  owned.push_back(std::make_unique<Linear>(24, 24, rng));
+  owned.push_back(std::make_unique<Linear>(18, 14, rng));
+  for (auto& l : owned) {
+    layers.push_back(l.get());
+  }
+  ModelPruner pruner(layers);
+  BpConfig bp;
+  bp.num_blocks = 2;
+  bp.prune_fraction = 0.25;
+  pruner.apply_bp(bp);
+  const std::vector<PatternSet> sets = {random_pattern_set(4, 0.5, 2, rng)};
+  std::vector<std::unique_ptr<PlanCache>> caches;
+  for (const ExecMode mode : {ExecMode::kDense, ExecMode::kBlock,
+                              ExecMode::kPattern, ExecMode::kIrregular}) {
+    const bool prune_to_set =
+        mode == ExecMode::kPattern || mode == ExecMode::kIrregular;
+    caches.push_back(std::make_unique<PlanCache>(
+        mode, layers, pruner.backbone_masks(),
+        prune_to_set ? sets : std::vector<PatternSet>{}, 1));
+  }
+  std::vector<const LayerPlan*> plans;
+  for (const auto& cache : caches) {
+    for (std::int64_t li = 0; li < 2; ++li) {
+      plans.push_back(&cache->plan(li, 0));
+    }
+  }
+  ThreadPool pool(3);
+  for (const std::int64_t n : {1, 4, 20, 32}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<PaddedActivation> xs;
+    std::vector<std::vector<float>> outs;
+    std::vector<GemmCall> calls;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      xs.push_back(nan_padded(Tensor::randn({plans[i]->cols, n}, rng)));
+      outs.push_back(nan_output(plans[i]->rows, n));
+      KernelOptions o = tiny_tiles();
+      o.threads = static_cast<std::int64_t>(i % 3);
+      o.row_grain = std::array<std::int64_t, 3>{1, 3, 16}[(i / 3) % 3];
+      o.unroll = std::array<std::int64_t, 3>{1, 2, 4}[(i + 1) % 3];
+      calls.push_back({plans[i], xs[i].view, outs[i].data(), o});
+    }
+    plan_gemm_into(calls, &pool);
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      SCOPED_TRACE(std::string(exec_mode_name(plans[i]->mode)) +
+                   " call=" + std::to_string(i));
+      const LayerPlan& plan = *plans[i];
+      expect_bitwise_equal(
+          as_tensor(plan.rows, n, outs[i]),
+          plan_gemm(plan, as_tensor(xs[i].view), nullptr, calls[i].options));
+    }
+  }
+
+  // Every call is validated before any runs: a bad call at the end of
+  // the list throws and leaves the first call's output untouched.
+  const PaddedActivation x =
+      nan_padded(Tensor::randn({plans[0]->cols, 4}, rng));
+  std::vector<float> untouched = nan_output(plans[0]->rows, 4);
+  std::vector<GemmCall> calls = {
+      {plans[0], x.view, untouched.data(), tiny_tiles()}};
+  calls.push_back(calls.front());
+  calls.back().options.unroll = 3;
+  EXPECT_THROW(plan_gemm_into(calls, &pool), CheckError);
+  EXPECT_TRUE(std::all_of(untouched.begin(), untouched.end(),
+                          [](float v) { return std::isnan(v); }));
+  plan_gemm_into(std::span<const GemmCall>{}, &pool);  // no calls: no-op
 }
 
 TEST(Kernels, CooGemmBitwiseMatchesNaive) {
@@ -773,6 +854,51 @@ TEST(MeasuredBackend, ReusedWorkspacesStayBitwiseAcrossBatchSizes) {
               naive_dense_matmul(
                   backend.plans().plan(li, level).dense_equivalent(), x));
         }
+      }
+    }
+  }
+}
+
+TEST(MeasuredBackend, BatchInputsAreCacheLineAlignedAndTunedLayersBitwise) {
+  // Every layer's activation starts on a 64-byte cache line at every batch
+  // width (the output workspaces are checked at construction).  With a
+  // different tuned threads cap and row_grain per layer, the batch's one
+  // fork/join still leaves every layer bitwise equal to the naive product.
+  MeasuredRig rig = measured_rig(ExecMode::kPattern, 3, 8);
+  MeasuredBackend& backend = *rig.backend;
+  for (std::int64_t li = 0; li < 2; ++li) {
+    for (std::int64_t batch = 1; batch <= 8; ++batch) {
+      const float* data = backend.batch_input(li, batch).data;
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(data) % 64, 0U)
+          << "layer " << li << " batch " << batch;
+    }
+  }
+  TuningRecord record;
+  record.mode = ExecMode::kPattern;
+  for (std::int64_t level = 0; level < backend.num_levels(); ++level) {
+    for (std::int64_t li = 0; li < 2; ++li) {
+      TuningEntry e;
+      e.layer = li;
+      e.level = level;
+      e.options = tiny_tiles();
+      e.options.threads = li == 0 ? 1 : 2 + level % 2;
+      e.options.row_grain = li == 0 ? 16 : 4;
+      record.entries.push_back(e);
+    }
+  }
+  ASSERT_EQ(backend.apply_tuning(record), 2 * backend.num_levels());
+  for (std::int64_t level = 0; level < backend.num_levels(); ++level) {
+    backend.activate_level(level);
+    for (const std::int64_t batch : {1, 5, 8}) {
+      SCOPED_TRACE("level=" + std::to_string(level) +
+                   " batch=" + std::to_string(batch));
+      backend.run_batch(batch, level);
+      for (std::int64_t li = 0; li < 2; ++li) {
+        expect_bitwise_equal(
+            backend.last_output(li),
+            naive_dense_matmul(
+                backend.plans().plan(li, level).dense_equivalent(),
+                as_tensor(backend.batch_input(li, batch))));
       }
     }
   }
