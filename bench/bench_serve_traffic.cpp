@@ -450,7 +450,8 @@ int main(int argc, char** argv) {
     bool first_cell = true;
     for (const std::int64_t models : {2, 3}) {
       const Cell cell = run_node_cell(scenario, models, repeats, seed);
-      const std::string label = "m" + std::to_string(models);
+      std::string label = "m";
+      label += std::to_string(models);
       t.add_row({"node", traffic_scenario_name(scenario), label,
                  cell.requests, cell.served, cell.batches, cell.thrpt,
                  fmt_f(cell.mean_p99_ms, 1), fmt_pct(cell.mean_miss_rate),

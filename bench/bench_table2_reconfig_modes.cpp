@@ -80,7 +80,9 @@ int main() {
     const double lat =
         latency.latency_ms(spec, e3_sparsity[i], ExecMode::kPattern,
                            table.level(modes[i]).freq_mhz);
-    t.add_row({i == 0 ? "E3" : "", "M" + std::to_string(i + 1),
+    std::string model = "M";
+    model += std::to_string(i + 1);
+    t.add_row({i == 0 ? "E3" : "", model,
                mode_names[i], fmt_f(lat, 2), lat <= kT ? "Y" : "N",
                i == 0 ? fmt_millions(e3_runs) : "",
                i == 0 ? fmt_x(e3_runs / e1_runs) : ""});

@@ -220,20 +220,23 @@ using RangeFn = void (*)(const Args&, std::int64_t, std::int64_t);
 constexpr std::int64_t kSplitRowBlock = 8;
 
 /// Rows [r0, r1) of one family's range function over all n lanes: the
-/// wide table's whole vectors, then the lanes left over on `rest` through
-/// a column window of X and the output.  When both run, they alternate
-/// over blocks of about kSplitRowBlock rows, each a multiple of `align`
-/// (a range function's rows must start on its own row multiple).
+/// wide table's whole vectors, then the lanes left over through a column
+/// window of X and the output, on `rest_range` when given and on the
+/// rest table otherwise.  When both run, they alternate over blocks of
+/// about kSplitRowBlock rows, each a multiple of `align` (a range
+/// function's rows must start on its own row multiple).
 template <class Args>
 void run_lanes(const Tables& tables, RangeFn<Args> KernelTable::*range,
                const Args& a, std::int64_t align, std::int64_t r0,
-               std::int64_t r1) {
+               std::int64_t r1, RangeFn<Args> rest_range = nullptr) {
   const std::int64_t n = a.n;
   const std::int64_t whole =
       tables.rest == nullptr ? n : n - n % tables.wide->width;
+  if (whole != n && rest_range == nullptr) {
+    rest_range = tables.rest->*range;
+  }
   if (whole == n || whole == 0) {
-    const KernelTable* table = whole == n ? tables.wide : tables.rest;
-    (table->*range)(a, r0, r1);
+    (whole == n ? tables.wide->*range : rest_range)(a, r0, r1);
     return;
   }
   Args wide = a;
@@ -246,7 +249,7 @@ void run_lanes(const Tables& tables, RangeFn<Args> KernelTable::*range,
   for (std::int64_t b0 = r0; b0 < r1; b0 += block) {
     const std::int64_t b1 = std::min(b0 + block, r1);
     (tables.wide->*range)(wide, b0, b1);
-    (tables.rest->*range)(rest, b0, b1);
+    rest_range(rest, b0, b1);
   }
 }
 
@@ -290,7 +293,12 @@ void run_rows(const PatternPlan& p, const Call& c, const Tables& tables,
   a.ldx = c.x.stride;
   a.ldo = c.x.n;
   a.unroll = c.options.unroll;
-  run_lanes(tables, &KernelTable::pattern_range, a, p.psize, r0, r1);
+  // 4 leftover lanes of a psize-4 plan fill one 16-lane register per tile.
+  const auto tile4 = tables.wide->pattern_tile4_range;
+  const bool to_tile4 = tile4 != nullptr && !p.x_lanes.empty() &&
+                        a.n % tables.wide->width == 4;
+  run_lanes(tables, &KernelTable::pattern_range, a, p.psize, r0, r1,
+            to_tile4 ? tile4 : nullptr);
 }
 
 /// Deliberately element-at-a-time: every triple re-loads its row/col

@@ -19,7 +19,10 @@
 // columns with a width ladder of W*U, W, half-width and single-lane
 // chunks, so narrow batches still vectorize.  The AVX-512 table runs
 // whole 16-lane vectors only; the lanes left over run on the AVX2 table
-// through a column window (KernelTable::narrow).  The pattern kernel sweeps
+// through a column window (KernelTable::narrow), except a psize-4 pattern
+// call's 4 leftover lanes (all of batch 1), which run on an AVX-512 body
+// holding each 4 x 4 output tile in one register
+// (KernelTable::pattern_tile4_range).  The pattern kernel sweeps
 // each tile row once per chunk over the plan's padded slot layout
 // (PatternPlan::row_slots): a row has the same number of cells in every
 // tile, so row indices are compile-time constants and each row group's

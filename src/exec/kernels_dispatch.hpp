@@ -79,6 +79,14 @@ struct KernelTable {
   /// the lanes past the last of them (all of them when n < width) run on
   /// the table this returns, or on the scalar table if that is nullptr.
   NarrowTable narrow = nullptr;
+  /// Optional (AVX-512 only): a psize-4 pattern call at exactly 4 lanes,
+  /// one 4 x 4 output tile per 16-lane register (PatternPlan::x_lanes).
+  /// When set, dispatch runs a psize-4 call's 4 lanes left over past the
+  /// last whole vector (all of a 4-column call) here instead of on the
+  /// narrow table.  Same terms in the same order per lane, so the output
+  /// is bitwise the narrow table's.
+  void (*pattern_tile4_range)(const PatternRangeArgs&, std::int64_t r0,
+                              std::int64_t r1) = nullptr;
 };
 
 /// Always available.

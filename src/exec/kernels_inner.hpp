@@ -19,7 +19,9 @@
 // an 8-lane ISA.  A table with a `narrow` table (AVX-512) has no narrower
 // rungs: its ladder covers whole W-lane vectors only, and dispatch hands
 // the lanes left over to the narrow table through a column window
-// (exec/kernels.cpp).
+// (exec/kernels.cpp), except that a psize-4 pattern call's 4 leftover
+// lanes go to the AVX-512 file's own 4 x 4 tile body, which runs the
+// same terms per lane in the same order.
 //
 // Tile-row pattern sweep: the pattern body walks one tile row once per
 // j-chunk and row group, over the plan's slot layout

@@ -183,6 +183,25 @@ PatternPlan PatternPlan::build(const Tensor& masked_weight,
       plan.kept_cells += static_cast<std::int64_t>(cp->cols.size());
     }
   }
+
+  if (p == 4 && plan.slot_stride > 0) {
+    const std::int64_t max_slots =
+        *std::max_element(plan.row_slots.begin(), plan.row_slots.end());
+    const std::size_t blocks = plan.slot_cols.size() / stride;
+    plan.x_lanes.assign(blocks * static_cast<std::size_t>(max_slots * 16), 0);
+    std::int32_t* lanes = plan.x_lanes.data();
+    for (std::size_t b = 0; b < blocks; ++b, lanes += max_slots * 16) {
+      const std::int32_t* col = plan.slot_cols.data() + b * stride;
+      for (std::int64_t r = 0; r < p; ++r) {
+        const std::int64_t slots = plan.row_slots[static_cast<std::size_t>(r)];
+        for (std::int64_t s = 0; s < slots; ++s, ++col) {
+          for (std::int64_t j = 0; j < p; ++j) {
+            lanes[s * 16 + r * p + j] = static_cast<std::int32_t>(*col * p + j);
+          }
+        }
+      }
+    }
+  }
   return plan;
 }
 

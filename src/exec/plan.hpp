@@ -43,6 +43,8 @@ struct KernelOptions {
   /// Independent j-vector accumulator chains in flight per row (1, 2 or
   /// 4).  More chains hide fma latency; lanes never mix, so the per-lane
   /// accumulation order — and therefore bitwise output — is unchanged.
+  /// No effect on the AVX-512 4 x 4 tile body (a psize-4 pattern call's
+  /// 4 leftover lanes), which interleaves tile rows instead.
   std::int64_t unroll = 2;
   /// Worker-thread cap for this launch; 0 = every pool worker.  The
   /// autotuner uses it to pick a per-(layer, level) parallelism degree
@@ -100,6 +102,17 @@ struct PatternPlan {
   std::int64_t slot_stride = 0;
   std::vector<std::int32_t> slot_cols;  // blocks x slot_stride
   std::vector<float> slot_values;       // tiles.size() x slot_stride
+  /// psize 4 only (empty otherwise): where each slot's X operand sits in
+  /// a tile's X block, for a kernel that holds one 4-column tile in a
+  /// 16-lane register (kernels_avx512.cpp).  The X block has X row c,
+  /// column j at lane c * 4 + j, and the output tile has row r, column j
+  /// at lane r * 4 + j.  Per slot_cols block b and slot s below the
+  /// largest row_slots, entry (b * that + s) * 16 + r * 4 + j is
+  /// 4 * (the column of row r's slot s) + j, or 0 when row r has no
+  /// slot s.  Deriving these from slot_cols inside the kernel instead
+  /// (one more permute, a shift and an add per slot) ran 26-49% slower
+  /// at 4 columns on a Sapphire Rapids Xeon.
+  std::vector<std::int32_t> x_lanes;
   /// In-bounds kept cells over all tiles (pads excluded).
   std::int64_t kept_cells = 0;
 

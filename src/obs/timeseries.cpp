@@ -78,7 +78,8 @@ void TelemetrySampler::on_batch(const BatchOutcome& sample) {
 
   const double t = sample.end_ms;
   const std::int64_t lane = sample.model_id + 1;
-  const std::string m = "m" + std::to_string(sample.model_id);
+  std::string m = "m";
+  m += std::to_string(sample.model_id);
   series_for("node.battery_fraction", 0).record(t, sample.battery_fraction);
   series_for("node.level", 0)
       .record(t, static_cast<double>(sample.level_pos));
@@ -168,7 +169,9 @@ std::string TelemetrySampler::to_json() const {
     if (!first) out += ", ";
     first = false;
     const TimeSeries& ts = entry.ts;
-    out += "\"" + trace_json_escape(name) + "\": {\"lane\": ";
+    out += '"';
+    out += trace_json_escape(name);
+    out += "\": {\"lane\": ";
     out += std::to_string(entry.lane);
     out += ", \"stride\": ";
     out += std::to_string(ts.stride());

@@ -5,8 +5,8 @@
 // configurable deterministic cadence — sampled at BATCH BOUNDARIES by the
 // serving loop, never from a wall-clock thread — so the system can see
 // trends while serving instead of one end-of-session snapshot.  This is
-// the observation vector a learned GovernorPolicy (ROADMAP item 2) and a
-// cloud-offload decision will consume.
+// the observation vector a learned GovernorPolicy and a cloud-offload
+// decision will consume.
 //
 // Determinism contract: every sample is driven by the virtual serving
 // clock and by counts the loops already maintain, so two runs of the same

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -65,7 +66,10 @@ TraceEvent& TraceEvent::arg(const std::string& key, std::int64_t value) {
 
 TraceEvent& TraceEvent::arg(const std::string& key,
                             const std::string& value) {
-  args.emplace_back(key, "\"" + trace_json_escape(value) + "\"");
+  std::string quoted = "\"";
+  quoted += trace_json_escape(value);
+  quoted += '"';
+  args.emplace_back(key, std::move(quoted));
   return *this;
 }
 

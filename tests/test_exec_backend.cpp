@@ -444,6 +444,90 @@ TEST(SimdKernels, EveryHostIsaBitwiseMatchesNaiveAndTheOthers) {
   }
 }
 
+TEST(SimdKernels, Psize4TileBodyBitwiseMatchesAvx2AndNaive) {
+  // On AVX-512, a psize-4 pattern call's 4 leftover lanes (all of a
+  // 4-column call) run on the 4 x 4 tile body, one output tile per 16-lane
+  // register.  Ragged shapes clip tiles in both directions, sparsities
+  // give rows 1 to 4 slots, and tile-row counts leave every sweep
+  // remainder.  X is read contiguously (n = 4) and through a NaN-padded
+  // strided view (every n; at 20 and 36 through the leftover-lane
+  // window), once finite and once with inf, -inf and NaN inside it.
+  // Each output must be bitwise the AVX2 table's, and the naive
+  // reference's where X is finite.  A psize-8 plan at n = 4 keeps the
+  // AVX2 ladder and must match too.
+  if (!simd_isa_supported(SimdIsa::kAvx512)) {
+    GTEST_SKIP() << "note: this host cannot execute avx512, so the 4 x 4 "
+                    "tile body is not tested";
+  }
+  ASSERT_NE(kernel_table_for(SimdIsa::kAvx512).pattern_tile4_range, nullptr);
+  Rng rng(73);
+  std::vector<PatternPlan> plans;
+  using Shape = std::array<std::int64_t, 2>;
+  for (const auto& [rows, cols] :
+       {Shape{10, 13}, Shape{17, 22}, Shape{23, 9}, Shape{67, 50}}) {
+    for (const double sparsity : {0.2, 0.5, 0.75, 0.9}) {
+      plans.push_back(
+          PatternPlan::build(Tensor::randn({rows, cols}, rng),
+                             random_pattern_set(4, sparsity, 3, rng)));
+      const PatternPlan& plan = plans.back();
+      const std::int64_t slots =
+          *std::max_element(plan.row_slots.begin(), plan.row_slots.end());
+      const auto blocks =
+          static_cast<std::int64_t>(plan.slot_cols.size()) / plan.slot_stride;
+      EXPECT_EQ(static_cast<std::int64_t>(plan.x_lanes.size()),
+                blocks * slots * 16);
+    }
+  }
+  plans.push_back(PatternPlan::build(Tensor::randn({19, 21}, rng),
+                                     random_pattern_set(8, 0.5, 2, rng)));
+  EXPECT_TRUE(plans.back().x_lanes.empty());
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  for (const std::int64_t n : {4, 20, 36}) {
+    for (const PatternPlan& plan : plans) {
+      const Tensor x = Tensor::randn({plan.cols, n}, rng);
+      const Tensor ref = naive_dense_matmul(plan.to_dense(), x);
+      Tensor nonfinite = x;
+      nonfinite[rng.uniform_int(x.numel())] =
+          std::numeric_limits<float>::infinity();
+      nonfinite[rng.uniform_int(x.numel())] =
+          -std::numeric_limits<float>::infinity();
+      nonfinite[rng.uniform_int(x.numel())] =
+          std::numeric_limits<float>::quiet_NaN();
+      for (const bool finite : {true, false}) {
+        const Tensor& xs = finite ? x : nonfinite;
+        const PaddedActivation px = nan_padded(xs);
+        std::vector<ActivationView> views = {px.view};
+        if (n == 4) {
+          views.push_back({xs.data(), plan.cols, n, n});
+        }
+        for (const ActivationView& view : views) {
+          for (ThreadPool* pool : {&pool1, &pool2}) {
+            SCOPED_TRACE("psize=" + std::to_string(plan.psize) + " shape=" +
+                         std::to_string(plan.rows) + "x" +
+                         std::to_string(plan.cols) + " n=" +
+                         std::to_string(n) + " ldx=" +
+                         std::to_string(view.stride) + " threads=" +
+                         std::to_string(pool->num_threads()) +
+                         (finite ? "" : " non-finite X"));
+            std::vector<Tensor> outs;
+            for (const SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+              ScopedIsa guard(isa);
+              std::vector<float> out = nan_output(plan.rows, n);
+              pattern_gemm_into(plan, view, out.data(), pool, tiny_tiles());
+              outs.push_back(as_tensor(plan.rows, n, out));
+            }
+            expect_bitwise_equal(outs[1], outs[0]);
+            if (finite) {
+              expect_bitwise_equal(outs[1], ref);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, PatternRowGroupsUnrollsAndThreadsBitwiseMatchNaive) {
   // The pattern kernel's accumulators are templated on the row-group
   // height: psize 8 with 8k + h rows runs every height h in 1..8 (the
