@@ -166,6 +166,29 @@ void BM_PatternGemmSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_PatternGemmSimd)->Arg(4)->Arg(32);
 
+// Batch 8 on a 512 x 2048 (ffn_up-shaped) layer: X is 2048 x 32 floats,
+// 256 KB, so it lives in L2, where the 256 x 256 cases above keep theirs
+// (32 KB) in L1.  Each pattern pass re-reads X from L2 once per group of
+// tile rows, so this is the case that shows how many a pass takes.
+void BM_PatternGemmIntoL2(benchmark::State& state) {
+  constexpr std::int64_t kWideRows = 512;
+  constexpr std::int64_t kWideCols = 2048;
+  Rng rng(6);
+  const PatternSet set = random_pattern_set(4, 0.5, 2, rng);
+  const PatternPlan plan =
+      PatternPlan::build(Tensor::randn({kWideRows, kWideCols}, rng), set);
+  const Tensor x = Tensor::randn({kWideCols, kBatch}, rng);
+  const ActivationView view{x.data(), kWideCols, kBatch, kBatch};
+  Tensor out({kWideRows, kBatch});
+  const KernelOptions opts;
+  for (auto _ : state) {
+    pattern_gemm_into(plan, view, out.data(), nullptr, opts);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PatternGemmIntoL2);
+
 void BM_MaskComposition(benchmark::State& state) {
   // The wall-clock cost of an RT3 pattern-set switch at host scale: mask
   // re-composition over all prunable layers of a small Transformer.

@@ -23,10 +23,13 @@
 // call's 4 leftover lanes (all of batch 1), which run on an AVX-512 body
 // holding each 4 x 4 output tile in one register
 // (KernelTable::pattern_tile4_range).  The pattern kernel sweeps
-// each tile row once per chunk over the plan's padded slot layout
+// whole tile rows per chunk over the plan's padded slot layout
 // (PatternPlan::row_slots): a row has the same number of cells in every
 // tile, so row indices are compile-time constants and each row group's
-// accumulators stay in registers.
+// accumulators stay in registers.  Where the vector type's register
+// budget holds them (psize 4 at batch 8 on AVX-512 among them), one
+// pass takes two tile rows, which then share each tile column's X rows
+// in L1.
 //
 // Every kernel has an `_into` form that OVERWRITES a caller-owned output
 // buffer and reads X through an ActivationView, so a caller can reuse

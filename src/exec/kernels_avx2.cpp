@@ -27,6 +27,8 @@ namespace {
 /// exactly like std::fma.
 struct VecAvx2 {
   static constexpr std::int64_t kWidth = 8;
+  /// Accumulator budget: half of the 16 ymm registers.
+  static constexpr std::int64_t kAccumulators = 8;
   using Reg = __m256;
   static Reg load(const float* p) { return _mm256_loadu_ps(p); }
   static void store(float* p, Reg r) { _mm256_storeu_ps(p, r); }
@@ -37,6 +39,7 @@ struct VecAvx2 {
 /// 128-bit FMA lanes: batch 1 is 4 lanes.
 struct VecSse {
   static constexpr std::int64_t kWidth = 4;
+  static constexpr std::int64_t kAccumulators = 8;  // of 16 xmm
   using Reg = __m128;
   static Reg load(const float* p) { return _mm_loadu_ps(p); }
   static void store(float* p, Reg r) { _mm_storeu_ps(p, r); }
@@ -48,6 +51,7 @@ struct VecSse {
 /// twin of inner::VecScalar for the reason above.
 struct VecLane {
   static constexpr std::int64_t kWidth = 1;
+  static constexpr std::int64_t kAccumulators = 8;  // of 16 xmm
   using Reg = float;
   static Reg load(const float* p) { return *p; }
   static void store(float* p, Reg r) { *p = r; }

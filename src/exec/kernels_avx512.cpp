@@ -46,6 +46,8 @@ namespace {
 /// 512-bit FMA lanes.
 struct VecAvx512 {
   static constexpr std::int64_t kWidth = 16;
+  /// Accumulator budget: half of the 32 zmm registers.
+  static constexpr std::int64_t kAccumulators = 16;
   using Reg = __m512;
   static Reg load(const float* p) { return _mm512_loadu_ps(p); }
   static void store(float* p, Reg r) { _mm512_storeu_ps(p, r); }

@@ -23,18 +23,23 @@
 // lanes go to the AVX-512 file's own 4 x 4 tile body, which runs the
 // same terms per lane in the same order.
 //
-// Tile-row pattern sweep: the pattern body walks one tile row once per
-// j-chunk and row group, over the plan's slot layout
-// (PatternPlan::row_slots), which gives a row the same number of cells in
-// every tile.  The group's row count is a template parameter, so every
-// accumulator index is a compile-time constant and the group's Rows x U
-// accumulators live in registers (a runtime row index would force them
-// onto the stack and cost a load and a store per kept cell), and the
-// per-row trip counts repeat identically from tile to tile, so branches
-// predict.  Tiles ascend in tc and each row's cells ascend by column, so
-// each lane still sees its terms in ascending global column order; pad
-// cells are zero-weight terms at columns the reference also visits with
-// weight zero.
+// Tile-row pattern sweep: one pass of the pattern body walks T whole
+// tile rows at once, per j-chunk and row group, over the plan's slot
+// layout (PatternPlan::row_slots), which gives a row the same number of
+// cells in every tile.  The T tile rows take each tile column in turn,
+// so they share its X rows while those are in L1 (with one tile row per
+// pass, each tile row streamed the whole X from L2).  T and the group's
+// row count are template parameters, so every accumulator index is a
+// compile-time constant and the pass's T x Rows x U accumulators live in
+// registers (a runtime row index would force them onto the stack and
+// cost a load and a store per kept cell), and the per-row trip counts
+// repeat identically from tile to tile, so branches predict.  T is 2
+// where the vector type's accumulator budget (V::kAccumulators) holds
+// two tile rows, else 1 (pass_tile_rows); a tile row that cannot pair
+// runs alone.  Each output row sums its tiles in ascending tc and each
+// row's cells ascend by column, so each lane still sees its terms in
+// ascending global column order whatever T is; pad cells are zero-weight
+// terms at columns the reference also visits with weight zero.
 //
 // Every body overwrites its output: chains start at +0 (or, for the
 // dense kernel's later k-tiles, at the partial sums the first wrote), so
@@ -59,6 +64,8 @@ namespace inner {
 /// (exec/kernels_avx2.cpp).
 struct VecScalar {
   static constexpr std::int64_t kWidth = 1;
+  /// Accumulator budget: half of x86-64's 16 scalar float registers.
+  static constexpr std::int64_t kAccumulators = 8;
   using Reg = float;
   static Reg load(const float* p) { return *p; }
   static void store(float* p, Reg r) { *p = r; }
@@ -90,19 +97,26 @@ void ladder(std::int64_t n, Body& body) {
   (rung(Chunk<Narrower, 1>{}), ...);
 }
 
-/// Runs the ladder at a validated unroll factor (1, 2 or 4).
-template <class V, class... Narrower, class Body>
-void for_each_chunk(std::int64_t n, std::int64_t unroll, Body&& body) {
+/// Calls f.template operator()<U>() at a validated unroll factor U (1,
+/// 2 or 4).
+template <class F>
+void with_unroll(std::int64_t unroll, const F& f) {
   switch (unroll) {
     case 4:
-      ladder<V, 4, Narrower...>(n, body);
+      f.template operator()<4>();
       return;
     case 2:
-      ladder<V, 2, Narrower...>(n, body);
+      f.template operator()<2>();
       return;
     default:
-      ladder<V, 1, Narrower...>(n, body);
+      f.template operator()<1>();
   }
+}
+
+/// Runs the ladder at a validated unroll factor.
+template <class V, class... Narrower, class Body>
+void for_each_chunk(std::int64_t n, std::int64_t unroll, Body&& body) {
+  with_unroll(unroll, [&]<int U>() { ladder<V, U, Narrower...>(n, body); });
 }
 
 /// Dense and block chunk body: out[lanes] = (accumulate ? out[lanes] : 0)
@@ -179,8 +193,9 @@ void block_range(const BlockRangeArgs& a, std::int64_t r0, std::int64_t r1) {
   }
 }
 
-/// Most tile rows whose accumulators one pattern chunk keeps resident;
-/// larger psizes sweep their tile row in several groups.
+/// Most rows of one tile row whose accumulators one pattern chunk keeps
+/// resident; larger psizes sweep their tile row in several groups, one
+/// tile row per pass.  A pass holds T tile rows x Rows rows of one group.
 constexpr std::int64_t kRowGroup = 8;
 
 /// Calls f(std::integral_constant<int, I>{}) for I = 0 .. N-1 in order:
@@ -192,59 +207,74 @@ template <int N, class F>
   }(std::make_integer_sequence<int, N>{});
 }
 
-/// One row group of one tile row in the slot layout.
+/// One pass of the pattern sweep in the slot layout: the same row group
+/// of T consecutive tile rows (the pattern chunk's template parameter).
 struct PatternGroup {
+  /// The first of the pass's tile rows.
   std::int64_t tile_row = 0;
   /// Offset of the group's first cell within a tile's slot cells.
   std::int64_t offset = 0;
   /// Cells per tile of each of the group's rows (PatternPlan::row_slots).
   const std::int64_t* slots = nullptr;
-  /// Output row of the group's first row.
+  /// Output row of the first tile row's first group row; tile row t's
+  /// sits psize * t rows further.
   float* out = nullptr;
 };
 
 /// Pattern chunk body: lanes [j, j + V::kWidth * U) of the Rows rows of
-/// one row group.  Each tile streams every row's cells, in slot order,
-/// into that row's accumulators.
-template <class V, int U, int Rows>
+/// one row group in each of T tile rows.  Each tile column streams every
+/// row's cells, in slot order, into that row's accumulators, one tile
+/// row after another, so the T tile rows share the column's X rows while
+/// they are in L1.
+template <class V, int U, int T, int Rows>
 void pattern_chunk(const PatternRangeArgs& a, const PatternGroup& g,
                    std::int64_t j) {
   constexpr std::int64_t w = V::kWidth;
   const PatternPlan& plan = *a.plan;
   const std::int64_t stride = plan.slot_stride;
   const std::int64_t ldx = a.ldx;
-  const std::int32_t* tiles = plan.tiles.data() + g.tile_row * plan.tiles_c;
+  const std::int64_t tile_step = plan.tiles_c;  // tiles per tile row
+  const std::int32_t* tiles = plan.tiles.data() + g.tile_row * tile_step;
   const std::int32_t* cols0 = plan.slot_cols.data() + g.offset;
-  const float* vals = plan.slot_values.data() +
-                      g.tile_row * plan.tiles_c * stride + g.offset;
+  const float* vals =
+      plan.slot_values.data() + g.tile_row * tile_step * stride + g.offset;
   const float* xt = a.x + j;
-  std::int64_t slots[Rows];
-  typename V::Reg acc[Rows][U];
+  // Row r's cells are [ends[r - 1], ends[r]) of a tile's group cells.
+  std::int64_t ends[Rows];
+  typename V::Reg acc[T][Rows][U];
   for (int r = 0; r < Rows; ++r) {
-    slots[r] = g.slots[r];
-    for (int u = 0; u < U; ++u) {
-      acc[r][u] = V::broadcast(0.0F);
+    ends[r] = (r == 0 ? 0 : ends[r - 1]) + g.slots[r];
+  }
+  for (int t = 0; t < T; ++t) {
+    for (int r = 0; r < Rows; ++r) {
+      for (int u = 0; u < U; ++u) {
+        acc[t][r][u] = V::broadcast(0.0F);
+      }
     }
   }
   for (std::int64_t tc = 0; tc < plan.tiles_c;
        ++tc, vals += stride, xt += plan.psize * ldx) {
-    const std::int32_t* cols = cols0 + tiles[tc] * stride;
-    const float* v = vals;
-    unrolled<Rows>([&](auto r) {
-      for (std::int64_t s = 0; s < slots[r]; ++s) {
-        const auto wv = V::broadcast(v[s]);
-        const float* xp = xt + cols[s] * ldx;
-        for (int u = 0; u < U; ++u) {
-          acc[r][u] = V::fma(wv, V::load(xp + u * w), acc[r][u]);
+    unrolled<T>([&](auto t) {
+      const std::int32_t* cols = cols0 + tiles[t * tile_step + tc] * stride;
+      const float* v = vals + t * tile_step * stride;
+      std::int64_t s = 0;
+      unrolled<Rows>([&](auto r) {
+        for (; s < ends[r]; ++s) {
+          const auto wv = V::broadcast(v[s]);
+          const float* xp = xt + cols[s] * ldx;
+          for (int u = 0; u < U; ++u) {
+            acc[t][r][u] = V::fma(wv, V::load(xp + u * w), acc[t][r][u]);
+          }
         }
-      }
-      cols += slots[r];
-      v += slots[r];
+      });
     });
   }
-  for (int r = 0; r < Rows; ++r) {
-    for (int u = 0; u < U; ++u) {
-      V::store(g.out + r * a.ldo + j + u * w, acc[r][u]);
+  for (int t = 0; t < T; ++t) {
+    float* out = g.out + t * plan.psize * a.ldo + j;
+    for (int r = 0; r < Rows; ++r) {
+      for (int u = 0; u < U; ++u) {
+        V::store(out + r * a.ldo + u * w, acc[t][r][u]);
+      }
     }
   }
 }
@@ -262,14 +292,39 @@ void with_rows(std::int64_t h, const F& f) {
   f.template operator()<Rows>();
 }
 
-/// Rows [row0, row1) are tile-row aligned (see PatternRangeArgs).
-template <class V, class... Narrower>
-void pattern_range(const PatternRangeArgs& a, std::int64_t row0,
-                   std::int64_t row1) {
+/// Most tile rows one pattern pass takes.  Four (psize 4, unroll 1: 16
+/// of 32 zmm) ran 8% slower than two on a Sapphire Rapids Xeon: each
+/// tile row adds live pointers, and the slot loops' general registers
+/// spill.
+constexpr int kPassTileRows = 2;
+
+/// Tile rows one pattern pass covers with Rows-row groups at unroll U:
+/// kPassTileRows when that many tile rows' accumulators fit every rung's
+/// budget (V::kAccumulators, about half the register file: the ladder's
+/// first rung holds U registers per row, the others one), else one.
+template <class V, int U, int Rows, class... Narrower>
+constexpr int pass_tile_rows() {
+  const std::int64_t budget =
+      std::min({V::kAccumulators / U, Narrower::kAccumulators...});
+  return kPassTileRows * Rows <= budget ? kPassTileRows : 1;
+}
+
+/// Rows [row0, row1) are tile-row aligned (see PatternRangeArgs).  A
+/// pass takes pass_tile_rows whole tile rows when the range has them
+/// left and one otherwise, so a clipped last tile row, a tile row of
+/// several groups (psize > kRowGroup) and the tile rows left at the end
+/// of the range run alone.
+template <class V, int U, class... Narrower>
+void pattern_rows(const PatternRangeArgs& a, std::int64_t row0,
+                  std::int64_t row1) {
   const PatternPlan& plan = *a.plan;
   const std::int64_t p = plan.psize;
-  for (std::int64_t tr = row0 / p; tr < (row1 + p - 1) / p; ++tr) {
+  const std::int64_t tr1 = (row1 + p - 1) / p;
+  // Tile rows below `whole` are full height and one group each.
+  const std::int64_t whole = p <= kRowGroup ? std::min(tr1, plan.rows / p) : 0;
+  for (std::int64_t tr = row0 / p; tr < tr1;) {
     const std::int64_t rmax = std::min(p, plan.rows - tr * p);
+    std::int64_t pass = 1;
     PatternGroup g;
     g.tile_row = tr;
     for (std::int64_t g0 = 0; g0 < rmax; g0 += kRowGroup) {
@@ -277,16 +332,34 @@ void pattern_range(const PatternRangeArgs& a, std::int64_t row0,
       g.slots = plan.row_slots.data() + g0;
       g.out = a.out + (tr * p + g0) * a.ldo;
       with_rows(h, [&]<int Rows>() {
-        const auto chunk = [&]<class C>(C, std::int64_t j) {
-          pattern_chunk<typename C::Vec, C::kU, Rows>(a, g, j);
+        const auto sweep = [&]<int T>() {
+          pass = T;
+          const auto chunk = [&]<class C>(C, std::int64_t j) {
+            pattern_chunk<typename C::Vec, C::kU, T, Rows>(a, g, j);
+          };
+          ladder<V, U, Narrower...>(a.n, chunk);
         };
-        for_each_chunk<V, Narrower...>(a.n, a.unroll, chunk);
+        constexpr int kTileRows = pass_tile_rows<V, U, Rows, Narrower...>();
+        if (whole - tr >= kTileRows) {
+          sweep.template operator()<kTileRows>();
+        } else {
+          sweep.template operator()<1>();
+        }
       });
       for (std::int64_t r = 0; r < h; ++r) {
         g.offset += g.slots[r];
       }
     }
+    tr += pass;
   }
+}
+
+template <class V, class... Narrower>
+void pattern_range(const PatternRangeArgs& a, std::int64_t row0,
+                   std::int64_t row1) {
+  with_unroll(a.unroll, [&]<int U>() {
+    pattern_rows<V, U, Narrower...>(a, row0, row1);
+  });
 }
 
 /// The table whose range functions run the ladder V, Narrower...

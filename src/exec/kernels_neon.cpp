@@ -16,6 +16,8 @@ namespace {
 
 struct VecNeon {
   static constexpr std::int64_t kWidth = 4;
+  /// Accumulator budget: half of the 32 q registers.
+  static constexpr std::int64_t kAccumulators = 16;
   using Reg = float32x4_t;
   static Reg load(const float* p) { return vld1q_f32(p); }
   static void store(float* p, Reg r) { vst1q_f32(p, r); }

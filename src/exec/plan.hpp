@@ -43,8 +43,12 @@ struct KernelOptions {
   /// Independent j-vector accumulator chains in flight per row (1, 2 or
   /// 4).  More chains hide fma latency; lanes never mix, so the per-lane
   /// accumulation order — and therefore bitwise output — is unchanged.
-  /// No effect on the AVX-512 4 x 4 tile body (a psize-4 pattern call's
-  /// 4 leftover lanes), which interleaves tile rows instead.
+  /// In the pattern kernel it also sets how many tile rows share a pass
+  /// (two where two tile rows' accumulators fit the ISA's register
+  /// budget: psize 4 at unroll 1 or 2 on AVX-512 and NEON, at unroll 1
+  /// on AVX2).  No effect on the AVX-512 4 x 4 tile body (a psize-4
+  /// pattern call's 4 leftover lanes), which interleaves tile rows
+  /// instead.
   std::int64_t unroll = 2;
   /// Worker-thread cap for this launch; 0 = every pool worker.  The
   /// autotuner uses it to pick a per-(layer, level) parallelism degree

@@ -587,6 +587,80 @@ TEST(SimdKernels, PatternRowGroupsUnrollsAndThreadsBitwiseMatchNaive) {
   }
 }
 
+TEST(SimdKernels, MultiTileRowPassesBitwiseMatchNaiveAndEveryIsa) {
+  // A pattern pass takes two whole tile rows where the accumulator
+  // budget allows (psize 2 at unroll 1 and 2 on every table; psize 4 at
+  // unroll 1 and 2 on AVX-512, at unroll 1 on AVX2) and one otherwise: a
+  // clipped last tile row, or the odd tile row left at the end of a
+  // thread's chunk or of a leftover-lane window block (n = 20 and 36 on
+  // AVX-512).  Plans of 1 to 5 tile rows, with
+  // and without a clipped last tile row and column, run under thread
+  // counts and row grains that leave chunks with odd tile-row counts.
+  // X sits in a NaN-padded strided buffer and the output is
+  // NaN-prefilled.  Each output must be bitwise equal to
+  // naive_dense_matmul and to the scalar table's.
+  std::vector<SimdIsa> isas;
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kNeon, SimdIsa::kAvx2,
+                      SimdIsa::kAvx512}) {
+    if (simd_isa_supported(isa)) {
+      isas.push_back(isa);
+    }
+  }
+  ASSERT_EQ(isas.front(), SimdIsa::kScalar);
+  Rng rng(83);
+  std::vector<PatternPlan> plans;
+  for (const std::int64_t psize : {2, 4}) {
+    for (std::int64_t tile_rows = 1; tile_rows <= 5; ++tile_rows) {
+      for (const std::int64_t clip : {0, 1}) {
+        const PatternSet set =
+            random_pattern_set(psize, 0.25 + 0.1 * tile_rows, 3, rng);
+        plans.push_back(PatternPlan::build(
+            Tensor::randn({tile_rows * psize - clip, 3 * psize - clip}, rng),
+            set));
+      }
+    }
+  }
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool3(3);
+  for (const std::int64_t n : {16, 20, 32, 36, 48, 64}) {
+    for (const PatternPlan& plan : plans) {
+      const Tensor x = Tensor::randn({plan.cols, n}, rng);
+      const Tensor ref = naive_dense_matmul(plan.to_dense(), x);
+      const PaddedActivation px = nan_padded(x);
+      for (const std::int64_t unroll : {1, 2, 4}) {
+        for (const std::int64_t row_grain : {4, 8}) {
+          KernelOptions o;
+          o.unroll = unroll;
+          o.row_grain = row_grain;
+          for (ThreadPool* pool : {&pool1, &pool2, &pool3}) {
+            std::optional<Tensor> scalar_out;
+            for (const SimdIsa isa : isas) {
+              SCOPED_TRACE(std::string(simd_isa_name(isa)) +
+                           " psize=" + std::to_string(plan.psize) +
+                           " shape=" + std::to_string(plan.rows) + "x" +
+                           std::to_string(plan.cols) +
+                           " n=" + std::to_string(n) +
+                           " unroll=" + std::to_string(unroll) +
+                           " row_grain=" + std::to_string(row_grain) +
+                           " threads=" + std::to_string(pool->num_threads()));
+              ScopedIsa guard(isa);
+              std::vector<float> out = nan_output(plan.rows, n);
+              pattern_gemm_into(plan, px.view, out.data(), pool, o);
+              const Tensor got = as_tensor(plan.rows, n, out);
+              expect_bitwise_equal(got, ref);
+              if (!scalar_out) {
+                scalar_out = got;
+              }
+              expect_bitwise_equal(got, *scalar_out);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Kernels, IntoFormsOverwriteStaleBuffersBitwise) {
   // Every `_into` kernel overwrites a NaN-prefilled output and reads X
   // through a strided, NaN-padded view; each must equal the naive
