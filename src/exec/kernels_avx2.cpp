@@ -39,7 +39,6 @@ struct VecAvx2 {
 /// 128-bit FMA lanes: batch 1 is 4 lanes.
 struct VecSse {
   static constexpr std::int64_t kWidth = 4;
-  static constexpr std::int64_t kAccumulators = 8;  // of 16 xmm
   using Reg = __m128;
   static Reg load(const float* p) { return _mm_loadu_ps(p); }
   static void store(float* p, Reg r) { _mm_storeu_ps(p, r); }
@@ -51,7 +50,6 @@ struct VecSse {
 /// twin of inner::VecScalar for the reason above.
 struct VecLane {
   static constexpr std::int64_t kWidth = 1;
-  static constexpr std::int64_t kAccumulators = 8;  // of 16 xmm
   using Reg = float;
   static Reg load(const float* p) { return *p; }
   static void store(float* p, Reg r) { *p = r; }

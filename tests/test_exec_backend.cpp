@@ -533,10 +533,23 @@ TEST(SimdKernels, PatternRowGroupsUnrollsAndThreadsBitwiseMatchNaive) {
   // height: psize 8 with 8k + h rows runs every height h in 1..8 (the
   // last tile row is h high), psize 9 and 16 split each tile row into
   // several groups, and every shape leaves clipped edge tiles in both
-  // directions.  X sits in a NaN-padded strided buffer and the output is
-  // NaN-prefilled, so a pad cell at a column outside a clipped tile, a
-  // lane read past n or an unwritten output element all break the
-  // bitwise match.  Every unroll, thread count and ISA runs.
+  // directions.  A pass takes two whole tile rows where their
+  // accumulators fit the table's budget (psize 2 and 4 on every table,
+  // psize 8 on AVX-512 and NEON) and one otherwise: a clipped last tile
+  // row, or the odd tile row left at the end of a thread's chunk (psize
+  // 2 and 4 plans of 1 to 5 tile rows under row grains 3, 4 and 8) or of
+  // a leftover-lane window block (n = 20 and 36 on AVX-512).  X sits in
+  // a NaN-padded strided buffer and the output is NaN-prefilled, so a
+  // pad cell at a column outside a clipped tile, a lane read past n or
+  // an unwritten output element all break the bitwise match.  Every
+  // unroll, thread count and host ISA runs.
+  std::vector<SimdIsa> isas;
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kNeon, SimdIsa::kAvx2,
+                      SimdIsa::kAvx512}) {
+    if (simd_isa_supported(isa)) {
+      isas.push_back(isa);
+    }
+  }
   Rng rng(59);
   std::vector<PatternPlan> plans;
   for (std::int64_t h = 1; h <= 8; ++h) {
@@ -554,61 +567,6 @@ TEST(SimdKernels, PatternRowGroupsUnrollsAndThreadsBitwiseMatchNaive) {
           PatternPlan::build(Tensor::randn({rows, cols}, rng), set));
     }
   }
-  ThreadPool pool1(1);
-  ThreadPool pool2(2);
-  ThreadPool pool3(3);
-  for (const std::int64_t n : {1, 3, 4, 8, 13, 32, 45}) {
-    for (const PatternPlan& plan : plans) {
-      const Tensor x = Tensor::randn({plan.cols, n}, rng);
-      const Tensor ref = naive_dense_matmul(plan.to_dense(), x);
-      const PaddedActivation px = nan_padded(x);
-      for (const std::int64_t unroll : {1, 2, 4}) {
-        KernelOptions o = tiny_tiles();
-        o.unroll = unroll;
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool1,
-                              &pool2, &pool3}) {
-          SCOPED_TRACE("psize=" + std::to_string(plan.psize) +
-                       " rows=" + std::to_string(plan.rows) +
-                       " n=" + std::to_string(n) +
-                       " unroll=" + std::to_string(unroll) + " threads=" +
-                       std::to_string(p == nullptr ? 0 : p->num_threads()));
-          for (const bool scalar : {false, true}) {
-            std::optional<ScopedIsa> guard;
-            if (scalar) {
-              guard.emplace(SimdIsa::kScalar);
-            }
-            std::vector<float> out = nan_output(plan.rows, n);
-            pattern_gemm_into(plan, px.view, out.data(), p, o);
-            expect_bitwise_equal(as_tensor(plan.rows, n, out), ref);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, MultiTileRowPassesBitwiseMatchNaiveAndEveryIsa) {
-  // A pattern pass takes two whole tile rows where the accumulator
-  // budget allows (psize 2 at unroll 1 and 2 on every table; psize 4 at
-  // unroll 1 and 2 on AVX-512, at unroll 1 on AVX2) and one otherwise: a
-  // clipped last tile row, or the odd tile row left at the end of a
-  // thread's chunk or of a leftover-lane window block (n = 20 and 36 on
-  // AVX-512).  Plans of 1 to 5 tile rows, with
-  // and without a clipped last tile row and column, run under thread
-  // counts and row grains that leave chunks with odd tile-row counts.
-  // X sits in a NaN-padded strided buffer and the output is
-  // NaN-prefilled.  Each output must be bitwise equal to
-  // naive_dense_matmul and to the scalar table's.
-  std::vector<SimdIsa> isas;
-  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kNeon, SimdIsa::kAvx2,
-                      SimdIsa::kAvx512}) {
-    if (simd_isa_supported(isa)) {
-      isas.push_back(isa);
-    }
-  }
-  ASSERT_EQ(isas.front(), SimdIsa::kScalar);
-  Rng rng(83);
-  std::vector<PatternPlan> plans;
   for (const std::int64_t psize : {2, 4}) {
     for (std::int64_t tile_rows = 1; tile_rows <= 5; ++tile_rows) {
       for (const std::int64_t clip : {0, 1}) {
@@ -623,18 +581,18 @@ TEST(SimdKernels, MultiTileRowPassesBitwiseMatchNaiveAndEveryIsa) {
   ThreadPool pool1(1);
   ThreadPool pool2(2);
   ThreadPool pool3(3);
-  for (const std::int64_t n : {16, 20, 32, 36, 48, 64}) {
+  for (const std::int64_t n : {1, 3, 4, 8, 13, 16, 20, 32, 36, 45, 48, 64}) {
     for (const PatternPlan& plan : plans) {
       const Tensor x = Tensor::randn({plan.cols, n}, rng);
       const Tensor ref = naive_dense_matmul(plan.to_dense(), x);
       const PaddedActivation px = nan_padded(x);
       for (const std::int64_t unroll : {1, 2, 4}) {
-        for (const std::int64_t row_grain : {4, 8}) {
-          KernelOptions o;
+        for (const std::int64_t row_grain : {3, 4, 8}) {
+          KernelOptions o = tiny_tiles();
           o.unroll = unroll;
           o.row_grain = row_grain;
-          for (ThreadPool* pool : {&pool1, &pool2, &pool3}) {
-            std::optional<Tensor> scalar_out;
+          for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool1,
+                                &pool2, &pool3}) {
             for (const SimdIsa isa : isas) {
               SCOPED_TRACE(std::string(simd_isa_name(isa)) +
                            " psize=" + std::to_string(plan.psize) +
@@ -643,16 +601,13 @@ TEST(SimdKernels, MultiTileRowPassesBitwiseMatchNaiveAndEveryIsa) {
                            " n=" + std::to_string(n) +
                            " unroll=" + std::to_string(unroll) +
                            " row_grain=" + std::to_string(row_grain) +
-                           " threads=" + std::to_string(pool->num_threads()));
+                           " threads=" +
+                           std::to_string(p == nullptr ? 0
+                                                       : p->num_threads()));
               ScopedIsa guard(isa);
               std::vector<float> out = nan_output(plan.rows, n);
-              pattern_gemm_into(plan, px.view, out.data(), pool, o);
-              const Tensor got = as_tensor(plan.rows, n, out);
-              expect_bitwise_equal(got, ref);
-              if (!scalar_out) {
-                scalar_out = got;
-              }
-              expect_bitwise_equal(got, *scalar_out);
+              pattern_gemm_into(plan, px.view, out.data(), p, o);
+              expect_bitwise_equal(as_tensor(plan.rows, n, out), ref);
             }
           }
         }
