@@ -141,8 +141,10 @@ void BM_BlockGemmSimd(benchmark::State& state) {
 BENCHMARK(BM_BlockGemmSimd);
 
 // Pattern pairs at the serving widths: batch 1 (4 activation columns,
-// narrower than an AVX2 vector) and batch 8 (32 columns).  psize 4 with
-// 2 patterns per set matches the measured backend's pattern sets.
+// narrower than an AVX2 vector) and batch 8 (32 columns), and on the
+// SIMD table batch 16 (64 columns, the first width whose AVX-512 ladder
+// runs at unroll 4).  psize 4 with 2 patterns per set matches the
+// measured backend's pattern sets.
 void run_pattern_gemm_with_isa(benchmark::State& state, SimdIsa isa) {
   Rng rng(4);
   const PatternSet set = random_pattern_set(4, 0.5, 2, rng);
@@ -164,7 +166,7 @@ BENCHMARK(BM_PatternGemmScalar)->Arg(4)->Arg(32);
 void BM_PatternGemmSimd(benchmark::State& state) {
   run_pattern_gemm_with_isa(state, detect_simd_isa());
 }
-BENCHMARK(BM_PatternGemmSimd)->Arg(4)->Arg(32);
+BENCHMARK(BM_PatternGemmSimd)->Arg(4)->Arg(32)->Arg(64);
 
 // Batch 8 on a 512 x 2048 (ffn_up-shaped) layer: X is 2048 x 32 floats,
 // 256 KB, so it lives in L2, where the 256 x 256 cases above keep theirs

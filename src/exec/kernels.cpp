@@ -266,7 +266,6 @@ void run_rows(const Tensor& w, const Call& c, const Tables& tables,
   a.ldx = c.x.stride;
   a.ldo = c.x.n;
   a.k_tile = resolve_k_tile(c.options, a.cols, c.x.n);
-  a.unroll = c.options.unroll;
   run_lanes(tables, &KernelTable::dense_range, a, 1, r0, r1);
 }
 
@@ -279,7 +278,6 @@ void run_rows(const BlockPrunedMatrix& w, const Call& c, const Tables& tables,
   a.n = c.x.n;
   a.ldx = c.x.stride;
   a.ldo = c.x.n;
-  a.unroll = c.options.unroll;
   run_lanes(tables, &KernelTable::block_range, a, 1, r0, r1);
 }
 
@@ -292,7 +290,6 @@ void run_rows(const PatternPlan& p, const Call& c, const Tables& tables,
   a.n = c.x.n;
   a.ldx = c.x.stride;
   a.ldo = c.x.n;
-  a.unroll = c.options.unroll;
   // 4 leftover lanes of a psize-4 plan fill one 16-lane register per tile.
   const auto tile4 = tables.wide->pattern_tile4_range;
   const bool to_tile4 = tile4 != nullptr && !p.x_lanes.empty() &&

@@ -17,13 +17,14 @@
 //
 // The inner loops (exec/kernels_inner.hpp) cover a row's n activation
 // columns with a width ladder of W*U, W, half-width and single-lane
-// chunks, so narrow batches still vectorize.  The AVX-512 table runs
-// whole 16-lane vectors only; the lanes left over run on the AVX2 table
-// through a column window (KernelTable::narrow), except a psize-4 pattern
-// call's 4 leftover lanes (all of batch 1), which run on an AVX-512 body
-// holding each 4 x 4 output tile in one register
-// (KernelTable::pattern_tile4_range).  The pattern kernel sweeps
-// whole tile rows per chunk over the plan's padded slot layout
+// chunks, so narrow batches still vectorize; the unroll U is the largest
+// of 4, 2 and 1 with W*U <= n, derived per call, not a launch option.
+// The AVX-512 table runs whole 16-lane vectors only; the lanes left over
+// run on the AVX2 table through a column window (KernelTable::narrow),
+// except a psize-4 pattern call's 4 leftover lanes (all of batch 1),
+// which run on an AVX-512 body holding each 4 x 4 output tile in one
+// register (KernelTable::pattern_tile4_range).  The pattern kernel
+// sweeps whole tile rows per chunk over the plan's padded slot layout
 // (PatternPlan::row_slots): a row has the same number of cells in every
 // tile, so row indices are compile-time constants and each row group's
 // accumulators stay in registers.  Where the vector type's register

@@ -65,7 +65,7 @@ struct VecAvx512 {
 // rows that have a slot s.  Each lane thus runs exactly pattern_chunk's
 // terms in pattern_chunk's order (tiles ascending, then its row's
 // slots), so the output is bitwise the AVX2 table's, non-finite X
-// included.  KernelOptions::unroll has no effect here.
+// included.  It has no unroll factor: tile rows interleave instead.
 
 /// Tile rows one sweep interleaves: their FMA chains hide each other's
 /// latency, and they share each X block.

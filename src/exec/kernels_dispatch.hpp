@@ -23,8 +23,8 @@ namespace rt3 {
 /// clearing it.
 
 /// Dense GEMM row-range arguments: out[R,N] = W[R,C] x X[C,N] over rows
-/// [r0, r1), k-tiled by `k_tile`, `unroll` independent j-vectors in
-/// flight per row.
+/// [r0, r1), k-tiled by `k_tile`.  Each range function picks its unroll
+/// factor from `n` (inner::with_unroll).
 struct DenseRangeArgs {
   const float* w = nullptr;
   const float* x = nullptr;
@@ -34,7 +34,6 @@ struct DenseRangeArgs {
   std::int64_t ldx = 0;
   std::int64_t ldo = 0;
   std::int64_t k_tile = 64;
-  std::int64_t unroll = 1;
 };
 
 /// Kept-column block GEMM row-range arguments.
@@ -45,7 +44,6 @@ struct BlockRangeArgs {
   std::int64_t n = 0;
   std::int64_t ldx = 0;
   std::int64_t ldo = 0;
-  std::int64_t unroll = 1;
 };
 
 /// Pattern GEMM arguments; ranges are tile-row aligned (multiples of
@@ -57,7 +55,6 @@ struct PatternRangeArgs {
   std::int64_t n = 0;
   std::int64_t ldx = 0;
   std::int64_t ldo = 0;
-  std::int64_t unroll = 1;
 };
 
 struct KernelTable;

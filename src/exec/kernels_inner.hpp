@@ -13,15 +13,17 @@
 // Width ladder: a chunk body templated on <Vec, U> (one shared by dense
 // and block, one for pattern) updates Vec::kWidth * U adjacent lanes,
 // keeping U independent accumulator chains in flight (chains never mix
-// lanes).  A row's n lanes are covered by chunks of W*U lanes, then W,
-// then each of the table's narrower rungs in turn down to single lanes,
-// so narrow activations (batch 1 is 4 columns) still run vector code on
-// an 8-lane ISA.  A table with a `narrow` table (AVX-512) has no narrower
-// rungs: its ladder covers whole W-lane vectors only, and dispatch hands
-// the lanes left over to the narrow table through a column window
-// (exec/kernels.cpp), except that a psize-4 pattern call's 4 leftover
-// lanes go to the AVX-512 file's own 4 x 4 tile body, which runs the
-// same terms per lane in the same order.
+// lanes).  U follows from the call's width alone (with_unroll): the
+// largest of 4, 2 and 1 whose W*U-lane chunk fits in n.  A row's n lanes
+// are covered by chunks of W*U lanes, then W, then each of the table's
+// narrower rungs in turn down to single lanes, so narrow activations
+// (batch 1 is 4 columns) still run vector code on an 8-lane ISA.  A
+// table with a `narrow` table (AVX-512) has no narrower rungs: its
+// ladder covers whole W-lane vectors only (and its U follows from those
+// lanes alone), and dispatch hands the lanes left over to the narrow
+// table through a column window (exec/kernels.cpp), except that a
+// psize-4 pattern call's 4 leftover lanes go to the AVX-512 file's own
+// 4 x 4 tile body, which runs the same terms per lane in the same order.
 //
 // Tile-row pattern sweep: one pass of the pattern body walks T whole
 // tile rows at once, per j-chunk and row group, over the plan's slot
@@ -98,26 +100,25 @@ void ladder(std::int64_t n, Body& body) {
   (rung(Chunk<Narrower, 1>{}), ...);
 }
 
-/// Calls f.template operator()<U>() at a validated unroll factor U (1,
-/// 2 or 4).
-template <class F>
-void with_unroll(std::int64_t unroll, const F& f) {
-  switch (unroll) {
-    case 4:
-      f.template operator()<4>();
-      return;
-    case 2:
-      f.template operator()<2>();
-      return;
-    default:
-      f.template operator()<1>();
+/// Calls f.template operator()<U>() at the unroll factor of an n-lane
+/// call on a ladder headed by V: the largest U in {4, 2, 1} with
+/// V::kWidth * U <= n, so the widest chunk always fits the call.  The
+/// kernels' only choice of U.
+template <class V, class F>
+void with_unroll(std::int64_t n, const F& f) {
+  if (n >= 4 * V::kWidth) {
+    f.template operator()<4>();
+  } else if (n >= 2 * V::kWidth) {
+    f.template operator()<2>();
+  } else {
+    f.template operator()<1>();
   }
 }
 
-/// Runs the ladder at a validated unroll factor.
+/// Runs the ladder at the call's unroll factor.
 template <class V, class... Narrower, class Body>
-void for_each_chunk(std::int64_t n, std::int64_t unroll, Body&& body) {
-  with_unroll(unroll, [&]<int U>() { ladder<V, U, Narrower...>(n, body); });
+void for_each_chunk(std::int64_t n, Body&& body) {
+  with_unroll<V>(n, [&]<int U>() { ladder<V, U, Narrower...>(n, body); });
 }
 
 /// Dense and block chunk body: out[lanes] = (accumulate ? out[lanes] : 0)
@@ -158,7 +159,7 @@ void dense_range(const DenseRangeArgs& a, std::int64_t r0, std::int64_t r1) {
         row_chunk<typename C::Vec, C::kU>(orow + j, kk > 0, kk, kend, weight,
                                           x_row);
       };
-      for_each_chunk<V, Narrower...>(n, a.unroll, chunk);
+      for_each_chunk<V, Narrower...>(n, chunk);
     }
   }
   if (a.cols == 0) {  // no k-tile ran: the product is all zeros
@@ -190,7 +191,7 @@ void block_range(const BlockRangeArgs& a, std::int64_t r0, std::int64_t r1) {
       };
       row_chunk<typename C::Vec, C::kU>(orow + j, false, 0, kc, weight, x_row);
     };
-    for_each_chunk<V, Narrower...>(n, a.unroll, chunk);
+    for_each_chunk<V, Narrower...>(n, chunk);
   }
 }
 
@@ -293,21 +294,21 @@ void with_rows(std::int64_t h, const F& f) {
   f.template operator()<Rows>();
 }
 
-/// Most tile rows one pattern pass takes.  Four (psize 4, unroll 1: 16
-/// of 32 zmm) ran 8% slower than two on a Sapphire Rapids Xeon: each
-/// tile row adds live pointers, and the slot loops' general registers
-/// spill.
+/// Most tile rows one pattern pass takes.  Four (psize 4, U = 1: 16 of
+/// 32 zmm) ran 8% slower than two on a Sapphire Rapids Xeon: each tile
+/// row adds live pointers, and the slot loops' general registers spill.
 constexpr int kPassTileRows = 2;
 
-/// Tile rows one pattern pass covers with Rows-row groups at unroll U:
-/// kPassTileRows when that many tile rows' Rows x U accumulators fit the
-/// ladder head's budget (V::kAccumulators, about half the register
-/// file), else one.  The narrower rungs hold one register per row in the
-/// same register file, so the head's budget bounds them too.  On the
-/// Xeon above, single-threaded at batch 32 over 512 x 512 to
-/// 2048 x 512 layers, every pairing this admits on AVX-512 beat one tile
-/// row per pass: psize 2 at unroll 1, 2 and 4, psize 4 at 1 and 2, and
-/// psize 8 at 1.
+/// Tile rows one pattern pass covers with Rows-row groups at the call's
+/// unroll U (with_unroll): kPassTileRows when that many tile rows'
+/// Rows x U accumulators fit the ladder head's budget (V::kAccumulators,
+/// about half the register file), else one.  The narrower rungs hold one
+/// register per row in the same register file, so the head's budget
+/// bounds them too.  On the Xeon above, single-threaded at 32 columns
+/// over 512 x 512 to 2048 x 512 layers with U set by hand, every pairing
+/// this admits on AVX-512 beat one tile row per pass: psize 2 at U = 1,
+/// 2 and 4, psize 4 at 1 and 2, and psize 8 at 1.  On AVX-512, U is 1
+/// below 32 columns, 2 up to 63 and 4 from 64.
 template <class V, int U, int Rows>
 constexpr int pass_tile_rows() {
   return kPassTileRows * Rows * U <= V::kAccumulators ? kPassTileRows : 1;
@@ -361,7 +362,7 @@ void pattern_rows(const PatternRangeArgs& a, std::int64_t row0,
 template <class V, class... Narrower>
 void pattern_range(const PatternRangeArgs& a, std::int64_t row0,
                    std::int64_t row1) {
-  with_unroll(a.unroll, [&]<int U>() {
+  with_unroll<V>(a.n, [&]<int U>() {
     pattern_rows<V, U, Narrower...>(a, row0, row1);
   });
 }

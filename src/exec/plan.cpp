@@ -72,8 +72,6 @@ void check_kernel_options(const KernelOptions& options,
   };
   field(options.k_tile >= 0, "k_tile", options.k_tile, ">= 0");
   field(options.row_grain >= 1, "row_grain", options.row_grain, ">= 1");
-  field(options.unroll == 1 || options.unroll == 2 || options.unroll == 4,
-        "unroll", options.unroll, "1, 2 or 4");
   field(options.threads >= 0, "threads", options.threads, ">= 0");
 }
 

@@ -32,7 +32,9 @@ struct TuningRecord;  // exec/tuner.hpp
 
 /// Tunable knobs of one kernel launch.  The defaults are sane everywhere;
 /// the offline autotuner (exec/tuner.hpp) searches this space per
-/// (layer, level) and bakes winners into the PlanCache.
+/// (layer, level) and bakes winners into the PlanCache.  The unroll
+/// factor is not a knob: the kernels derive it from each call's width
+/// (inner::with_unroll, exec/kernels_inner.hpp).
 struct KernelOptions {
   /// k-tile (rows of X kept hot) for the dense kernel; 0 = auto-size so
   /// the active X slice fits the per-core L1/L2 budget (exec/simd.hpp).
@@ -40,16 +42,6 @@ struct KernelOptions {
   /// Minimum output rows per parallel task; below this the kernel runs
   /// serially on the calling thread.
   std::int64_t row_grain = 16;
-  /// Independent j-vector accumulator chains in flight per row (1, 2 or
-  /// 4).  More chains hide fma latency; lanes never mix, so the per-lane
-  /// accumulation order — and therefore bitwise output — is unchanged.
-  /// In the pattern kernel it also sets how many tile rows share a pass
-  /// (two where two tile rows' accumulators fit the ISA's register
-  /// budget: psize 4 at unroll 1 or 2 on AVX-512 and NEON, at unroll 1
-  /// on AVX2).  No effect on the AVX-512 4 x 4 tile body (a psize-4
-  /// pattern call's 4 leftover lanes), which interleaves tile rows
-  /// instead.
-  std::int64_t unroll = 2;
   /// Worker-thread cap for this launch; 0 = every pool worker.  The
   /// autotuner uses it to pick a per-(layer, level) parallelism degree
   /// without resizing the shared pool.
@@ -57,8 +49,8 @@ struct KernelOptions {
 };
 
 /// Throws CheckError, prefixed by `who`, naming the first out-of-range
-/// field and its value: k_tile >= 0, row_grain >= 1, unroll in {1, 2, 4}
-/// (the compiled ladder; nothing is clamped), threads >= 0.
+/// field and its value: k_tile >= 0, row_grain >= 1, threads >= 0
+/// (nothing is clamped).
 void check_kernel_options(const KernelOptions& options,
                           const std::string& who);
 

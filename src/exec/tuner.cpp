@@ -16,12 +16,15 @@ namespace {
 // Search ladders.  k_tile 0 means auto (cache-sized, exec/kernels.hpp);
 // threads 0 means every pool worker.
 constexpr std::array<std::int64_t, 6> kKTiles = {0, 16, 32, 64, 128, 256};
-constexpr std::array<std::int64_t, 3> kUnrolls = {1, 2, 4};
 constexpr std::array<std::int64_t, 4> kThreads = {0, 1, 2, 4};
 
-constexpr int kFeatures = 7;
+constexpr int kFeatures = 5;
 
 constexpr const char* kWho = "TuningRecord";
+/// The record format this build writes and reads.  v1 records carried
+/// an unroll factor per entry, which the kernels derive from each call's
+/// width instead.
+constexpr const char* kVersion = "v2";
 
 /// Quadratic feature map over the (log-scaled) knobs: enough curvature to
 /// place the minimum of each knob's latency bowl, small enough to fit
@@ -30,10 +33,9 @@ std::array<double, kFeatures> features(const KernelOptions& o) {
   const double kt = std::log2(
       static_cast<double>(o.k_tile == 0 ? 64 : std::max<std::int64_t>(
                                                    8, o.k_tile)));
-  const double u = static_cast<double>(o.unroll);
   const double t = static_cast<double>(
       o.threads == 0 ? kThreads.back() : o.threads);
-  return {1.0, kt, kt * kt, u, u * u, t, t * t};
+  return {1.0, kt, kt * kt, t, t * t};
 }
 
 /// Least-squares fit via the normal equations (kFeatures x kFeatures,
@@ -99,7 +101,7 @@ double predict(const std::array<double, kFeatures>& w,
 
 std::string TuningRecord::serialize() const {
   std::ostringstream out;
-  out << "rt3-tuning v1\n";
+  out << "rt3-tuning " << kVersion << "\n";
   out << "mode " << exec_mode_name(mode) << "\n";
   out << "isa " << isa << "\n";
   out << "batch " << batch << "\n";
@@ -108,7 +110,6 @@ std::string TuningRecord::serialize() const {
     out << "entry layer=" << e.layer << " level=" << e.level
         << " k_tile=" << e.options.k_tile
         << " row_grain=" << e.options.row_grain
-        << " unroll=" << e.options.unroll
         << " threads=" << e.options.threads
         << " predicted_ms=" << format_g17(e.predicted_ms)
         << " measured_ms=" << format_g17(e.measured_ms) << "\n";
@@ -120,9 +121,11 @@ TuningRecord TuningRecord::parse(const std::string& text) {
   std::istringstream in(text);
   std::string magic;
   std::string version;
-  check(static_cast<bool>(in >> magic >> version) &&
-            magic == "rt3-tuning" && version == "v1",
-        "TuningRecord: not an rt3-tuning v1 file");
+  check(static_cast<bool>(in >> magic >> version) && magic == "rt3-tuning",
+        "TuningRecord: not an rt3-tuning file");
+  check(version == kVersion, "TuningRecord: version " + version +
+                                 " is not supported (need " + kVersion +
+                                 ")");
   TuningRecord record;
   record.mode = exec_mode_from_name(take_field(in, kWho, "mode"));
   record.isa = take_field(in, kWho, "isa");
@@ -151,7 +154,6 @@ TuningRecord TuningRecord::parse(const std::string& text) {
     e.level = int_kv("level");
     e.options.k_tile = int_kv("k_tile");
     e.options.row_grain = int_kv("row_grain");
-    e.options.unroll = int_kv("unroll");
     e.options.threads = int_kv("threads");
     e.predicted_ms = double_kv("predicted_ms");
     e.measured_ms = double_kv("measured_ms");
@@ -200,16 +202,13 @@ std::int64_t PlanCache::apply_tuning(const TuningRecord& record) {
 
 std::vector<KernelOptions> Autotuner::candidate_grid() {
   std::vector<KernelOptions> grid;
-  grid.reserve(kKTiles.size() * kUnrolls.size() * kThreads.size());
+  grid.reserve(kKTiles.size() * kThreads.size());
   for (const std::int64_t kt : kKTiles) {
-    for (const std::int64_t u : kUnrolls) {
-      for (const std::int64_t t : kThreads) {
-        KernelOptions o;
-        o.k_tile = kt;
-        o.unroll = u;
-        o.threads = t;
-        grid.push_back(o);
-      }
+    for (const std::int64_t t : kThreads) {
+      KernelOptions o;
+      o.k_tile = kt;
+      o.threads = t;
+      grid.push_back(o);
     }
   }
   return grid;

@@ -114,6 +114,14 @@ KernelOptions tiny_tiles() {
   return options;
 }
 
+/// Activation widths at which every table's ladder head runs at each
+/// unroll U in {1, 2, 4} (the largest U with W * U <= n): 1, 3, 5+ on
+/// scalar (W = 1); 5, 13, 20+ on neon (4); 13, 20, 45+ on avx2 (8); and
+/// 20, 45, 77 on avx512 (16), whose ladder gets the whole 16-lane
+/// vectors (16, 32, 64) and hands the rest to avx2.
+constexpr std::array<std::int64_t, 7> kEveryUnrollWidths = {1,  3,  5, 13,
+                                                            20, 45, 77};
+
 /// Forces one kernel table for a scope, restoring the previous ISA on
 /// exit.
 class ScopedIsa {
@@ -258,18 +266,19 @@ TEST(SimdIsa, NamesRoundTripAndTopologyProbesAreSane) {
 }
 
 TEST(SimdKernels, RaggedShapesBitwiseMatchScalarAcrossUnrolls) {
-  // n = 45 covers every code path at the widest unroll (8-lane x 4-chain
-  // block, single-vector tail, scalar tail lanes); 19 x 23 weights keep
-  // row partitioning and k-tiling ragged too.  The SIMD table must match
-  // the forced-scalar table AND the naive reference bitwise, lane-wise.
+  // The widths run every unroll on each table (kEveryUnrollWidths), and
+  // the ragged ones every code path past it (W*U chunks, single-vector
+  // tail, narrower rungs, single lanes); 19 x 23 weights keep row
+  // partitioning and k-tiling ragged too.  The SIMD table must match the
+  // forced-scalar table AND the naive reference bitwise, lane-wise.
   Rng rng(51);
   const Tensor w = Tensor::randn({19, 23}, rng);
-  const Tensor x = Tensor::randn({23, 45}, rng);
-  const Tensor reference = naive_dense_matmul(w, x);
   ThreadPool pool(3);
-  for (std::int64_t unroll : {1, 2, 4}) {
-    KernelOptions o = tiny_tiles();
-    o.unroll = unroll;
+  const KernelOptions o = tiny_tiles();
+  for (const std::int64_t n : kEveryUnrollWidths) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Tensor x = Tensor::randn({23, n}, rng);
+    const Tensor reference = naive_dense_matmul(w, x);
     {
       ScopedIsa guard(SimdIsa::kScalar);
       expect_bitwise_equal(dense_gemm(w, x, &pool, o), reference);
@@ -281,7 +290,7 @@ TEST(SimdKernels, RaggedShapesBitwiseMatchScalarAcrossUnrolls) {
 
 TEST(SimdKernels, BlockAndPatternFamiliesMatchScalarOnRaggedShapes) {
   Rng rng(53);
-  // Block family: 14 rows over 2 blocks, 45 activation columns.
+  // Block family: 14 rows over 2 blocks.
   Tensor bw = Tensor::randn({14, 10}, rng);
   for (std::int64_t i = 0; i < bw.numel(); ++i) {
     if (rng.bernoulli(0.4)) {
@@ -289,18 +298,18 @@ TEST(SimdKernels, BlockAndPatternFamiliesMatchScalarOnRaggedShapes) {
     }
   }
   const BlockPrunedMatrix bp = BlockPrunedMatrix::from_dense(bw, 2);
-  const Tensor bx = Tensor::randn({10, 45}, rng);
-  const Tensor bref = naive_dense_matmul(bp.to_dense(), bx);
   // Pattern family: 10 x 13 with psize 4 (clipped edge tiles).
   const PatternSet set = random_pattern_set(4, 0.4, 2, rng);
   const Tensor pw = Tensor::randn({10, 13}, rng);
   const PatternPlan plan = PatternPlan::build(pw, set);
-  const Tensor px = Tensor::randn({13, 45}, rng);
-  const Tensor pref = naive_dense_matmul(plan.to_dense(), px);
   ThreadPool pool(2);
-  for (std::int64_t unroll : {1, 2, 4}) {
-    KernelOptions o = tiny_tiles();
-    o.unroll = unroll;
+  const KernelOptions o = tiny_tiles();
+  for (const std::int64_t n : kEveryUnrollWidths) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Tensor bx = Tensor::randn({10, n}, rng);
+    const Tensor bref = naive_dense_matmul(bp.to_dense(), bx);
+    const Tensor px = Tensor::randn({13, n}, rng);
+    const Tensor pref = naive_dense_matmul(plan.to_dense(), px);
     {
       ScopedIsa guard(SimdIsa::kScalar);
       expect_bitwise_equal(block_gemm(bp, bx, &pool, o), bref);
@@ -312,11 +321,12 @@ TEST(SimdKernels, BlockAndPatternFamiliesMatchScalarOnRaggedShapes) {
 }
 
 TEST(SimdKernels, EveryActivationWidthBitwiseMatchesNaive) {
-  // Every activation width from 1 to 2W + W/2 + 1 walks the rungs of the
+  // Every activation width from 1 to 4W + W/2 + 1 walks the rungs of the
   // width ladder (W*U, W, the narrower vectors, single lanes) alone and
-  // in every combination, at every unroll, serially and on a pool.  Pattern
-  // shapes are not psize multiples, so clipped edge tiles run, and psize
-  // 16 sweeps its tile rows in two resident row groups.
+  // in every combination, at every unroll U (4 from n = 4W), serially and
+  // on a pool.  Pattern shapes are not psize multiples, so clipped edge
+  // tiles run, and psize 16 sweeps its tile rows in two resident row
+  // groups.
   Rng rng(57);
   const std::int64_t width = kernel_table_for(detect_simd_isa()).width;
   const Tensor dw = Tensor::randn({13, 11}, rng);
@@ -334,7 +344,7 @@ TEST(SimdKernels, EveryActivationWidthBitwiseMatchesNaive) {
         Tensor::randn({2 * psize + 3, psize + 5}, rng), set));
   }
   ThreadPool pool(3);
-  for (std::int64_t n = 1; n <= 2 * width + width / 2 + 1; ++n) {
+  for (std::int64_t n = 1; n <= 4 * width + width / 2 + 1; ++n) {
     const Tensor dx = Tensor::randn({11, n}, rng);
     const Tensor dref = naive_dense_matmul(dw, dx);
     const Tensor bx = Tensor::randn({10, n}, rng);
@@ -345,24 +355,19 @@ TEST(SimdKernels, EveryActivationWidthBitwiseMatchesNaive) {
       px.push_back(Tensor::randn({plan.cols, n}, rng));
       pref.push_back(naive_dense_matmul(plan.to_dense(), px.back()));
     }
-    for (const std::int64_t unroll : {1, 2, 4}) {
-      KernelOptions o = tiny_tiles();
-      o.unroll = unroll;
-      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        SCOPED_TRACE("n=" + std::to_string(n) +
-                     " unroll=" + std::to_string(unroll) +
-                     (p == nullptr ? " serial" : " pool"));
-        for (const bool scalar : {false, true}) {
-          std::optional<ScopedIsa> guard;
-          if (scalar) {
-            guard.emplace(SimdIsa::kScalar);
-          }
-          expect_bitwise_equal(dense_gemm(dw, dx, p, o), dref);
-          expect_bitwise_equal(block_gemm(bp, bx, p, o), bref);
-          for (std::size_t i = 0; i < plans.size(); ++i) {
-            expect_bitwise_equal(pattern_gemm(plans[i], px[i], p, o),
-                                 pref[i]);
-          }
+    const KernelOptions o = tiny_tiles();
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (p == nullptr ? " serial" : " pool"));
+      for (const bool scalar : {false, true}) {
+        std::optional<ScopedIsa> guard;
+        if (scalar) {
+          guard.emplace(SimdIsa::kScalar);
+        }
+        expect_bitwise_equal(dense_gemm(dw, dx, p, o), dref);
+        expect_bitwise_equal(block_gemm(bp, bx, p, o), bref);
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+          expect_bitwise_equal(pattern_gemm(plans[i], px[i], p, o), pref[i]);
         }
       }
     }
@@ -373,7 +378,8 @@ TEST(SimdKernels, EveryHostIsaBitwiseMatchesNaiveAndTheOthers) {
   // Every table this host can execute runs dense, block and pattern
   // (psize 4, and psize 8, whose 8-row groups keep 8 x 4 accumulators of
   // 16 lanes at unroll 4) at widths that walk each rung of every ladder
-  // (16*U, 16, 8, 4, 1 lanes) alone and combined; avx512 hands the lanes
+  // (16*U, 16, 8, 4, 1 lanes) alone and combined, and run each ladder's
+  // head at U = 1, 2 and 4 (U = 4 from 4 vectors); avx512 hands the lanes
   // past its last whole 16-lane vector (20, 31, 36, 45, 95) to avx2
   // through a column window, and narrower calls wholly.  Each output must
   // be bitwise equal to naive_dense_matmul and to the scalar table's.
@@ -418,27 +424,23 @@ TEST(SimdKernels, EveryHostIsaBitwiseMatchesNaiveAndTheOthers) {
       xs.push_back(Tensor::randn({plan.cols, n}, rng));
       refs.push_back(naive_dense_matmul(plan.to_dense(), xs.back()));
     }
-    for (const std::int64_t unroll : {1, 2, 4}) {
-      KernelOptions o = tiny_tiles();
-      o.unroll = unroll;
-      std::vector<Tensor> scalar_outs;
-      for (const SimdIsa isa : isas) {
-        SCOPED_TRACE(std::string(simd_isa_name(isa)) +
-                     " n=" + std::to_string(n) +
-                     " unroll=" + std::to_string(unroll));
-        ScopedIsa guard(isa);
-        std::vector<Tensor> outs = {dense_gemm(dw, xs[0], &pool, o),
-                                    block_gemm(bp, xs[1], &pool, o)};
-        for (std::size_t i = 0; i < plans.size(); ++i) {
-          outs.push_back(pattern_gemm(plans[i], xs[i + 2], &pool, o));
-        }
-        if (scalar_outs.empty()) {
-          scalar_outs = outs;
-        }
-        for (std::size_t i = 0; i < outs.size(); ++i) {
-          expect_bitwise_equal(outs[i], refs[i]);
-          expect_bitwise_equal(outs[i], scalar_outs[i]);
-        }
+    const KernelOptions o = tiny_tiles();
+    std::vector<Tensor> scalar_outs;
+    for (const SimdIsa isa : isas) {
+      SCOPED_TRACE(std::string(simd_isa_name(isa)) +
+                   " n=" + std::to_string(n));
+      ScopedIsa guard(isa);
+      std::vector<Tensor> outs = {dense_gemm(dw, xs[0], &pool, o),
+                                  block_gemm(bp, xs[1], &pool, o)};
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        outs.push_back(pattern_gemm(plans[i], xs[i + 2], &pool, o));
+      }
+      if (scalar_outs.empty()) {
+        scalar_outs = outs;
+      }
+      for (std::size_t i = 0; i < outs.size(); ++i) {
+        expect_bitwise_equal(outs[i], refs[i]);
+        expect_bitwise_equal(outs[i], scalar_outs[i]);
       }
     }
   }
@@ -586,29 +588,24 @@ TEST(SimdKernels, PatternRowGroupsUnrollsAndThreadsBitwiseMatchNaive) {
       const Tensor x = Tensor::randn({plan.cols, n}, rng);
       const Tensor ref = naive_dense_matmul(plan.to_dense(), x);
       const PaddedActivation px = nan_padded(x);
-      for (const std::int64_t unroll : {1, 2, 4}) {
-        for (const std::int64_t row_grain : {3, 4, 8}) {
-          KernelOptions o = tiny_tiles();
-          o.unroll = unroll;
-          o.row_grain = row_grain;
-          for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool1,
-                                &pool2, &pool3}) {
-            for (const SimdIsa isa : isas) {
-              SCOPED_TRACE(std::string(simd_isa_name(isa)) +
-                           " psize=" + std::to_string(plan.psize) +
-                           " shape=" + std::to_string(plan.rows) + "x" +
-                           std::to_string(plan.cols) +
-                           " n=" + std::to_string(n) +
-                           " unroll=" + std::to_string(unroll) +
-                           " row_grain=" + std::to_string(row_grain) +
-                           " threads=" +
-                           std::to_string(p == nullptr ? 0
-                                                       : p->num_threads()));
-              ScopedIsa guard(isa);
-              std::vector<float> out = nan_output(plan.rows, n);
-              pattern_gemm_into(plan, px.view, out.data(), p, o);
-              expect_bitwise_equal(as_tensor(plan.rows, n, out), ref);
-            }
+      for (const std::int64_t row_grain : {3, 4, 8}) {
+        KernelOptions o = tiny_tiles();
+        o.row_grain = row_grain;
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool1,
+                              &pool2, &pool3}) {
+          for (const SimdIsa isa : isas) {
+            SCOPED_TRACE(std::string(simd_isa_name(isa)) +
+                         " psize=" + std::to_string(plan.psize) +
+                         " shape=" + std::to_string(plan.rows) + "x" +
+                         std::to_string(plan.cols) +
+                         " n=" + std::to_string(n) +
+                         " row_grain=" + std::to_string(row_grain) +
+                         " threads=" +
+                         std::to_string(p == nullptr ? 0 : p->num_threads()));
+            ScopedIsa guard(isa);
+            std::vector<float> out = nan_output(plan.rows, n);
+            pattern_gemm_into(plan, px.view, out.data(), p, o);
+            expect_bitwise_equal(as_tensor(plan.rows, n, out), ref);
           }
         }
       }
@@ -666,8 +663,8 @@ TEST(Kernels, IntoFormsOverwriteStaleBuffersBitwise) {
 
 TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
   // One many-call plan_gemm_into over every mode's plans of a 24 x 24 and
-  // a ragged 18 x 14 layer, each call with its own threads cap (0, 1, 2),
-  // row_grain (1, 3, 16) and unroll, must leave every output bitwise
+  // a ragged 18 x 14 layer, each call with its own threads cap (0, 1, 2)
+  // and row_grain (1, 3, 16), must leave every output bitwise
   // equal to a serial plan_gemm of that call alone.  Every call reads a
   // NaN-padded strided view and overwrites a NaN-prefilled output, so a
   // chunk that one call's split leaves unrun, or a lane one call writes
@@ -713,7 +710,6 @@ TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
       KernelOptions o = tiny_tiles();
       o.threads = static_cast<std::int64_t>(i % 3);
       o.row_grain = std::array<std::int64_t, 3>{1, 3, 16}[(i / 3) % 3];
-      o.unroll = std::array<std::int64_t, 3>{1, 2, 4}[(i + 1) % 3];
       calls.push_back({plans[i], xs[i].view, outs[i].data(), o});
     }
     plan_gemm_into(calls, &pool);
@@ -735,7 +731,7 @@ TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
   std::vector<GemmCall> calls = {
       {plans[0], x.view, untouched.data(), tiny_tiles()}};
   calls.push_back(calls.front());
-  calls.back().options.unroll = 3;
+  calls.back().options.threads = -1;
   EXPECT_THROW(plan_gemm_into(calls, &pool), CheckError);
   EXPECT_TRUE(std::all_of(untouched.begin(), untouched.end(),
                           [](float v) { return std::isnan(v); }));
@@ -765,17 +761,8 @@ TEST(Kernels, OptionValidationAndKTileAutoSizing) {
   const Tensor w = Tensor::randn({4, 4}, rng);
   const Tensor x = Tensor::randn({4, 4}, rng);
   KernelOptions bad = tiny_tiles();
-  bad.unroll = 0;
-  EXPECT_THROW(dense_gemm(w, x, nullptr, bad), CheckError);
-  bad = tiny_tiles();
   bad.threads = -1;
   EXPECT_THROW(dense_gemm(w, x, nullptr, bad), CheckError);
-  // Only the compiled unroll ladder {1, 2, 4} is accepted; nothing clamps.
-  for (const std::int64_t unroll : {3, 5, 8}) {
-    bad = tiny_tiles();
-    bad.unroll = unroll;
-    EXPECT_THROW(dense_gemm(w, x, nullptr, bad), CheckError);
-  }
   // k_tile 0 resolves to a cache-sized tile in [16, cols]; explicit
   // values pass through untouched.
   KernelOptions auto_kt;
@@ -1353,10 +1340,10 @@ TEST(Autotuner, BitDeterministicForFixedSeedWithInjectedCost) {
     const double t =
         static_cast<double>(o.threads == 0 ? 4 : o.threads);
     return 1.0 + 0.05 * static_cast<double>(layer + level) +
-           std::abs(kt - 5.0) +
-           0.3 * std::abs(static_cast<double>(o.unroll) - 2.0) +
-           0.2 * std::abs(t - 2.0);
+           std::abs(kt - 5.0) + 0.2 * std::abs(t - 2.0);
   };
+  // k_tile (6) x threads (4); the unroll factor is derived per call.
+  EXPECT_EQ(Autotuner::candidate_grid().size(), 24U);
   TunerConfig cfg;
   cfg.samples = 12;
   cfg.finalists = 3;
@@ -1367,6 +1354,7 @@ TEST(Autotuner, BitDeterministicForFixedSeedWithInjectedCost) {
   const TuningRecord ra = a.tune();
   const TuningRecord rb = b.tune();
   EXPECT_EQ(ra.serialize(), rb.serialize());
+  EXPECT_EQ(ra.serialize().find("unroll"), std::string::npos);
   ASSERT_EQ(ra.entries.size(), 6U);  // 2 layers x 3 levels
   for (const TuningEntry& e : ra.entries) {
     // The winner's recorded cost is its injected cost (median of a
@@ -1377,34 +1365,6 @@ TEST(Autotuner, BitDeterministicForFixedSeedWithInjectedCost) {
   EXPECT_EQ(TuningRecord::parse(ra.serialize()).serialize(),
             ra.serialize());
   EXPECT_THROW(TuningRecord::parse("not a tuning file"), CheckError);
-}
-
-TEST(TuningRecord, HandEditedUnrollOutsideLadderIsRejected) {
-  TuningRecord record;
-  record.mode = ExecMode::kPattern;
-  record.isa = "avx2";
-  record.batch = 1;
-  TuningEntry e;
-  e.options.unroll = 4;
-  record.entries.push_back(e);
-  const std::string text = record.serialize();
-  ASSERT_EQ(TuningRecord::parse(text).entries[0].options.unroll, 4);
-  // A hand edit to an unroll the kernels do not compile must fail by
-  // name, not be clamped to a neighbouring factor.
-  for (const std::string bad : {"3", "8", "0"}) {
-    std::string edited = text;
-    const std::size_t at = edited.find("unroll=4");
-    ASSERT_NE(at, std::string::npos);
-    edited.replace(at, 8, "unroll=" + bad);
-    try {
-      TuningRecord::parse(edited);
-      ADD_FAILURE() << "unroll=" << bad << " was accepted";
-    } catch (const CheckError& err) {
-      EXPECT_NE(std::string(err.what()).find("unroll=" + bad),
-                std::string::npos)
-          << err.what();
-    }
-  }
 }
 
 TEST(TuningRecord, MalformedRecordsAreRejectedByFieldName) {
@@ -1442,6 +1402,12 @@ TEST(TuningRecord, MalformedRecordsAreRejectedByFieldName) {
        "entry 0 predicted_ms: must be >= 0"},
       {edit("measured_ms=0.25", "measured_ms=-1"),
        "entry 0 measured_ms: must be >= 0"},
+      // A v1 record, whose entries carried an unroll factor, fails by
+      // version.
+      {"rt3-tuning v1\nmode pattern\nisa avx2\nbatch 1\nentries 1\n"
+       "entry layer=0 level=0 k_tile=64 row_grain=16 unroll=2 threads=0 "
+       "predicted_ms=0.5 measured_ms=0.25\n",
+       "version v1 is not supported (need v2)"},
   };
   for (const auto& [edited, expected] : bad) {
     try {
@@ -1472,7 +1438,6 @@ TEST(PlanCache, ApplyTuningInstallsPerPlanOptions) {
   e.layer = 0;
   e.level = 1;
   e.options.k_tile = 32;
-  e.options.unroll = 4;
   e.options.threads = 2;
   record.entries.push_back(e);
   TuningEntry oob = e;  // out-of-range entries are skipped, not fatal
@@ -1481,7 +1446,6 @@ TEST(PlanCache, ApplyTuningInstallsPerPlanOptions) {
   EXPECT_EQ(cache.apply_tuning(record), 1);
   ASSERT_TRUE(cache.plan(0, 1).tuned.has_value());
   EXPECT_EQ(cache.plan(0, 1).tuned->k_tile, 32);
-  EXPECT_EQ(cache.plan(0, 1).tuned->unroll, 4);
   EXPECT_EQ(cache.plan(0, 1).tuned->threads, 2);
   EXPECT_FALSE(cache.plan(0, 0).tuned.has_value());
 
@@ -1490,9 +1454,7 @@ TEST(PlanCache, ApplyTuningInstallsPerPlanOptions) {
   EXPECT_THROW(cache.apply_tuning(record), CheckError);
   // Invalid options are rejected by set_tuned's validation.
   KernelOptions bad;
-  bad.unroll = 0;
-  EXPECT_THROW(cache.set_tuned(0, 0, bad), CheckError);
-  bad.unroll = 3;
+  bad.row_grain = 0;
   EXPECT_THROW(cache.set_tuned(0, 0, bad), CheckError);
 }
 

@@ -79,7 +79,7 @@
 //       plus:
 //         --models N         resident models on the node     (3)
 //   rt3 tune [--out FILE] ...                         offline kernel
-//       autotuner: searches (k_tile, unroll, threads) per (layer, level)
+//       autotuner: searches (k_tile, threads) per (layer, level)
 //       of the measured backend's plan cache — seeded random sample,
 //       fitted latency model, re-measured finalists — and writes the
 //       winners as a tuning record for `rt3 serve --tuning`.  Flags:
@@ -648,13 +648,12 @@ int cmd_tune(const std::vector<std::string>& args) {
   const TuningRecord record = tuner.tune();
   record.save(out);
 
-  TablePrinter t({"layer", "level", "k_tile", "unroll", "threads",
-                  "predicted (ms)", "measured (ms)"});
+  TablePrinter t({"layer", "level", "k_tile", "threads", "predicted (ms)",
+                  "measured (ms)"});
   for (const TuningEntry& e : record.entries) {
     t.add_row({std::to_string(e.layer), std::to_string(e.level),
                e.options.k_tile == 0 ? "auto"
                                      : std::to_string(e.options.k_tile),
-               std::to_string(e.options.unroll),
                e.options.threads == 0 ? "all"
                                       : std::to_string(e.options.threads),
                fmt_f(e.predicted_ms, 4), fmt_f(e.measured_ms, 4)});
