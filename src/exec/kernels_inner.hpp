@@ -102,8 +102,8 @@ void ladder(std::int64_t n, Body& body) {
 
 /// Calls f.template operator()<U>() at the unroll factor of an n-lane
 /// call on a ladder headed by V: the largest U in {4, 2, 1} with
-/// V::kWidth * U <= n, so the widest chunk always fits the call.  The
-/// kernels' only choice of U.
+/// V::kWidth * U <= n, so a W*U chunk runs whenever the ladder's head
+/// runs at all.  The kernels' only choice of U.
 template <class V, class F>
 void with_unroll(std::int64_t n, const F& f) {
   if (n >= 4 * V::kWidth) {
@@ -294,9 +294,10 @@ void with_rows(std::int64_t h, const F& f) {
   f.template operator()<Rows>();
 }
 
-/// Most tile rows one pattern pass takes.  Four (psize 4, U = 1: 16 of
-/// 32 zmm) ran 8% slower than two on a Sapphire Rapids Xeon: each tile
-/// row adds live pointers, and the slot loops' general registers spill.
+/// Most tile rows one pattern pass takes.  Four (psize 4, unroll 1: 16
+/// of 32 zmm) ran 8% slower than two on a Sapphire Rapids Xeon: each
+/// tile row adds live pointers, and the slot loops' general registers
+/// spill.
 constexpr int kPassTileRows = 2;
 
 /// Tile rows one pattern pass covers with Rows-row groups at the call's

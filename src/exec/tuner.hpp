@@ -1,16 +1,14 @@
 // Offline kernel autotuner (`rt3 tune`).
 //
 // For every (layer, level) of a plan cache the tuner searches the
-// KernelOptions space — k_tile x threads over small ladders, 24 points
-// (the kernels derive their unroll factor from each call's width, so it
-// is not searched) — AutoSA-style: it measures a seeded random sample of
-// the grid, fits a quadratic latency model to the samples by least
-// squares, re-measures the model's top predicted finalists (plus the
-// best sampled point), and keeps the fastest.  Winners are serialized as
-// a TuningRecord that `rt3 serve --tuning` bakes back into the
-// PlanCache; tuning never changes results, only launch shapes, because
-// every config executes the same per-lane ascending-k accumulation (see
-// exec/kernels.hpp).
+// KernelOptions space — k_tile x threads over small ladders, 24 points —
+// AutoSA-style: it measures a seeded random sample of the grid, fits a
+// quadratic latency model to the samples by least squares, re-measures
+// the model's top predicted finalists (plus the best sampled point), and
+// keeps the fastest.  Winners are serialized as a TuningRecord that
+// `rt3 serve --tuning` bakes back into the PlanCache; tuning never
+// changes results, only launch shapes, because every config executes the
+// same per-lane ascending-k accumulation (see exec/kernels.hpp).
 //
 // The cost function is injectable: production measures
 // MeasuredBackend::time_layer_ms medians; tests inject a deterministic

@@ -664,8 +664,9 @@ TEST(Kernels, IntoFormsOverwriteStaleBuffersBitwise) {
 TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
   // One many-call plan_gemm_into over every mode's plans of a 24 x 24 and
   // a ragged 18 x 14 layer, each call with its own threads cap (0, 1, 2)
-  // and row_grain (1, 3, 16), must leave every output bitwise
-  // equal to a serial plan_gemm of that call alone.  Every call reads a
+  // and row_grain (1, 3, 16), must leave every output bitwise equal to a
+  // serial plan_gemm of that call alone; the widths run AVX-512's ladder
+  // at U = 1, 2 and 4 (20, 32, 64).  Every call reads a
   // NaN-padded strided view and overwrites a NaN-prefilled output, so a
   // chunk that one call's split leaves unrun, or a lane one call writes
   // into another's buffer, breaks the match.
@@ -699,7 +700,7 @@ TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
     }
   }
   ThreadPool pool(3);
-  for (const std::int64_t n : {1, 4, 20, 32}) {
+  for (const std::int64_t n : {1, 4, 20, 32, 64}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     std::vector<PaddedActivation> xs;
     std::vector<std::vector<float>> outs;
