@@ -42,7 +42,8 @@ double median(std::vector<double> xs) {
 // forced ISA.  Min, not median: contention only ever adds time.
 double min_layer_ms(MeasuredBackend& backend, std::int64_t layer,
                     std::int64_t batch, std::int64_t iters) {
-  const KernelOptions opts;  // backend defaults; tuning is ignored here
+  // The backend's launch defaults; tuning is ignored here.
+  const KernelOptions& opts = backend.config().kernel;
   double best = 1e300;
   for (std::int64_t i = 0; i < iters; ++i) {
     best = std::min(best, backend.time_layer_ms(layer, 0, batch, opts));
@@ -147,8 +148,9 @@ int main(int argc, char** argv) {
   // SIMD-vs-scalar kernel speedup per family at level 0: the same plan is
   // timed under a forced-scalar table and under the detected ISA, so the
   // ratio is pure vectorization win (outputs are bitwise identical either
-  // way).  Median across the 3 layers of per-layer min-of-many ratios;
-  // single worker thread so the ratio is not polluted by scheduling.
+  // way).  Median across the 3 layers of per-layer min-of-many ratios,
+  // every launch capped to the calling thread alone so the ratio is not
+  // polluted by scheduling.
   const SimdIsa detected = detect_simd_isa();
   const std::int64_t speed_batch = 32;
   const std::int64_t speed_iters = std::max<std::int64_t>(12, repeats * 8);
@@ -162,6 +164,7 @@ int main(int argc, char** argv) {
     MeasuredBackendConfig kcfg;
     kcfg.mode = mode;
     kcfg.threads = 1;
+    kcfg.kernel.threads = 1;
     kcfg.max_batch = std::max<std::int64_t>(kcfg.max_batch, speed_batch);
     const bool wants_set =
         mode == ExecMode::kPattern || mode == ExecMode::kIrregular;

@@ -84,13 +84,14 @@ void fork_join(ThreadPool* pool, std::int64_t tasks, const Task& task) {
 }
 
 /// How one call's output rows split across threads: into at most
-/// min(pool workers, options.threads) chunks, never more than can run
-/// concurrently, so no worker queues behind another while its siblings
-/// idle.  Chunk boundaries are multiples of `align` rows; the remainder is
-/// spread one align-unit at a time across the leading chunks so sizes
-/// differ by at most one unit.  One chunk when there is no pool, the call
-/// is capped to one thread or the matrix is too small to amortize
-/// dispatch; none when it has no rows.
+/// min(pool workers + 1, options.threads) chunks, chunk 0 on the calling
+/// thread and one per worker, never more than can run concurrently, so
+/// no worker queues behind another while its siblings idle.  Chunk
+/// boundaries are multiples of `align` rows; the remainder is spread one
+/// align-unit at a time across the leading chunks so sizes differ by at
+/// most one unit.  One chunk when there is no pool, the call is capped to
+/// one thread or the matrix is too small to amortize dispatch; none when
+/// it has no rows.
 struct RowSplit {
   std::int64_t total = 0;
   std::int64_t align = 1;
@@ -98,13 +99,14 @@ struct RowSplit {
   std::int64_t base = 0;  // align-units per chunk
   std::int64_t rem = 0;   // leading chunks that take one unit more
 
-  RowSplit(std::int64_t workers, std::int64_t rows,
+  /// `threads`: the caller plus the pool's workers.
+  RowSplit(std::int64_t threads, std::int64_t rows,
            const KernelOptions& options, std::int64_t unit)
       : total(rows), align(unit) {
     if (total <= 0) {
       return;
     }
-    std::int64_t max_chunks = workers;
+    std::int64_t max_chunks = threads;
     if (options.threads > 0) {
       max_chunks = std::min(max_chunks, options.threads);
     }
@@ -189,10 +191,10 @@ void check_call(const Call& c) {
   check_kernel_options(c.options, "exec kernel");
 }
 
-RowSplit row_split(std::int64_t workers, const Call& c) {
+RowSplit row_split(std::int64_t threads, const Call& c) {
   const auto [rows, align] =
       std::visit([](const auto* w) { return rows_and_align(*w); }, c.weight);
-  return RowSplit(workers, rows, c.options, align);
+  return RowSplit(threads, rows, c.options, align);
 }
 
 /// The tables a launch runs on: `wide` covers whole width-lane vectors
@@ -328,17 +330,17 @@ void run_rows(const IrregularPlan& p, const Call& c, const Tables&,
 template <class CallAt>
 void run_calls(ThreadPool* pool, std::int64_t count, const CallAt& call_at) {
   const Tables tables = active_tables();
-  const std::int64_t workers = pool == nullptr ? 1 : pool->num_threads();
+  const std::int64_t threads = pool == nullptr ? 1 : pool->num_threads() + 1;
   std::int64_t tasks = 0;
   for (std::int64_t i = 0; i < count; ++i) {
     const Call c = call_at(i);
     check_call(c);
-    tasks = std::max(tasks, row_split(workers, c).chunks);
+    tasks = std::max(tasks, row_split(threads, c).chunks);
   }
   fork_join(pool, tasks, [&](std::int64_t t) {
     for (std::int64_t i = 0; i < count; ++i) {
       const Call c = call_at(i);
-      const RowSplit split = row_split(workers, c);
+      const RowSplit split = row_split(threads, c);
       if (t < split.chunks) {
         const auto [r0, r1] = split.rows(t);
         std::visit([&](const auto* w) { run_rows(*w, c, tables, r0, r1); },

@@ -38,10 +38,11 @@
 // allocation or copy (MeasuredBackend reuses per-layer workspaces).  The
 // Tensor forms allocate the output and call the `_into` form.
 //
-// Parallelism partitions output rows across at most num_threads() chunks
-// (each element is written by exactly one thread), so results are also
-// independent of the thread count.  Every launch is one fork/join: the
-// calling thread runs chunk 0 itself while pool workers run the rest.  A
+// Parallelism partitions output rows across at most num_threads() + 1
+// chunks (each element is written by exactly one thread), so results are
+// also independent of the thread count.  Every launch is one fork/join:
+// the calling thread runs chunk 0 itself while pool workers run the rest,
+// one chunk each, so the caller counts as a kernel thread.  A
 // many-call launch (plan_gemm_into over a span of GemmCalls) splits each
 // call as it would alone and runs chunk t of every call on thread t, so a
 // whole batch of layers pays one worker wake-up and one join.  Cache

@@ -7,6 +7,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/wall_time.hpp"
+#include "exec/simd.hpp"
 
 namespace rt3 {
 namespace {
@@ -34,6 +35,10 @@ std::int64_t checked_threads(std::int64_t threads) {
 }
 
 }  // namespace
+
+std::int64_t MeasuredBackendConfig::default_threads() {
+  return std::clamp<std::int64_t>(cpu_cores() - 1, 1, kMaxThreads);
+}
 
 MeasuredBackend::MeasuredBackend(MeasuredBackendConfig config,
                                  std::vector<Linear*> layers,

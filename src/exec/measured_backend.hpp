@@ -37,13 +37,17 @@ namespace rt3 {
 struct MeasuredBackendConfig {
   /// Largest accepted `threads`.
   static constexpr std::int64_t kMaxThreads = 256;
+  /// The pool that, with the calling thread, fills the host's cores:
+  /// max(1, hardware_concurrency - 1) workers, at most kMaxThreads.
+  static std::int64_t default_threads();
   /// Which kernel family executes the layers.
   ExecMode mode = ExecMode::kPattern;
-  /// Kernel worker threads (the backend owns its pool, pinning worker i
-  /// to core i % hardware_concurrency, Linux best-effort, so latency
-  /// samples stop paying migration jitter).  Must be in [1, kMaxThreads];
-  /// other values are rejected at construction rather than clamped.
-  std::int64_t threads = 2;
+  /// Kernel pool workers; a launch runs on the calling thread plus these
+  /// (exec/kernels.hpp).  The backend owns its pool, pinning worker i to
+  /// core i % hardware_concurrency, Linux best-effort, so latency samples
+  /// stop paying migration jitter.  Must be in [1, kMaxThreads]; other
+  /// values are rejected at construction rather than clamped.
+  std::int64_t threads = default_threads();
   /// Backend-wide kernel launch defaults; a plan's autotuned options
   /// (PlanCache::apply_tuning) take precedence per (layer, level).
   KernelOptions kernel;

@@ -42,9 +42,10 @@ struct KernelOptions {
   /// Minimum output rows per parallel task; below this the kernel runs
   /// serially on the calling thread.
   std::int64_t row_grain = 16;
-  /// Worker-thread cap for this launch; 0 = every pool worker.  The
-  /// autotuner uses it to pick a per-(layer, level) parallelism degree
-  /// without resizing the shared pool.
+  /// Thread cap for this launch, counting the calling thread: 1 = the
+  /// caller alone, 0 = the caller and every pool worker.  The autotuner
+  /// uses it to pick a per-(layer, level) parallelism degree without
+  /// resizing the shared pool.
   std::int64_t threads = 0;
 };
 

@@ -16,6 +16,7 @@ namespace rt3 {
 ThreadPool::ThreadPool(std::int64_t num_threads, bool pin_to_cores) {
   check(num_threads >= 1, "ThreadPool: need at least one thread");
   workers_.reserve(static_cast<std::size_t>(num_threads));
+  tasks_.reserve(static_cast<std::size_t>(num_threads));
   const unsigned cores = std::max(1U, std::thread::hardware_concurrency());
   pinned_ = pin_to_cores;
   for (std::int64_t i = 0; i < num_threads; ++i) {
@@ -61,6 +62,14 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     MutexLock lock(mu_);
     check(!stopping_, "ThreadPool: submit after shutdown");
+    // A full vector reclaims its popped slots before it grows, once they
+    // are at least half of it, so a queue that never drains stays within
+    // a constant factor of its pending tasks.
+    if (tasks_.size() == tasks_.capacity() && 2 * head_ >= tasks_.size()) {
+      tasks_.erase(tasks_.begin(),
+                   tasks_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
     tasks_.push_back(std::move(task));
   }
   has_work_.notify_one();
@@ -68,7 +77,7 @@ void ThreadPool::submit(std::function<void()> task) {
 
 void ThreadPool::wait_idle() {
   UniqueLock lock(mu_);
-  while (!(tasks_.empty() && active_ == 0)) {
+  while (!(queue_empty() && active_ == 0)) {
     idle_.wait(lock);
   }
   if (first_error_ != nullptr) {
@@ -84,14 +93,17 @@ void ThreadPool::worker_loop() {
     bool poisoned = false;
     {
       UniqueLock lock(mu_);
-      while (!(stopping_ || !tasks_.empty())) {
+      while (!(stopping_ || !queue_empty())) {
         has_work_.wait(lock);
       }
-      if (tasks_.empty()) {
+      if (queue_empty()) {
         return;  // stopping and drained
       }
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
+      task = std::move(tasks_[head_++]);
+      if (queue_empty()) {
+        tasks_.clear();  // keeps the capacity for the next submits
+        head_ = 0;
+      }
       ++active_;
       // After a failure the queue is poison: pop-and-drop the backlog so
       // wait_idle can rethrow promptly instead of waiting out every
@@ -111,7 +123,7 @@ void ThreadPool::worker_loop() {
     {
       MutexLock lock(mu_);
       --active_;
-      if (tasks_.empty() && active_ == 0) {
+      if (queue_empty() && active_ == 0) {
         idle_.notify_all();
       }
     }

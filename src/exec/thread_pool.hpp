@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <thread>
@@ -54,13 +53,21 @@ class ThreadPool {
 
  private:
   void worker_loop() RT3_EXCLUDES(mu_);
+  bool queue_empty() const RT3_REQUIRES(mu_) {
+    return head_ == tasks_.size();
+  }
   /// Lets the workers drain the queue and exit, then joins them.
   void stop_and_join() RT3_EXCLUDES(mu_);
 
   Mutex mu_{"ThreadPool::mu_"};
   CondVar has_work_;
   CondVar idle_;
-  std::deque<std::function<void()>> tasks_ RT3_GUARDED_BY(mu_);
+  /// FIFO queue: tasks_[head_ ..] are pending.  Popped slots are reused
+  /// (reset once drained, reclaimed by a full vector before it grows), so
+  /// a steady submit/drain cycle allocates nothing once the vector holds
+  /// its peak depth; the constructor reserves one slot per worker.
+  std::vector<std::function<void()>> tasks_ RT3_GUARDED_BY(mu_);
+  std::size_t head_ RT3_GUARDED_BY(mu_) = 0;
   /// Mutated only by the constructing thread (ctor fills, dtor joins);
   /// workers never touch the vector, so it needs no lock.
   std::vector<std::thread> workers_;

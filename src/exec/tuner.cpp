@@ -14,7 +14,8 @@ namespace rt3 {
 namespace {
 
 // Search ladders.  k_tile 0 means auto (cache-sized, exec/kernels.hpp);
-// threads 0 means every pool worker.
+// threads counts the calling thread, and 0 means the caller and every
+// pool worker.
 constexpr std::array<std::int64_t, 6> kKTiles = {0, 16, 32, 64, 128, 256};
 constexpr std::array<std::int64_t, 4> kThreads = {0, 1, 2, 4};
 

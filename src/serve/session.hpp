@@ -66,7 +66,8 @@ struct ServeSessionConfig {
   /// kernel times are measurable.
   std::int64_t measured_layers = 3;
   std::int64_t measured_layer_dim = 64;
-  std::int64_t measured_threads = 2;
+  /// Kernel pool workers (MeasuredBackendConfig::threads).
+  std::int64_t measured_threads = MeasuredBackendConfig::default_threads();
   /// Drop requests whose deadline is already blown before they occupy a
   /// batch slot (ServerStats::shed).
   bool shed_expired = false;

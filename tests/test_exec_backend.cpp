@@ -17,6 +17,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -662,19 +663,24 @@ TEST(Kernels, IntoFormsOverwriteStaleBuffersBitwise) {
 }
 
 TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
-  // One many-call plan_gemm_into over every mode's plans of a 24 x 24 and
-  // a ragged 18 x 14 layer, each call with its own threads cap (0, 1, 2)
-  // and row_grain (1, 3, 16), must leave every output bitwise equal to a
-  // serial plan_gemm of that call alone; the widths run AVX-512's ladder
-  // at U = 1, 2 and 4 (20, 32, 64).  Every call reads a
-  // NaN-padded strided view and overwrites a NaN-prefilled output, so a
-  // chunk that one call's split leaves unrun, or a lane one call writes
-  // into another's buffer, breaks the match.
+  // A launch splits each call into at most W + 1 chunks on a W-worker
+  // pool (chunk 0 on the caller).  On pools of 1, 2 and 3 workers, one
+  // many-call plan_gemm_into over every mode's plans of a 24 x 24, a
+  // ragged 18 x 14 and a 28 x 20 layer (6, 5 and 7 psize-4 tile rows, so
+  // W + 1 chunks of tile rows leave a remainder for every W), each plan
+  // called under the threads caps 0, 1, W, W + 1 and W + 2, must leave
+  // every output bitwise equal to a serial plan_gemm of that call alone
+  // and to naive_dense_matmul; each launch runs one row_grain (1, 3, 16)
+  // and the widths run AVX-512's ladder at U = 1, 2 and 4 (20, 32, 64).
+  // Every call reads a NaN-padded strided view and overwrites a
+  // NaN-prefilled output, so a chunk that one call's split leaves unrun,
+  // or a lane one call writes into another's buffer, breaks the match.
   Rng rng(71);
   std::vector<std::unique_ptr<Linear>> owned;
   std::vector<Linear*> layers;
   owned.push_back(std::make_unique<Linear>(24, 24, rng));
   owned.push_back(std::make_unique<Linear>(18, 14, rng));
+  owned.push_back(std::make_unique<Linear>(28, 20, rng));
   for (auto& l : owned) {
     layers.push_back(l.get());
   }
@@ -695,35 +701,55 @@ TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
   }
   std::vector<const LayerPlan*> plans;
   for (const auto& cache : caches) {
-    for (std::int64_t li = 0; li < 2; ++li) {
+    for (std::int64_t li = 0; li < cache->num_layers(); ++li) {
       plans.push_back(&cache->plan(li, 0));
     }
   }
-  ThreadPool pool(3);
-  for (const std::int64_t n : {1, 4, 20, 32, 64}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<PaddedActivation> xs;
-    std::vector<std::vector<float>> outs;
-    std::vector<GemmCall> calls;
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      xs.push_back(nan_padded(Tensor::randn({plans[i]->cols, n}, rng)));
-      outs.push_back(nan_output(plans[i]->rows, n));
-      KernelOptions o = tiny_tiles();
-      o.threads = static_cast<std::int64_t>(i % 3);
-      o.row_grain = std::array<std::int64_t, 3>{1, 3, 16}[(i / 3) % 3];
-      calls.push_back({plans[i], xs[i].view, outs[i].data(), o});
-    }
-    plan_gemm_into(calls, &pool);
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      SCOPED_TRACE(std::string(exec_mode_name(plans[i]->mode)) +
-                   " call=" + std::to_string(i));
-      const LayerPlan& plan = *plans[i];
-      expect_bitwise_equal(
-          as_tensor(plan.rows, n, outs[i]),
-          plan_gemm(plan, as_tensor(xs[i].view), nullptr, calls[i].options));
+  for (const std::int64_t workers : {1, 2, 3}) {
+    ThreadPool pool(workers);
+    const std::array<std::int64_t, 5> caps = {0, 1, workers, workers + 1,
+                                              workers + 2};
+    for (const std::int64_t n : {1, 4, 20, 32, 64}) {
+      std::vector<PaddedActivation> xs;
+      std::vector<Tensor> refs;
+      for (const LayerPlan* plan : plans) {
+        const Tensor x = Tensor::randn({plan->cols, n}, rng);
+        xs.push_back(nan_padded(x));
+        refs.push_back(naive_dense_matmul(plan->dense_equivalent(), x));
+      }
+      for (const std::int64_t row_grain : {1, 3, 16}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers) +
+                     " n=" + std::to_string(n) +
+                     " row_grain=" + std::to_string(row_grain));
+        std::vector<std::vector<float>> outs;
+        std::vector<GemmCall> calls;
+        outs.reserve(plans.size() * caps.size());
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+          for (const std::int64_t cap : caps) {
+            KernelOptions o = tiny_tiles();
+            o.threads = cap;
+            o.row_grain = row_grain;
+            outs.push_back(nan_output(plans[i]->rows, n));
+            calls.push_back({plans[i], xs[i].view, outs.back().data(), o});
+          }
+        }
+        plan_gemm_into(calls, &pool);
+        for (std::size_t c = 0; c < calls.size(); ++c) {
+          const std::size_t i = c / caps.size();
+          const LayerPlan& plan = *plans[i];
+          SCOPED_TRACE(std::string(exec_mode_name(plan.mode)) +
+                       " rows=" + std::to_string(plan.rows) +
+                       " threads=" + std::to_string(calls[c].options.threads));
+          const Tensor out = as_tensor(plan.rows, n, outs[c]);
+          expect_bitwise_equal(out, plan_gemm(plan, as_tensor(xs[i].view),
+                                              nullptr, calls[c].options));
+          expect_bitwise_equal(out, refs[i]);
+        }
+      }
     }
   }
 
+  ThreadPool pool(3);
   // Every call is validated before any runs: a bad call at the end of
   // the list throws and leaves the first call's output untouched.
   const PaddedActivation x =
@@ -1006,11 +1032,11 @@ TEST(MeasuredBackend, BatchInputsAreCacheLineAlignedAndTunedLayersBitwise) {
 }
 
 TEST(MeasuredBackend, SteadyStateRunBatchAllocatesNoBuffers) {
-  // After warm-up a batch reads its activations in place and writes
-  // construction-time workspaces: no call allocates a block of 4 KiB or
-  // more, whatever the level or width.  The thread pool's task queue may
-  // still allocate a small node now and then.
-  MeasuredRig rig = measured_rig(ExecMode::kPattern, 2, 8);
+  // After warm-up a batch reads its activations in place, writes
+  // construction-time workspaces and submits its fork's tasks into the
+  // pool's reused queue slots: no call allocates anything, whatever the
+  // level or width.
+  MeasuredRig rig = measured_rig(ExecMode::kPattern, 3, 8);
   MeasuredBackend& backend = *rig.backend;
   for (std::int64_t level = 0; level < backend.num_levels(); ++level) {
     backend.activate_level(level);
@@ -1034,7 +1060,7 @@ TEST(MeasuredBackend, SteadyStateRunBatchAllocatesNoBuffers) {
       static_cast<double>(g_heap_allocs.load() - allocs_before) /
       static_cast<double>(calls);
   RecordProperty("allocations_per_run_batch", std::to_string(per_call));
-  EXPECT_LT(per_call, 1.0);
+  EXPECT_EQ(per_call, 0.0);
 
   // The counter does see allocations: the Tensor-returning run_layer
   // allocates its output.
@@ -1295,6 +1321,27 @@ TEST(MeasuredBackend, RejectsNonPositiveThreads) {
           << e.what();
     }
   }
+}
+
+TEST(MeasuredBackend, DefaultPoolFillsTheHostsOtherCores) {
+  // A launch runs on the calling thread plus every pool worker, so the
+  // default pool takes every core but one; the serving session's
+  // measured pool defaults to the same count.
+  Rng rng(67);
+  std::vector<std::unique_ptr<Linear>> owned;
+  std::vector<Linear*> layers;
+  owned.push_back(std::make_unique<Linear>(8, 8, rng));
+  layers.push_back(owned.back().get());
+  MeasuredBackendConfig cfg;
+  cfg.mode = ExecMode::kDense;
+  const MeasuredBackend backend(cfg, layers, {}, {}, {1000.0});
+  const auto cores =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  const std::int64_t expected = std::min<std::int64_t>(
+      std::max<std::int64_t>(1, cores - 1),
+      MeasuredBackendConfig::kMaxThreads);
+  EXPECT_EQ(backend.config().threads, expected);
+  EXPECT_EQ(ServeSessionConfig{}.measured_threads, expected);
 }
 
 TEST(ThreadPool, PinnedPoolMatchesFloatingBitwiseWithBoundedJitter) {

@@ -1,13 +1,15 @@
 // Multi-threaded tests for the kernel engine's ThreadPool: every task
-// runs exactly once, a throwing task surfaces from wait_idle() and
-// poisons the backlog, and pinning is best-effort.  Assertions are about
-// conservation, never about timing, so these are stable on any core count.
+// runs exactly once, one worker runs tasks in submit order, a throwing
+// task surfaces from wait_idle() and poisons the backlog, and pinning is
+// best-effort.  Assertions are about conservation and order, never about
+// timing, so these are stable on any core count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "exec/thread_pool.hpp"
@@ -64,6 +66,44 @@ TEST(ThreadPool, PoisonedQueueDrainsWithoutRunningTaskBodies) {
   pool.submit([&] { ran.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(ThreadPool, QueueStaysFifoWhileItReusesPoppedSlots) {
+  // The queue reuses the slots of popped tasks instead of allocating
+  // per submit.  One worker runs tasks in queue order, and task i waits
+  // until the test allows it, so the queue is drained part-way while
+  // more tasks arrive behind it: the run order must stay the submit
+  // order throughout.
+  ThreadPool pool(1);
+  std::atomic<std::int64_t> allowed{0};
+  std::atomic<std::int64_t> done{0};
+  std::vector<std::int64_t> order;  // written by the one worker only
+  const auto submit = [&](std::int64_t i) {
+    pool.submit([&, i] {
+      while (allowed.load() <= i) {
+        std::this_thread::yield();
+      }
+      order.push_back(i);
+      done.fetch_add(1);
+    });
+  };
+  std::int64_t next = 0;
+  for (; next < 64; ++next) {
+    submit(next);
+  }
+  allowed.store(48);
+  while (done.load() < 48) {
+    std::this_thread::yield();
+  }
+  for (; next < 264; ++next) {
+    submit(next);
+  }
+  allowed.store(next);
+  pool.wait_idle();
+  ASSERT_EQ(static_cast<std::int64_t>(order.size()), next);
+  for (std::int64_t i = 0; i < next; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
 }
 
 TEST(ThreadPool, PinFlagIsBestEffortAndHarmless) {

@@ -40,7 +40,8 @@
 //                            step-down threshold inside which batches
 //                            shrink to --governor-batch      (0 = off)
 //         --governor-batch N batch cap inside the margin     (1)
-//         --threads N        measured-backend kernel threads (2; >= 1)
+//         --threads N        measured-backend pool workers; a launch
+//                            also runs on the caller (cores - 1; >= 1)
 //         --tuning FILE      apply an `rt3 tune` record to the measured
 //                            backend's plan cache before serving
 //         --shed             drop requests whose deadline is
@@ -396,7 +397,7 @@ ServeSessionConfig parse_session_config(const std::vector<std::string>& args) {
   }
   scfg.governor_margin = arg_double(args, "--governor-margin", 0.0);
   scfg.governor_shrink_batch = arg_int(args, "--governor-batch", 1);
-  scfg.measured_threads = arg_int(args, "--threads", 2);
+  scfg.measured_threads = arg_int(args, "--threads", scfg.measured_threads);
   check(scfg.measured_threads >= 1, "--threads must be >= 1");
   scfg.shed_expired = arg_present(args, "--shed");
   scfg.admit_feasible = arg_present(args, "--admit");
