@@ -1,9 +1,11 @@
 #include "exec/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <exception>
+#include <memory>
 #include <utility>
 #include <variant>
 
@@ -83,21 +85,40 @@ void fork_join(ThreadPool* pool, std::int64_t tasks, const Task& task) {
   }
 }
 
+/// Pieces a chunk is cut into (fewer where a piece would fall below
+/// row_grain rows): the unit a thread claims.  With one of four vCPUs
+/// running its work twice over, 2, 4 and 8 pieces recovered the same
+/// batch-8 throughput on 512-row layers; 2 makes the fewest claims.
+constexpr std::int64_t kPiecesPerChunk = 2;
+
+/// Units [first, second) of part p of `units` cut into `parts` runs whose
+/// sizes differ by at most one, the leading parts taking the remainder.
+std::pair<std::int64_t, std::int64_t> even_part(std::int64_t units,
+                                                std::int64_t parts,
+                                                std::int64_t p) {
+  const std::int64_t base = units / parts;
+  const std::int64_t rem = units % parts;
+  const std::int64_t begin = p * base + std::min(p, rem);
+  return {begin, begin + base + (p < rem ? 1 : 0)};
+}
+
 /// How one call's output rows split across threads: into at most
-/// min(pool workers + 1, options.threads) chunks, chunk 0 on the calling
-/// thread and one per worker, never more than can run concurrently, so
-/// no worker queues behind another while its siblings idle.  Chunk
-/// boundaries are multiples of `align` rows; the remainder is spread one
-/// align-unit at a time across the leading chunks so sizes differ by at
-/// most one unit.  One chunk when there is no pool, the call is capped to
-/// one thread or the matrix is too small to amortize dispatch; none when
-/// it has no rows.
+/// min(pool workers + 1, options.threads) chunks, chunk c being thread
+/// c's own share (chunk 0 the calling thread's), never more than can run
+/// concurrently.  Each chunk is cut into up to kPiecesPerChunk pieces,
+/// the unit a thread claims, so a thread that finishes its own chunk can
+/// take the unclaimed pieces of a slower one (run_calls).  Boundaries are
+/// multiples of `align` rows, the remainder spread one align-unit at a
+/// time across the leading chunks (and pieces) so sizes differ by at
+/// most one unit.  One chunk of one piece when there is no pool, the
+/// call is capped to one thread or the matrix is too small to amortize
+/// dispatch; none when it has no rows.
 struct RowSplit {
   std::int64_t total = 0;
   std::int64_t align = 1;
+  std::int64_t units = 0;  // align-units of rows
+  std::int64_t grain_units = 1;
   std::int64_t chunks = 0;
-  std::int64_t base = 0;  // align-units per chunk
-  std::int64_t rem = 0;   // leading chunks that take one unit more
 
   /// `threads`: the caller plus the pool's workers.
   RowSplit(std::int64_t threads, std::int64_t rows,
@@ -110,24 +131,32 @@ struct RowSplit {
     if (options.threads > 0) {
       max_chunks = std::min(max_chunks, options.threads);
     }
-    const std::int64_t units = (total + align - 1) / align;
+    units = (total + align - 1) / align;
+    grain_units = std::max<std::int64_t>(1, options.row_grain / align);
     chunks = 1;
     if (max_chunks > 1 && total >= 2 * options.row_grain) {
-      const std::int64_t grain_units =
-          std::max<std::int64_t>(1, options.row_grain / align);
       chunks = std::max<std::int64_t>(
           1, std::min(max_chunks, units / grain_units));
     }
-    base = units / chunks;
-    rem = units % chunks;
   }
 
-  /// Rows [first, second) of chunk c < chunks.
-  std::pair<std::int64_t, std::int64_t> rows(std::int64_t c) const {
-    const std::int64_t begin =
-        std::min(total, (c * base + std::min(c, rem)) * align);
-    const std::int64_t take = (base + (c < rem ? 1 : 0)) * align;
-    return {begin, std::min(begin + take, total)};
+  /// Pieces of chunk c < chunks.
+  std::int64_t pieces(std::int64_t c) const {
+    if (chunks == 1) {
+      return 1;  // only the calling thread runs it: nothing to share
+    }
+    const auto [u0, u1] = even_part(units, chunks, c);
+    return std::clamp<std::int64_t>((u1 - u0) / grain_units, 1,
+                                    kPiecesPerChunk);
+  }
+
+  /// Rows [first, second) of piece p < pieces(c) of chunk c < chunks.
+  std::pair<std::int64_t, std::int64_t> rows(std::int64_t c,
+                                             std::int64_t p) const {
+    const auto [u0, u1] = even_part(units, chunks, c);
+    const auto [v0, v1] = even_part(u1 - u0, pieces(c), p);
+    return {std::min(total, (u0 + v0) * align),
+            std::min(total, (u0 + v1) * align)};
   }
 };
 
@@ -325,26 +354,59 @@ void run_rows(const IrregularPlan& p, const Call& c, const Tables&,
 /// Runs call_at(0) .. call_at(count - 1), none of which may write what
 /// another reads or writes, in one fork/join on the active ISA's tables.
 /// Each call's rows split as a lone call's would (RowSplit, under its own
-/// options), and task t runs chunk t of every call, in order.  Every call
-/// is validated before any runs.
+/// options).  Thread t first claims, in order, the pieces of chunk t of
+/// every call, then the unclaimed pieces of the other threads' chunks, so
+/// a launch ends at the threads' combined pace rather than waiting on a
+/// slow or late one (a vCPU sharing its core, a worker woken late).  A
+/// thread only takes another's pieces when every call's split admits it
+/// (t < chunks), so a call capped to c threads still runs on threads
+/// 0 .. c-1.  Every call is validated before any runs.
 template <class CallAt>
 void run_calls(ThreadPool* pool, std::int64_t count, const CallAt& call_at) {
   const Tables tables = active_tables();
   const std::int64_t threads = pool == nullptr ? 1 : pool->num_threads() + 1;
   std::int64_t tasks = 0;
+  std::int64_t thieves = threads;  // threads admitted by every call
   for (std::int64_t i = 0; i < count; ++i) {
     const Call c = call_at(i);
     check_call(c);
-    tasks = std::max(tasks, row_split(threads, c).chunks);
+    const std::int64_t chunks = row_split(threads, c).chunks;
+    tasks = std::max(tasks, chunks);
+    if (chunks > 0) {
+      thieves = std::min(thieves, chunks);
+    }
   }
+  // Claim cursor h walks the (call, piece) items of chunk h, one cache
+  // line each so the threads' claims do not contend; a launch of up to
+  // kInlineCursors threads keeps them on the caller's stack.
+  struct alignas(64) Cursor {
+    std::atomic<std::int64_t> next{0};
+  };
+  constexpr std::int64_t kInlineCursors = 16;
+  std::array<Cursor, kInlineCursors> inline_cursors;
+  std::unique_ptr<Cursor[]> heap_cursors;
+  Cursor* cursors = inline_cursors.data();
+  if (tasks > kInlineCursors) {
+    heap_cursors = std::make_unique<Cursor[]>(static_cast<std::size_t>(tasks));
+    cursors = heap_cursors.get();
+  }
+  const std::int64_t items = count * kPiecesPerChunk;
   fork_join(pool, tasks, [&](std::int64_t t) {
-    for (std::int64_t i = 0; i < count; ++i) {
-      const Call c = call_at(i);
-      const RowSplit split = row_split(threads, c);
-      if (t < split.chunks) {
-        const auto [r0, r1] = split.rows(t);
-        std::visit([&](const auto* w) { run_rows(*w, c, tables, r0, r1); },
-                   c.weight);
+    const std::int64_t homes = t < thieves ? tasks : 1;
+    for (std::int64_t v = 0; v < homes; ++v) {
+      const std::int64_t h = (t + v) % tasks;
+      std::atomic<std::int64_t>& next = cursors[h].next;
+      for (std::int64_t item = next.fetch_add(1, std::memory_order_relaxed);
+           item < items;
+           item = next.fetch_add(1, std::memory_order_relaxed)) {
+        const Call c = call_at(item / kPiecesPerChunk);
+        const RowSplit split = row_split(threads, c);
+        const std::int64_t piece = item % kPiecesPerChunk;
+        if (h < split.chunks && piece < split.pieces(h)) {
+          const auto [r0, r1] = split.rows(h, piece);
+          std::visit([&](const auto* w) { run_rows(*w, c, tables, r0, r1); },
+                     c.weight);
+        }
       }
     }
   });

@@ -41,11 +41,14 @@
 // Parallelism partitions output rows across at most num_threads() + 1
 // chunks (each element is written by exactly one thread), so results are
 // also independent of the thread count.  Every launch is one fork/join:
-// the calling thread runs chunk 0 itself while pool workers run the rest,
-// one chunk each, so the caller counts as a kernel thread.  A
-// many-call launch (plan_gemm_into over a span of GemmCalls) splits each
-// call as it would alone and runs chunk t of every call on thread t, so a
-// whole batch of layers pays one worker wake-up and one join.  Cache
+// the calling thread starts on chunk 0 while pool workers start on the
+// rest, one chunk each, so the caller counts as a kernel thread.  A
+// chunk is cut into a few pieces that threads claim, so a thread done
+// with its own chunk takes the unclaimed pieces of a slower thread's and
+// a launch ends at the threads' combined pace.  A many-call launch
+// (plan_gemm_into over a span of GemmCalls) splits each call as it would
+// alone and thread t starts on chunk t of every call, so a whole batch of
+// layers pays one worker wake-up and one join.  Cache
 // tiling blocks the k-dimension so the active slice of X stays resident;
 // k_tile = 0 auto-sizes it to the per-core L1/L2 budget.
 #pragma once

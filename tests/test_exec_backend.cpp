@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -675,6 +676,8 @@ TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
   // Every call reads a NaN-padded strided view and overwrites a
   // NaN-prefilled output, so a chunk that one call's split leaves unrun,
   // or a lane one call writes into another's buffer, breaks the match.
+  // A thread that finishes its own chunks takes the unclaimed pieces of
+  // the others'; one more launch per pool forces that on a busy worker.
   Rng rng(71);
   std::vector<std::unique_ptr<Linear>> owned;
   std::vector<Linear*> layers;
@@ -733,17 +736,39 @@ TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
             calls.push_back({plans[i], xs[i].view, outs.back().data(), o});
           }
         }
-        plan_gemm_into(calls, &pool);
-        for (std::size_t c = 0; c < calls.size(); ++c) {
-          const std::size_t i = c / caps.size();
-          const LayerPlan& plan = *plans[i];
-          SCOPED_TRACE(std::string(exec_mode_name(plan.mode)) +
-                       " rows=" + std::to_string(plan.rows) +
-                       " threads=" + std::to_string(calls[c].options.threads));
-          const Tensor out = as_tensor(plan.rows, n, outs[c]);
-          expect_bitwise_equal(out, plan_gemm(plan, as_tensor(xs[i].view),
-                                              nullptr, calls[c].options));
-          expect_bitwise_equal(out, refs[i]);
+        const auto launch_and_check = [&] {
+          for (std::vector<float>& out : outs) {
+            std::fill(out.begin(), out.end(),
+                      std::numeric_limits<float>::quiet_NaN());
+          }
+          plan_gemm_into(calls, &pool);
+          for (std::size_t c = 0; c < calls.size(); ++c) {
+            const std::size_t i = c / caps.size();
+            const LayerPlan& plan = *plans[i];
+            SCOPED_TRACE(std::string(exec_mode_name(plan.mode)) +
+                         " rows=" + std::to_string(plan.rows) + " threads=" +
+                         std::to_string(calls[c].options.threads));
+            const Tensor out = as_tensor(plan.rows, n, outs[c]);
+            expect_bitwise_equal(out, plan_gemm(plan, as_tensor(xs[i].view),
+                                                nullptr, calls[c].options));
+            expect_bitwise_equal(out, refs[i]);
+          }
+        };
+        launch_and_check();
+        if (row_grain == 1 && workers > 1) {
+          // Caps 0 and W + 1 only, and one worker held busy elsewhere:
+          // the launch's last task cannot start before another thread has
+          // finished its own, and a finished thread has claimed every
+          // piece, so the busy worker's chunks are run by the others.
+          SCOPED_TRACE("one worker busy, every thread may take pieces");
+          for (GemmCall& call : calls) {
+            call.options.threads = call.options.threads == 1 ? 0 : workers + 1;
+          }
+          pool.submit([] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          });
+          launch_and_check();
+          pool.wait_idle();
         }
       }
     }
