@@ -55,6 +55,12 @@ std::string take_field(std::istream& in, const std::string& who,
   return value;
 }
 
+void check_no_trailing(std::istream& in, const std::string& who) {
+  std::string token;
+  const bool extra = static_cast<bool>(in >> token);
+  check(!extra, who + ": unexpected '" + token + "' after the last field");
+}
+
 std::string format_g17(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);

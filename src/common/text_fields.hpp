@@ -28,6 +28,11 @@ std::string take_kv(std::istream& in, const std::string& who,
 std::string take_field(std::istream& in, const std::string& who,
                        const std::string& name);
 
+/// Requires that `in` holds nothing but whitespace past the artifact's
+/// last field; otherwise throws CheckError, prefixed by `who`, naming the
+/// first extra token.
+void check_no_trailing(std::istream& in, const std::string& who);
+
 /// 17 significant digits: a double -> text -> double round trip is
 /// bit-exact (floats widen exactly), so re-serializing a parsed artifact
 /// is byte-identical.

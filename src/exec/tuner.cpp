@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/text_fields.hpp"
@@ -19,84 +20,11 @@ namespace {
 constexpr std::array<std::int64_t, 6> kKTiles = {0, 16, 32, 64, 128, 256};
 constexpr std::array<std::int64_t, 4> kThreads = {0, 1, 2, 4};
 
-constexpr int kFeatures = 5;
-
 constexpr const char* kWho = "TuningRecord";
 /// The record format this build writes and reads.  v1 records carried
 /// an unroll factor per entry, which the kernels derive from each call's
-/// width instead.
-constexpr const char* kVersion = "v2";
-
-/// Quadratic feature map over the (log-scaled) knobs: enough curvature to
-/// place the minimum of each knob's latency bowl, small enough to fit
-/// from a couple dozen samples.
-std::array<double, kFeatures> features(const KernelOptions& o) {
-  const double kt = std::log2(
-      static_cast<double>(o.k_tile == 0 ? 64 : std::max<std::int64_t>(
-                                                   8, o.k_tile)));
-  const double t = static_cast<double>(
-      o.threads == 0 ? kThreads.back() : o.threads);
-  return {1.0, kt, kt * kt, t, t * t};
-}
-
-/// Least-squares fit via the normal equations (kFeatures x kFeatures,
-/// Gaussian elimination with partial pivoting, small ridge for rank
-/// safety).  Fully deterministic.
-std::array<double, kFeatures> fit_model(
-    const std::vector<std::array<double, kFeatures>>& phi,
-    const std::vector<double>& y) {
-  double a[kFeatures][kFeatures] = {};
-  std::array<double, kFeatures> b = {};
-  for (std::size_t s = 0; s < phi.size(); ++s) {
-    for (int i = 0; i < kFeatures; ++i) {
-      b[i] += phi[s][i] * y[s];
-      for (int j = 0; j < kFeatures; ++j) {
-        a[i][j] += phi[s][i] * phi[s][j];
-      }
-    }
-  }
-  for (int i = 0; i < kFeatures; ++i) {
-    a[i][i] += 1e-9;
-  }
-  for (int col = 0; col < kFeatures; ++col) {
-    int pivot = col;
-    for (int r = col + 1; r < kFeatures; ++r) {
-      if (std::abs(a[r][col]) > std::abs(a[pivot][col])) {
-        pivot = r;
-      }
-    }
-    for (int j = 0; j < kFeatures; ++j) {
-      std::swap(a[col][j], a[pivot][j]);
-    }
-    std::swap(b[col], b[pivot]);
-    for (int r = col + 1; r < kFeatures; ++r) {
-      const double f = a[r][col] / a[col][col];
-      for (int j = col; j < kFeatures; ++j) {
-        a[r][j] -= f * a[col][j];
-      }
-      b[r] -= f * b[col];
-    }
-  }
-  std::array<double, kFeatures> w = {};
-  for (int i = kFeatures - 1; i >= 0; --i) {
-    double acc = b[i];
-    for (int j = i + 1; j < kFeatures; ++j) {
-      acc -= a[i][j] * w[j];
-    }
-    w[i] = acc / a[i][i];
-  }
-  return w;
-}
-
-double predict(const std::array<double, kFeatures>& w,
-               const KernelOptions& o) {
-  const auto phi = features(o);
-  double acc = 0.0;
-  for (int i = 0; i < kFeatures; ++i) {
-    acc += w[i] * phi[i];
-  }
-  return acc;
-}
+/// width instead; v2 records carried a fitted-model prediction per entry.
+constexpr const char* kVersion = "v3";
 
 }  // namespace
 
@@ -112,7 +40,6 @@ std::string TuningRecord::serialize() const {
         << " k_tile=" << e.options.k_tile
         << " row_grain=" << e.options.row_grain
         << " threads=" << e.options.threads
-        << " predicted_ms=" << format_g17(e.predicted_ms)
         << " measured_ms=" << format_g17(e.measured_ms) << "\n";
   }
   return out.str();
@@ -138,6 +65,7 @@ TuningRecord TuningRecord::parse(const std::string& text) {
   // No reserve(count): a corrupt count must fail at the first missing
   // entry line, not as a bad_alloc.
   check(count >= 0, "TuningRecord: bad entry count");
+  std::set<std::pair<std::int64_t, std::int64_t>> seen;
   for (std::int64_t i = 0; i < count; ++i) {
     const std::string where = "TuningRecord: entry " + std::to_string(i);
     std::string label;
@@ -147,24 +75,26 @@ TuningRecord TuningRecord::parse(const std::string& text) {
     const auto int_kv = [&](const std::string& key) {
       return parse_int(where + " " + key, take_kv(in, kWho, key));
     };
-    const auto double_kv = [&](const std::string& key) {
-      return parse_finite(where + " " + key, take_kv(in, kWho, key));
-    };
     TuningEntry e;
     e.layer = int_kv("layer");
     e.level = int_kv("level");
     e.options.k_tile = int_kv("k_tile");
     e.options.row_grain = int_kv("row_grain");
     e.options.threads = int_kv("threads");
-    e.predicted_ms = double_kv("predicted_ms");
-    e.measured_ms = double_kv("measured_ms");
+    e.measured_ms = parse_finite(where + " measured_ms",
+                                 take_kv(in, kWho, "measured_ms"));
     check(e.layer >= 0, where + " layer: must be >= 0");
     check(e.level >= 0, where + " level: must be >= 0");
-    check(e.predicted_ms >= 0.0, where + " predicted_ms: must be >= 0");
     check(e.measured_ms >= 0.0, where + " measured_ms: must be >= 0");
     check_kernel_options(e.options, where);
+    // Applying both entries of a repeated cell would let the last one
+    // silently win.
+    check(seen.insert({e.layer, e.level}).second,
+          where + ": duplicate entry for layer=" + std::to_string(e.layer) +
+              " level=" + std::to_string(e.level));
     record.entries.push_back(e);
   }
+  check_no_trailing(in, kWho);
   return record;
 }
 
@@ -201,10 +131,16 @@ std::int64_t PlanCache::apply_tuning(const TuningRecord& record) {
   return applied;
 }
 
-std::vector<KernelOptions> Autotuner::candidate_grid() {
+std::vector<KernelOptions> Autotuner::candidate_grid(ExecMode mode) {
+  // Only the dense kernel reads k_tile; the other families keep the
+  // KernelOptions default rather than measure copies of one launch.
+  std::vector<std::int64_t> k_tiles(kKTiles.begin(), kKTiles.end());
+  if (mode != ExecMode::kDense) {
+    k_tiles = {KernelOptions{}.k_tile};
+  }
   std::vector<KernelOptions> grid;
-  grid.reserve(kKTiles.size() * kThreads.size());
-  for (const std::int64_t kt : kKTiles) {
+  grid.reserve(k_tiles.size() * kThreads.size());
+  for (const std::int64_t kt : k_tiles) {
     for (const std::int64_t t : kThreads) {
       KernelOptions o;
       o.k_tile = kt;
@@ -252,85 +188,17 @@ double Autotuner::median_cost(std::int64_t layer, std::int64_t level,
 }
 
 TuningEntry Autotuner::tune_one(std::int64_t layer, std::int64_t level,
-                                Rng& rng) {
-  const std::vector<KernelOptions> grid = candidate_grid();
-  const auto grid_n = static_cast<std::int64_t>(grid.size());
-  const std::int64_t sample_n =
-      std::min(std::max<std::int64_t>(kFeatures, config_.samples), grid_n);
-
-  // 1. Measure a seeded random subset of the grid.
-  const std::vector<std::int64_t> picks =
-      rng.sample_without_replacement(grid_n, sample_n);
-  std::vector<std::array<double, kFeatures>> phi;
-  std::vector<double> y;
-  std::int64_t best_sampled = picks[0];
-  double best_sampled_ms = 0.0;
-  bool have_best_sampled = false;
-  for (const std::int64_t g : picks) {
-    const double ms =
-        median_cost(layer, level, grid[static_cast<std::size_t>(g)]);
-    phi.push_back(features(grid[static_cast<std::size_t>(g)]));
-    y.push_back(ms);
-    if (!have_best_sampled || ms < best_sampled_ms) {
-      best_sampled = g;
-      best_sampled_ms = ms;
-      have_best_sampled = true;
-    }
-  }
-
-  // 2. Fit the latency model and rank the FULL grid by prediction (ties
-  //    broken by grid index, keeping the search deterministic).
-  const auto w = fit_model(phi, y);
-  std::vector<std::int64_t> order(static_cast<std::size_t>(grid_n));
-  for (std::int64_t g = 0; g < grid_n; ++g) {
-    order[static_cast<std::size_t>(g)] = g;
-  }
-  std::vector<double> predicted(static_cast<std::size_t>(grid_n));
-  for (std::int64_t g = 0; g < grid_n; ++g) {
-    predicted[static_cast<std::size_t>(g)] =
-        predict(w, grid[static_cast<std::size_t>(g)]);
-  }
-  std::sort(order.begin(), order.end(),
-            [&](std::int64_t a, std::int64_t b) {
-              const double pa = predicted[static_cast<std::size_t>(a)];
-              const double pb = predicted[static_cast<std::size_t>(b)];
-              return pa != pb ? pa < pb : a < b;
-            });
-
-  // 3. Re-measure the top predicted finalists plus the best sampled
-  //    point; the fastest measurement wins (model proposes, measurement
-  //    disposes).
-  std::vector<std::int64_t> finalists(
-      order.begin(),
-      order.begin() + static_cast<std::size_t>(std::min<std::int64_t>(
-                          std::max<std::int64_t>(1, config_.finalists),
-                          grid_n)));
-  if (std::find(finalists.begin(), finalists.end(), best_sampled) ==
-      finalists.end()) {
-    finalists.push_back(best_sampled);
-  }
-  std::int64_t winner = finalists[0];
-  double winner_ms = 0.0;
-  bool have_winner = false;
-  for (const std::int64_t g : finalists) {
-    const double ms =
-        median_cost(layer, level, grid[static_cast<std::size_t>(g)]);
-    if (!have_winner || ms < winner_ms ||
-        (ms == winner_ms && g < winner)) {
-      winner = g;
-      winner_ms = ms;
-      have_winner = true;
-    }
-  }
-
+                                const std::vector<KernelOptions>& grid) {
   TuningEntry entry;
   entry.layer = layer;
   entry.level = level;
-  entry.options = grid[static_cast<std::size_t>(winner)];
-  // The linear fit can extrapolate below zero; a time never is.
-  entry.predicted_ms =
-      std::max(0.0, predicted[static_cast<std::size_t>(winner)]);
-  entry.measured_ms = winner_ms;
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    const double ms = median_cost(layer, level, grid[g]);
+    if (g == 0 || ms < entry.measured_ms) {  // ties keep the earlier point
+      entry.options = grid[g];
+      entry.measured_ms = ms;
+    }
+  }
   return entry;
 }
 
@@ -341,10 +209,10 @@ TuningRecord Autotuner::tune() {
   record.mode = mode_;
   record.batch = config_.batch;
   record.isa = simd_isa_name(active_simd_isa());
-  Rng rng(config_.seed);
+  const std::vector<KernelOptions> grid = candidate_grid(mode_);
   for (std::int64_t level = 0; level < levels_; ++level) {
     for (std::int64_t layer = 0; layer < layers_; ++layer) {
-      record.entries.push_back(tune_one(layer, level, rng));
+      record.entries.push_back(tune_one(layer, level, grid));
     }
   }
   return record;

@@ -1,19 +1,19 @@
 // Offline kernel autotuner (`rt3 tune`).
 //
-// For every (layer, level) of a plan cache the tuner searches the
-// KernelOptions space — k_tile x threads over small ladders, 24 points —
-// AutoSA-style: it measures a seeded random sample of the grid, fits a
-// quadratic latency model to the samples by least squares, re-measures
-// the model's top predicted finalists (plus the best sampled point), and
-// keeps the fastest.  Winners are serialized as a TuningRecord that
-// `rt3 serve --tuning` bakes back into the PlanCache; tuning never
-// changes results, only launch shapes, because every config executes the
-// same per-lane ascending-k accumulation (see exec/kernels.hpp).
+// For every (layer, level) of a plan cache the tuner measures every point
+// of its mode's KernelOptions grid and keeps the fastest.  Only the dense
+// kernel reads k_tile, so the dense grid is k_tile x threads (6 x 4 = 24
+// points) and the block, pattern and COO grids are the threads ladder
+// alone (4 points, k_tile left at its default).  Winners are serialized
+// as a TuningRecord that `rt3 serve --tuning` bakes back into the
+// PlanCache; tuning never changes results, only launch shapes, because
+// every config executes the same per-lane ascending-k accumulation (see
+// exec/kernels.hpp).
 //
 // The cost function is injectable: production measures
 // MeasuredBackend::time_layer_ms medians; tests inject a deterministic
-// synthetic cost, which makes the whole search — sampling, fit,
-// finalists, tie-breaks — bit-reproducible from the seed.
+// synthetic cost, under which the search is an exact argmin over the
+// grid (ties keep the earlier grid point).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "exec/measured_backend.hpp"
 #include "exec/plan.hpp"
 #include "perf/latency_model.hpp"
@@ -33,14 +32,13 @@ struct TuningEntry {
   std::int64_t layer = 0;
   std::int64_t level = 0;
   KernelOptions options;
-  /// Fitted-model prediction for the winner (ms), floored at 0.
-  double predicted_ms = 0.0;
-  /// Winner's re-measured cost (ms) — the selection criterion.
+  /// Winner's measured cost (ms) — the selection criterion.
   double measured_ms = 0.0;
 };
 
 /// A full tuning run, serializable as a small line-oriented text file
-/// headed "rt3-tuning v2"; parse rejects any other version by name.
+/// headed "rt3-tuning v3"; parse rejects any other version by name, a
+/// repeated (layer, level) and any token after the last entry.
 /// Doubles are written with 17 significant digits, so
 /// parse(serialize(r)) round-trips bit-exactly and re-serialization is
 /// byte-identical (the CI smoke check).
@@ -60,17 +58,10 @@ struct TuningRecord {
 };
 
 struct TunerConfig {
-  /// Random grid points measured to fit the latency model (clamped to the
-  /// grid size).
-  std::int64_t samples = 24;
-  /// Top model-predicted configs re-measured before picking the winner.
-  std::int64_t finalists = 4;
   /// Cost measurements per candidate; the median is used.
   std::int64_t repeats = 3;
   /// Batch size to tune at.
   std::int64_t batch = 1;
-  /// Seed for candidate sampling (the only randomness in the search).
-  std::uint64_t seed = 42;
 };
 
 class Autotuner {
@@ -84,20 +75,22 @@ class Autotuner {
   /// backend must outlive the tuner.
   Autotuner(TunerConfig config, MeasuredBackend& backend);
 
-  /// Injected-cost constructor (tests, bit-determinism): searches a
-  /// layers x levels space with `cost` as ground truth.
+  /// Injected-cost constructor (tests): searches a layers x levels space
+  /// with `cost` as ground truth.
   Autotuner(TunerConfig config, ExecMode mode, std::int64_t layers,
             std::int64_t levels, CostFn cost);
 
-  /// Runs the search over every (layer, level); deterministic given the
-  /// seed and a deterministic cost function.
+  /// Measures the whole grid for every (layer, level); deterministic
+  /// given a deterministic cost function.
   TuningRecord tune();
 
-  /// The candidate grid the search draws from (public for tests).
-  static std::vector<KernelOptions> candidate_grid();
+  /// The points `mode`'s search measures, in tie-break order (public for
+  /// tests).
+  static std::vector<KernelOptions> candidate_grid(ExecMode mode);
 
  private:
-  TuningEntry tune_one(std::int64_t layer, std::int64_t level, Rng& rng);
+  TuningEntry tune_one(std::int64_t layer, std::int64_t level,
+                       const std::vector<KernelOptions>& grid);
   double median_cost(std::int64_t layer, std::int64_t level,
                      const KernelOptions& options);
 

@@ -253,6 +253,7 @@ std::shared_ptr<RlGovernorPolicy> RlGovernorPolicy::parse(
       value[i] = parse_f32(field, token);
     }
   }
+  check_no_trailing(in, kWho);
   return policy;
 }
 

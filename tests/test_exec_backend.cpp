@@ -10,20 +10,26 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "common/wall_time.hpp"
 #include "exec/analytic_backend.hpp"
 #include "exec/backend.hpp"
 #include "exec/calibrator.hpp"
@@ -1369,7 +1375,7 @@ TEST(MeasuredBackend, DefaultPoolFillsTheHostsOtherCores) {
   EXPECT_EQ(ServeSessionConfig{}.measured_threads, expected);
 }
 
-TEST(ThreadPool, PinnedPoolMatchesFloatingBitwiseWithBoundedJitter) {
+TEST(ThreadPool, PinnedPoolMatchesFloatingBitwiseAndPinsOneCorePerWorker) {
   ThreadPool floating(2);
   EXPECT_FALSE(floating.pinned());  // not requested
   ThreadPool pinned(2, /*pin_to_cores=*/true);
@@ -1383,60 +1389,122 @@ TEST(ThreadPool, PinnedPoolMatchesFloatingBitwiseWithBoundedJitter) {
   // Pinning changes where work runs, never what it computes.
   expect_bitwise_equal(dense_gemm(w, x, &pinned, tiny_tiles()), reference);
   expect_bitwise_equal(dense_gemm(w, x, &floating, tiny_tiles()), reference);
-  // Loose jitter sanity on the pinned pool: across repeats the p90 stays
-  // within a very generous multiple of the median.  The bound tolerates
-  // 1-core CI runners and sanitizer slowdowns; it exists to catch a
-  // pinning implementation that serializes or livelocks workers, not to
-  // benchmark.
-  std::vector<double> walls;
-  for (int rep = 0; rep < 20; ++rep) {
-    const auto t0 = wall_now();
-    const Tensor out = dense_gemm(w, x, &pinned, tiny_tiles());
-    walls.push_back(wall_ms_since(t0) +
-                    static_cast<double>(out[0] != out[0]));  // keep out live
+#if defined(__linux__)
+  // Worker i runs on core i % hardware_concurrency and nowhere else.  Each
+  // task holds its worker until every task has started, so the masks read
+  // below come from distinct, concurrently running workers; the deadline
+  // only bounds a pool that fails to run them at once, so host load cannot
+  // fail the check.
+  const std::int64_t workers = pinned.num_threads();
+  std::mutex mu;
+  std::condition_variable all_started;
+  std::int64_t started = 0;
+  bool concurrent = true;
+  std::vector<int> cpus;  // each task's one CPU, or -1 for a wider mask
+  for (std::int64_t i = 0; i < workers; ++i) {
+    pinned.submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++started;
+      all_started.notify_all();
+      if (!all_started.wait_for(lock, std::chrono::seconds(60),
+                                [&] { return started == workers; })) {
+        concurrent = false;
+      }
+      cpu_set_t set;
+      CPU_ZERO(&set);
+      int cpu = -1;
+      if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) == 0 &&
+          CPU_COUNT(&set) == 1) {
+        for (int c = 0; c < CPU_SETSIZE; ++c) {
+          cpu = CPU_ISSET(c, &set) ? c : cpu;
+        }
+      }
+      cpus.push_back(cpu);
+    });
   }
-  std::sort(walls.begin(), walls.end());
-  const double median = std::max(walls[walls.size() / 2], 1e-6);
-  const double p90 = walls[(walls.size() * 9) / 10];
-  EXPECT_LT(p90, median * 200.0);
+  pinned.wait_idle();
+  EXPECT_TRUE(concurrent) << "the pinned workers never ran at once";
+  const auto cores = static_cast<int>(
+      std::max(1U, std::thread::hardware_concurrency()));
+  std::vector<int> expected;
+  for (std::int64_t i = 0; i < workers; ++i) {
+    expected.push_back(static_cast<int>(i) % cores);
+  }
+  std::sort(cpus.begin(), cpus.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(cpus, expected);
+#endif
 }
 
-TEST(Autotuner, BitDeterministicForFixedSeedWithInjectedCost) {
-  // Injected deterministic cost: a smooth bowl over the knob space whose
-  // location depends on (layer, level).  With it, the whole search —
-  // seeded sampling, least-squares fit, finalist re-measures, tie-breaks
-  // — must reproduce byte-identical records for the same seed.
-  const Autotuner::CostFn cost = [](std::int64_t layer, std::int64_t level,
+TEST(Autotuner, PicksTheGridMinimumOfEveryCellWithInjectedCost) {
+  // Injected deterministic cost: a bowl over the knob space whose bottom
+  // moves with (layer, level), and whose ties (threads 0 = 4, k_tile
+  // auto = 64) the search must break toward the earlier grid point.
+  const Autotuner::CostFn bowl = [](std::int64_t layer, std::int64_t level,
                                     const KernelOptions& o) {
     const double kt =
         std::log2(static_cast<double>(o.k_tile == 0 ? 64 : o.k_tile));
-    const double t =
-        static_cast<double>(o.threads == 0 ? 4 : o.threads);
-    return 1.0 + 0.05 * static_cast<double>(layer + level) +
-           std::abs(kt - 5.0) + 0.2 * std::abs(t - 2.0);
+    const double t = static_cast<double>(o.threads == 0 ? 4 : o.threads);
+    return 1.0 + std::abs(kt - static_cast<double>(4 + (layer + level) % 4)) +
+           0.2 * std::abs(t - static_cast<double>(1 + level));
   };
-  // k_tile (6) x threads (4); the unroll factor is derived per call.
-  EXPECT_EQ(Autotuner::candidate_grid().size(), 24U);
-  TunerConfig cfg;
-  cfg.samples = 12;
-  cfg.finalists = 3;
-  cfg.repeats = 2;
-  cfg.seed = 77;
-  Autotuner a(cfg, ExecMode::kPattern, 2, 3, cost);
-  Autotuner b(cfg, ExecMode::kPattern, 2, 3, cost);
-  const TuningRecord ra = a.tune();
-  const TuningRecord rb = b.tune();
-  EXPECT_EQ(ra.serialize(), rb.serialize());
-  EXPECT_EQ(ra.serialize().find("unroll"), std::string::npos);
-  ASSERT_EQ(ra.entries.size(), 6U);  // 2 layers x 3 levels
-  for (const TuningEntry& e : ra.entries) {
-    // The winner's recorded cost is its injected cost (median of a
-    // deterministic function is the function).
-    EXPECT_DOUBLE_EQ(e.measured_ms, cost(e.layer, e.level, e.options));
+  const auto same = [](const KernelOptions& a, const KernelOptions& b) {
+    return a.k_tile == b.k_tile && a.row_grain == b.row_grain &&
+           a.threads == b.threads;
+  };
+  // Only the dense kernel reads k_tile: k_tile (6) x threads (4) for it,
+  // the threads ladder at the default k_tile for every other family.
+  EXPECT_EQ(Autotuner::candidate_grid(ExecMode::kDense).size(), 24U);
+  for (const ExecMode mode :
+       {ExecMode::kBlock, ExecMode::kPattern, ExecMode::kIrregular}) {
+    const std::vector<KernelOptions> grid = Autotuner::candidate_grid(mode);
+    EXPECT_EQ(grid.size(), 4U) << exec_mode_name(mode);
+    for (const KernelOptions& o : grid) {
+      EXPECT_EQ(o.k_tile, KernelOptions{}.k_tile) << exec_mode_name(mode);
+    }
   }
-  // Text round-trip is bit-exact, so re-serialization is byte-identical.
-  EXPECT_EQ(TuningRecord::parse(ra.serialize()).serialize(),
-            ra.serialize());
+  TunerConfig cfg;
+  cfg.repeats = 2;
+  for (const ExecMode mode : {ExecMode::kDense, ExecMode::kPattern}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    const std::vector<KernelOptions> grid = Autotuner::candidate_grid(mode);
+    std::int64_t calls = 0;
+    Autotuner tuner(cfg, mode, 2, 3,
+                    [&](std::int64_t layer, std::int64_t level,
+                        const KernelOptions& o) {
+                      ++calls;
+                      return bowl(layer, level, o);
+                    });
+    const TuningRecord record = tuner.tune();
+    ASSERT_EQ(record.entries.size(), 6U);  // 2 layers x 3 levels
+    // One warm-up plus `repeats` measurements of every point of every cell.
+    EXPECT_EQ(calls, static_cast<std::int64_t>(6 * grid.size()) *
+                         (cfg.repeats + 1));
+    for (const TuningEntry& e : record.entries) {
+      std::size_t best = 0;
+      for (std::size_t g = 1; g < grid.size(); ++g) {
+        if (bowl(e.layer, e.level, grid[g]) <
+            bowl(e.layer, e.level, grid[best])) {
+          best = g;
+        }
+      }
+      EXPECT_TRUE(same(e.options, grid[best]))
+          << "layer " << e.layer << " level " << e.level;
+      // The median of a deterministic cost is the cost.
+      EXPECT_EQ(e.measured_ms, bowl(e.layer, e.level, grid[best]));
+    }
+    // Text round-trip is bit-exact, so re-serialization is byte-identical.
+    EXPECT_EQ(TuningRecord::parse(record.serialize()).serialize(),
+              record.serialize());
+  }
+  // A flat cost ties everywhere, so every cell keeps the first grid point.
+  Autotuner flat(cfg, ExecMode::kDense, 2, 3,
+                 [](std::int64_t, std::int64_t, const KernelOptions&) {
+                   return 1.0;
+                 });
+  for (const TuningEntry& e : flat.tune().entries) {
+    EXPECT_TRUE(same(e.options, Autotuner::candidate_grid(ExecMode::kDense)[0]));
+  }
   EXPECT_THROW(TuningRecord::parse("not a tuning file"), CheckError);
 }
 
@@ -1446,7 +1514,6 @@ TEST(TuningRecord, MalformedRecordsAreRejectedByFieldName) {
   record.isa = "avx2";
   record.batch = 1;
   TuningEntry e;
-  e.predicted_ms = 0.5;
   e.measured_ms = 0.25;
   record.entries.push_back(e);
   const std::string text = record.serialize();
@@ -1456,31 +1523,44 @@ TEST(TuningRecord, MalformedRecordsAreRejectedByFieldName) {
     EXPECT_NE(at, std::string::npos) << from;
     return edited.replace(at, from.size(), to);
   };
+  const std::string entry_line =
+      text.substr(text.find("entry layer=0"));  // ends in '\n'
   // Each record must fail with a CheckError naming the field, never with
   // std::stoll/std::stod's own exceptions or by loading a non-finite value.
   const std::pair<std::string, std::string> bad[] = {
       {edit("layer=0", "layer=abc"), "layer: bad integer 'abc'"},
-      {edit("predicted_ms=0.5", "predicted_ms=1e999"),
-       "predicted_ms: bad number '1e999'"},
-      {edit("predicted_ms=0.5 measured_ms=0.25",
-            "predicted_ms=nan measured_ms=inf"),
-       "predicted_ms: non-finite value 'nan'"},
+      {edit("measured_ms=0.25", "measured_ms=1e999"),
+       "measured_ms: bad number '1e999'"},
+      {edit("measured_ms=0.25", "measured_ms=nan"),
+       "measured_ms: non-finite value 'nan'"},
       {edit("entries 1", "entries 999999999999999"),
        "entry 1: expected an entry line (entries 999999999999999)"},
       {edit("batch 1", "batch -5"), "batch: must be >= 1"},
       {edit("batch 1", "batch 0"), "batch: must be >= 1"},
       {edit("layer=0", "layer=-1"), "entry 0 layer: must be >= 0"},
       {edit("level=0", "level=-2"), "entry 0 level: must be >= 0"},
-      {edit("predicted_ms=0.5", "predicted_ms=-0.5"),
-       "entry 0 predicted_ms: must be >= 0"},
       {edit("measured_ms=0.25", "measured_ms=-1"),
        "entry 0 measured_ms: must be >= 0"},
-      // A v1 record, whose entries carried an unroll factor, fails by
+      // Nothing may follow the last counted entry: neither an uncounted
+      // entry line nor garbage.
+      {text + entry_line + "garbage\n",
+       "TuningRecord: unexpected 'entry' after the last field"},
+      {text + "garbage\n",
+       "TuningRecord: unexpected 'garbage' after the last field"},
+      // A repeated (layer, level) would let the last entry silently win.
+      {edit("entries 1", "entries 2") + entry_line,
+       "entry 1: duplicate entry for layer=0 level=0"},
+      // A v1 record, whose entries carried an unroll factor, and a v2
+      // record, whose entries carried a fitted-model prediction, fail by
       // version.
       {"rt3-tuning v1\nmode pattern\nisa avx2\nbatch 1\nentries 1\n"
        "entry layer=0 level=0 k_tile=64 row_grain=16 unroll=2 threads=0 "
        "predicted_ms=0.5 measured_ms=0.25\n",
-       "version v1 is not supported (need v2)"},
+       "version v1 is not supported (need v3)"},
+      {"rt3-tuning v2\nmode pattern\nisa avx2\nbatch 1\nentries 1\n"
+       "entry layer=0 level=0 k_tile=64 row_grain=16 threads=0 "
+       "predicted_ms=0.5 measured_ms=0.25\n",
+       "version v2 is not supported (need v3)"},
   };
   for (const auto& [edited, expected] : bad) {
     try {

@@ -291,6 +291,9 @@ TEST(RlGovernorPolicy, ParseRejectsCorruptArtifacts) {
                   "param gru.wz.weight: non-finite value 'nan'");
   expect_rejected(first_weight, first_weight + "1e39 ",
                   "param gru.wz.weight: value '1e39' overflows float");
+  // Nothing may follow the last counted param.
+  expect_rejected(text, text + "param name=extra numel=1\n0\n",
+                  "rt3-governor: unexpected 'param' after the last field");
 }
 
 // A seeded observation stream with the edges a serving loop produces:

@@ -80,18 +80,15 @@
 //       plus:
 //         --models N         resident models on the node     (3)
 //   rt3 tune [--out FILE] ...                         offline kernel
-//       autotuner: searches (k_tile, threads) per (layer, level)
-//       of the measured backend's plan cache — seeded random sample,
-//       fitted latency model, re-measured finalists — and writes the
-//       winners as a tuning record for `rt3 serve --tuning`.  Flags:
+//       autotuner: measures every launch shape of each (layer, level)
+//       of the measured backend's plan cache — the threads ladder, times
+//       the k_tile ladder for dense kernels — and writes the fastest as
+//       a tuning record for `rt3 serve --tuning`.  Flags:
 //         --out FILE         tuning record destination  (rt3_tuning.txt)
 //         --load FILE        skip the search: load FILE, apply it, and
 //                            re-serialize to --out (format round-trip)
-//         --samples N        grid points measured for the model fit (24)
-//         --finalists N      top predicted configs re-measured      (4)
 //         --repeats N        measurements per candidate, median     (3)
 //         --tune-batch N     batch size tuned at                    (1)
-//         --tune-seed S      candidate-sampling seed                (42)
 //       plus the `rt3 serve` session flags (--t, --threads, ...).
 //   rt3 train-governor [--episodes N] [--out FILE] ...  offline REINFORCE
 //       training of the learned runtime governor (rl/governor.hpp): each
@@ -610,8 +607,7 @@ int cmd_tune(const std::vector<std::string>& args) {
   reject_unknown_flags(
       args,
       flag_union({kSessionFlags,
-                  {"--out", "--load", "--samples", "--finalists", "--repeats",
-                   "--tune-batch", "--tune-seed"}}),
+                  {"--out", "--load", "--repeats", "--tune-batch"}}),
       "rt3 tune");
   ServeSessionConfig scfg = parse_session_config(args);
   scfg.backend = ExecBackendKind::kMeasured;
@@ -633,31 +629,27 @@ int cmd_tune(const std::vector<std::string>& args) {
   }
 
   TunerConfig tcfg;
-  tcfg.samples = arg_int(args, "--samples", 24);
-  tcfg.finalists = arg_int(args, "--finalists", 4);
   tcfg.repeats = arg_int(args, "--repeats", 3);
   tcfg.batch = arg_int(args, "--tune-batch", 1);
-  tcfg.seed = static_cast<std::uint64_t>(arg_int(args, "--tune-seed", 42));
   const PlanCache& plans = backend.plans();
   std::cout << "tuning " << plans.num_layers() << " layers x "
             << plans.num_levels() << " levels ("
             << exec_mode_name(plans.mode()) << " kernels, "
-            << simd_isa_name(active_simd_isa()) << " ISA): " << tcfg.samples
-            << " samples + " << tcfg.finalists << " finalists per cell, "
-            << "median of " << tcfg.repeats << "\n\n";
+            << simd_isa_name(active_simd_isa()) << " ISA): "
+            << Autotuner::candidate_grid(plans.mode()).size()
+            << " candidates per cell, median of " << tcfg.repeats << "\n\n";
   Autotuner tuner(tcfg, backend);
   const TuningRecord record = tuner.tune();
   record.save(out);
 
-  TablePrinter t({"layer", "level", "k_tile", "threads", "predicted (ms)",
-                  "measured (ms)"});
+  TablePrinter t({"layer", "level", "k_tile", "threads", "measured (ms)"});
   for (const TuningEntry& e : record.entries) {
     t.add_row({std::to_string(e.layer), std::to_string(e.level),
                e.options.k_tile == 0 ? "auto"
                                      : std::to_string(e.options.k_tile),
                e.options.threads == 0 ? "all"
                                       : std::to_string(e.options.threads),
-               fmt_f(e.predicted_ms, 4), fmt_f(e.measured_ms, 4)});
+               fmt_f(e.measured_ms, 4)});
   }
   std::cout << t.str() << "\nwrote " << record.entries.size()
             << " entries -> " << out << "\n";
@@ -786,9 +778,8 @@ int usage() {
       "                                                 multi-model node:\n"
       "                                 N models, ONE battery/governor,\n"
       "                                 model-id routing + admission\n"
-      "  tune     [--out FILE] [--load FILE] [--samples N] [--finalists N]\n"
-      "           [--repeats N] [--tune-batch N] [--tune-seed S] + session\n"
-      "           flags                                 autotune kernels and\n"
+      "  tune     [--out FILE] [--load FILE] [--repeats N] [--tune-batch N]\n"
+      "           + session flags                       autotune kernels and\n"
       "                                 write a tuning record for --tuning\n"
       "  train-governor [--episodes N] [--hidden N] [--lr F] [--out FILE]\n"
       "           [--load FILE] [--governor-seed S] [--sample-seed S] +\n"
