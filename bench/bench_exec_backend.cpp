@@ -39,14 +39,16 @@ double median(std::vector<double> xs) {
 }
 
 // Min-of-many wall time for one (layer, level-0) plan under the CURRENT
-// forced ISA.  Min, not median: contention only ever adds time.
+// forced ISA, on the calling thread alone.  Min, not median: contention
+// only ever adds time.
 double min_layer_ms(MeasuredBackend& backend, std::int64_t layer,
                     std::int64_t batch, std::int64_t iters) {
   // The backend's launch defaults; tuning is ignored here.
   const KernelOptions& opts = backend.config().kernel;
   double best = 1e300;
   for (std::int64_t i = 0; i < iters; ++i) {
-    best = std::min(best, backend.time_layer_ms(layer, 0, batch, opts));
+    best = std::min(best,
+                    backend.time_layer_on_caller_ms(layer, 0, batch, opts));
   }
   return best;
 }
@@ -149,7 +151,7 @@ int main(int argc, char** argv) {
   // timed under a forced-scalar table and under the detected ISA, so the
   // ratio is pure vectorization win (outputs are bitwise identical either
   // way).  Median across the 3 layers of per-layer min-of-many ratios,
-  // every launch capped to the calling thread alone so the ratio is not
+  // every call on the calling thread alone (no pool) so the ratio is not
   // polluted by scheduling.
   const SimdIsa detected = detect_simd_isa();
   const std::int64_t speed_batch = 32;
@@ -164,7 +166,6 @@ int main(int argc, char** argv) {
     MeasuredBackendConfig kcfg;
     kcfg.mode = mode;
     kcfg.threads = 1;
-    kcfg.kernel.threads = 1;
     kcfg.max_batch = std::max<std::int64_t>(kcfg.max_batch, speed_batch);
     const bool wants_set =
         mode == ExecMode::kPattern || mode == ExecMode::kIrregular;

@@ -1,11 +1,7 @@
 #include "exec/kernels.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cmath>
-#include <exception>
-#include <memory>
 #include <utility>
 #include <variant>
 
@@ -16,80 +12,18 @@
 namespace rt3 {
 namespace {
 
-/// Spin-wait budget, in cpu_relax() calls, before a join blocks: ~100 us
-/// on a current x86 core, less where pause is cheaper.
-constexpr std::int64_t kJoinSpins = 1 << 12;
-
-/// Tells the core this thread is spin-waiting (x86 pause, arm yield).
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-/// Runs task(t) for every t in [0, tasks): the calling thread runs task
-/// 0 itself while pool workers run the rest, then waits for them and
-/// rethrows the first exception a task threw.  The kernel engine's only
-/// fork/join.
-template <class Task>
-void fork_join(ThreadPool* pool, std::int64_t tasks, const Task& task) {
-  if (tasks <= 1) {
-    if (tasks == 1) {
-      task(0);
-    }
-    return;
-  }
-  // Each pool task captures only this frame and its index, which keeps
-  // the std::function in its small-object buffer (no allocation).  Tasks
-  // catch their own exceptions and count themselves down, so the caller
-  // can return as soon as the count reaches zero.
-  struct Fork {
-    const Task* task;
-    std::atomic<std::int64_t> pending;
-    std::atomic<bool> failed{false};
-    std::exception_ptr error{};
-    void run(std::int64_t t) {
-      try {
-        (*task)(t);
-      } catch (...) {
-        if (!failed.exchange(true)) {
-          error = std::current_exception();
-        }
-      }
-    }
-  };
-  Fork fork{&task, tasks - 1};
-  for (std::int64_t t = 1; t < tasks; ++t) {
-    pool->submit([f = &fork, t] {
-      f->run(t);
-      // Last touch of `fork`: the caller may return right after this.
-      f->pending.fetch_sub(1, std::memory_order_release);
-    });
-  }
-  fork.run(0);
-  // The pool's tasks are as long as ours, so they finish about now: spin
-  // briefly rather than pay a sleep/wake round trip, and fall back to
-  // blocking if a worker was descheduled.
-  std::int64_t spins = 0;
-  while (fork.pending.load(std::memory_order_acquire) != 0) {
-    if (++spins > kJoinSpins) {
-      pool->wait_idle();
-      break;
-    }
-    cpu_relax();
-  }
-  if (fork.error != nullptr) {
-    std::rethrow_exception(fork.error);
-  }
-}
-
-/// Pieces a chunk is cut into (fewer where a piece would fall below
-/// row_grain rows): the unit a thread claims.  With one of four vCPUs
-/// running its work twice over, 2, 4 and 8 pieces recovered the same
-/// batch-8 throughput on 512-row layers; 2 makes the fewest claims.
+/// Pieces a chunk is cut into (fewer where the chunk has fewer row
+/// units): the unit a thread claims.  With one of four vCPUs running its
+/// work twice over, 2, 4 and 8 pieces recovered the same batch-8
+/// throughput on 512-row layers; 2 makes the fewest claims.
 constexpr std::int64_t kPiecesPerChunk = 2;
+
+/// Work per chunk, in cells times vector passes over the call's n
+/// columns (RowSplit): a call of up to this much runs whole on one
+/// thread.  On a 4-vCPU Sapphire Rapids VM, pattern calls of about this
+/// much work took as long on the caller alone (10-14 us) as split over
+/// the caller and 3 pinned workers, and smaller ones ran faster alone.
+constexpr std::int64_t kChunkWork = 25'000;
 
 /// Units [first, second) of part p of `units` cut into `parts` runs whose
 /// sizes differ by at most one, the leading parts taking the remainder.
@@ -102,52 +36,49 @@ std::pair<std::int64_t, std::int64_t> even_part(std::int64_t units,
   return {begin, begin + base + (p < rem ? 1 : 0)};
 }
 
-/// How one call's output rows split across threads: into at most
-/// min(pool workers + 1, options.threads) chunks, chunk c being thread
-/// c's own share (chunk 0 the calling thread's), never more than can run
-/// concurrently.  Each chunk is cut into up to kPiecesPerChunk pieces,
-/// the unit a thread claims, so a thread that finishes its own chunk can
-/// take the unclaimed pieces of a slower one (run_calls).  Boundaries are
+/// A call's output rows, the row multiple a chunk keeps (whole tile rows
+/// for the pattern kernel) and the weight cells its kernel visits (slot
+/// padding included).
+struct Extent {
+  std::int64_t rows = 0;
+  std::int64_t align = 1;
+  std::int64_t cells = 0;
+};
+
+/// How one call's output rows split across threads: into the fewest
+/// chunks that each carry at most kChunkWork, but no more chunks than
+/// `threads` (the caller plus the pool's workers) or row units.  Chunk c
+/// is thread c's own share (chunk 0 the calling thread's).  Each chunk of
+/// a split call is cut into up to kPiecesPerChunk pieces, the unit a
+/// thread claims, so a thread that finishes its own chunk can take the
+/// unclaimed pieces of a slower one (run_calls).  Boundaries are
 /// multiples of `align` rows, the remainder spread one align-unit at a
-/// time across the leading chunks (and pieces) so sizes differ by at
-/// most one unit.  One chunk of one piece when there is no pool, the
-/// call is capped to one thread or the matrix is too small to amortize
-/// dispatch; none when it has no rows.
+/// time across the leading chunks (and pieces) so sizes differ by at most
+/// one unit.  One chunk of one piece when the work is small; none when
+/// the call has no rows.
 struct RowSplit {
   std::int64_t total = 0;
   std::int64_t align = 1;
   std::int64_t units = 0;  // align-units of rows
-  std::int64_t grain_units = 1;
   std::int64_t chunks = 0;
 
-  /// `threads`: the caller plus the pool's workers.
-  RowSplit(std::int64_t threads, std::int64_t rows,
-           const KernelOptions& options, std::int64_t unit)
-      : total(rows), align(unit) {
+  RowSplit(std::int64_t threads, const Extent& e, std::int64_t work)
+      : total(e.rows), align(e.align) {
     if (total <= 0) {
       return;
     }
-    std::int64_t max_chunks = threads;
-    if (options.threads > 0) {
-      max_chunks = std::min(max_chunks, options.threads);
-    }
     units = (total + align - 1) / align;
-    grain_units = std::max<std::int64_t>(1, options.row_grain / align);
-    chunks = 1;
-    if (max_chunks > 1 && total >= 2 * options.row_grain) {
-      chunks = std::max<std::int64_t>(
-          1, std::min(max_chunks, units / grain_units));
-    }
+    chunks = std::clamp<std::int64_t>((work + kChunkWork - 1) / kChunkWork, 1,
+                                      std::min(threads, units));
   }
 
   /// Pieces of chunk c < chunks.
   std::int64_t pieces(std::int64_t c) const {
     if (chunks == 1) {
-      return 1;  // only the calling thread runs it: nothing to share
+      return 1;  // too little work to share
     }
     const auto [u0, u1] = even_part(units, chunks, c);
-    return std::clamp<std::int64_t>((u1 - u0) / grain_units, 1,
-                                    kPiecesPerChunk);
+    return std::min(u1 - u0, kPiecesPerChunk);
   }
 
   /// Rows [first, second) of piece p < pieces(c) of chunk c < chunks.
@@ -176,8 +107,7 @@ void check_matmul_shapes(std::int64_t w_cols, const ActivationView& x) {
         "exec kernel: activation shape mismatch");
 }
 
-// Per family: the weight's checks against X, and its output rows with the
-// row multiple a chunk keeps (whole tile rows for the pattern kernel).
+// Per family: the weight's checks against X, and its Extent.
 
 void check_weight(const Tensor& w, const ActivationView& x) {
   check(w.dim() == 2, "dense_gemm: need a 2-D weight");
@@ -198,32 +128,32 @@ void check_weight(const IrregularPlan& p, const ActivationView& x) {
         "coo_gemm: plan missing row_start partition");
 }
 
-std::pair<std::int64_t, std::int64_t> rows_and_align(const Tensor& w) {
-  return {w.size(0), 1};
+Extent extent(const Tensor& w) {
+  return {w.size(0), 1, w.size(0) * w.size(1)};
 }
 
-std::pair<std::int64_t, std::int64_t> rows_and_align(
-    const BlockPrunedMatrix& w) {
-  return {w.rows(), 1};
+Extent extent(const BlockPrunedMatrix& w) {
+  return {w.rows(), 1, w.nnz_values()};
 }
 
-std::pair<std::int64_t, std::int64_t> rows_and_align(const PatternPlan& p) {
-  return {p.rows, p.psize};
+Extent extent(const PatternPlan& p) {
+  return {p.rows, p.psize,
+          static_cast<std::int64_t>(p.tiles.size()) * p.slot_stride};
 }
 
-std::pair<std::int64_t, std::int64_t> rows_and_align(const IrregularPlan& p) {
-  return {p.rows, 1};
-}
+Extent extent(const IrregularPlan& p) { return {p.rows, 1, p.nnz()}; }
 
 void check_call(const Call& c) {
   std::visit([&](const auto* w) { check_weight(*w, c.x); }, c.weight);
   check_kernel_options(c.options, "exec kernel");
 }
 
-RowSplit row_split(std::int64_t threads, const Call& c) {
-  const auto [rows, align] =
-      std::visit([](const auto* w) { return rows_and_align(*w); }, c.weight);
-  return RowSplit(threads, rows, c.options, align);
+/// A call's split on `threads` threads whose widest table has `width`
+/// lanes: its work is its cells times ceil(n / width) vector passes.
+RowSplit row_split(std::int64_t threads, std::int64_t width, const Call& c) {
+  const Extent e =
+      std::visit([](const auto* w) { return extent(*w); }, c.weight);
+  return RowSplit(threads, e, e.cells * ((c.x.n + width - 1) / width));
 }
 
 /// The tables a launch runs on: `wide` covers whole width-lane vectors
@@ -296,7 +226,7 @@ void run_rows(const Tensor& w, const Call& c, const Tables& tables,
   a.n = c.x.n;
   a.ldx = c.x.stride;
   a.ldo = c.x.n;
-  a.k_tile = resolve_k_tile(c.options, a.cols, c.x.n);
+  a.k_tile = c.options.k_tile;
   run_lanes(tables, &KernelTable::dense_range, a, 1, r0, r1);
 }
 
@@ -352,64 +282,44 @@ void run_rows(const IrregularPlan& p, const Call& c, const Tables&,
 }
 
 /// Runs call_at(0) .. call_at(count - 1), none of which may write what
-/// another reads or writes, in one fork/join on the active ISA's tables.
-/// Each call's rows split as a lone call's would (RowSplit, under its own
-/// options).  Thread t first claims, in order, the pieces of chunk t of
-/// every call, then the unclaimed pieces of the other threads' chunks, so
-/// a launch ends at the threads' combined pace rather than waiting on a
-/// slow or late one (a vCPU sharing its core, a worker woken late).  A
-/// thread only takes another's pieces when every call's split admits it
-/// (t < chunks), so a call capped to c threads still runs on threads
-/// 0 .. c-1.  Every call is validated before any runs.
+/// another reads or writes, in one launch on the active ISA's tables.
+/// Each call's rows split as a lone call's would (RowSplit, from its
+/// work).  Launch queue h holds the (call, piece) items of chunk h of
+/// every call, in list order, so thread t first runs its own chunk of
+/// every call (each core keeps re-reading the same weight rows from its
+/// own L2 across batches), then takes the unclaimed pieces of the others
+/// (ThreadPool::run).  A launch whose calls are all one chunk runs on
+/// the caller alone and wakes no worker.  Every call is validated before
+/// any runs.
 template <class CallAt>
 void run_calls(ThreadPool* pool, std::int64_t count, const CallAt& call_at) {
   const Tables tables = active_tables();
+  const std::int64_t width = tables.wide->width;
   const std::int64_t threads = pool == nullptr ? 1 : pool->num_threads() + 1;
-  std::int64_t tasks = 0;
-  std::int64_t thieves = threads;  // threads admitted by every call
+  std::int64_t chunks = 0;
   for (std::int64_t i = 0; i < count; ++i) {
     const Call c = call_at(i);
     check_call(c);
-    const std::int64_t chunks = row_split(threads, c).chunks;
-    tasks = std::max(tasks, chunks);
-    if (chunks > 0) {
-      thieves = std::min(thieves, chunks);
-    }
+    chunks = std::max(chunks, row_split(threads, width, c).chunks);
   }
-  // Claim cursor h walks the (call, piece) items of chunk h, one cache
-  // line each so the threads' claims do not contend; a launch of up to
-  // kInlineCursors threads keeps them on the caller's stack.
-  struct alignas(64) Cursor {
-    std::atomic<std::int64_t> next{0};
+  const auto piece = [&](std::int64_t h, std::int64_t item) {
+    const Call c = call_at(item / kPiecesPerChunk);
+    const RowSplit split = row_split(threads, width, c);
+    const std::int64_t p = item % kPiecesPerChunk;
+    if (h < split.chunks && p < split.pieces(h)) {
+      const auto [r0, r1] = split.rows(h, p);
+      std::visit([&](const auto* w) { run_rows(*w, c, tables, r0, r1); },
+                 c.weight);
+    }
   };
-  constexpr std::int64_t kInlineCursors = 16;
-  std::array<Cursor, kInlineCursors> inline_cursors;
-  std::unique_ptr<Cursor[]> heap_cursors;
-  Cursor* cursors = inline_cursors.data();
-  if (tasks > kInlineCursors) {
-    heap_cursors = std::make_unique<Cursor[]>(static_cast<std::size_t>(tasks));
-    cursors = heap_cursors.get();
-  }
   const std::int64_t items = count * kPiecesPerChunk;
-  fork_join(pool, tasks, [&](std::int64_t t) {
-    const std::int64_t homes = t < thieves ? tasks : 1;
-    for (std::int64_t v = 0; v < homes; ++v) {
-      const std::int64_t h = (t + v) % tasks;
-      std::atomic<std::int64_t>& next = cursors[h].next;
-      for (std::int64_t item = next.fetch_add(1, std::memory_order_relaxed);
-           item < items;
-           item = next.fetch_add(1, std::memory_order_relaxed)) {
-        const Call c = call_at(item / kPiecesPerChunk);
-        const RowSplit split = row_split(threads, c);
-        const std::int64_t piece = item % kPiecesPerChunk;
-        if (h < split.chunks && piece < split.pieces(h)) {
-          const auto [r0, r1] = split.rows(h, piece);
-          std::visit([&](const auto* w) { run_rows(*w, c, tables, r0, r1); },
-                     c.weight);
-        }
-      }
-    }
-  });
+  if (chunks > 1) {
+    pool->run(chunks, items, piece);
+    return;
+  }
+  for (std::int64_t item = 0; item < items; ++item) {
+    piece(0, item);
+  }
 }
 
 void run_call(ThreadPool* pool, const Call& call) {
@@ -493,23 +403,6 @@ Tensor naive_dense_matmul(const Tensor& w, const Tensor& x) {
   return out;
 }
 
-std::int64_t resolve_k_tile(const KernelOptions& options, std::int64_t cols,
-                            std::int64_t n) {
-  if (options.k_tile > 0) {
-    return options.k_tile;
-  }
-  // Auto: keep the active X slice (k_tile rows of n floats) within half
-  // the per-core L1d so it survives the row sweep; the floor of 16 keeps
-  // tiles from degenerating when n alone overflows L1 (the slice then
-  // lives in L2, which the probe also sizes).
-  const std::int64_t budget =
-      std::max<std::int64_t>(cpu_l1d_bytes() / 2, 8 * 1024);
-  const std::int64_t kt =
-      budget / std::max<std::int64_t>(1, n * static_cast<std::int64_t>(
-                                              sizeof(float)));
-  return std::max<std::int64_t>(16, std::min(kt, cols));
-}
-
 Tensor dense_gemm(const Tensor& w, const Tensor& x, ThreadPool* pool,
                   const KernelOptions& options) {
   check(w.dim() == 2, "dense_gemm: need a 2-D weight");
@@ -581,6 +474,13 @@ void plan_gemm_into(std::span<const GemmCall> calls, ThreadPool* pool) {
             [calls](std::int64_t i) {
               return plan_call(calls[static_cast<std::size_t>(i)]);
             });
+}
+
+std::int64_t launch_chunks(const GemmCall& call, std::int64_t threads) {
+  check(threads >= 1, "launch_chunks: need at least one thread");
+  const Call c = plan_call(call);
+  check_call(c);
+  return row_split(threads, active_tables().wide->width, c).chunks;
 }
 
 }  // namespace rt3

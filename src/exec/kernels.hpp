@@ -38,19 +38,22 @@
 // allocation or copy (MeasuredBackend reuses per-layer workspaces).  The
 // Tensor forms allocate the output and call the `_into` form.
 //
-// Parallelism partitions output rows across at most num_threads() + 1
-// chunks (each element is written by exactly one thread), so results are
-// also independent of the thread count.  Every launch is one fork/join:
-// the calling thread starts on chunk 0 while pool workers start on the
-// rest, one chunk each, so the caller counts as a kernel thread.  A
-// chunk is cut into a few pieces that threads claim, so a thread done
-// with its own chunk takes the unclaimed pieces of a slower thread's and
-// a launch ends at the threads' combined pace.  A many-call launch
+// Parallelism partitions output rows into chunks (each element is
+// written by exactly one thread), so results are also independent of the
+// thread count.  A call's work (the weight cells its kernel visits, slot
+// padding included, times the vector passes over its n columns) sets
+// its split: one chunk up to a constant measured where splitting stops
+// paying for the launch, one more per such amount after, and never more
+// than the caller plus the pool's workers, so small layers stay on the
+// calling thread.  A split launch is one ThreadPool::run: the calling
+// thread starts on chunk 0 while pool workers start on the rest, one
+// chunk each.  A chunk is cut into a few pieces that threads claim, so a
+// thread done with its own chunk takes the unclaimed pieces of a slower
+// thread's and a launch ends when its pieces do.  A many-call launch
 // (plan_gemm_into over a span of GemmCalls) splits each call as it would
 // alone and thread t starts on chunk t of every call, so a whole batch of
-// layers pays one worker wake-up and one join.  Cache
-// tiling blocks the k-dimension so the active slice of X stays resident;
-// k_tile = 0 auto-sizes it to the per-core L1/L2 budget.
+// layers pays one worker wake-up and one join.  The dense kernel blocks
+// the k-dimension in k_tile rows of X so the active slice stays resident.
 #pragma once
 
 #include <cstdint>
@@ -75,12 +78,8 @@ struct ActivationView {
 /// correctness reference every kernel must match bitwise.
 Tensor naive_dense_matmul(const Tensor& w, const Tensor& x);
 
-/// Resolves k_tile = 0 to a cache-sized tile: the largest k span whose
-/// X slice (k_tile x n floats) fits the per-core L1/L2 budget.
-std::int64_t resolve_k_tile(const KernelOptions& options, std::int64_t cols,
-                            std::int64_t n);
-
-/// Dense GEMM, k-tiled, rows parallelized over `pool` (nullptr = serial).
+/// Dense GEMM, k-tiled, rows parallelized over `pool` (nullptr = the
+/// calling thread alone).
 Tensor dense_gemm(const Tensor& w, const Tensor& x, ThreadPool* pool,
                   const KernelOptions& options);
 /// `out` holds w.size(0) x x.n floats and is overwritten.
@@ -136,12 +135,17 @@ struct GemmCall {
   KernelOptions options;
 };
 
-/// Runs every call in ONE fork/join.  Each call's rows split exactly as
-/// they would for that call alone (its own `threads` cap and `row_grain`)
-/// and pool thread t runs its chunk of every call, in list order, so the
-/// outputs are bitwise those of running the calls one by one.  There is no
-/// barrier between calls: no call may read or write another's output.
-/// Every call is validated before any runs.
+/// Runs every call in ONE launch.  Each call's rows split exactly as
+/// they would for that call alone and pool thread t runs its chunk of
+/// every call, in list order, so the outputs are bitwise those of running
+/// the calls one by one.  There is no barrier between calls: no call may
+/// read or write another's output.  Every call is validated before any
+/// runs.
 void plan_gemm_into(std::span<const GemmCall> calls, ThreadPool* pool);
+
+/// The chunks `call` splits into on a launch over `threads` threads (the
+/// caller plus the pool's workers) on the active ISA: 1 for a call too
+/// small to share, at most `threads`, 0 for a call with no rows.
+std::int64_t launch_chunks(const GemmCall& call, std::int64_t threads);
 
 }  // namespace rt3

@@ -91,14 +91,20 @@ ActivationView MeasuredBackend::batch_input(std::int64_t layer,
           plans_.plan(layer, 0).cols, n, n};
 }
 
-void MeasuredBackend::run_into_workspace(std::int64_t layer,
-                                         const LayerPlan& plan,
-                                         std::int64_t batch,
-                                         const KernelOptions& options) {
+double MeasuredBackend::time_into_workspace(std::int64_t layer,
+                                            std::int64_t level,
+                                            std::int64_t batch,
+                                            const KernelOptions& options,
+                                            ThreadPool* pool) {
+  const LayerPlan& plan = plans_.plan(layer, level);
   const auto li = static_cast<std::size_t>(layer);
   const ActivationView x = batch_input(layer, batch);
-  plan_gemm_into(plan, x, outputs_[li].data(), &pool_, options);
+  const auto t0 = wall_now();
+  plan_gemm_into(plan, x, outputs_[li].data(), pool, options);
+  const double ms = wall_ms_since(t0);
   output_cols_[li] = x.n;
+  sink_ += *outputs_[li].data();
+  return ms;
 }
 
 double MeasuredBackend::run_layers_wall_ms(std::int64_t batch) {
@@ -161,12 +167,14 @@ Tensor MeasuredBackend::run_layer(std::int64_t layer, const Tensor& x) {
 double MeasuredBackend::time_layer_ms(std::int64_t layer, std::int64_t level,
                                       std::int64_t batch,
                                       const KernelOptions& options) {
-  const LayerPlan& plan = plans_.plan(layer, level);
-  const auto t0 = wall_now();
-  run_into_workspace(layer, plan, batch, options);
-  const double ms = wall_ms_since(t0);
-  sink_ += *outputs_[static_cast<std::size_t>(layer)].data();
-  return ms;
+  return time_into_workspace(layer, level, batch, options, &pool_);
+}
+
+double MeasuredBackend::time_layer_on_caller_ms(std::int64_t layer,
+                                                std::int64_t level,
+                                                std::int64_t batch,
+                                                const KernelOptions& options) {
+  return time_into_workspace(layer, level, batch, options, nullptr);
 }
 
 Tensor MeasuredBackend::last_output(std::int64_t layer) const {

@@ -11,14 +11,15 @@
 // place from a master buffer and writes a per-layer output workspace,
 // both sized for max_batch at construction and both starting on a 64-byte
 // cache line (exec/aligned_buffer.hpp), so a 16-lane load or store at a
-// row start never straddles two lines.  A batch is ONE fork/join: every
+// row start never straddles two lines.  A batch is ONE launch: every
 // layer's kernel call goes into a call list sized at construction and
 // runs through the many-call plan_gemm_into, each layer split over the
-// pool as it would be alone (honouring its tuned `threads` and
-// `row_grain`), so the workers wake once per batch, not once per layer.
-// The layers are independent (each reads its own master), so there is no
-// barrier between them.  time_layer_ms, the autotuner's hook, still times
-// one layer with its own fork.
+// pool as its work sets it, exactly as it would be alone, so the workers
+// wake at most once per batch, not once per layer, and a batch of small
+// layers runs on the calling thread alone.  The layers are independent
+// (each reads its own master), so there is no barrier between them.
+// time_layer_ms, the autotuner's hook, still times one layer with its
+// own launch.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +43,12 @@ struct MeasuredBackendConfig {
   static std::int64_t default_threads();
   /// Which kernel family executes the layers.
   ExecMode mode = ExecMode::kPattern;
-  /// Kernel pool workers; a launch runs on the calling thread plus these
-  /// (exec/kernels.hpp).  The backend owns its pool, pinning worker i to
-  /// core i % hardware_concurrency, Linux best-effort, so latency samples
-  /// stop paying migration jitter.  Must be in [1, kMaxThreads]; other
-  /// values are rejected at construction rather than clamped.
+  /// Kernel pool workers; a split launch runs on the calling thread plus
+  /// these (exec/kernels.hpp), and idle workers sleep.  The backend owns
+  /// its pool, pinning worker i to core i % hardware_concurrency, Linux
+  /// best-effort, so latency samples stop paying migration jitter.  Must
+  /// be in [1, kMaxThreads]; other values are rejected at construction
+  /// rather than clamped.
   std::int64_t threads = default_threads();
   /// Backend-wide kernel launch defaults; a plan's autotuned options
   /// (PlanCache::apply_tuning) take precedence per (layer, level).
@@ -89,6 +91,11 @@ class MeasuredBackend : public ExecutionBackend {
   /// the virtual clock.
   double time_layer_ms(std::int64_t layer, std::int64_t level,
                        std::int64_t batch, const KernelOptions& options);
+  /// time_layer_ms on the calling thread alone (no pool), for ratios
+  /// that scheduling must not pollute (the kernel speedup gate).
+  double time_layer_on_caller_ms(std::int64_t layer, std::int64_t level,
+                                 std::int64_t batch,
+                                 const KernelOptions& options);
 
   /// Installs a tuning record into the plan cache; returns entries applied.
   std::int64_t apply_tuning(const TuningRecord& record) {
@@ -119,11 +126,13 @@ class MeasuredBackend : public ExecutionBackend {
 
  private:
   /// Runs every layer once on a batch into its workspace, in one
-  /// fork/join; returns the wall ms of the kernel calls alone.
+  /// launch; returns the wall ms of the kernel calls alone.
   double run_layers_wall_ms(std::int64_t batch);
-  /// Runs one (layer, level) plan on a batch into the layer's workspace.
-  void run_into_workspace(std::int64_t layer, const LayerPlan& plan,
-                          std::int64_t batch, const KernelOptions& options);
+  /// Wall ms of one (layer, level) plan run on a batch into the layer's
+  /// workspace over `pool` (nullptr: the calling thread alone).
+  double time_into_workspace(std::int64_t layer, std::int64_t level,
+                             std::int64_t batch, const KernelOptions& options,
+                             ThreadPool* pool);
 
   MeasuredBackendConfig config_;
   std::vector<Linear*> layers_;

@@ -62,17 +62,11 @@ void append_slot_layout(const CompiledPattern& cp, std::int64_t cmax,
 void check_kernel_options(const KernelOptions& options,
                           const std::string& who) {
   // The message is built only on failure: kernels validate per call.
-  const auto field = [&](bool ok, const char* name, std::int64_t value,
-                         const char* want) {
-    if (!ok) {
-      check(false, who + ": kernel option " + name + "=" +
-                       std::to_string(value) + " is invalid (need " + want +
-                       ")");
-    }
-  };
-  field(options.k_tile >= 0, "k_tile", options.k_tile, ">= 0");
-  field(options.row_grain >= 1, "row_grain", options.row_grain, ">= 1");
-  field(options.threads >= 0, "threads", options.threads, ">= 0");
+  if (options.k_tile < 1) {
+    check(false, who + ": kernel option k_tile=" +
+                     std::to_string(options.k_tile) +
+                     " is invalid (need >= 1)");
+  }
 }
 
 CompiledPattern CompiledPattern::compile(const Pattern& pattern) {

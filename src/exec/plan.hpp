@@ -30,28 +30,19 @@ namespace rt3 {
 
 struct TuningRecord;  // exec/tuner.hpp
 
-/// Tunable knobs of one kernel launch.  The defaults are sane everywhere;
-/// the offline autotuner (exec/tuner.hpp) searches this space per
-/// (layer, level) and bakes winners into the PlanCache.  The unroll
-/// factor is not a knob: the kernels derive it from each call's width
-/// (inner::with_unroll, exec/kernels_inner.hpp).
+/// Launch options of one kernel call.  The offline autotuner
+/// (exec/tuner.hpp) measures them per (layer, level) and bakes winners
+/// into the PlanCache.  Nothing else is an option: the kernels derive the
+/// unroll from each call's width (inner::with_unroll,
+/// exec/kernels_inner.hpp) and the row split from each call's work
+/// (exec/kernels.hpp).
 struct KernelOptions {
-  /// k-tile (rows of X kept hot) for the dense kernel; 0 = auto-size so
-  /// the active X slice fits the per-core L1/L2 budget (exec/simd.hpp).
+  /// k-tile (rows of X kept hot) for the dense kernel; >= 1.
   std::int64_t k_tile = 64;
-  /// Minimum output rows per parallel task; below this the kernel runs
-  /// serially on the calling thread.
-  std::int64_t row_grain = 16;
-  /// Thread cap for this launch, counting the calling thread: 1 = the
-  /// caller alone, 0 = the caller and every pool worker.  The autotuner
-  /// uses it to pick a per-(layer, level) parallelism degree without
-  /// resizing the shared pool.
-  std::int64_t threads = 0;
 };
 
-/// Throws CheckError, prefixed by `who`, naming the first out-of-range
-/// field and its value: k_tile >= 0, row_grain >= 1, threads >= 0
-/// (nothing is clamped).
+/// Throws CheckError, prefixed by `who`, naming k_tile and its value
+/// unless k_tile >= 1 (nothing is clamped).
 void check_kernel_options(const KernelOptions& options,
                           const std::string& who);
 

@@ -2,10 +2,6 @@
 
 #include <thread>
 
-#if defined(__linux__)
-#include <unistd.h>
-#endif
-
 #include "common/check.hpp"
 #include "exec/kernels_dispatch.hpp"
 
@@ -53,20 +49,6 @@ SimdIsa detect_once() {
 SimdIsa& active_isa_slot() {
   static SimdIsa active = detect_once();
   return active;
-}
-
-/// sysconf-probed cache size with a fallback when the kernel does not
-/// expose the level (common in containers).
-std::int64_t probe_cache(int name, std::int64_t fallback) {
-#if defined(__linux__)
-  const long bytes = sysconf(name);
-  if (bytes > 0) {
-    return static_cast<std::int64_t>(bytes);
-  }
-#else
-  (void)name;
-#endif
-  return fallback;
 }
 
 }  // namespace
@@ -124,26 +106,6 @@ std::int64_t simd_isa_width(SimdIsa isa) {
       return 16;
   }
   return 1;
-}
-
-std::int64_t cpu_l1d_bytes() {
-#if defined(_SC_LEVEL1_DCACHE_SIZE)
-  static const std::int64_t bytes =
-      probe_cache(_SC_LEVEL1_DCACHE_SIZE, 32 * 1024);
-#else
-  static const std::int64_t bytes = 32 * 1024;
-#endif
-  return bytes;
-}
-
-std::int64_t cpu_l2_bytes() {
-#if defined(_SC_LEVEL2_CACHE_SIZE)
-  static const std::int64_t bytes =
-      probe_cache(_SC_LEVEL2_CACHE_SIZE, 512 * 1024);
-#else
-  static const std::int64_t bytes = 512 * 1024;
-#endif
-  return bytes;
 }
 
 std::int64_t cpu_cores() {

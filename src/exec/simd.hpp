@@ -1,4 +1,4 @@
-// Runtime SIMD dispatch and per-core cache topology for the kernel engine.
+// Runtime SIMD dispatch and core count for the kernel engine.
 //
 // The measured kernels vectorize the activation (j) dimension only: every
 // output element still accumulates its k-terms in ascending order through
@@ -51,11 +51,6 @@ void set_simd_isa(SimdIsa isa);
 /// Vector width (floats per register) of an ISA.
 std::int64_t simd_isa_width(SimdIsa isa);
 
-/// Per-core data-cache sizes, probed via sysconf on Linux with
-/// conservative mobile-class fallbacks (32 KiB L1d, 512 KiB L2).  These
-/// size the default k-tiles so the hot activation slice stays resident.
-std::int64_t cpu_l1d_bytes();
-std::int64_t cpu_l2_bytes();
 /// Hardware threads available for pinning (>= 1).
 std::int64_t cpu_cores();
 

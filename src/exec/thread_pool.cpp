@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 #include <system_error>
+#include <utility>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -12,16 +13,54 @@
 #include "common/check.hpp"
 
 namespace rt3 {
+namespace {
+
+/// Spin-wait budget, in cpu_relax() calls, before the caller's join
+/// sleeps: ~100 us on a current x86 core, less where pause is cheaper.
+/// Workers never spin, so an idle pool burns no CPU.
+constexpr std::int64_t kJoinSpins = 1 << 12;
+
+constexpr std::uint64_t kItemMask = 0xFFFFFFFFULL;
+
+/// Tells the core this thread is spin-waiting (x86 pause, arm yield).
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Claims the next item of a cursor still tagged `tag`; false once the
+/// queue is drained or the cursor belongs to a later launch.  A CAS, not
+/// a fetch_add, so a thread still holding an earlier launch can never
+/// consume an item of the current one.
+bool claim(std::atomic<std::uint64_t>& cursor, std::uint64_t tag,
+           std::int64_t items, std::int64_t& item) {
+  std::uint64_t word = cursor.load(std::memory_order_relaxed);
+  while ((word >> 32) == tag &&
+         static_cast<std::int64_t>(word & kItemMask) < items) {
+    if (cursor.compare_exchange_weak(word, word + 1,
+                                     std::memory_order_relaxed)) {
+      item = static_cast<std::int64_t>(word & kItemMask);
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::int64_t num_threads, bool pin_to_cores) {
   check(num_threads >= 1, "ThreadPool: need at least one thread");
+  cursors_ = std::make_unique<Cursor[]>(static_cast<std::size_t>(num_threads) +
+                                        1);
   workers_.reserve(static_cast<std::size_t>(num_threads));
-  tasks_.reserve(static_cast<std::size_t>(num_threads));
   const unsigned cores = std::max(1U, std::thread::hardware_concurrency());
   pinned_ = pin_to_cores;
   for (std::int64_t i = 0; i < num_threads; ++i) {
     try {
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this, i] { worker_loop(i + 1); });
     } catch (const std::system_error& e) {
       // Unwinding past a joinable std::thread would std::terminate.
       stop_and_join();
@@ -58,74 +97,96 @@ void ThreadPool::stop_and_join() {
   }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::run(const Launch& launch) {
+  check(launch.queues >= 1 && launch.queues <= num_threads() + 1 &&
+            launch.items >= 0 &&
+            launch.items < static_cast<std::int64_t>(kItemMask >> 1),
+        "ThreadPool: launch shape out of range");
+  std::uint64_t tag = 0;
   {
     MutexLock lock(mu_);
-    check(!stopping_, "ThreadPool: submit after shutdown");
-    // A full vector reclaims its popped slots before it grows, once they
-    // are at least half of it, so a queue that never drains stays within
-    // a constant factor of its pending tasks.
-    if (tasks_.size() == tasks_.capacity() && 2 * head_ >= tasks_.size()) {
-      tasks_.erase(tasks_.begin(),
-                   tasks_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
+    tag = ++epoch_ & kItemMask;
+    launch_ = launch;
+    for (std::int64_t q = 0; q < launch.queues; ++q) {
+      cursors_[static_cast<std::size_t>(q)].word.store(
+          tag << 32, std::memory_order_relaxed);
     }
-    tasks_.push_back(std::move(task));
+    pending_.store(launch.queues * launch.items, std::memory_order_relaxed);
+    failed_.store(false, std::memory_order_relaxed);
+    error_ = nullptr;
   }
-  has_work_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  UniqueLock lock(mu_);
-  while (!(queue_empty() && active_ == 0)) {
-    idle_.wait(lock);
-  }
-  if (first_error_ != nullptr) {
-    const std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    bool poisoned = false;
-    {
+  has_work_.notify_all();
+  take_part(launch, tag, 0);
+  // The workers' pieces are as long as ours, so they finish about now:
+  // spin briefly rather than pay a sleep/wake round trip, and sleep if a
+  // worker was descheduled.
+  std::int64_t spins = 0;
+  while (pending_.load(std::memory_order_acquire) != 0) {
+    if (++spins > kJoinSpins) {
       UniqueLock lock(mu_);
-      while (!(stopping_ || !queue_empty())) {
-        has_work_.wait(lock);
+      while (pending_.load(std::memory_order_acquire) != 0) {
+        done_.wait(lock);
       }
-      if (queue_empty()) {
-        return;  // stopping and drained
-      }
-      task = std::move(tasks_[head_++]);
-      if (queue_empty()) {
-        tasks_.clear();  // keeps the capacity for the next submits
-        head_ = 0;
-      }
-      ++active_;
-      // After a failure the queue is poison: pop-and-drop the backlog so
-      // wait_idle can rethrow promptly instead of waiting out every
-      // queued task body.
-      poisoned = first_error_ != nullptr;
+      break;
     }
-    if (!poisoned) {
+    cpu_relax();
+  }
+  if (failed_.load(std::memory_order_relaxed)) {
+    std::rethrow_exception(std::exchange(error_, nullptr));
+  }
+}
+
+void ThreadPool::take_part(const Launch& launch, std::uint64_t tag,
+                           std::int64_t thread) {
+  std::int64_t ran = 0;
+  for (std::int64_t v = 0; v < launch.queues; ++v) {
+    const std::int64_t queue = (thread + v) % launch.queues;
+    std::atomic<std::uint64_t>& cursor =
+        cursors_[static_cast<std::size_t>(queue)].word;
+    std::int64_t item = 0;
+    while (claim(cursor, tag, launch.items, item)) {
+      ++ran;
+      // After a failure the rest is poison: count pieces off unrun so
+      // the error surfaces promptly.
+      if (failed_.load(std::memory_order_relaxed)) {
+        continue;
+      }
       try {
-        task();
+        launch.run(launch.ctx, queue, item);
       } catch (...) {
-        MutexLock lock(mu_);
-        if (first_error_ == nullptr) {
-          first_error_ = std::current_exception();
+        if (!failed_.exchange(true, std::memory_order_relaxed)) {
+          error_ = std::current_exception();
         }
       }
     }
+  }
+  if (ran > 0 &&
+      pending_.fetch_sub(ran, std::memory_order_acq_rel) == ran &&
+      thread != 0) {
+    // Last to finish: wake the caller if it gave up spinning.  Taking
+    // mu_ orders this after the caller's check in its wait loop.
+    { MutexLock lock(mu_); }
+    done_.notify_one();
+  }
+}
+
+void ThreadPool::worker_loop(std::int64_t thread) {
+  std::uint64_t seen = 0;
+  for (;;) {
+    Launch launch;
     {
-      MutexLock lock(mu_);
-      --active_;
-      if (queue_empty() && active_ == 0) {
-        idle_.notify_all();
+      UniqueLock lock(mu_);
+      while (!stopping_ && epoch_ == seen) {
+        has_work_.wait(lock);
       }
+      if (stopping_) {
+        return;
+      }
+      seen = epoch_;
+      launch = launch_;
+    }
+    if (thread < launch.queues) {
+      take_part(launch, seen & kItemMask, thread);
     }
   }
 }

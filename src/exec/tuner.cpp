@@ -14,17 +14,16 @@
 namespace rt3 {
 namespace {
 
-// Search ladders.  k_tile 0 means auto (cache-sized, exec/kernels.hpp);
-// threads counts the calling thread, and 0 means the caller and every
-// pool worker.
-constexpr std::array<std::int64_t, 6> kKTiles = {0, 16, 32, 64, 128, 256};
-constexpr std::array<std::int64_t, 4> kThreads = {0, 1, 2, 4};
+/// The dense kernel's k_tile ladder.
+constexpr std::array<std::int64_t, 5> kKTiles = {16, 32, 64, 128, 256};
 
 constexpr const char* kWho = "TuningRecord";
 /// The record format this build writes and reads.  v1 records carried
 /// an unroll factor per entry, which the kernels derive from each call's
-/// width instead; v2 records carried a fitted-model prediction per entry.
-constexpr const char* kVersion = "v3";
+/// width instead; v2 records carried a fitted-model prediction per entry;
+/// v3 records carried row_grain and threads, which the kernels derive
+/// from each call's work instead.
+constexpr const char* kVersion = "v4";
 
 }  // namespace
 
@@ -38,8 +37,6 @@ std::string TuningRecord::serialize() const {
   for (const TuningEntry& e : entries) {
     out << "entry layer=" << e.layer << " level=" << e.level
         << " k_tile=" << e.options.k_tile
-        << " row_grain=" << e.options.row_grain
-        << " threads=" << e.options.threads
         << " measured_ms=" << format_g17(e.measured_ms) << "\n";
   }
   return out.str();
@@ -79,8 +76,6 @@ TuningRecord TuningRecord::parse(const std::string& text) {
     e.layer = int_kv("layer");
     e.level = int_kv("level");
     e.options.k_tile = int_kv("k_tile");
-    e.options.row_grain = int_kv("row_grain");
-    e.options.threads = int_kv("threads");
     e.measured_ms = parse_finite(where + " measured_ms",
                                  take_kv(in, kWho, "measured_ms"));
     check(e.layer >= 0, where + " layer: must be >= 0");
@@ -134,19 +129,12 @@ std::int64_t PlanCache::apply_tuning(const TuningRecord& record) {
 std::vector<KernelOptions> Autotuner::candidate_grid(ExecMode mode) {
   // Only the dense kernel reads k_tile; the other families keep the
   // KernelOptions default rather than measure copies of one launch.
-  std::vector<std::int64_t> k_tiles(kKTiles.begin(), kKTiles.end());
   if (mode != ExecMode::kDense) {
-    k_tiles = {KernelOptions{}.k_tile};
+    return {KernelOptions{}};
   }
   std::vector<KernelOptions> grid;
-  grid.reserve(k_tiles.size() * kThreads.size());
-  for (const std::int64_t kt : k_tiles) {
-    for (const std::int64_t t : kThreads) {
-      KernelOptions o;
-      o.k_tile = kt;
-      o.threads = t;
-      grid.push_back(o);
-    }
+  for (const std::int64_t kt : kKTiles) {
+    grid.push_back(KernelOptions{kt});
   }
   return grid;
 }

@@ -1,14 +1,13 @@
 // Offline kernel autotuner (`rt3 tune`).
 //
 // For every (layer, level) of a plan cache the tuner measures every point
-// of its mode's KernelOptions grid and keeps the fastest.  Only the dense
-// kernel reads k_tile, so the dense grid is k_tile x threads (6 x 4 = 24
-// points) and the block, pattern and COO grids are the threads ladder
-// alone (4 points, k_tile left at its default).  Winners are serialized
+// of its mode's KernelOptions grid and keeps the fastest.  k_tile is the
+// only option and only the dense kernel reads it, so the dense grid is
+// the k_tile ladder (5 points) and the block, pattern and COO grids are
+// the one default launch, measured for its cost.  Winners are serialized
 // as a TuningRecord that `rt3 serve --tuning` bakes back into the
-// PlanCache; tuning never changes results, only launch shapes, because
-// every config executes the same per-lane ascending-k accumulation (see
-// exec/kernels.hpp).
+// PlanCache; tuning never changes results, because every config executes
+// the same per-lane ascending-k accumulation (see exec/kernels.hpp).
 //
 // The cost function is injectable: production measures
 // MeasuredBackend::time_layer_ms medians; tests inject a deterministic
@@ -37,7 +36,7 @@ struct TuningEntry {
 };
 
 /// A full tuning run, serializable as a small line-oriented text file
-/// headed "rt3-tuning v3"; parse rejects any other version by name, a
+/// headed "rt3-tuning v4"; parse rejects any other version by name, a
 /// repeated (layer, level) and any token after the last entry.
 /// Doubles are written with 17 significant digits, so
 /// parse(serialize(r)) round-trips bit-exactly and re-serialization is

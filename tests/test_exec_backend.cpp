@@ -26,6 +26,7 @@
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
+#include <sys/resource.h>
 #endif
 
 #include "common/check.hpp"
@@ -117,8 +118,7 @@ Tensor as_tensor(const ActivationView& v) {
 
 KernelOptions tiny_tiles() {
   KernelOptions options;
-  options.k_tile = 5;    // deliberately awkward: exercises tile remainders
-  options.row_grain = 3;
+  options.k_tile = 5;  // deliberately awkward: exercises tile remainders
   return options;
 }
 
@@ -256,8 +256,6 @@ TEST(SimdIsa, NamesRoundTripAndTopologyProbesAreSane) {
   EXPECT_GE(simd_isa_width(detect_simd_isa()), 1);
   EXPECT_TRUE(simd_isa_supported(SimdIsa::kScalar));
   EXPECT_TRUE(simd_isa_supported(detect_simd_isa()));
-  EXPECT_GT(cpu_l1d_bytes(), 0);
-  EXPECT_GT(cpu_l2_bytes(), 0);
   EXPECT_GE(cpu_cores(), 1);
   // Forcing scalar is always allowed; the guard restores detection.
   {
@@ -546,13 +544,13 @@ TEST(SimdKernels, PatternRowGroupsUnrollsAndThreadsBitwiseMatchNaive) {
   // directions.  A pass takes two whole tile rows where their
   // accumulators fit the table's budget (psize 2 and 4 on every table,
   // psize 8 on AVX-512 and NEON) and one otherwise: a clipped last tile
-  // row, or the odd tile row left at the end of a thread's chunk (psize
-  // 2 and 4 plans of 1 to 5 tile rows under row grains 3, 4 and 8) or of
-  // a leftover-lane window block (n = 20 and 36 on AVX-512).  X sits in
-  // a NaN-padded strided buffer and the output is NaN-prefilled, so a
-  // pad cell at a column outside a clipped tile, a lane read past n or
-  // an unwritten output element all break the bitwise match.  Every
-  // unroll, thread count and host ISA runs.
+  // row, or the odd tile row left at the end of a thread's piece (psize 2
+  // and 4 plans of 2 to 5 tile rows, wide enough that their work splits
+  // them over the pools) or of a leftover-lane window block (n = 20 and
+  // 36 on AVX-512).  X sits in a NaN-padded strided buffer and the output
+  // is NaN-prefilled, so a pad cell at a column outside a clipped tile, a
+  // lane read past n or an unwritten output element all break the bitwise
+  // match.  Every unroll, pool size and host ISA runs.
   std::vector<SimdIsa> isas;
   for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kNeon, SimdIsa::kAvx2,
                       SimdIsa::kAvx512}) {
@@ -588,37 +586,62 @@ TEST(SimdKernels, PatternRowGroupsUnrollsAndThreadsBitwiseMatchNaive) {
       }
     }
   }
+  // Wide plans whose work splits them, into pieces of 1 to 3 tile rows.
+  const std::size_t first_wide = plans.size();
+  for (const std::int64_t psize : {2, 4}) {
+    for (const std::int64_t tile_rows : {7, 11}) {
+      for (const std::int64_t clip : {0, 1}) {
+        const PatternSet set = random_pattern_set(psize, 0.5, 3, rng);
+        plans.push_back(PatternPlan::build(
+            Tensor::randn({tile_rows * psize - clip, 1024 - clip}, rng),
+            set));
+      }
+    }
+  }
   ThreadPool pool1(1);
   ThreadPool pool2(2);
   ThreadPool pool3(3);
+  std::int64_t split_launches = 0;
   for (const std::int64_t n : {1, 3, 4, 8, 13, 16, 20, 32, 36, 45, 48, 64}) {
-    for (const PatternPlan& plan : plans) {
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      const PatternPlan& plan = plans[i];
       const Tensor x = Tensor::randn({plan.cols, n}, rng);
       const Tensor ref = naive_dense_matmul(plan.to_dense(), x);
       const PaddedActivation px = nan_padded(x);
-      for (const std::int64_t row_grain : {3, 4, 8}) {
-        KernelOptions o = tiny_tiles();
-        o.row_grain = row_grain;
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool1,
-                              &pool2, &pool3}) {
-          for (const SimdIsa isa : isas) {
-            SCOPED_TRACE(std::string(simd_isa_name(isa)) +
-                         " psize=" + std::to_string(plan.psize) +
-                         " shape=" + std::to_string(plan.rows) + "x" +
-                         std::to_string(plan.cols) +
-                         " n=" + std::to_string(n) +
-                         " row_grain=" + std::to_string(row_grain) +
-                         " threads=" +
-                         std::to_string(p == nullptr ? 0 : p->num_threads()));
-            ScopedIsa guard(isa);
-            std::vector<float> out = nan_output(plan.rows, n);
-            pattern_gemm_into(plan, px.view, out.data(), p, o);
-            expect_bitwise_equal(as_tensor(plan.rows, n, out), ref);
-          }
+      LayerPlan layer;
+      layer.mode = ExecMode::kPattern;
+      layer.rows = plan.rows;
+      layer.cols = plan.cols;
+      layer.pattern = plan;
+      std::vector<ThreadPool*> pools = {&pool2, &pool3};
+      if (i < first_wide) {
+        pools = {nullptr, &pool1, &pool2, &pool3};
+      }
+      for (ThreadPool* p : pools) {
+        const std::int64_t threads = p == nullptr ? 1 : p->num_threads() + 1;
+        for (const SimdIsa isa : isas) {
+          SCOPED_TRACE(std::string(simd_isa_name(isa)) +
+                       " psize=" + std::to_string(plan.psize) +
+                       " shape=" + std::to_string(plan.rows) + "x" +
+                       std::to_string(plan.cols) +
+                       " n=" + std::to_string(n) + " threads=" +
+                       std::to_string(threads));
+          ScopedIsa guard(isa);
+          std::vector<float> out = nan_output(plan.rows, n);
+          pattern_gemm_into(plan, px.view, out.data(), p, tiny_tiles());
+          expect_bitwise_equal(as_tensor(plan.rows, n, out), ref);
+          split_launches +=
+              launch_chunks({&layer, px.view, out.data(), tiny_tiles()},
+                            threads) > 1
+                  ? 1
+                  : 0;
         }
       }
     }
   }
+  // The wide plans really split: a good share of the launches ran on
+  // more than one chunk.
+  EXPECT_GT(split_launches, 100);
 }
 
 TEST(Kernels, IntoFormsOverwriteStaleBuffersBitwise) {
@@ -670,26 +693,28 @@ TEST(Kernels, IntoFormsOverwriteStaleBuffersBitwise) {
 }
 
 TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
-  // A launch splits each call into at most W + 1 chunks on a W-worker
-  // pool (chunk 0 on the caller).  On pools of 1, 2 and 3 workers, one
-  // many-call plan_gemm_into over every mode's plans of a 24 x 24, a
-  // ragged 18 x 14 and a 28 x 20 layer (6, 5 and 7 psize-4 tile rows, so
-  // W + 1 chunks of tile rows leave a remainder for every W), each plan
-  // called under the threads caps 0, 1, W, W + 1 and W + 2, must leave
-  // every output bitwise equal to a serial plan_gemm of that call alone
-  // and to naive_dense_matmul; each launch runs one row_grain (1, 3, 16)
-  // and the widths run AVX-512's ladder at U = 1, 2 and 4 (20, 32, 64).
-  // Every call reads a NaN-padded strided view and overwrites a
-  // NaN-prefilled output, so a chunk that one call's split leaves unrun,
-  // or a lane one call writes into another's buffer, breaks the match.
-  // A thread that finishes its own chunks takes the unclaimed pieces of
-  // the others'; one more launch per pool forces that on a busy worker.
+  // A launch splits each call by its work into at most W + 1 chunks on a
+  // W-worker pool (chunk 0 on the caller).  With no pool and on pools of
+  // 1, 2 and 3 workers, one many-call plan_gemm_into over every mode's
+  // plans of a 24 x 24 and a ragged 18 x 14 layer (one chunk each) and
+  // of a 28 x 1200 and a ragged 18 x 1030 layer (7 and 5 psize-4 tile
+  // rows, whose work splits them 1 to 4 ways as the width grows, so the
+  // chunks of tile rows leave remainders) must leave every output bitwise
+  // equal to a serial plan_gemm of that call alone and to
+  // naive_dense_matmul.  The widths run AVX-512's ladder at U = 1, 2 and
+  // 4 (20, 32, 64).  Every call reads a NaN-padded strided view and
+  // overwrites a NaN-prefilled output, so a chunk that one call's split
+  // leaves unrun, or a lane one call writes into another's buffer, breaks
+  // the match.  A thread that finishes its own chunks takes the unclaimed
+  // pieces of the others'; one more launch per pool puts a slow piece
+  // first: a COO call whose nonzeros all sit in its first piece's rows.
   Rng rng(71);
   std::vector<std::unique_ptr<Linear>> owned;
   std::vector<Linear*> layers;
   owned.push_back(std::make_unique<Linear>(24, 24, rng));
   owned.push_back(std::make_unique<Linear>(18, 14, rng));
-  owned.push_back(std::make_unique<Linear>(28, 20, rng));
+  owned.push_back(std::make_unique<Linear>(28, 1200, rng));
+  owned.push_back(std::make_unique<Linear>(18, 1030, rng));
   for (auto& l : owned) {
     layers.push_back(l.get());
   }
@@ -714,73 +739,85 @@ TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
       plans.push_back(&cache->plan(li, 0));
     }
   }
-  for (const std::int64_t workers : {1, 2, 3}) {
-    ThreadPool pool(workers);
-    const std::array<std::int64_t, 5> caps = {0, 1, workers, workers + 1,
-                                              workers + 2};
+  // The slow call: 8 dense rows of 16384 columns over 64 rows, so its
+  // work splits it on any pool and its first piece holds every nonzero.
+  Tensor skewed({64, 16384});
+  for (std::int64_t i = 0; i < 8 * 16384; ++i) {
+    skewed[i] = static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  LayerPlan slow;
+  slow.mode = ExecMode::kIrregular;
+  slow.rows = 64;
+  slow.cols = 16384;
+  slow.irregular = IrregularPlan::build(skewed);
+  std::optional<ThreadPool> pool;
+  for (const std::int64_t workers : {0, 1, 2, 3}) {
+    if (workers > 0) {
+      pool.emplace(workers);
+    }
+    ThreadPool* const p = workers > 0 ? &*pool : nullptr;
+    std::int64_t split_calls = 0;
     for (const std::int64_t n : {1, 4, 20, 32, 64}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " n=" + std::to_string(n));
       std::vector<PaddedActivation> xs;
       std::vector<Tensor> refs;
+      std::vector<std::vector<float>> outs;
+      std::vector<GemmCall> calls;
       for (const LayerPlan* plan : plans) {
         const Tensor x = Tensor::randn({plan->cols, n}, rng);
         xs.push_back(nan_padded(x));
         refs.push_back(naive_dense_matmul(plan->dense_equivalent(), x));
+        outs.push_back(nan_output(plan->rows, n));
       }
-      for (const std::int64_t row_grain : {1, 3, 16}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers) +
-                     " n=" + std::to_string(n) +
-                     " row_grain=" + std::to_string(row_grain));
-        std::vector<std::vector<float>> outs;
-        std::vector<GemmCall> calls;
-        outs.reserve(plans.size() * caps.size());
-        for (std::size_t i = 0; i < plans.size(); ++i) {
-          for (const std::int64_t cap : caps) {
-            KernelOptions o = tiny_tiles();
-            o.threads = cap;
-            o.row_grain = row_grain;
-            outs.push_back(nan_output(plans[i]->rows, n));
-            calls.push_back({plans[i], xs[i].view, outs.back().data(), o});
-          }
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        calls.push_back({plans[i], xs[i].view, outs[i].data(), tiny_tiles()});
+        split_calls += launch_chunks(calls.back(), workers + 1) > 1 ? 1 : 0;
+      }
+      plan_gemm_into(calls, p);
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        const LayerPlan& plan = *plans[i];
+        SCOPED_TRACE(std::string(exec_mode_name(plan.mode)) + " " +
+                     std::to_string(plan.rows) + "x" +
+                     std::to_string(plan.cols));
+        const Tensor out = as_tensor(plan.rows, n, outs[i]);
+        expect_bitwise_equal(out, plan_gemm(plan, as_tensor(xs[i].view),
+                                            nullptr, tiny_tiles()));
+        expect_bitwise_equal(out, refs[i]);
+      }
+      if (n == 64 && workers > 0) {
+        // The slow call first: the thread that claims its first piece is
+        // held while the others run every other piece, its own chunk's
+        // included.
+        SCOPED_TRACE("slow first piece");
+        const Tensor x = Tensor::randn({slow.cols, n}, rng);
+        const PaddedActivation px = nan_padded(x);
+        std::vector<float> slow_out = nan_output(slow.rows, n);
+        calls.insert(calls.begin(),
+                     GemmCall{&slow, px.view, slow_out.data(), tiny_tiles()});
+        EXPECT_GT(launch_chunks(calls.front(), workers + 1), 1);
+        for (std::vector<float>& out : outs) {
+          std::fill(out.begin(), out.end(),
+                    std::numeric_limits<float>::quiet_NaN());
         }
-        const auto launch_and_check = [&] {
-          for (std::vector<float>& out : outs) {
-            std::fill(out.begin(), out.end(),
-                      std::numeric_limits<float>::quiet_NaN());
-          }
-          plan_gemm_into(calls, &pool);
-          for (std::size_t c = 0; c < calls.size(); ++c) {
-            const std::size_t i = c / caps.size();
-            const LayerPlan& plan = *plans[i];
-            SCOPED_TRACE(std::string(exec_mode_name(plan.mode)) +
-                         " rows=" + std::to_string(plan.rows) + " threads=" +
-                         std::to_string(calls[c].options.threads));
-            const Tensor out = as_tensor(plan.rows, n, outs[c]);
-            expect_bitwise_equal(out, plan_gemm(plan, as_tensor(xs[i].view),
-                                                nullptr, calls[c].options));
-            expect_bitwise_equal(out, refs[i]);
-          }
-        };
-        launch_and_check();
-        if (row_grain == 1 && workers > 1) {
-          // Caps 0 and W + 1 only, and one worker held busy elsewhere:
-          // the launch's last task cannot start before another thread has
-          // finished its own, and a finished thread has claimed every
-          // piece, so the busy worker's chunks are run by the others.
-          SCOPED_TRACE("one worker busy, every thread may take pieces");
-          for (GemmCall& call : calls) {
-            call.options.threads = call.options.threads == 1 ? 0 : workers + 1;
-          }
-          pool.submit([] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          });
-          launch_and_check();
-          pool.wait_idle();
+        plan_gemm_into(calls, p);
+        expect_bitwise_equal(as_tensor(slow.rows, n, slow_out),
+                             plan_gemm(slow, x, nullptr, tiny_tiles()));
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+          expect_bitwise_equal(as_tensor(plans[i]->rows, n, outs[i]),
+                               refs[i]);
         }
       }
     }
+    // With a pool, the wide layers' work splits them; alone, nothing does.
+    if (workers == 0) {
+      EXPECT_EQ(split_calls, 0);
+    } else {
+      EXPECT_GT(split_calls, 0);
+    }
   }
 
-  ThreadPool pool(3);
+  ThreadPool three(3);
   // Every call is validated before any runs: a bad call at the end of
   // the list throws and leaves the first call's output untouched.
   const PaddedActivation x =
@@ -789,11 +826,64 @@ TEST(Kernels, ManyCallLaunchBitwiseMatchesSerialCalls) {
   std::vector<GemmCall> calls = {
       {plans[0], x.view, untouched.data(), tiny_tiles()}};
   calls.push_back(calls.front());
-  calls.back().options.threads = -1;
-  EXPECT_THROW(plan_gemm_into(calls, &pool), CheckError);
+  calls.back().options.k_tile = 0;
+  EXPECT_THROW(plan_gemm_into(calls, &three), CheckError);
   EXPECT_TRUE(std::all_of(untouched.begin(), untouched.end(),
                           [](float v) { return std::isnan(v); }));
-  plan_gemm_into(std::span<const GemmCall>{}, &pool);  // no calls: no-op
+  plan_gemm_into(std::span<const GemmCall>{}, &three);  // no calls: no-op
+}
+
+TEST(Kernels, WorkSetsEachCallsSplit) {
+  // A call splits into the fewest chunks of bounded work, at most one per
+  // thread.  The default `rt3 serve --backend measured` deployment's
+  // 64 x 64 pattern layers stay whole on the caller at batch 1 and 8
+  // (4 columns per request) on any SIMD table, and kernel-levels' 512-row
+  // layers (d x d attention, d x 4d FFN) split over every thread of a
+  // 4-thread launch at each level.
+  Rng rng(5);
+  std::vector<std::unique_ptr<Linear>> owned;
+  std::vector<Linear*> layers;
+  owned.push_back(std::make_unique<Linear>(64, 64, rng));
+  owned.push_back(std::make_unique<Linear>(512, 512, rng));
+  owned.push_back(std::make_unique<Linear>(512, 2048, rng));
+  for (auto& l : owned) {
+    layers.push_back(l.get());
+  }
+  ModelPruner pruner(layers);
+  BpConfig bp;
+  bp.num_blocks = 4;
+  bp.prune_fraction = 0.25;
+  pruner.apply_bp(bp);
+  std::vector<PatternSet> sets;
+  for (const double s : {0.25, 0.5, 0.75}) {
+    sets.push_back(random_pattern_set(4, s, 2, rng));
+  }
+  const PlanCache cache(ExecMode::kPattern, layers, pruner.backbone_masks(),
+                        sets, 3);
+  const bool simd = kernel_table_for(active_simd_isa()).width >= 8;
+  for (std::int64_t level = 0; level < 3; ++level) {
+    for (const std::int64_t batch : {1, 8}) {
+      for (std::int64_t li = 0; li < 3; ++li) {
+        const LayerPlan& plan = cache.plan(li, level);
+        const std::int64_t n = 4 * batch;
+        std::vector<float> x(static_cast<std::size_t>(plan.cols * n));
+        const GemmCall call{&plan, {x.data(), plan.cols, n, n}, nullptr, {}};
+        SCOPED_TRACE("layer " + std::to_string(li) + " level " +
+                     std::to_string(level) + " batch " +
+                     std::to_string(batch));
+        EXPECT_EQ(launch_chunks(call, 1), 1);
+        if (li == 0) {
+          if (simd) {
+            EXPECT_EQ(launch_chunks(call, 4), 1);
+          }
+        } else {
+          EXPECT_EQ(launch_chunks(call, 4), 4);
+          EXPECT_EQ(launch_chunks(call, 3), 3);
+        }
+        EXPECT_LE(launch_chunks(call, 64), plan.rows / 4);
+      }
+    }
+  }
 }
 
 TEST(Kernels, CooGemmBitwiseMatchesNaive) {
@@ -814,28 +904,27 @@ TEST(Kernels, CooGemmBitwiseMatchesNaive) {
   expect_bitwise_equal(coo_gemm(plan, x, nullptr, tiny_tiles()), reference);
 }
 
-TEST(Kernels, OptionValidationAndKTileAutoSizing) {
+TEST(Kernels, OptionValidationRejectsKTileBelowOne) {
+  // k_tile is the one launch option: it must be >= 1, and the error names
+  // it; any valid value leaves the bits unchanged.
   Rng rng(63);
   const Tensor w = Tensor::randn({4, 4}, rng);
   const Tensor x = Tensor::randn({4, 4}, rng);
-  KernelOptions bad = tiny_tiles();
-  bad.threads = -1;
-  EXPECT_THROW(dense_gemm(w, x, nullptr, bad), CheckError);
-  // k_tile 0 resolves to a cache-sized tile in [16, cols]; explicit
-  // values pass through untouched.
-  KernelOptions auto_kt;
-  auto_kt.k_tile = 0;
-  const std::int64_t kt = resolve_k_tile(auto_kt, 4096, 8);
-  EXPECT_GE(kt, 16);
-  EXPECT_LE(kt, 4096);
-  auto_kt.k_tile = 7;
-  EXPECT_EQ(resolve_k_tile(auto_kt, 4096, 8), 7);
-  // An options.threads cap above/below the pool size never changes bits.
-  ThreadPool pool(3);
-  KernelOptions capped = tiny_tiles();
-  capped.threads = 2;
-  expect_bitwise_equal(dense_gemm(w, x, &pool, capped),
-                       naive_dense_matmul(w, x));
+  for (const std::int64_t k_tile : {0, -3}) {
+    try {
+      dense_gemm(w, x, nullptr, KernelOptions{k_tile});
+      ADD_FAILURE() << "k_tile=" << k_tile << " was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("k_tile=" +
+                                           std::to_string(k_tile)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const std::int64_t k_tile : {1, 3, 64}) {
+    expect_bitwise_equal(dense_gemm(w, x, nullptr, KernelOptions{k_tile}),
+                         naive_dense_matmul(w, x));
+  }
 }
 
 TEST(PatternPlan, AssignmentMatchesModelPrunerComposition) {
@@ -946,8 +1035,9 @@ TEST(MeasuredBackend, AllModesBitwiseMatchDenseReference) {
   }
 }
 
-/// Two pruned layers (one ragged) under a MeasuredBackend in `mode` with
-/// three pattern-set levels.
+/// Three pruned layers under a MeasuredBackend in `mode` with three
+/// pattern-set levels: two small ones (one ragged) that run whole on the
+/// caller and a 512 x 256 one whose work splits it over the pool.
 struct MeasuredRig {
   std::vector<std::unique_ptr<Linear>> owned;
   std::vector<Linear*> layers;
@@ -960,6 +1050,7 @@ MeasuredRig measured_rig(ExecMode mode, std::int64_t threads,
   Rng rng(29);
   rig.owned.push_back(std::make_unique<Linear>(24, 24, rng));
   rig.owned.push_back(std::make_unique<Linear>(18, 14, rng));
+  rig.owned.push_back(std::make_unique<Linear>(512, 256, rng));
   for (auto& l : rig.owned) {
     rig.layers.push_back(l.get());
   }
@@ -1004,7 +1095,7 @@ TEST(MeasuredBackend, ReusedWorkspacesStayBitwiseAcrossBatchSizes) {
                      " batch=" + std::to_string(batch));
         const BatchExecution exec = backend.run_batch(batch, level);
         EXPECT_GT(exec.kernel_wall_ms, 0.0);
-        for (std::int64_t li = 0; li < 2; ++li) {
+        for (std::int64_t li = 0; li < backend.plans().num_layers(); ++li) {
           const Tensor x = as_tensor(backend.batch_input(li, batch));
           EXPECT_EQ(x.size(1), batch * backend.config().cols_per_request);
           expect_bitwise_equal(
@@ -1020,11 +1111,11 @@ TEST(MeasuredBackend, ReusedWorkspacesStayBitwiseAcrossBatchSizes) {
 TEST(MeasuredBackend, BatchInputsAreCacheLineAlignedAndTunedLayersBitwise) {
   // Every layer's activation starts on a 64-byte cache line at every batch
   // width (the output workspaces are checked at construction).  With a
-  // different tuned threads cap and row_grain per layer, the batch's one
-  // fork/join still leaves every layer bitwise equal to the naive product.
+  // different tuned k_tile per layer, the batch's one launch still leaves
+  // every layer bitwise equal to the naive product.
   MeasuredRig rig = measured_rig(ExecMode::kPattern, 3, 8);
   MeasuredBackend& backend = *rig.backend;
-  for (std::int64_t li = 0; li < 2; ++li) {
+  for (std::int64_t li = 0; li < backend.plans().num_layers(); ++li) {
     for (std::int64_t batch = 1; batch <= 8; ++batch) {
       const float* data = backend.batch_input(li, batch).data;
       EXPECT_EQ(reinterpret_cast<std::uintptr_t>(data) % 64, 0U)
@@ -1034,24 +1125,23 @@ TEST(MeasuredBackend, BatchInputsAreCacheLineAlignedAndTunedLayersBitwise) {
   TuningRecord record;
   record.mode = ExecMode::kPattern;
   for (std::int64_t level = 0; level < backend.num_levels(); ++level) {
-    for (std::int64_t li = 0; li < 2; ++li) {
+    for (std::int64_t li = 0; li < backend.plans().num_layers(); ++li) {
       TuningEntry e;
       e.layer = li;
       e.level = level;
-      e.options = tiny_tiles();
-      e.options.threads = li == 0 ? 1 : 2 + level % 2;
-      e.options.row_grain = li == 0 ? 16 : 4;
+      e.options.k_tile = 1 + li + 2 * level;
       record.entries.push_back(e);
     }
   }
-  ASSERT_EQ(backend.apply_tuning(record), 2 * backend.num_levels());
+  ASSERT_EQ(backend.apply_tuning(record),
+            backend.plans().num_layers() * backend.num_levels());
   for (std::int64_t level = 0; level < backend.num_levels(); ++level) {
     backend.activate_level(level);
     for (const std::int64_t batch : {1, 5, 8}) {
       SCOPED_TRACE("level=" + std::to_string(level) +
                    " batch=" + std::to_string(batch));
       backend.run_batch(batch, level);
-      for (std::int64_t li = 0; li < 2; ++li) {
+      for (std::int64_t li = 0; li < backend.plans().num_layers(); ++li) {
         expect_bitwise_equal(
             backend.last_output(li),
             naive_dense_matmul(
@@ -1064,11 +1154,17 @@ TEST(MeasuredBackend, BatchInputsAreCacheLineAlignedAndTunedLayersBitwise) {
 
 TEST(MeasuredBackend, SteadyStateRunBatchAllocatesNoBuffers) {
   // After warm-up a batch reads its activations in place, writes
-  // construction-time workspaces and submits its fork's tasks into the
-  // pool's reused queue slots: no call allocates anything, whatever the
-  // level or width.
+  // construction-time workspaces and publishes its launch in the pool's
+  // own descriptor and cursors: no call allocates anything, whatever the
+  // level or width.  The rig's large layer splits, so batches do launch
+  // on the pool.
   MeasuredRig rig = measured_rig(ExecMode::kPattern, 3, 8);
   MeasuredBackend& backend = *rig.backend;
+  for (const std::int64_t batch : {1, 8}) {
+    const GemmCall big{&backend.plans().plan(2, 0),
+                       backend.batch_input(2, batch), nullptr, {}};
+    EXPECT_GT(launch_chunks(big, 4), 1) << "batch " << batch;
+  }
   for (std::int64_t level = 0; level < backend.num_levels(); ++level) {
     backend.activate_level(level);
     backend.run_batch(1, level);
@@ -1375,6 +1471,73 @@ TEST(MeasuredBackend, DefaultPoolFillsTheHostsOtherCores) {
   EXPECT_EQ(ServeSessionConfig{}.measured_threads, expected);
 }
 
+TEST(MeasuredBackend, IdleDefaultBackendBurnsNoCpuAfterALaunch) {
+  // Workers sleep between launches and only the caller's join spins, for
+  // a bounded time, so once a batch has launched on the whole default
+  // pool, an idle backend costs no CPU: the process's CPU time across a
+  // 1 s sleep stays under 100 ms, where one spinning worker would add
+  // about a second.
+  Rng rng(67);
+  std::vector<std::unique_ptr<Linear>> owned;
+  std::vector<Linear*> layers;
+  owned.push_back(std::make_unique<Linear>(512, 512, rng));
+  layers.push_back(owned.back().get());
+  MeasuredBackendConfig cfg;
+  cfg.mode = ExecMode::kDense;
+  MeasuredBackend backend(cfg, layers, {}, {}, {1000.0});
+  const GemmCall call{&backend.plans().plan(0, 0), backend.batch_input(0, 8),
+                      nullptr, {}};
+  EXPECT_GT(launch_chunks(call, cfg.threads + 1), 1);
+  backend.run_batch(8, 0);
+#if defined(__linux__)
+  const auto cpu_s = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const auto s = [](const timeval& t) {
+      return static_cast<double>(t.tv_sec) +
+             static_cast<double>(t.tv_usec) * 1e-6;
+    };
+    return s(usage.ru_utime) + s(usage.ru_stime);
+  };
+  const double before = cpu_s();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double burned = cpu_s() - before;
+  RecordProperty("idle_cpu_s", std::to_string(burned));
+  EXPECT_LT(burned, 0.1);
+#endif
+}
+
+TEST(ThreadPool, KernelLaunchAfterAThrowingLaunchIsBitwise) {
+  // A launch whose pieces throw, on the caller's queue and a worker's,
+  // surfaces the error and leaves the pool whole: the next kernel launch
+  // on it splits over every thread and runs every piece, bitwise equal to
+  // the naive product.
+  Rng rng(73);
+  LayerPlan plan;
+  plan.rows = 256;
+  plan.cols = 256;
+  plan.dense_weight = Tensor::randn({256, 256}, rng);
+  const Tensor x = Tensor::randn({256, 32}, rng);
+  const PaddedActivation px = nan_padded(x);
+  const Tensor reference = naive_dense_matmul(plan.dense_weight, x);
+  ThreadPool pool(3);
+  for (const std::int64_t bad_queue : {0, 2}) {
+    SCOPED_TRACE("throwing queue " + std::to_string(bad_queue));
+    EXPECT_THROW(pool.run(4, 2,
+                          [&](std::int64_t q, std::int64_t) {
+                            if (q == bad_queue) {
+                              throw CheckError("piece failed");
+                            }
+                          }),
+                 CheckError);
+    std::vector<float> out = nan_output(plan.rows, x.size(1));
+    const GemmCall call{&plan, px.view, out.data(), tiny_tiles()};
+    EXPECT_EQ(launch_chunks(call, 4), 4);
+    plan_gemm_into(std::span<const GemmCall>(&call, 1), &pool);
+    expect_bitwise_equal(as_tensor(plan.rows, x.size(1), out), reference);
+  }
+}
+
 TEST(ThreadPool, PinnedPoolMatchesFloatingBitwiseAndPinsOneCorePerWorker) {
   ThreadPool floating(2);
   EXPECT_FALSE(floating.pinned());  // not requested
@@ -1383,51 +1546,53 @@ TEST(ThreadPool, PinnedPoolMatchesFloatingBitwiseAndPinsOneCorePerWorker) {
   EXPECT_TRUE(pinned.pinned());
 #endif
   Rng rng(71);
-  const Tensor w = Tensor::randn({32, 32}, rng);
-  const Tensor x = Tensor::randn({32, 16}, rng);
+  const Tensor w = Tensor::randn({256, 256}, rng);  // enough work to split
+  const Tensor x = Tensor::randn({256, 16}, rng);
   const Tensor reference = naive_dense_matmul(w, x);
   // Pinning changes where work runs, never what it computes.
   expect_bitwise_equal(dense_gemm(w, x, &pinned, tiny_tiles()), reference);
   expect_bitwise_equal(dense_gemm(w, x, &floating, tiny_tiles()), reference);
 #if defined(__linux__)
-  // Worker i runs on core i % hardware_concurrency and nowhere else.  Each
-  // task holds its worker until every task has started, so the masks read
-  // below come from distinct, concurrently running workers; the deadline
-  // only bounds a pool that fails to run them at once, so host load cannot
-  // fail the check.
-  const std::int64_t workers = pinned.num_threads();
+  // Worker i runs on core i % hardware_concurrency and nowhere else.  One
+  // launch gives each thread one piece, and each piece holds its thread
+  // until every thread has started one, so the masks read below come from
+  // distinct, concurrently running workers (the caller's is left out);
+  // the deadline only bounds a pool that fails to run them at once, so
+  // host load cannot fail the check.
+  const std::int64_t threads = pinned.num_threads() + 1;
+  const std::thread::id caller = std::this_thread::get_id();
   std::mutex mu;
   std::condition_variable all_started;
   std::int64_t started = 0;
   bool concurrent = true;
-  std::vector<int> cpus;  // each task's one CPU, or -1 for a wider mask
-  for (std::int64_t i = 0; i < workers; ++i) {
-    pinned.submit([&] {
-      std::unique_lock<std::mutex> lock(mu);
-      ++started;
-      all_started.notify_all();
-      if (!all_started.wait_for(lock, std::chrono::seconds(60),
-                                [&] { return started == workers; })) {
-        concurrent = false;
+  std::vector<int> cpus;  // each worker's one CPU, or -1 for a wider mask
+  pinned.run(threads, 1, [&](std::int64_t, std::int64_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++started;
+    all_started.notify_all();
+    if (!all_started.wait_for(lock, std::chrono::seconds(60),
+                              [&] { return started == threads; })) {
+      concurrent = false;
+    }
+    if (std::this_thread::get_id() == caller) {
+      return;
+    }
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    int cpu = -1;
+    if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) == 0 &&
+        CPU_COUNT(&set) == 1) {
+      for (int c = 0; c < CPU_SETSIZE; ++c) {
+        cpu = CPU_ISSET(c, &set) ? c : cpu;
       }
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      int cpu = -1;
-      if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) == 0 &&
-          CPU_COUNT(&set) == 1) {
-        for (int c = 0; c < CPU_SETSIZE; ++c) {
-          cpu = CPU_ISSET(c, &set) ? c : cpu;
-        }
-      }
-      cpus.push_back(cpu);
-    });
-  }
-  pinned.wait_idle();
+    }
+    cpus.push_back(cpu);
+  });
   EXPECT_TRUE(concurrent) << "the pinned workers never ran at once";
   const auto cores = static_cast<int>(
       std::max(1U, std::thread::hardware_concurrency()));
   std::vector<int> expected;
-  for (std::int64_t i = 0; i < workers; ++i) {
+  for (std::int64_t i = 0; i < threads - 1; ++i) {
     expected.push_back(static_cast<int>(i) % cores);
   }
   std::sort(cpus.begin(), cpus.end());
@@ -1437,31 +1602,24 @@ TEST(ThreadPool, PinnedPoolMatchesFloatingBitwiseAndPinsOneCorePerWorker) {
 }
 
 TEST(Autotuner, PicksTheGridMinimumOfEveryCellWithInjectedCost) {
-  // Injected deterministic cost: a bowl over the knob space whose bottom
-  // moves with (layer, level), and whose ties (threads 0 = 4, k_tile
-  // auto = 64) the search must break toward the earlier grid point.
+  // Injected deterministic cost: a bowl over the k_tile ladder whose
+  // bottom moves with (layer, level).
   const Autotuner::CostFn bowl = [](std::int64_t layer, std::int64_t level,
                                     const KernelOptions& o) {
-    const double kt =
-        std::log2(static_cast<double>(o.k_tile == 0 ? 64 : o.k_tile));
-    const double t = static_cast<double>(o.threads == 0 ? 4 : o.threads);
-    return 1.0 + std::abs(kt - static_cast<double>(4 + (layer + level) % 4)) +
-           0.2 * std::abs(t - static_cast<double>(1 + level));
+    const double kt = std::log2(static_cast<double>(o.k_tile));
+    return 1.0 + std::abs(kt - static_cast<double>(4 + (layer + level) % 4));
   };
   const auto same = [](const KernelOptions& a, const KernelOptions& b) {
-    return a.k_tile == b.k_tile && a.row_grain == b.row_grain &&
-           a.threads == b.threads;
+    return a.k_tile == b.k_tile;
   };
-  // Only the dense kernel reads k_tile: k_tile (6) x threads (4) for it,
-  // the threads ladder at the default k_tile for every other family.
-  EXPECT_EQ(Autotuner::candidate_grid(ExecMode::kDense).size(), 24U);
+  // Only the dense kernel reads k_tile: the k_tile ladder for it, the one
+  // default launch for every other family.
+  EXPECT_EQ(Autotuner::candidate_grid(ExecMode::kDense).size(), 5U);
   for (const ExecMode mode :
        {ExecMode::kBlock, ExecMode::kPattern, ExecMode::kIrregular}) {
     const std::vector<KernelOptions> grid = Autotuner::candidate_grid(mode);
-    EXPECT_EQ(grid.size(), 4U) << exec_mode_name(mode);
-    for (const KernelOptions& o : grid) {
-      EXPECT_EQ(o.k_tile, KernelOptions{}.k_tile) << exec_mode_name(mode);
-    }
+    ASSERT_EQ(grid.size(), 1U) << exec_mode_name(mode);
+    EXPECT_EQ(grid[0].k_tile, KernelOptions{}.k_tile) << exec_mode_name(mode);
   }
   TunerConfig cfg;
   cfg.repeats = 2;
@@ -1550,17 +1708,22 @@ TEST(TuningRecord, MalformedRecordsAreRejectedByFieldName) {
       // A repeated (layer, level) would let the last entry silently win.
       {edit("entries 1", "entries 2") + entry_line,
        "entry 1: duplicate entry for layer=0 level=0"},
-      // A v1 record, whose entries carried an unroll factor, and a v2
-      // record, whose entries carried a fitted-model prediction, fail by
-      // version.
+      // A v1 record, whose entries carried an unroll factor, a v2 record,
+      // whose entries carried a fitted-model prediction, and a v3 record,
+      // whose entries carried row_grain and threads, fail by version.
       {"rt3-tuning v1\nmode pattern\nisa avx2\nbatch 1\nentries 1\n"
        "entry layer=0 level=0 k_tile=64 row_grain=16 unroll=2 threads=0 "
        "predicted_ms=0.5 measured_ms=0.25\n",
-       "version v1 is not supported (need v3)"},
+       "version v1 is not supported (need v4)"},
       {"rt3-tuning v2\nmode pattern\nisa avx2\nbatch 1\nentries 1\n"
        "entry layer=0 level=0 k_tile=64 row_grain=16 threads=0 "
        "predicted_ms=0.5 measured_ms=0.25\n",
-       "version v2 is not supported (need v3)"},
+       "version v2 is not supported (need v4)"},
+      {"rt3-tuning v3\nmode pattern\nisa avx2\nbatch 1\nentries 1\n"
+       "entry layer=0 level=0 k_tile=64 row_grain=16 threads=0 "
+       "measured_ms=0.25\n",
+       "version v3 is not supported (need v4)"},
+      {edit("k_tile=64", "k_tile=0"), "kernel option k_tile=0 is invalid"},
   };
   for (const auto& [edited, expected] : bad) {
     try {
@@ -1591,7 +1754,6 @@ TEST(PlanCache, ApplyTuningInstallsPerPlanOptions) {
   e.layer = 0;
   e.level = 1;
   e.options.k_tile = 32;
-  e.options.threads = 2;
   record.entries.push_back(e);
   TuningEntry oob = e;  // out-of-range entries are skipped, not fatal
   oob.layer = 9;
@@ -1599,16 +1761,13 @@ TEST(PlanCache, ApplyTuningInstallsPerPlanOptions) {
   EXPECT_EQ(cache.apply_tuning(record), 1);
   ASSERT_TRUE(cache.plan(0, 1).tuned.has_value());
   EXPECT_EQ(cache.plan(0, 1).tuned->k_tile, 32);
-  EXPECT_EQ(cache.plan(0, 1).tuned->threads, 2);
   EXPECT_FALSE(cache.plan(0, 0).tuned.has_value());
 
   // A record for another kernel family is a mix-up, not data.
   record.mode = ExecMode::kDense;
   EXPECT_THROW(cache.apply_tuning(record), CheckError);
   // Invalid options are rejected by set_tuned's validation.
-  KernelOptions bad;
-  bad.row_grain = 0;
-  EXPECT_THROW(cache.set_tuned(0, 0, bad), CheckError);
+  EXPECT_THROW(cache.set_tuned(0, 0, KernelOptions{0}), CheckError);
 }
 
 TEST(ExecBackendNames, RoundTrip) {

@@ -1,13 +1,14 @@
-// Multi-threaded tests for the kernel engine's ThreadPool: every task
-// runs exactly once, one worker runs tasks in submit order, a throwing
-// task surfaces from wait_idle() and poisons the backlog, and pinning is
-// best-effort.  Assertions are about conservation and order, never about
+// Multi-threaded tests for the kernel engine's ThreadPool launches: every
+// piece runs exactly once, the other threads take a held thread's pieces,
+// a throwing piece surfaces from run() and leaves the pool usable, and
+// pinning is best-effort.  Assertions are about conservation, never about
 // timing, so these are stable on any core count.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,93 +18,106 @@
 namespace rt3 {
 namespace {
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  std::atomic<std::int64_t> counter{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 200);
-    EXPECT_EQ(pool.num_threads(), 4);
-  }  // destructor joins cleanly
-  EXPECT_EQ(counter.load(), 200);
+/// Per-piece run counts of one launch, indexed queue * items + item.
+std::vector<std::atomic<std::int64_t>> counters(std::int64_t queues,
+                                                std::int64_t items) {
+  return std::vector<std::atomic<std::int64_t>>(
+      static_cast<std::size_t>(queues * items));
 }
 
-TEST(ThreadPool, TaskExceptionIsRethrownFromWaitIdle) {
-  ThreadPool pool(2);
-  pool.submit([] { throw CheckError("boom"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([] {});  // queued behind the throw; drained, not run
+void expect_each_ran_once(const std::vector<std::atomic<std::int64_t>>& ran) {
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(ran[i].load(), 1) << "piece " << i;
   }
-  EXPECT_THROW(pool.wait_idle(), CheckError);
-  pool.submit([] {});
-  pool.wait_idle();  // error was consumed; pool is reusable
 }
 
-TEST(ThreadPool, PoisonedQueueDrainsWithoutRunningTaskBodies) {
-  // Regression: after a task throws, the backlog must be popped-and-
-  // dropped so wait_idle rethrows promptly — not executed task by task.
-  // One worker guarantees strict queue order, so every counter task sits
-  // behind the throwing task and none may run.
-  ThreadPool pool(1);
-  std::atomic<std::int64_t> ran{0};
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    while (!release.load()) {
-      std::this_thread::yield();  // hold the worker so the queue builds up
-    }
-    throw CheckError("poison");
-  });
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&] { ran.fetch_add(1); });
-  }
-  release.store(true);
-  EXPECT_THROW(pool.wait_idle(), CheckError);
-  EXPECT_EQ(ran.load(), 0);
-  // The rethrow cleared the poison: new work runs again.
-  pool.submit([&] { ran.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPool, QueueStaysFifoWhileItReusesPoppedSlots) {
-  // The queue reuses the slots of popped tasks instead of allocating
-  // per submit.  One worker runs tasks in queue order, and task i waits
-  // until the test allows it, so the queue is drained part-way while
-  // more tasks arrive behind it: the run order must stay the submit
-  // order throughout.
-  ThreadPool pool(1);
-  std::atomic<std::int64_t> allowed{0};
-  std::atomic<std::int64_t> done{0};
-  std::vector<std::int64_t> order;  // written by the one worker only
-  const auto submit = [&](std::int64_t i) {
-    pool.submit([&, i] {
-      while (allowed.load() <= i) {
-        std::this_thread::yield();
+TEST(ThreadPool, EveryLaunchRunsEachPieceExactlyOnce) {
+  // Back-to-back launches of every shape a pool admits, each counting its
+  // pieces in a frame of its own: a worker still finishing one launch
+  // must neither run nor skip a piece of the next.
+  for (const std::int64_t workers : {1, 2, 3, 4}) {
+    ThreadPool pool(workers);
+    EXPECT_EQ(pool.num_threads(), workers);
+    for (int rep = 0; rep < 50; ++rep) {
+      for (std::int64_t queues = 1; queues <= workers + 1; ++queues) {
+        for (const std::int64_t items : {0, 1, 2, 7}) {
+          SCOPED_TRACE("workers=" + std::to_string(workers) +
+                       " queues=" + std::to_string(queues) +
+                       " items=" + std::to_string(items));
+          std::vector<std::atomic<std::int64_t>> ran = counters(queues, items);
+          pool.run(queues, items, [&](std::int64_t q, std::int64_t i) {
+            ran[static_cast<std::size_t>(q * items + i)].fetch_add(1);
+          });
+          expect_each_ran_once(ran);
+        }
       }
-      order.push_back(i);
+    }
+  }
+}
+
+TEST(ThreadPool, OtherThreadsTakeTheUnclaimedPiecesOfAHeldThread) {
+  // Piece 0 of the caller's queue holds its thread until every other
+  // piece has run, so the others, its own queue's included, must be run
+  // by the other threads.  The 60 s wait only bounds a pool that fails
+  // to, so host load cannot fail the check.
+  for (const std::int64_t workers : {1, 3}) {
+    ThreadPool pool(workers);
+    const std::int64_t queues = workers + 1;
+    const std::int64_t items = 4;
+    std::vector<std::atomic<std::int64_t>> ran = counters(queues, items);
+    std::atomic<std::int64_t> done{0};
+    bool others_finished = false;
+    pool.run(queues, items, [&](std::int64_t q, std::int64_t i) {
+      if (q == 0 && i == 0) {
+        for (int ms = 0; ms < 60'000 && done.load() < queues * items - 1;
+             ++ms) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        others_finished = done.load() == queues * items - 1;
+      }
+      ran[static_cast<std::size_t>(q * items + i)].fetch_add(1);
       done.fetch_add(1);
     });
-  };
-  std::int64_t next = 0;
-  for (; next < 64; ++next) {
-    submit(next);
+    EXPECT_TRUE(others_finished) << "workers=" << workers;
+    expect_each_ran_once(ran);
   }
-  allowed.store(48);
-  while (done.load() < 48) {
-    std::this_thread::yield();
+}
+
+TEST(ThreadPool, PieceExceptionReachesTheCallerAndTheNextLaunchRunsAll) {
+  // A piece that throws, on the caller's queue or a worker's, surfaces
+  // from run() as itself; the pieces not yet started may be skipped, and
+  // the next launch runs every piece again.
+  ThreadPool pool(3);
+  for (const std::int64_t bad_queue : {0, 1, 3}) {
+    SCOPED_TRACE("throwing queue " + std::to_string(bad_queue));
+    try {
+      pool.run(4, 5, [&](std::int64_t q, std::int64_t i) {
+        if (q == bad_queue && i == 2) {
+          throw CheckError("piece " + std::to_string(q) + "/2 failed");
+        }
+      });
+      ADD_FAILURE() << "the throwing piece was swallowed";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "piece " + std::to_string(bad_queue) + "/2 failed"),
+                std::string::npos)
+          << e.what();
+    }
+    std::vector<std::atomic<std::int64_t>> ran = counters(4, 5);
+    pool.run(4, 5, [&](std::int64_t q, std::int64_t i) {
+      ran[static_cast<std::size_t>(q * 5 + i)].fetch_add(1);
+    });
+    expect_each_ran_once(ran);
   }
-  for (; next < 264; ++next) {
-    submit(next);
-  }
-  allowed.store(next);
-  pool.wait_idle();
-  ASSERT_EQ(static_cast<std::int64_t>(order.size()), next);
-  for (std::int64_t i = 0; i < next; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
+}
+
+TEST(ThreadPool, RejectsALaunchWiderThanItsThreads) {
+  ThreadPool pool(2);
+  const auto nothing = [](std::int64_t, std::int64_t) {};
+  EXPECT_THROW(pool.run(4, 1, nothing), CheckError);
+  EXPECT_THROW(pool.run(0, 1, nothing), CheckError);
+  EXPECT_THROW(pool.run(2, -1, nothing), CheckError);
+  pool.run(3, 1, nothing);  // caller + 2 workers
 }
 
 TEST(ThreadPool, PinFlagIsBestEffortAndHarmless) {
@@ -113,20 +127,11 @@ TEST(ThreadPool, PinFlagIsBestEffortAndHarmless) {
 #if defined(__linux__)
   EXPECT_TRUE(pinned.pinned());
 #endif
-  std::atomic<std::int64_t> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pinned.submit([&] { counter.fetch_add(1); });
-  }
-  pinned.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, RejectsWorkAfterShutdownBegan) {
-  auto pool = std::make_unique<ThreadPool>(1);
-  pool->submit([] {});
-  pool->wait_idle();
-  pool.reset();  // full shutdown; submit-after-stop is covered by ctor/dtor
-  SUCCEED();
+  std::vector<std::atomic<std::int64_t>> ran = counters(3, 33);
+  pinned.run(3, 33, [&](std::int64_t q, std::int64_t i) {
+    ran[static_cast<std::size_t>(q * 33 + i)].fetch_add(1);
+  });
+  expect_each_ran_once(ran);
 }
 
 }  // namespace

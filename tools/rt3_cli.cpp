@@ -40,7 +40,7 @@
 //                            step-down threshold inside which batches
 //                            shrink to --governor-batch      (0 = off)
 //         --governor-batch N batch cap inside the margin     (1)
-//         --threads N        measured-backend pool workers; a launch
+//         --threads N        measured-backend pool workers; a split launch
 //                            also runs on the caller (cores - 1; >= 1)
 //         --tuning FILE      apply an `rt3 tune` record to the measured
 //                            backend's plan cache before serving
@@ -80,10 +80,10 @@
 //       plus:
 //         --models N         resident models on the node     (3)
 //   rt3 tune [--out FILE] ...                         offline kernel
-//       autotuner: measures every launch shape of each (layer, level)
-//       of the measured backend's plan cache — the threads ladder, times
-//       the k_tile ladder for dense kernels — and writes the fastest as
-//       a tuning record for `rt3 serve --tuning`.  Flags:
+//       autotuner: measures each (layer, level) of the measured backend's
+//       plan cache — every k_tile of the ladder for dense kernels, the one
+//       launch otherwise — and writes the fastest as an rt3-tuning v4
+//       record for `rt3 serve --tuning`.  Flags:
 //         --out FILE         tuning record destination  (rt3_tuning.txt)
 //         --load FILE        skip the search: load FILE, apply it, and
 //                            re-serialize to --out (format round-trip)
@@ -642,14 +642,10 @@ int cmd_tune(const std::vector<std::string>& args) {
   const TuningRecord record = tuner.tune();
   record.save(out);
 
-  TablePrinter t({"layer", "level", "k_tile", "threads", "measured (ms)"});
+  TablePrinter t({"layer", "level", "k_tile", "measured (ms)"});
   for (const TuningEntry& e : record.entries) {
     t.add_row({std::to_string(e.layer), std::to_string(e.level),
-               e.options.k_tile == 0 ? "auto"
-                                     : std::to_string(e.options.k_tile),
-               e.options.threads == 0 ? "all"
-                                      : std::to_string(e.options.threads),
-               fmt_f(e.measured_ms, 4)});
+               std::to_string(e.options.k_tile), fmt_f(e.measured_ms, 4)});
   }
   std::cout << t.str() << "\nwrote " << record.entries.size()
             << " entries -> " << out << "\n";
